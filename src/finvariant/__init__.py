@@ -18,14 +18,11 @@ from .freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul, reduce_word, word
 from .orbitmaps import (
     Automorphism,
     LocalBijection,
-    automorphism_examples,
     decode_E,
     encode_E,
-    encode_E_product,
     encode_F,
     encode_F_product,
     identity_bijection,
-    inverse_eval,
     pattern_inverse_eval,
     reconstruct_sigma,
     sym_distance,
@@ -33,7 +30,6 @@ from .orbitmaps import (
     theta_action,
     theta_tilde,
     upsilon_action,
-    upsilon_rearrange,
     upsilon_tilde,
     verify_zrho,
 )

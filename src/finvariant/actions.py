@@ -81,14 +81,9 @@ class FiniteAction:
 
 @dataclass(frozen=True)
 class Microstate:
-    """A labeling of [n], optionally paired with a second labeling."""
+    """A labeling of [n]."""
 
     labels: tuple
-    labels2: tuple | None = None
-
-    def __post_init__(self):
-        if self.labels2 is not None and len(self.labels2) != len(self.labels):
-            raise InputError("paired labelings must share n")
 
     @property
     def n(self) -> int:

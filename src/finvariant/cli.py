@@ -72,8 +72,8 @@ def _fmt(x) -> str:
 
 
 def _config_hash(config: dict) -> str:
-    # threads is an execution knob: results are independent of it by contract,
-    # so it stays out of the provenance hash
+    # threads is accepted for compatibility and ignored (counting runs
+    # serially), so it stays out of the provenance hash
     scrubbed = {k: v for k, v in config.items() if k != "threads"}
     blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -169,8 +169,6 @@ def cmd_f_estimate(args) -> int:
     config = _load_json(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    if args.threads is not None:
-        config["threads"] = args.threads
     for key in ("window", "epsilon", "n_list"):
         if key not in config:
             raise InputError(f"f-estimate config missing {key!r}")
@@ -181,7 +179,6 @@ def cmd_f_estimate(args) -> int:
         raise InputError("a seed is mandatory for randomized commands")
     config.setdefault("seed", 0)
     config.setdefault("samples", 100)
-    config.setdefault("threads", 1)
     config.setdefault("distance_mode", "window")
 
     weight = target = alphabet = None
@@ -213,7 +210,6 @@ def cmd_f_estimate(args) -> int:
         sft=sft,
         distance_mode=config["distance_mode"],
         caps=caps,
-        threads=int(config["threads"]),
         target=target,
         alphabet=alphabet,
     )
@@ -368,7 +364,6 @@ def cmd_rearrange(args) -> int:
 
     # empirical pushforward across the rearrangement, with labels when given
     y_alphabet = config.get("y_alphabet")
-    transport_ok = True
     if y_alphabet:
         seed = config.get("y_seed", config.get("seed"))
         if seed is None:
@@ -376,32 +371,22 @@ def cmd_rearrange(args) -> int:
         rng = random.Random(int(seed))
         ylabels = tuple(rng.choice(y_alphabet) for _ in range(action.n))
         lhs = empirical_product_distribution(ctx, tau, labels, ylabels, m)
-        transported: dict = {}
-        for v in range(action.n):
-            phi_v = decode_E(ctx, patterns[v])
-            xpat = encode_F(ctx, phi_v).restrict(ctx.ball(m))
-            ypat = pullback_name(ctx, action, ylabels, v, rho * m)
-            ymoved = compose_after_inverse(phi_v, ypat).restrict(ctx.ball(m))
-            key = ((tuple(xpat.values), tuple(ymoved.values)),)
-            transported[key] = transported.get(key, 0) + Fraction(1, action.n)
-        rhs = PatternDistribution(((),), transported)
-        if l1_distance(lhs, rhs) != 0:
-            transport_ok = False
-            failures.append("empirical transport mismatch")
-        lines.append(f"empirical_transport: {'PASS' if transport_ok else 'FAIL'}")
     else:
         lhs = empirical_distribution(ctx, tau, labels, m)
-        transported = {}
-        for v in range(action.n):
-            phi_v = decode_E(ctx, patterns[v])
-            xpat = encode_F(ctx, phi_v).restrict(ctx.ball(m))
-            key = tuple(xpat.values)
-            transported[key] = transported.get(key, 0) + Fraction(1, action.n)
-        rhs = PatternDistribution(ctx.ball(m), transported)
-        if l1_distance(lhs, rhs) != 0:
-            transport_ok = False
-            failures.append("empirical transport mismatch")
-        lines.append(f"empirical_transport: {'PASS' if transport_ok else 'FAIL'}")
+    transported: dict = {}
+    for v in range(action.n):
+        phi_v = decode_E(ctx, patterns[v])
+        key = tuple(encode_F(ctx, phi_v).restrict(ctx.ball(m)).values)
+        if y_alphabet:
+            ypat = pullback_name(ctx, action, ylabels, v, rho * m)
+            ymoved = compose_after_inverse(phi_v, ypat).restrict(ctx.ball(m))
+            key = ((key, tuple(ymoved.values)),)
+        transported[key] = transported.get(key, 0) + Fraction(1, action.n)
+    rhs = PatternDistribution(lhs.window, transported)
+    transport_ok = l1_distance(lhs, rhs) == 0
+    if not transport_ok:
+        failures.append("empirical transport mismatch")
+    lines.append(f"empirical_transport: {'PASS' if transport_ok else 'FAIL'}")
 
     ok = multiplicative and pullback_ok and recon_ok and transport_ok
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
@@ -471,13 +456,8 @@ def cmd_weight_tools(args) -> int:
         result = rationalize_weight(weight, args.q, support=support)
         dist = weight_distance(weight, result)
         bound = 4 * len(weight.alphabet) ** 2 * weight.rank / args.q
-        text = json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
-        if args.out:
-            _emit(text, args.out)
-            sys.stdout.write(f"distance: {_fmt(dist)} (bound {_fmt(bound)})\n")
-        else:
-            sys.stdout.write(text)
-            sys.stdout.write(f"distance: {_fmt(dist)} (bound {_fmt(bound)})\n")
+        _emit(json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n", args.out)
+        sys.stdout.write(f"distance: {_fmt(dist)} (bound {_fmt(bound)})\n")
         return 0
     if action == "markovize":
         data = _load_json(args.marginals)
@@ -486,11 +466,7 @@ def cmd_weight_tools(args) -> int:
         dist = PatternDistribution.from_json(ctx, data)
         weight = markovize(ctx, dist)
         value = f_markov(ctx, weight)
-        text = json.dumps(weight.to_json(), indent=2, sort_keys=True) + "\n"
-        if args.out:
-            _emit(text, args.out)
-        else:
-            sys.stdout.write(text)
+        _emit(json.dumps(weight.to_json(), indent=2, sort_keys=True) + "\n", args.out)
         sys.stdout.write(f"f_nats: {_fmt(float(value))}\n")
         if args.weight:
             reference = _load_weight(args.weight)

@@ -4,13 +4,13 @@ finite-n growth-rate table for the invariant.
 
 Counts are exhaustive over the labeling space A^n under a configurable cap.
 Monte Carlo averaging derives one seed per sample index, so results do not
-depend on thread count or evaluation order.
+depend on evaluation order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -57,10 +57,6 @@ class Neighborhood:
             raise InputError("exact-statistics counting needs an exact rational target")
 
 
-def _edge_windows(ctx: FreeGroupCtx):
-    return [tuple(sorted([(), (i,)], key=len)) for i in range(1, ctx.rank + 1)]
-
-
 def count_omega(
     ctx: FreeGroupCtx,
     action: FiniteAction,
@@ -69,100 +65,59 @@ def count_omega(
     caps: Caps = Caps(),
 ) -> int:
     """Exhaustive count of labelings in A^n whose empirical distribution lies
-    in the neighborhood (and passes the attached constraint system, if any)."""
+    in the neighborhood (and passes the attached constraint system, if any).
+
+    Both modes are sums of window statistics: ``window`` is the one window of
+    the target, ``edge_star`` the r windows {e, s_i} against the target's
+    projections.  An exact target is scaled by d, the lcm of its
+    denominators, so the l1 distance times n d is an integer and membership
+    is decided without rounding; a float target keeps d = 1 and float sums.
+    """
     n = action.n
     total = len(alphabet) ** n
     if total > caps.labelings:
         raise ResourceCapError(f"|A|^n = {total} labelings exceed cap {caps.labelings}")
 
-    eps = nbhd.epsilon
-    exact = float(eps) == 0
-
     if nbhd.mode == "window":
-        window = nbhd.target.window
-        cols = window_columns(ctx, action, window)
-        vertex_cols = [tuple(col[v] for col in cols) for v in range(n)]
-        target_items = nbhd.target.probs
-        if exact:
-            required = {}
-            feasible = True
-            for key, p in target_items.items():
-                want = Fraction(p) * n
-                if want.denominator != 1:
-                    feasible = False
-                    break
-                required[key] = int(want)
-            if not feasible:
-                return 0
+        targets = [nbhd.target]
     else:
-        windows = _edge_windows(ctx)
-        projections = [nbhd.target.project(w) for w in windows]
-        pair_cols = []
-        for i in range(1, ctx.rank + 1):
-            perm_inv = action.letter_perm(-i)
-            pair_cols.append(perm_inv)
-        if exact:
-            required_pairs = []
-            for proj in projections:
-                req = {}
-                feasible = True
-                for key, p in proj.probs.items():
-                    want = Fraction(p) * n
-                    if want.denominator != 1:
-                        feasible = False
-                        break
-                    req[key] = int(want)
-                if not feasible:
-                    return 0
-                required_pairs.append(req)
+        targets = [nbhd.target.project(((), (i,))) for i in range(1, ctx.rank + 1)]
+    exact = nbhd.target.is_exact()
+    d = 1
+    if exact:
+        d = math.lcm(*(Fraction(p).denominator for t in targets for p in t.probs.values()))
+    eps = nbhd.epsilon
+    if float(eps) == 0 and n % d:
+        return 0  # some n t is not an integer: exact statistics are unattainable
+    if exact and isinstance(eps, (int, Fraction)):
+        limit = math.floor(eps * n * d)
+    else:
+        limit = (float(eps) + 1e-12) * n * d
+
+    # one group per window: its column tables, scaled targets T = n d t and their mass
+    groups = []
+    for t in targets:
+        want = {
+            key: int(Fraction(p) * n * d) if exact else float(p) * n
+            for key, p in t.probs.items()
+        }
+        groups.append((window_columns(ctx, action, t.window), want, sum(want.values())))
 
     spec = nbhd.sft
     count = 0
     for labels in iter_product(alphabet, repeat=n):
-        if nbhd.mode == "window":
-            counts: dict[tuple, int] = {}
-            for vc in vertex_cols:
-                key = tuple(labels[c] for c in vc)
-                counts[key] = counts.get(key, 0) + 1
-            if exact:
-                if counts != required:
-                    continue
-            else:
-                dist = 0.0
-                matched = 0.0
-                for key, c in counts.items():
-                    t = target_items.get(key, 0)
-                    dist += abs(c / n - float(t))
-                    matched += float(t)
-                dist += 1.0 - matched
-                if dist > eps + 1e-12:
-                    continue
+        # l1 distance times n d: sum over seen keys of |c d - T| - T, plus the mass
+        dist = 0
+        for cols, want, mass in groups:
+            dist += mass
+            for key, c in Counter(zip(*[[labels[u] for u in col] for col in cols])).items():
+                t = want.get(key, 0)
+                dist += abs(c * d - t) - t
+            if dist > limit:
+                break
         else:
-            ok = True
-            star = 0.0
-            for i in range(ctx.rank):
-                perm_inv = pair_cols[i]
-                pcounts: dict[tuple, int] = {}
-                for v in range(n):
-                    key = (labels[v], labels[perm_inv[v]])
-                    pcounts[key] = pcounts.get(key, 0) + 1
-                if exact:
-                    if pcounts != required_pairs[i]:
-                        ok = False
-                        break
-                else:
-                    proj = projections[i].probs
-                    matched = 0.0
-                    for key, c in pcounts.items():
-                        t = proj.get(key, 0)
-                        star += abs(c / n - float(t))
-                        matched += float(t)
-                    star += 1.0 - matched
-            if not ok or (not exact and star > eps + 1e-12):
-                continue
-        if spec is not None and not sft_check_all(ctx, spec, action, labels):
-            continue
-        count += 1
+            if spec is None or sft_check_all(ctx, spec, action, labels):
+                count += 1
     return count
 
 
@@ -182,7 +137,6 @@ def expected_count(
     samples: int = 0,
     seed: int = 0,
     caps: Caps = Caps(),
-    threads: int = 1,
 ) -> CountStats:
     """Mean neighborhood count over finite actions.
 
@@ -203,15 +157,10 @@ def expected_count(
     if samples < 1:
         raise InputError("monte carlo needs at least one sample")
 
-    def one(idx: int) -> int:
-        action = sample_action(n, ctx.rank, derive_seed(seed, idx))
-        return count_omega(ctx, action, alphabet, nbhd, caps)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(one, range(samples)))
-    else:
-        counts = [one(idx) for idx in range(samples)]
+    counts = [
+        count_omega(ctx, sample_action(n, ctx.rank, derive_seed(seed, idx)), alphabet, nbhd, caps)
+        for idx in range(samples)
+    ]
     mean = sum(counts) / samples
     if samples > 1:
         var = sum((c - mean) ** 2 for c in counts) / (samples - 1)
@@ -248,7 +197,6 @@ def f_estimate(
     sft: SftSpec | None = None,
     distance_mode: str = "window",
     caps: Caps = Caps(),
-    threads: int = 1,
     target: PatternDistribution | None = None,
     alphabet: Sequence | None = None,
 ) -> EstimateResult:
@@ -287,7 +235,6 @@ def f_estimate(
             samples=samples,
             seed=derive_seed(seed, n),
             caps=caps,
-            threads=threads,
         )
         log_over_n = math.log(stats.mean) / n if stats.mean > 0 else float("-inf")
         rows.append(EstimateRow(n, stats.samples, stats.mean, log_over_n, stats.stderr))

@@ -255,12 +255,6 @@ def decode_E(ctx: FreeGroupCtx, pattern: Pattern) -> LocalBijection:
     return LocalBijection(radius + 1, max(rho, 1), table)
 
 
-def inverse_eval(phi: LocalBijection, target: Word) -> Word:
-    """phi^-1(target) within the window; the geodesic witness behind this
-    lookup is unique for admissible encodings."""
-    return phi.inverse_word(target)
-
-
 def encode_F(ctx: FreeGroupCtx, phi: LocalBijection) -> Pattern:
     """Companion encoding along the second action: the symbol at h sends s to
     h^-1 phi(phi^-1(h) s).  The window shrinks by the displacement factor."""
@@ -288,10 +282,6 @@ def compose_after_inverse(phi: LocalBijection, ypattern: Pattern) -> Pattern:
     if not domain:
         raise WindowError("no overlap between the label window and the map window")
     return Pattern(domain, values)
-
-
-def encode_E_product(ctx: FreeGroupCtx, phi: LocalBijection, ypattern: Pattern):
-    return encode_E(ctx, phi), ypattern
 
 
 def encode_F_product(ctx: FreeGroupCtx, phi: LocalBijection, ypattern: Pattern):
@@ -373,14 +363,6 @@ def tau_construct(
             )
         perms.append(tuple(images))
     return FiniteAction(n, tuple(perms))
-
-
-def upsilon_rearrange(
-    ctx: FreeGroupCtx, rho: int, action: FiniteAction, state: Microstate
-) -> tuple[FiniteAction, Microstate]:
-    """(sigma, x, y) -> (tau, x, y); the labels pass through unchanged."""
-    tau = tau_construct(ctx, rho, action, state.labels)
-    return tau, state
 
 
 def reconstruct_sigma(ctx: FreeGroupCtx, tau: FiniteAction, labels) -> FiniteAction:
@@ -493,20 +475,6 @@ class Automorphism:
 
     def constant_config(self, n: int) -> Microstate:
         return Microstate((self.constant_symbol(),) * n)
-
-
-def automorphism_examples(ctx: FreeGroupCtx, images: Mapping[str, str]) -> Automorphism:
-    """Build the automorphism-backed test-vector factory from named images,
-    e.g. {"a": "ab", "b": "b"}."""
-    return Automorphism.from_names(ctx, images)
-
-
-def constant_config_of(ctx: FreeGroupCtx, phi_letter_images: Mapping[int, Word], n: int) -> Microstate:
-    """Constant configuration whose every vertex carries the symbol
-    s -> phi(s); admissible exactly when those entries extend to a bounded
-    bijection."""
-    sym = tuple(phi_letter_images[letter] for letter in ctx.letters)
-    return Microstate((sym,) * n)
 
 
 # ---------------------------------------------------------------------------

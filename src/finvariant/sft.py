@@ -302,18 +302,23 @@ def sft_check_all(ctx: FreeGroupCtx, spec: SftSpec, action: FiniteAction, labels
     return all(_check_local(ctx, spec, action, labels, v) for v in range(n))
 
 
-def orbit_of(action: FiniteAction, v: int) -> tuple[int, ...]:
-    """Vertices reachable from v under all generators and inverses."""
-    seen = {v}
-    queue = [v]
-    while queue:
-        u = queue.pop(0)
+def _bfs(action: FiniteAction, start: int, seen: set) -> list[int]:
+    """Vertices of start's orbit not yet in ``seen``, in BFS order over the
+    generators and their inverses; marks them seen."""
+    seen.add(start)
+    order = [start]
+    for u in order:
         for i in range(1, action.rank + 1):
             for w in (action.letter_perm(i)[u], action.letter_perm(-i)[u]):
                 if w not in seen:
                     seen.add(w)
-                    queue.append(w)
-    return tuple(sorted(seen))
+                    order.append(w)
+    return order
+
+
+def orbit_of(action: FiniteAction, v: int) -> tuple[int, ...]:
+    """Vertices reachable from v under all generators and inverses."""
+    return tuple(sorted(_bfs(action, v, set())))
 
 
 def sft_check_vertex(
@@ -348,22 +353,11 @@ class _BudgetExhausted(Exception):
 
 
 def _bfs_vertex_order(action: FiniteAction) -> list[int]:
-    n = action.n
-    seen = [False] * n
+    seen: set = set()
     order: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for i in range(1, action.rank + 1):
-                for w in (action.letter_perm(i)[u], action.letter_perm(-i)[u]):
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
+    for start in range(action.n):
+        if start not in seen:
+            order += _bfs(action, start, seen)
     return order
 
 

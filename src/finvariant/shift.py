@@ -135,10 +135,6 @@ class PatternDistribution:
             out[small] = out.get(small, 0) + p
         return PatternDistribution(sub, out)
 
-    def pattern_items(self):
-        for key, p in self.probs.items():
-            yield Pattern(self.window, key), p
-
     def to_json(self, ctx: FreeGroupCtx) -> dict:
         radius = max((len(w) for w in self.window), default=0)
         if self.window != ctx.ball(radius):

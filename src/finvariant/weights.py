@@ -428,16 +428,6 @@ def _window_entropy_enumerate(w: Weight, window: Sequence[Word]) -> EntropyValue
     return shannon_entropy(dist)
 
 
-def _edge_counts(window: Sequence[Word], rank: int) -> list[int]:
-    index = set(window)
-    counts = [0] * (rank + 1)
-    for g in window:
-        for i in range(1, rank + 1):
-            if mul(g, (i,)) in index:
-                counts[i] += 1
-    return counts
-
-
 def _window_entropy_chain(w: Weight, window: Sequence[Word]) -> EntropyValue:
     """Entropy of the window marginal via the chain rule along the tree.
 
@@ -446,10 +436,14 @@ def _window_entropy_chain(w: Weight, window: Sequence[Word]) -> EntropyValue:
     connected window is H(vertex) + sum_i E_i * (H(edge_i) - H(vertex)) with
     E_i the number of generator-i edges inside the window.  This is an exact
     identity for the measure defined by the weight, not an approximation.
+    A connected word set in the tree is itself a tree, so its BFS edges are
+    all of its edges.
     """
-    _window_structure(window, w.rank)  # connectivity check
+    edges, _ = _window_structure(window, w.rank)  # raises if not connected
+    counts = [0] * (w.rank + 1)
+    for _, _, i, _ in edges:
+        counts[i] += 1
     h_vertex = shannon_entropy({a: w.vertex_prob(a) for a in w.alphabet})
-    counts = _edge_counts(window, w.rank)
     total = h_vertex
     for i in range(1, w.rank + 1):
         pairs = {

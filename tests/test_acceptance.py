@@ -46,7 +46,6 @@ from finvariant import (
     theta_tilde,
     upsilon_action,
     upsilon_tilde,
-    encode_E_product,
     encode_F_product,
     zrho_spec,
 )
@@ -372,7 +371,7 @@ def test_criterion_08_equivariance_suite():
             pass  # window exhausted for this draw; draw again
 
         tphi, ty = theta_tilde(CTX, h, phi, ypat)
-        lx, ly = encode_E_product(CTX, tphi, ty)
+        lx, ly = encode_E(CTX, tphi), ty
         rx = shift_pattern(h, encode_E(CTX, phi))
         common = [g for g in lx.domain if g in rx]
         ok &= bool(common) and all(lx[g] == rx[g] for g in common)

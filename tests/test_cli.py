@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,19 @@ class TestFExact:
         f_line = next(l for l in out.read_text().splitlines() if l.startswith("f_nats:"))
         expected = (1 / 3) * math.log(3) + (2 / 3) * math.log(3 / 2)
         assert abs(float(f_line.split()[1]) - expected) < 1e-12
+
+    def test_readme_example_runs(self, tmp_path):
+        # the first json block under the README's f-exact heading
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        section = text[text.index("### `f-exact`"):]
+        start = section.index("```json\n") + len("```json\n")
+        path = tmp_path / "weight.json"
+        path.write_text(section[start:section.index("\n```", start)])
+        out = tmp_path / "report.txt"
+        assert main(["f-exact", "--weight", str(path), "--out", str(out)]) == 0
+        assert "f_nats: 0.693147180559945" in out.read_text().splitlines()
 
     def test_invalid_weight_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"

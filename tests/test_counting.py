@@ -3,6 +3,7 @@ growth-rate table."""
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,15 +13,21 @@ from finvariant import (
     FreeGroupCtx,
     InputError,
     Neighborhood,
+    PatternDistribution,
     ResourceCapError,
+    Weight,
     bernoulli_weight,
     count_omega,
+    d_star,
+    empirical_distribution,
     enumerate_actions,
     expected_count,
     f_estimate,
+    l1_distance,
     marginal_distribution,
     nn_spec,
     sample_action,
+    sft_check_all,
 )
 
 CTX2 = FreeGroupCtx(2)
@@ -73,8 +80,11 @@ class TestCountOmega:
         action = FiniteAction(2, ((1, 0),))
         zero = Neighborhood(target=target, epsilon=Fraction(0))
         one = Neighborhood(target=target, epsilon=1.0)
+        # just below 1: a rational epsilon is compared exactly, with no slack
+        below = Neighborhood(target=target, epsilon=Fraction(1) - Fraction(1, 10**13))
         assert count_omega(CTX1, action, ("0", "1"), zero) == 0
         assert count_omega(CTX1, action, ("0", "1"), one) == 2
+        assert count_omega(CTX1, action, ("0", "1"), below) == 0
 
     def test_monotone_in_epsilon(self):
         action = sample_action(5, 2, seed=3)
@@ -130,6 +140,82 @@ class TestCountOmega:
             count_omega(CTX2, action, ("0", "1"), nbhd, caps=Caps(labelings=100))
 
 
+def brute_count(ctx, action, alphabet, nbhd):
+    """Reference count: each labeling's empirical distribution and its l1 or
+    d_star distance to the target, in Fractions.  A float epsilon carries the
+    documented 1e-12 slack; a rational one is compared exactly."""
+    target = nbhd.target
+    radius = max(len(g) for g in target.window)
+    eps = nbhd.epsilon
+    bound = Fraction(eps) + Fraction(1e-12) if isinstance(eps, float) else eps
+    count = 0
+    for labels in product(alphabet, repeat=action.n):
+        emp = empirical_distribution(ctx, action, labels, radius)
+        if nbhd.mode == "window":
+            dist = l1_distance(emp, target)
+        else:
+            dist = d_star(ctx, emp, target)
+        assert isinstance(dist, (int, Fraction))
+        if dist <= bound and (nbhd.sft is None or sft_check_all(ctx, nbhd.sft, action, labels)):
+            count += 1
+    return count
+
+
+SKEWED = marginal_distribution(
+    # a Markov weight with correlated generator-1 edges: uneven target masses
+    Weight(
+        2,
+        ("0", "1"),
+        {"0": Fraction(1, 2), "1": Fraction(1, 2)},
+        {
+            ("0", "0", 1): Fraction(3, 8),
+            ("0", "1", 1): Fraction(1, 8),
+            ("1", "0", 1): Fraction(1, 8),
+            ("1", "1", 1): Fraction(3, 8),
+            ("0", "0", 2): Fraction(1, 4),
+            ("0", "1", 2): Fraction(1, 4),
+            ("1", "0", 2): Fraction(1, 4),
+            ("1", "1", 2): Fraction(1, 4),
+        },
+    ),
+    CTX2.ball(1),
+)
+ORACLE_TARGETS = {
+    "half_r0": TARGET_B0,
+    "half_r1": TARGET_B1,
+    "third_r1": marginal_distribution(
+        bernoulli_weight({"0": Fraction(1, 3), "1": Fraction(2, 3)}, 2), CTX2.ball(1)
+    ),
+    "skewed_r1": SKEWED,
+    # an explicit zero-mass entry must not block exact statistics
+    "zero_mass_r0": PatternDistribution(
+        ((),), {("0",): Fraction(3, 4), ("1",): Fraction(1, 4), ("2",): Fraction(0)}
+    ),
+}
+ORACLE_EPSILONS = [
+    Fraction(0), Fraction(1, 4), Fraction(3, 10), Fraction(1, 2), Fraction(5, 4), Fraction(7, 4),
+    0.0, 0.3, 0.5, 1.0, 1.7, 1.85,
+]
+
+
+class TestBruteForceOracle:
+    @pytest.mark.parametrize("mode,target", [
+        ("window", "half_r0"), ("window", "half_r1"), ("window", "skewed_r1"),
+        ("window", "zero_mass_r0"),
+        ("edge_star", "half_r1"), ("edge_star", "third_r1"), ("edge_star", "skewed_r1"),
+    ])
+    @pytest.mark.parametrize("eps", ORACLE_EPSILONS, ids=repr)
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_counts_equal_brute_force(self, mode, target, eps, restricted):
+        spec = nn_spec(("0", "1"), [("0", "1", 1)]) if restricted else None
+        nbhd = Neighborhood(target=ORACLE_TARGETS[target], epsilon=eps, mode=mode, sft=spec)
+        for n, seed in ((3, 1), (4, 2), (4, 3), (6, 4)):
+            action = sample_action(n, 2, seed=seed)
+            assert count_omega(CTX2, action, ("0", "1"), nbhd) == brute_count(
+                CTX2, action, ("0", "1"), nbhd
+            ), (n, seed)
+
+
 class TestExactStatistics:
     def _diag_weight(self):
         return (
@@ -140,8 +226,6 @@ class TestExactStatistics:
     def test_y_restriction_never_changes_exact_counts(self):
         # a weight vanishing off the gen-1 diagonal: labelings with exact edge
         # statistics automatically satisfy the support constraints
-        from finvariant import Weight
-
         w = Weight(
             2,
             ("0", "1"),
@@ -172,8 +256,6 @@ class TestExactStatistics:
         assert hits > 0  # the check must not be vacuous
 
     def test_window_mode_exact_also_invariant(self):
-        from finvariant import Weight
-
         w = Weight(
             2,
             ("0", "1"),
@@ -232,10 +314,7 @@ class TestExpectedCount:
         again = expected_count(
             CTX2, 4, ("0", "1"), nbhd, mode="monte_carlo", samples=40, seed=3
         )
-        threaded = expected_count(
-            CTX2, 4, ("0", "1"), nbhd, mode="monte_carlo", samples=40, seed=3, threads=4
-        )
-        assert base == again == threaded
+        assert base == again
 
     def test_exact_cap(self):
         nbhd = Neighborhood(target=TARGET_B0, epsilon=1.0)

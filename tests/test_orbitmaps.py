@@ -21,11 +21,9 @@ from finvariant import (
     WindowError,
     decode_E,
     encode_E,
-    encode_E_product,
     encode_F,
     encode_F_product,
     identity_bijection,
-    inverse_eval,
     pattern_inverse_eval,
     pullback_name,
     reconstruct_sigma,
@@ -228,10 +226,10 @@ class TestEncodeDecode:
 
     def test_inverse_eval(self):
         phi = AUTOS["swap"].bijection(4)
-        assert inverse_eval(phi, CTX.parse("a")) == CTX.parse("b")
-        assert inverse_eval(identity_bijection(CTX, 3), CTX.parse("ab")) == CTX.parse("ab")
+        assert phi.inverse_word(CTX.parse("a")) == CTX.parse("b")
+        assert identity_bijection(CTX, 3).inverse_word(CTX.parse("ab")) == CTX.parse("ab")
         with pytest.raises(WindowError):
-            inverse_eval(phi, CTX.parse("ababab"))
+            phi.inverse_word(CTX.parse("ababab"))
 
 
 class TestEncodeF:
@@ -293,7 +291,7 @@ class TestProductMaps:
             if not h:
                 continue
             tphi, ty = theta_tilde(CTX, h, phi, y)
-            lx, ly = encode_E_product(CTX, tphi, ty)
+            lx, ly = encode_E(CTX, tphi), ty
             rx = shift_pattern(h, encode_E(CTX, phi))
             ry = shift_pattern(h, y)
             common = [g for g in lx.domain if g in rx]

@@ -7,6 +7,7 @@ f-estimate    finite-n growth-rate table (CSV) for a weight's neighborhood count
 rearrange     build the rearranged action from an admissible configuration and
               verify the transport identities
 sft-verify    check a configuration against the orbit-change constraint system
+ball          emit the shortlex word-metric ball, one word per line
 weight-tools  validate | rationalize | markovize | distance
 
 Every command is deterministic given its config (seed included); reports and
@@ -328,7 +329,7 @@ def cmd_rearrange(args) -> int:
 
     patterns = verify_zrho(ctx, rho, action, labels)  # raises naming the vertex
     lines.append("admissibility: PASS")
-    tau = tau_construct(ctx, rho, action, labels)
+    tau = tau_construct(ctx, rho, action, patterns)
     lines.append("tau:")
     for i, perm in enumerate(tau.perms, start=1):
         lines.append(f"  {ctx.letter_name(i)}: {list(perm)}")
@@ -344,16 +345,33 @@ def cmd_rearrange(args) -> int:
                 failures.append(f"multiplicativity fails at word {ctx.format(g)}, vertex {v}")
     lines.append(f"homomorphism_property: {'PASS' if multiplicative else 'FAIL'}")
 
-    # pullback identity on the guaranteed window
+    y_alphabet = config.get("y_alphabet")
+    if y_alphabet:
+        seed = config.get("y_seed", config.get("seed"))
+        if seed is None:
+            raise InputError("a seed is mandatory for randomized commands")
+        rng = random.Random(int(seed))
+        ylabels = tuple(rng.choice(y_alphabet) for _ in range(action.n))
+
+    # one pass per vertex decodes phi_v once: it checks the pullback identity
+    # on the guaranteed window and builds the vertex's transported key.  Each
+    # map is dropped after its vertex; keeping all of them (a table on the
+    # radius rho^2+2 ball per vertex) more than doubles the peak memory.
     m = (rho * rho + 1) // rho
+    window = ctx.ball(m)
     pullback_ok = True
+    transported: dict = {}
     for v in range(action.n):
         phi_v = decode_E(ctx, patterns[v])
-        expected = encode_F(ctx, phi_v).restrict(ctx.ball(m))
-        actual = pullback_name(ctx, tau, labels, v, m)
-        if expected != actual:
+        expected = encode_F(ctx, phi_v).restrict(window)
+        if expected != pullback_name(ctx, tau, labels, v, m):
             pullback_ok = False
             failures.append(f"pullback identity fails at vertex {v}")
+        key = expected.values
+        if y_alphabet:
+            ypat = pullback_name(ctx, action, ylabels, v, rho * m)
+            key = ((key, compose_after_inverse(phi_v, ypat).restrict(window).values),)
+        transported[key] = transported.get(key, 0) + Fraction(1, action.n)
     lines.append(f"pullback_identity: {'PASS' if pullback_ok else 'FAIL'}")
 
     sigma_back = reconstruct_sigma(ctx, tau, labels)
@@ -363,25 +381,10 @@ def cmd_rearrange(args) -> int:
     lines.append(f"sigma_reconstruction: {'PASS' if recon_ok else 'FAIL'}")
 
     # empirical pushforward across the rearrangement, with labels when given
-    y_alphabet = config.get("y_alphabet")
     if y_alphabet:
-        seed = config.get("y_seed", config.get("seed"))
-        if seed is None:
-            raise InputError("a seed is mandatory for randomized commands")
-        rng = random.Random(int(seed))
-        ylabels = tuple(rng.choice(y_alphabet) for _ in range(action.n))
         lhs = empirical_product_distribution(ctx, tau, labels, ylabels, m)
     else:
         lhs = empirical_distribution(ctx, tau, labels, m)
-    transported: dict = {}
-    for v in range(action.n):
-        phi_v = decode_E(ctx, patterns[v])
-        key = tuple(encode_F(ctx, phi_v).restrict(ctx.ball(m)).values)
-        if y_alphabet:
-            ypat = pullback_name(ctx, action, ylabels, v, rho * m)
-            ymoved = compose_after_inverse(phi_v, ypat).restrict(ctx.ball(m))
-            key = ((key, tuple(ymoved.values)),)
-        transported[key] = transported.get(key, 0) + Fraction(1, action.n)
     rhs = PatternDistribution(lhs.window, transported)
     transport_ok = l1_distance(lhs, rhs) == 0
     if not transport_ok:

@@ -57,6 +57,18 @@ class Neighborhood:
             raise InputError("exact-statistics counting needs an exact rational target")
 
 
+def _statistic_targets(ctx: FreeGroupCtx, nbhd: Neighborhood) -> list[PatternDistribution]:
+    """The target of each window statistic: the target itself for
+    ``window``, its r pair projections {e, s_i} for ``edge_star``."""
+    if nbhd.mode == "window":
+        return [nbhd.target]
+    return [nbhd.target.project(((), (i,))) for i in range(1, ctx.rank + 1)]
+
+
+def _denominator_lcm(targets: Sequence[PatternDistribution]) -> int:
+    return math.lcm(*(Fraction(p).denominator for t in targets for p in t.probs.values()))
+
+
 def count_omega(
     ctx: FreeGroupCtx,
     action: FiniteAction,
@@ -78,14 +90,9 @@ def count_omega(
     if total > caps.labelings:
         raise ResourceCapError(f"|A|^n = {total} labelings exceed cap {caps.labelings}")
 
-    if nbhd.mode == "window":
-        targets = [nbhd.target]
-    else:
-        targets = [nbhd.target.project(((), (i,))) for i in range(1, ctx.rank + 1)]
+    targets = _statistic_targets(ctx, nbhd)
     exact = nbhd.target.is_exact()
-    d = 1
-    if exact:
-        d = math.lcm(*(Fraction(p).denominator for t in targets for p in t.probs.values()))
+    d = _denominator_lcm(targets) if exact else 1
     eps = nbhd.epsilon
     if float(eps) == 0 and n % d:
         return 0  # some n t is not an integer: exact statistics are unattainable
@@ -214,10 +221,8 @@ def f_estimate(
     nbhd = Neighborhood(target=target, epsilon=epsilon, mode=distance_mode, sft=sft)
     warnings = []
     if float(epsilon) == 0:
-        denominators = [
-            Fraction(p).denominator for p in target.probs.values()
-        ]
-        lcm = math.lcm(*denominators) if denominators else 1
+        # the statistics count_omega compares, so the warning matches its early 0
+        lcm = _denominator_lcm(_statistic_targets(ctx, nbhd))
         for n in n_list:
             if n % lcm:
                 warnings.append(

@@ -87,6 +87,11 @@ def _ball_tree(rank: int, radius: int) -> tuple[tuple[Word, int, int], ...]:
     return tuple(entries)
 
 
+@lru_cache(maxsize=None)
+def _ball(rank: int, radius: int) -> tuple[Word, ...]:
+    return tuple(entry[0] for entry in _ball_tree(rank, radius))
+
+
 @dataclass(frozen=True)
 class FreeGroupCtx:
     """Rank and generator naming for one free group."""
@@ -133,7 +138,7 @@ class FreeGroupCtx:
         """All reduced words of length <= radius, in shortlex order."""
         if radius < 0:
             raise InputError("radius must be >= 0")
-        return tuple(entry[0] for entry in _ball_tree(self.rank, radius))
+        return _ball(self.rank, radius)
 
     def ball_tree(self, radius: int) -> tuple[tuple[Word, int, int], ...]:
         if radius < 0:

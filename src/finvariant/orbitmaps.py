@@ -10,7 +10,7 @@ underlying objects are infinite and truncation has to stay explicit.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .actions import FiniteAction, Microstate
 from .errors import (
@@ -221,7 +221,7 @@ def encode_E(ctx: FreeGroupCtx, phi: LocalBijection) -> Pattern:
                 )
             sym.append(step)
         values.append(tuple(sym))
-    return Pattern(domain, values)
+    return Pattern._on_ball(domain, values)
 
 
 def decode_E(ctx: FreeGroupCtx, pattern: Pattern) -> LocalBijection:
@@ -234,25 +234,29 @@ def decode_E(ctx: FreeGroupCtx, pattern: Pattern) -> LocalBijection:
     if pattern.domain != ctx.ball(radius):
         raise InputError("decoding needs a pattern on a full ball")
     tree = ctx.ball_tree(radius + 1)
-    table: dict[Word, Word] = {IDENTITY: IDENTITY}
-    words = [entry[0] for entry in tree]
+    # the pattern's ball is the shortlex prefix of this tree, so a parent's
+    # tree index is also its position in pattern.values
+    values = pattern.values
+    images: list[Word] = [IDENTITY] * len(tree)
     for k in range(1, len(tree)):
-        word, parent, letter = tree[k]
-        parent_word = words[parent]
-        table[word] = mul(table[parent_word], symbol_entry(pattern[parent_word], letter))
-    seen: dict[Word, Word] = {}
+        _, parent, letter = tree[k]
+        images[k] = mul(images[parent], symbol_entry(values[parent], letter))
+    table = dict(zip(ctx.ball(radius + 1), images))
+    inverse: dict[Word, Word] = {}
     for g, val in table.items():
-        if val in seen:
+        if val in inverse:
             raise VerificationError(
                 "decoded map is not injective on its window: "
-                f"{ctx.format(seen[val])} and {ctx.format(g)} both map to {ctx.format(val)}"
+                f"{ctx.format(inverse[val])} and {ctx.format(g)} both map to {ctx.format(val)}"
             )
-        seen[val] = g
+        inverse[val] = g
     rho = max(
-        (len(symbol_entry(sym, letter)) for sym in pattern.values for letter in ctx.letters),
+        (len(symbol_entry(sym, letter)) for sym in set(values) for letter in ctx.letters),
         default=1,
     )
-    return LocalBijection(radius + 1, max(rho, 1), table)
+    phi = LocalBijection(radius + 1, max(rho, 1), table)
+    phi._inverse = inverse
+    return phi
 
 
 def encode_F(ctx: FreeGroupCtx, phi: LocalBijection) -> Pattern:
@@ -268,7 +272,7 @@ def encode_F(ctx: FreeGroupCtx, phi: LocalBijection) -> Pattern:
         h_inv = inv(h)
         sym = tuple(mul(h_inv, phi(mul(gh, (letter,)))) for letter in ctx.letters)
         values.append(sym)
-    return Pattern(domain, values)
+    return Pattern._on_ball(domain, values)
 
 
 def compose_after_inverse(phi: LocalBijection, ypattern: Pattern) -> Pattern:
@@ -327,7 +331,8 @@ def verify_zrho(
     ctx: FreeGroupCtx, rho: int, action: FiniteAction, labels
 ) -> list[Pattern]:
     """Check every pullback against the admissibility axioms; returns the
-    pullback patterns for reuse.  Raises naming the first failing vertex."""
+    pullback patterns, which ``tau_construct`` takes.  Raises naming the
+    first failing vertex."""
     radius = rho * rho + 1
     patterns = []
     for v in range(action.n):
@@ -340,16 +345,16 @@ def verify_zrho(
 
 
 def tau_construct(
-    ctx: FreeGroupCtx, rho: int, action: FiniteAction, labels
+    ctx: FreeGroupCtx, rho: int, action: FiniteAction, patterns: Sequence[Pattern]
 ) -> FiniteAction:
     """The rearranged action: tau(g) v = sigma(phi_v^-1(g^-1)^-1) v, with
     phi_v read off lazily from the pullback encoding at v.
 
-    Requires every pullback to pass the admissibility axioms; the returned
-    generator images are then bijections and the defining formula is
-    multiplicative in g.
+    ``patterns`` are the per-vertex pullbacks that ``verify_zrho`` returned
+    for this action; admissibility is checked there and not again here.
+    Given admissible patterns, the returned generator images are bijections
+    and the defining formula is multiplicative in g.
     """
-    patterns = verify_zrho(ctx, rho, action, labels)
     n = action.n
     perms = []
     for i in range(1, ctx.rank + 1):

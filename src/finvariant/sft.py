@@ -29,11 +29,6 @@ from .freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul
 from .shift import Pattern, pullback_name
 
 
-def letter_index(letter: int) -> int:
-    """Position of a signed letter in the canonical letter order +1,-1,+2,-2,..."""
-    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-
-
 @dataclass(frozen=True)
 class OrbitAlphabet:
     """Symbols are tuples of words, one per signed generator, each of length
@@ -61,7 +56,9 @@ class OrbitAlphabet:
 
 
 def symbol_entry(symbol: tuple, letter: int) -> Word:
-    return symbol[letter_index(letter)]
+    """The entry for a signed letter; symbols follow the letter order
+    +1, -1, +2, -2, ..., so +i sits at 2i - 2 and -i at 2i - 1."""
+    return symbol[2 * letter - 2 if letter > 0 else -2 * letter - 1]
 
 
 @dataclass(frozen=True)

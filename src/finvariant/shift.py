@@ -46,6 +46,16 @@ class Pattern:
         object.__setattr__(self, "values", tuple(values[k] for k in order))
         object.__setattr__(self, "_index", {w: k for k, w in enumerate(dom)})
 
+    @classmethod
+    def _on_ball(cls, ball: tuple, values: Sequence) -> "Pattern":
+        """A pattern on ``ctx.ball(m)``, which is shortlex-sorted and
+        repeat-free by construction, so the sort and the check are skipped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "domain", ball)
+        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "_index", {w: k for k, w in enumerate(ball)})
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Pattern is immutable")
 
@@ -207,7 +217,7 @@ def pullback_name(ctx: FreeGroupCtx, action: FiniteAction, labels: Sequence, v: 
         u = action.letter_perm(-letter)[verts[parent]]
         verts[k] = u
         values[k] = labels[u]
-    return Pattern([entry[0] for entry in tree], values)
+    return Pattern._on_ball(ctx.ball(m), values)
 
 
 def _pullback_keys(ctx, action, labels, window):

@@ -47,6 +47,7 @@ from finvariant import (
     upsilon_action,
     upsilon_tilde,
     encode_F_product,
+    verify_zrho,
     zrho_spec,
 )
 from finvariant.cli import main
@@ -263,7 +264,7 @@ def test_criterion_07_rearrangement_suite(accepted_instances):
         rho = inst.rho
         action, labels = inst.action, inst.labels
         n = action.n
-        tau = tau_construct(CTX, rho, action, labels)
+        tau = tau_construct(CTX, rho, action, verify_zrho(CTX, rho, action, labels))
 
         # multiplicativity of the generator images on random word pairs
         for _ in range(100):

@@ -210,6 +210,51 @@ class TestRearrange:
         path.write_text(json.dumps(cfg))
         assert main(["rearrange", "--config", str(path)]) == 1
 
+    # reports generated before the per-vertex checks were merged into one
+    # pass; they pin the tau lines, the line order and the transport verdicts
+    GOLDEN = {
+        "readme_swap": (
+            {"a": "b", "b": "a"}, 1, 8,
+            "config_hash: d96a0f1816704046\n"
+            "command: rearrange\n"
+            "n: 8\n"
+            "rho: 1\n"
+            "admissibility: PASS\n"
+            "tau:\n"
+            "  a: [4, 6, 5, 3, 2, 7, 1, 0]\n"
+            "  b: [6, 3, 1, 0, 7, 2, 5, 4]\n"
+            "homomorphism_property: PASS\n"
+            "pullback_identity: PASS\n"
+            "sigma_reconstruction: PASS\n"
+            "empirical_transport: PASS\n"
+            "overall: PASS\n",
+        ),
+        "nielsen": (
+            {"a": "ab", "b": "b"}, 2, 6,
+            "config_hash: 6d57579657f8bac2\n"
+            "command: rearrange\n"
+            "n: 6\n"
+            "rho: 2\n"
+            "admissibility: PASS\n"
+            "tau:\n"
+            "  a: [2, 3, 4, 1, 0, 5]\n"
+            "  b: [4, 2, 5, 0, 1, 3]\n"
+            "homomorphism_property: PASS\n"
+            "pullback_identity: PASS\n"
+            "sigma_reconstruction: PASS\n"
+            "empirical_transport: PASS\n"
+            "overall: PASS\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_report(self, tmp_path, name):
+        images, rho, n, expected = self.GOLDEN[name]
+        cfg = self._config(tmp_path, images, rho, n=n)
+        out = tmp_path / "report.txt"
+        assert main(["rearrange", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+
     def test_deterministic_reports(self, tmp_path):
         cfg = self._config(tmp_path, {"a": "b", "b": "a"}, 1)
         blobs = []

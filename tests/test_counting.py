@@ -356,6 +356,18 @@ class TestFEstimate:
         assert result.warnings and "multiple" in result.warnings[0]
         assert result.rows[0].log_mean_over_n == float("-inf")
 
+    def test_divisibility_warning_follows_the_distance_mode(self):
+        # edge_star compares the pair projections, whose denominators are 4,
+        # so n = 4 is attainable there; the full radius-1 window needs 32 | n
+        edge = f_estimate(
+            CTX2, HALF, 1, Fraction(0), [4], mode="exact", distance_mode="edge_star"
+        )
+        assert edge.warnings == ()
+        assert edge.rows[0].mean_count == pytest.approx(8 / 3)
+        window = f_estimate(CTX2, HALF, 1, Fraction(0), [4], mode="exact")
+        assert len(window.warnings) == 1 and "lcm 32" in window.warnings[0]
+        assert window.rows[0].mean_count == 0
+
     def test_window_zero_consistency_toward_base_entropy(self):
         # the desk-scale demonstration: the histogram-window estimate walks
         # toward ln 2 as n grows

@@ -9,6 +9,7 @@ are genuine cross-checks rather than restatements of the implementation.
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from finvariant import (
     Automorphism,
@@ -38,7 +39,7 @@ from finvariant import (
     verify_zrho,
     zrho_spec,
 )
-from finvariant.freegroup import IDENTITY, inv, mul
+from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
 from finvariant.orbitmaps import (
     agree_on_common_window,
     compose,
@@ -48,7 +49,7 @@ from finvariant.orbitmaps import (
     same_orbit_witness_theta,
     same_orbit_witness_upsilon,
 )
-from finvariant.sft import sft_check_all
+from finvariant.sft import sft_check_all, symbol_entry
 
 CTX = FreeGroupCtx(2)
 
@@ -232,6 +233,57 @@ class TestEncodeDecode:
             phi.inverse_word(CTX.parse("ababab"))
 
 
+POOL = phi_pool(6)
+
+
+class TestBallPatternOracles:
+    """The encodings build ball patterns without the sorting constructor and
+    decode_E reads the displacement from the distinct symbols only; each is
+    checked against the same value rebuilt the slow way."""
+
+    @staticmethod
+    def _translate(k, word):
+        try:
+            return theta_action(CTX, reduce_word(word), POOL[k])
+        except WindowError:
+            assume(False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, len(POOL) - 1), st.lists(st.sampled_from(CTX.letters), max_size=2))
+    def test_encodings_match_the_sorting_constructor(self, k, word):
+        phi = self._translate(k, word)
+        e_ball = list(reversed(CTX.ball(phi.window - 1)))
+        e_oracle = Pattern(
+            e_ball,
+            [tuple(mul(inv(phi(h)), phi(mul(h, (s,)))) for s in CTX.letters) for h in e_ball],
+        )
+        f_ball = list(reversed(CTX.ball((phi.window - 1) // phi.rho)))
+        f_oracle = Pattern(
+            f_ball,
+            [tuple(mul(inv(h), phi(mul(phi.inverse_word(h), (s,)))) for s in CTX.letters)
+             for h in f_ball],
+        )
+        for got, oracle in ((encode_E(CTX, phi), e_oracle), (encode_F(CTX, phi), f_oracle)):
+            assert got == oracle
+            assert all(got[g] == oracle[g] for g in oracle.domain)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["identity", "swap", "nielsen"]),
+        st.integers(2, 5),
+        st.integers(0, len(POOL) - 1),
+        st.lists(st.sampled_from(CTX.letters), max_size=2),
+    )
+    def test_decode_displacement_matches_every_cell(self, name, window, k, word):
+        for phi in (AUTOS[name].bijection(window), self._translate(k, word)):
+            pattern = encode_E(CTX, phi)
+            oracle = max(
+                (len(symbol_entry(sym, s)) for sym in pattern.values for s in CTX.letters),
+                default=1,
+            )
+            assert decode_E(CTX, pattern).rho == max(oracle, 1)
+
+
 class TestEncodeF:
     def test_identity(self):
         f = encode_F(CTX, identity_bijection(CTX, 4))
@@ -348,13 +400,13 @@ class TestTau:
     def test_identity_config_gives_sigma(self):
         action = sample_action(7, 2, seed=11)
         labels = AUTOS["identity"].constant_config(7).labels
-        tau = tau_construct(CTX, 1, action, labels)
+        tau = tau_construct(CTX, 1, action, verify_zrho(CTX, 1, action, labels))
         assert tau == action
 
     def test_swap_config_brute_force(self):
         action = sample_action(6, 2, seed=12)
         labels = AUTOS["swap"].constant_config(6).labels
-        tau = tau_construct(CTX, 1, action, labels)
+        tau = tau_construct(CTX, 1, action, verify_zrho(CTX, 1, action, labels))
         # phi_v is constantly the swap (its own inverse): tau(g) = sigma(swap(g))
         assert tau.perms[0] == action.perms[1]
         assert tau.perms[1] == action.perms[0]
@@ -363,7 +415,7 @@ class TestTau:
         action = sample_action(6, 2, seed=13)
         auto = AUTOS["nielsen"]
         labels = auto.constant_config(6).labels
-        tau = tau_construct(CTX, 2, action, labels)
+        tau = tau_construct(CTX, 2, action, verify_zrho(CTX, 2, action, labels))
         # phi_v = nielsen^-1, so tau(g) = sigma(nielsen(g))
         for i, name in ((1, "a"), (2, "b")):
             word = auto.apply(CTX.parse(name))
@@ -376,13 +428,13 @@ class TestTau:
         sym[0] = CTX.parse("a")
         labels[3] = tuple(sym)
         with pytest.raises(PreconditionError):
-            tau_construct(CTX, 1, action, tuple(labels))
+            tau_construct(CTX, 1, action, verify_zrho(CTX, 1, action, tuple(labels)))
 
     def test_pullback_identity(self):
         action = sample_action(6, 2, seed=15)
         for name in ("swap", "inversion"):
             labels = AUTOS[name].constant_config(6).labels
-            tau = tau_construct(CTX, 1, action, labels)
+            tau = tau_construct(CTX, 1, action, verify_zrho(CTX, 1, action, labels))
             for v in range(6):
                 phi_v = decode_E(CTX, pullback_name(CTX, action, labels, v, 2))
                 lhs = pullback_name(CTX, tau, labels, v, 2)
@@ -394,7 +446,8 @@ class TestTau:
             action = sample_action(6, 2, seed=seed)
             auto = AUTOS[name]
             labels = auto.constant_config(6).labels
-            tau = tau_construct(CTX, auto.displacement, action, labels)
+            rho = auto.displacement
+            tau = tau_construct(CTX, rho, action, verify_zrho(CTX, rho, action, labels))
             assert reconstruct_sigma(CTX, tau, labels) == action
 
 
@@ -494,7 +547,7 @@ class TestLabeledTransport:
             rho = auto.displacement
             labels = auto.constant_config(6).labels
             ylabels = tuple(rng.choice("pq") for _ in range(6))
-            tau = tau_construct(CTX, rho, action, labels)
+            tau = tau_construct(CTX, rho, action, verify_zrho(CTX, rho, action, labels))
             for v in range(6):
                 phi_v = decode_E(CTX, pullback_name(CTX, action, labels, v, rho * rho + 1))
                 lhs = pullback_name(CTX, tau, ylabels, v, 1)

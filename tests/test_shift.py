@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finvariant import (
     Alphabet,
@@ -74,6 +74,21 @@ class TestPullback:
         action = FiniteAction(2, ((1, 0),))
         p = pullback_name(ctx1, action, (0, 1), 0, 1)
         assert p.as_dict() == {(): 0, (1,): 1, (-1,): 1}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 7), st.data())
+    def test_matches_the_sorting_constructor(self, rank, m, n, data):
+        # pullback_name skips the shortlex sort of its ball domain; the oracle
+        # builds the same pattern from the defining formula, domain reversed
+        ctx = FreeGroupCtx(rank)
+        action = sample_action(n, rank, seed=data.draw(st.integers(0, 10**6)))
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        v = data.draw(st.integers(0, n - 1))
+        ball = list(reversed(ctx.ball(m)))
+        oracle = Pattern(ball, [labels[action.apply(inv(g), v)] for g in ball])
+        got = pullback_name(ctx, action, labels, v, m)
+        assert got == oracle
+        assert all(got[g] == oracle[g] for g in ball)
 
     def test_equivariance(self, ctx):
         # pullback at sigma(g) v on the shrunken ball equals the g-shift of the

@@ -52,9 +52,7 @@ from .shift import (
     pullback_name,
 )
 from .weights import (
-    F_value,
     Weight,
-    shannon_entropy,
     constancy_check,
     f_markov,
     markovize,
@@ -133,15 +131,9 @@ def cmd_f_exact(args) -> int:
     lines.append(f"rank: {weight.rank}")
     lines.append(f"exact_arithmetic: {'yes' if weight.is_exact else 'no'}")
     lines.append(f"f_nats: {_fmt(float(value))}")
-    h_vertex = shannon_entropy({a: weight.vertex_prob(a) for a in weight.alphabet})
-    lines.append(f"vertex_entropy: {_fmt(float(h_vertex))}")
+    lines.append(f"vertex_entropy: {_fmt(float(weight.entropies[0]))}")
     for i in range(1, weight.rank + 1):
-        pairs = {
-            (a, b): weight.edge_prob(a, b, i)
-            for a in weight.alphabet
-            for b in weight.alphabet
-        }
-        lines.append(f"edge_entropy_{i}: {_fmt(float(shannon_entropy(pairs)))}")
+        lines.append(f"edge_entropy_{i}: {_fmt(float(weight.entropies[i]))}")
     lines.append("constancy_table:")
     lines.append("rho F delta")
     for rho, val, delta in report.rows:

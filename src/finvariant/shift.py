@@ -149,10 +149,11 @@ class PatternDistribution:
         radius = max((len(w) for w in self.window), default=0)
         if self.window != ctx.ball(radius):
             raise InputError("json serialization requires a ball window")
+        words = [ctx.format(w) for w in self.window]
         entries = []
         for key in sorted(self.probs, key=repr):
             p = self.probs[key]
-            pattern = {ctx.format(w): key[k] for k, w in enumerate(self.window)}
+            pattern = dict(zip(words, key))
             if isinstance(p, Fraction):
                 entries.append({"pattern": pattern, "p": {"num": p.numerator, "den": p.denominator}})
             else:
@@ -167,12 +168,20 @@ class PatternDistribution:
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed distribution json: {exc}") from exc
         window = ctx.ball(radius)
+        # entry column of each window word, per spelling of the entry's words
+        layouts: dict[tuple, list[int]] = {}
         probs: dict[tuple, object] = {}
         for entry in entries:
-            pat = {ctx.parse(k): v for k, v in entry["pattern"].items()}
-            if set(pat) != set(window):
-                raise InputError("distribution entry does not cover the window")
-            key = tuple(pat[w] for w in window)
+            pattern = entry["pattern"]
+            spellings = tuple(pattern)
+            order = layouts.get(spellings)
+            if order is None:
+                at = {ctx.parse(k): col for col, k in enumerate(spellings)}
+                if len(at) != len(spellings) or set(at) != set(window):
+                    raise InputError("distribution entry does not cover the window")
+                order = layouts[spellings] = [at[w] for w in window]
+            values = tuple(pattern.values())
+            key = tuple(values[col] for col in order)
             p = entry["p"]
             probs[key] = Fraction(p["num"], p["den"]) if isinstance(p, dict) else float(p)
         return cls(window, probs)

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from itertools import product as iter_product
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .errors import ConstructionError, InputError, ResourceCapError, WeightError
@@ -44,24 +44,105 @@ BALANCE_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
+# the primes below 1000, by a sieve over the primes below sqrt(1000)
+_TRIAL_PRIMES = tuple(
+    sorted(set(range(2, 1000)).difference(*(range(p * p, 1000, p) for p in range(2, 32))))
+)
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = _TRIAL_PRIMES[:13]
+_MR_LIMIT = 3317044064679887385961981
+# Pollard-rho steps per cofactor; a factor near 1e9 takes about 4e4
+_RHO_BUDGET = 1 << 20
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Strong-probable-prime test of an odd n > 41 to every base in _MR_BASES;
+    exact for n < _MR_LIMIT, and a False is always a proof of compositeness."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n by Pollard's rho in Brent's
+    form (BIT 20, 1980), trying x -> x^2 + c for c = 1, 2, ... within one
+    budget of _RHO_BUDGET steps."""
+    steps = 0
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps > _RHO_BUDGET:
+                raise ResourceCapError(
+                    f"cannot factor {n}: Pollard rho found no divisor in {_RHO_BUDGET} steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            steps += 2 * r
+            r *= 2
+        if g == n:
+            # the batched product hit 0 mod n: redo the last batch one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 @lru_cache(maxsize=None)
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization by trial division; inputs stay desk-sized."""
+    """Prime factorization as a sorted ((p, e), ...) tuple.
+
+    Trial division strips the primes below 1000; Miller-Rabin and Pollard
+    rho split what is left.  A cofactor past the exact Miller-Rabin range
+    that may be prime, or one rho cannot split within its budget, raises
+    ``ResourceCapError``.
+    """
     if n <= 0:
         raise InputError("can only factor positive integers")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    counts: dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        while n % p == 0:
+            n //= p
+            counts[p] = counts.get(p, 0) + 1
+    # every part below holds no prime under 1000, so one below 1000^2 is prime
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < 1000 * 1000 or _is_probable_prime(m):
+            if m >= _MR_LIMIT:
+                raise ResourceCapError(
+                    f"cannot factor {m}: a probable prime beyond the exact Miller-Rabin range"
+                )
+            counts[m] = counts.get(m, 0) + 1
+            continue
+        d = _rho_divisor(m)
+        parts += [d, m // d]
+    return tuple(sorted(counts.items()))
 
 
 def _log_combo(x: Fraction) -> dict[int, Fraction]:
@@ -212,6 +293,17 @@ class Weight:
 
     def edge_prob(self, a, b, i):
         return self.edge.get((a, b, i), 0)
+
+    @cached_property
+    def entropies(self) -> tuple[EntropyValue, ...]:
+        """(H(vertex), H(edge_1), ..., H(edge_r)): entry i is the entropy of
+        the generator-i pair law, so the tuple indexes by generator."""
+        alpha = self.alphabet
+        out = [shannon_entropy({a: self.vertex_prob(a) for a in alpha})]
+        for i in range(1, self.rank + 1):
+            pairs = {(a, b): self.edge_prob(a, b, i) for a in alpha for b in alpha}
+            out.append(shannon_entropy(pairs))
+        return tuple(out)
 
     def validate(self, tol: float = BALANCE_TOL) -> None:
         for a in self.vertex:
@@ -443,14 +535,10 @@ def _window_entropy_chain(w: Weight, window: Sequence[Word]) -> EntropyValue:
     counts = [0] * (w.rank + 1)
     for _, _, i, _ in edges:
         counts[i] += 1
-    h_vertex = shannon_entropy({a: w.vertex_prob(a) for a in w.alphabet})
+    h_vertex = w.entropies[0]
     total = h_vertex
     for i in range(1, w.rank + 1):
-        pairs = {
-            (a, b): w.edge_prob(a, b, i) for a in w.alphabet for b in w.alphabet
-        }
-        h_edge = shannon_entropy(pairs)
-        total = total + (h_edge - h_vertex).scaled(counts[i])
+        total = total + (w.entropies[i] - h_vertex).scaled(counts[i])
     return total
 
 
@@ -538,7 +626,7 @@ def constancy_check(
     base = float(F_value(ctx, w, 0, method=method))
     rows = []
     for rho in range(rho_max + 1):
-        val = float(F_value(ctx, w, rho, method=method))
+        val = float(F_value(ctx, w, rho, method=method)) if rho else base
         rows.append((rho, val, val - base))
     return ConstancyReport(tuple(rows), tol)
 
@@ -581,19 +669,18 @@ def markovize(
         shift_cols.append(cols)
 
     base_symbols = sorted({k for key in dist.probs for k in key}, key=repr)
-    alphabet = tuple(
-        pattern_symbol_name(ctx, inner, key)
+    names = {
+        key: pattern_symbol_name(ctx, inner, key)
         for key in iter_product(base_symbols, repeat=len(inner))
-    )
+    }
+    alphabet = tuple(names.values())
     vertex: dict[str, object] = {}
     edge: dict[tuple, object] = {}
     for key, p in dist.probs.items():
-        c = pattern_symbol_name(ctx, inner, tuple(key[k] for k in inner_cols))
+        c = names[tuple(key[k] for k in inner_cols)]
         vertex[c] = vertex.get(c, 0) + p
         for i in range(1, ctx.rank + 1):
-            cprime = pattern_symbol_name(
-                ctx, inner, tuple(key[k] for k in shift_cols[i - 1])
-            )
+            cprime = names[tuple(key[k] for k in shift_cols[i - 1])]
             edge_key = (c, cprime, i)
             edge[edge_key] = edge.get(edge_key, 0) + p
     w = Weight(ctx.rank, alphabet, vertex, edge)

@@ -69,6 +69,29 @@ class TestFExact:
         assert main(["f-exact", "--weight", str(path), "--out", str(out)]) == 0
         assert "f_nats: 0.693147180559945" in out.read_text().splitlines()
 
+    def test_each_entropy_is_computed_once(self, tmp_path, monkeypatch):
+        from finvariant import weights
+
+        calls = []
+        real = weights.shannon_entropy
+
+        def counted(probs):
+            calls.append(1)
+            return real(probs)
+
+        monkeypatch.setattr(weights, "shannon_entropy", counted)
+        w = bernoulli_weight({"0": Fraction(1, 3), "1": Fraction(2, 3)}, 2)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(w.to_json()))
+        out = tmp_path / "report.txt"
+        assert main(["f-exact", "--weight", str(path), "--out", str(out)]) == 0
+        # the vertex law and one edge law per generator
+        assert len(calls) == 1 + w.rank
+        lines = out.read_text().splitlines()
+        rows = lines[lines.index("rho F delta") + 1 : lines.index("constancy_ok: yes")]
+        assert [row.split()[0] for row in rows] == ["0", "1", "2"]
+        assert all(row.split()[2] == "0" for row in rows)
+
     def test_invalid_weight_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"rank": 2, "alphabet": ["0"], "vertex": {"0": 0.5}, "edge": []}))
@@ -388,3 +411,32 @@ class TestWeightTools:
         captured = capsys.readouterr().out
         delta_line = next(l for l in captured.splitlines() if l.startswith("f_delta:"))
         assert float(delta_line.split()[1]) <= 1e-9
+
+    def test_markovize_golden_mean_bytes(self, tmp_path, capsys):
+        # golden-mean weight: "1" never sits next to "1"; the expected
+        # super-weight and stdout were generated before markovize cached its
+        # symbol names and the shift json parsed each window word once
+        from finvariant import Weight, marginal_distribution
+
+        third = Fraction(1, 3)
+        edge = {}
+        for i in (1, 2):
+            edge.update({("0", "0", i): third, ("0", "1", i): third, ("1", "0", i): third})
+        w = Weight(2, ("0", "1"), {"0": 2 * third, "1": third}, edge)
+        weight_path = tmp_path / "golden.json"
+        weight_path.write_text(json.dumps(w.to_json()))
+        data = marginal_distribution(w, CTX.ball(2)).to_json(CTX)
+        data["rank"] = 2
+        marg = tmp_path / "marg.json"
+        marg.write_text(json.dumps(data))
+        out = tmp_path / "super.json"
+        argv = ["weight-tools", "markovize", "--marginals", str(marg), "--weight", str(weight_path)]
+        assert main(argv + ["--out", str(out)]) == 0
+        golden = os.path.join(os.path.dirname(__file__), "data", "markovize_golden_mean_super.json")
+        with open(golden, "rb") as fh:
+            assert out.read_bytes() == fh.read()
+        assert capsys.readouterr().out == (
+            "f_nats: 0.287682072451781\n"
+            "reference_f_nats: 0.287682072451781\n"
+            "f_delta: 0\n"
+        )

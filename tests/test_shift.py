@@ -310,3 +310,49 @@ class TestDistributionJson:
     def test_rejects_bad_sum(self, ctx):
         with pytest.raises(InputError):
             PatternDistribution(ctx.ball(0), {(0,): 0.7})
+
+    def _ball_dist(self, ctx):
+        from finvariant import bernoulli_weight, marginal_distribution
+
+        w = bernoulli_weight({"0": Fraction(1, 3), "1": Fraction(2, 3)}, 2)
+        return marginal_distribution(w, ctx.ball(1))
+
+    def test_to_json_matches_per_entry_formatting(self, ctx):
+        dist = self._ball_dist(ctx)
+        entries = []
+        for key in sorted(dist.probs, key=repr):
+            p = dist.probs[key]
+            pattern = {ctx.format(w): key[k] for k, w in enumerate(dist.window)}
+            entries.append({"pattern": pattern, "p": {"num": p.numerator, "den": p.denominator}})
+        data = dist.to_json(ctx)
+        assert data == {"window_radius": 1, "entries": entries}
+        # same key order inside every entry, so the json text is the same too
+        assert [list(e["pattern"]) for e in data["entries"]] == [list(e["pattern"]) for e in entries]
+        back = PatternDistribution.from_json(ctx, data)
+        assert back.window == dist.window and back.probs == dist.probs
+
+    def test_from_json_reads_any_key_order(self, ctx):
+        dist = self._ball_dist(ctx)
+        data = dist.to_json(ctx)
+        for k, entry in enumerate(data["entries"]):
+            items = list(entry["pattern"].items())
+            entry["pattern"] = dict(items[k % len(items):] + items[: k % len(items)])
+        back = PatternDistribution.from_json(ctx, data)
+        assert back.probs == dist.probs
+
+    def test_from_json_rejects_an_entry_missing_a_word(self, ctx):
+        data = self._ball_dist(ctx).to_json(ctx)
+        del data["entries"][-1]["pattern"]["B"]
+        with pytest.raises(InputError, match="does not cover"):
+            PatternDistribution.from_json(ctx, data)
+
+    def test_from_json_rejects_a_word_spelled_twice(self, ctx):
+        data = {
+            "window_radius": 1,
+            "entries": [
+                {"pattern": {"": "0", "a": "0", "A": "0", "b": "0", "B": "0"}, "p": 0.5},
+                {"pattern": {"": "1", "aA": "0", "a": "1", "A": "1", "b": "1", "B": "1"}, "p": 0.5},
+            ],
+        }
+        with pytest.raises(InputError, match="does not cover"):
+            PatternDistribution.from_json(ctx, data)

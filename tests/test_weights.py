@@ -6,11 +6,15 @@ entropy rate with an exact stationary solve, direct closed-form window
 probabilities, and brute-force sums.
 """
 
+import json
 import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finvariant import (
     ConstructionError,
@@ -18,6 +22,7 @@ from finvariant import (
     FreeGroupCtx,
     InputError,
     Pattern,
+    ResourceCapError,
     Weight,
     WeightError,
     bernoulli_weight,
@@ -31,7 +36,8 @@ from finvariant import (
     weight_distance,
     window_entropy,
 )
-from finvariant.weights import pattern_symbol_name
+from finvariant.cli import main
+from finvariant.weights import _factor, pattern_symbol_name
 
 CTX2 = FreeGroupCtx(2)
 CTX1 = FreeGroupCtx(1)
@@ -301,6 +307,113 @@ class TestShannonEntropy:
         b = shannon_entropy([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
         assert a != b
         assert a == shannon_entropy([Fraction(1, 2), Fraction(1, 2)])
+
+
+def trial_division_factor(n: int) -> tuple:
+    """Prime factorization by trial division up to sqrt(n): the oracle for
+    ``_factor`` (its time grows with the second-largest prime factor)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def prime_at_least(n: int) -> int:
+    while trial_division_factor(n) != ((n, 1),):
+        n += 1
+    return n
+
+
+# two primes near 1e20; their product is far beyond Pollard rho's budget
+P20, Q20 = 100000000000000000039, 100000000000000000129
+
+
+class TestFactor:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**8 - 1))
+    def test_matches_trial_division(self, n):
+        assert _factor(n) == trial_division_factor(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(1, 70).map(lambda k: (2, k)),
+                st.tuples(st.integers(2, 10**4).map(prime_at_least), st.integers(1, 3)),
+                st.tuples(
+                    st.integers(10**7 - 10**5, 10**7 + 10**5).map(prime_at_least),
+                    st.integers(1, 2),
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_products_of_known_primes(self, parts):
+        n = 1
+        expected = Counter()
+        for p, e in parts:
+            n *= p**e
+            expected[p] += e
+        # the parts are the known primes with their exponents, so every
+        # part is prime and their product gives n back
+        assert _factor(n) == tuple(sorted(expected.items()))
+
+    def test_roadmap_semiprime_entropy_is_fast_and_exact(self):
+        # p = 1/(p1 p2) with p1, p2 near 1e9: trial division to sqrt took 88 s
+        p1, p2 = 1000000007, 1000000009
+        p = Fraction(1, p1 * p2)
+        _factor.cache_clear()
+        t0 = time.perf_counter()
+        h = shannon_entropy([p, 1 - p])
+        elapsed = time.perf_counter() - t0
+        # H = p ln(p1 p2) + (1 - p)(ln(p1 p2) - ln(p1 p2 - 1)); the oracle
+        # factors p1 p2 - 1 = 2 * 23 * 457 * 100511 * 473273711 quickly
+        expected = {p1: Fraction(1), p2: Fraction(1)}
+        for q, e in trial_division_factor(p1 * p2 - 1):
+            expected[q] = -(1 - p) * e
+        assert _factor(p1 * p2) == ((p1, 1), (p2, 1))
+        assert h.combo == expected
+        assert elapsed < 1.0
+
+    def test_denominator_out_of_reach_raises(self):
+        with pytest.raises(ResourceCapError, match=str(P20 * Q20)):
+            _factor(P20 * Q20)
+
+    def test_probable_prime_past_the_exact_test_raises(self):
+        big = 10**30 + 57  # prime, past the exact Miller-Rabin range
+        with pytest.raises(ResourceCapError, match="Miller-Rabin"):
+            _factor(big)
+
+    def test_f_exact_out_of_reach_exits_3(self, tmp_path, capsys):
+        d = P20 * Q20
+
+        def enc(num):
+            return {"num": num, "den": d}
+
+        data = {
+            "rank": 1,
+            "alphabet": ["0", "1"],
+            "vertex": {"0": enc(d - 1), "1": enc(1)},
+            "edge": [
+                {"from": "0", "to": "0", "gen": 1, "p": enc(d - 2)},
+                {"from": "0", "to": "1", "gen": 1, "p": enc(1)},
+                {"from": "1", "to": "0", "gen": 1, "p": enc(1)},
+            ],
+        }
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(data))
+        assert main(["f-exact", "--weight", str(path)]) == 3
+        assert "resource cap:" in capsys.readouterr().err
 
 
 class TestFValue:

@@ -148,12 +148,19 @@ def cmd_f_exact(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_epsilon(raw):
-    if isinstance(raw, str):
-        return Fraction(raw)
-    if isinstance(raw, dict):
-        return Fraction(int(raw["num"]), int(raw["den"]))
-    return raw
+def _parse_epsilon(raw) -> Fraction:
+    """Epsilon as an exact rational: a JSON number is the decimal it spells,
+    a string is "p/q" or a decimal, an object is {"num":, "den":}."""
+    try:
+        if isinstance(raw, dict):
+            return Fraction(int(raw["num"]), int(raw["den"]))
+        if isinstance(raw, str):
+            return Fraction(raw)
+        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+            return Fraction(repr(raw))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed epsilon {raw!r}: {exc}") from None
+    raise InputError(f"malformed epsilon {raw!r}: not a number, a rational string or {{num, den}}")
 
 
 def cmd_f_estimate(args) -> int:

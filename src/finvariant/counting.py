@@ -10,10 +10,9 @@ depend on evaluation order.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Sequence
 
 from .actions import FiniteAction, derive_seed, enumerate_actions, hom_count, sample_action
@@ -47,6 +46,8 @@ class Neighborhood:
     epsilon: float | Fraction
     mode: str = "window"
     sft: SftSpec | None = None
+    # count_omega's set-up per (rank, n, alphabet), built on first use
+    _setups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("window", "edge_star"):
@@ -69,6 +70,49 @@ def _denominator_lcm(targets: Sequence[PatternDistribution]) -> int:
     return math.lcm(*(Fraction(p).denominator for t in targets for p in t.probs.values()))
 
 
+_DENSE_CODES = 1 << 16  # code spaces up to this size are held in a list
+
+
+def _kernel_setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood):
+    """What ``count_omega`` needs beyond the action, fixed by (rank, n,
+    alphabet), or None when no labeling can count (an empty alphabet, or
+    exact statistics some n t misses).
+
+    Every statistic's target is scaled by d, the lcm of its denominators (a
+    float is read as the exact dyadic rational it is), so T = n d t is an
+    integer.  Returns each statistic's window and offset into one flat code
+    space, c d - T per code for the first labeling (all n keys on code 0),
+    that labeling's distance, d and the membership limit.
+    """
+    targets = _statistic_targets(ctx, nbhd)
+    d = _denominator_lcm(targets)
+    eps = nbhd.epsilon
+    if not alphabet or (float(eps) == 0 and n % d):
+        return None
+    if nbhd.target.is_exact() and isinstance(eps, (int, Fraction)):
+        limit = math.floor(eps * n * d)
+    else:
+        limit = (float(eps) + 1e-12) * n * d
+    q = len(alphabet)
+    index = {a: k for k, a in enumerate(alphabet)}
+    groups, gap, unseen, offset = [], {}, 0, 0
+    for t in targets:
+        for key, p in t.probs.items():
+            scaled = int(Fraction(p) * n * d)
+            if all(a in index for a in key):
+                gap[offset + sum(index[a] * q**j for j, a in enumerate(key))] = -scaled
+            else:
+                unseen += scaled  # no labeling shows this key: always a distance T
+        gap[offset] = gap.get(offset, 0) + n * d
+        groups.append((t.window, offset))
+        offset += q ** len(t.window)
+    start = unseen + sum(map(abs, gap.values()))
+    # a list indexes faster than a dict hashes; a wide window's code space
+    # stays a dict of the codes labelings reach
+    gap = [gap.get(c, 0) for c in range(offset)] if offset <= _DENSE_CODES else defaultdict(int, gap)
+    return groups, gap, start, d, limit
+
+
 def count_omega(
     ctx: FreeGroupCtx,
     action: FiniteAction,
@@ -81,51 +125,70 @@ def count_omega(
 
     Both modes are sums of window statistics: ``window`` is the one window of
     the target, ``edge_star`` the r windows {e, s_i} against the target's
-    projections.  An exact target is scaled by d, the lcm of its
-    denominators, so the l1 distance times n d is an integer and membership
-    is decided without rounding; a float target keeps d = 1 and float sums.
+    projections.  Vertex v's key in a window is the integer whose base-|A|
+    digit j is the symbol index of vertex col_j(v).  The walk visits A^n in
+    reflected |A|-ary Gray order, so each step moves one vertex u by one
+    symbol and changes only the keys of the vertices v with col_j(v) = u;
+    each such digit change moves one key between codes and updates the
+    running distance D = sum |c d - T| (the l1 distance times n d, an exact
+    integer) in O(1).
     """
     n = action.n
     total = len(alphabet) ** n
     if total > caps.labelings:
         raise ResourceCapError(f"|A|^n = {total} labelings exceed cap {caps.labelings}")
+    key = (ctx.rank, n, tuple(alphabet))
+    if key not in nbhd._setups:
+        nbhd._setups[key] = _kernel_setup(ctx, n, alphabet, nbhd)
+    if nbhd._setups[key] is None:
+        return 0
+    groups, gap, dist, d, limit = nbhd._setups[key]
+    gap = gap.copy()  # c d - T per code
+    q = len(alphabet)
+    code = []  # per (group, vertex): the code of the vertex's key
+    # per vertex u: (key index, signed digit weight) for each column holding u
+    up = [[] for _ in range(n)]
+    down = [[] for _ in range(n)]
+    for g, (window, offset) in enumerate(groups):
+        code.extend([offset] * n)
+        for j, col in enumerate(window_columns(ctx, action, window)):
+            for v, u in enumerate(col):
+                up[u].append((g * n + v, q**j))
+                down[u].append((g * n + v, -(q**j)))
 
-    targets = _statistic_targets(ctx, nbhd)
-    exact = nbhd.target.is_exact()
-    d = _denominator_lcm(targets) if exact else 1
-    eps = nbhd.epsilon
-    if float(eps) == 0 and n % d:
-        return 0  # some n t is not an integer: exact statistics are unattainable
-    if exact and isinstance(eps, (int, Fraction)):
-        limit = math.floor(eps * n * d)
-    else:
-        limit = (float(eps) + 1e-12) * n * d
-
-    # one group per window: its column tables, scaled targets T = n d t and their mass
-    groups = []
-    for t in targets:
-        want = {
-            key: int(Fraction(p) * n * d) if exact else float(p) * n
-            for key, p in t.probs.items()
-        }
-        groups.append((window_columns(ctx, action, t.window), want, sum(want.values())))
-
+    # Knuth's loopless reflected Gray walk (TAOCP 7.2.1.1, algorithm H)
+    digit = [0] * n
+    sign = [1] * n
+    focus = list(range(n + 1)) if q > 1 else [n] * (n + 1)
+    top = q - 1
+    labels = [alphabet[0]] * n
     spec = nbhd.sft
     count = 0
-    for labels in iter_product(alphabet, repeat=n):
-        # l1 distance times n d: sum over seen keys of |c d - T| - T, plus the mass
-        dist = 0
-        for cols, want, mass in groups:
-            dist += mass
-            for key, c in Counter(zip(*[[labels[u] for u in col] for col in cols])).items():
-                t = want.get(key, 0)
-                dist += abs(c * d - t) - t
-            if dist > limit:
-                break
-        else:
-            if spec is None or sft_check_all(ctx, spec, action, labels):
-                count += 1
-    return count
+    while True:
+        if dist <= limit and (spec is None or sft_check_all(ctx, spec, action, labels)):
+            count += 1
+        u = focus[0]
+        focus[0] = 0
+        if u == n:
+            return count
+        s = sign[u]
+        a = digit[u] = digit[u] + s
+        if a == 0 or a == top:
+            sign[u] = -s
+            focus[u] = focus[u + 1]
+            focus[u + 1] = u + 1
+        labels[u] = alphabet[a]
+        # one digit change at a time: u may fill several columns of one key
+        for k, step in (up if s > 0 else down)[u]:
+            old = code[k]
+            new = code[k] = old + step
+            # |x - d| - |x| and |x + d| - |x|, for x = c d - T
+            x = gap[old]
+            gap[old] = x - d
+            dist += -d if x >= d else (d if x <= 0 else d - x - x)
+            x = gap[new]
+            gap[new] = x + d
+            dist += d if x >= 0 else (-d if x <= -d else d + x + x)
 
 
 @dataclass(frozen=True)

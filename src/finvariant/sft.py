@@ -47,13 +47,6 @@ class OrbitAlphabet:
     def identity_symbol(self) -> tuple:
         return tuple((letter,) for letter in self.ctx.letters)
 
-    def symbol_from_map(self, images: dict) -> tuple:
-        sym = tuple(images[letter] for letter in self.ctx.letters)
-        for w in sym:
-            if len(w) > self.rho:
-                raise InputError(f"entry {w} exceeds displacement {self.rho}")
-        return sym
-
 
 def symbol_entry(symbol: tuple, letter: int) -> Word:
     """The entry for a signed letter; symbols follow the letter order

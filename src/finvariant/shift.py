@@ -172,18 +172,19 @@ class PatternDistribution:
         layouts: dict[tuple, list[int]] = {}
         probs: dict[tuple, object] = {}
         for entry in entries:
-            pattern = entry["pattern"]
-            spellings = tuple(pattern)
+            try:
+                pattern, p = entry["pattern"], entry["p"]
+                spellings, values = tuple(pattern), tuple(pattern.values())
+                prob = Fraction(p["num"], p["den"]) if isinstance(p, dict) else float(p)
+            except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+                raise InputError(f"malformed distribution entry {entry!r}: {exc!r}") from None
             order = layouts.get(spellings)
             if order is None:
                 at = {ctx.parse(k): col for col, k in enumerate(spellings)}
                 if len(at) != len(spellings) or set(at) != set(window):
                     raise InputError("distribution entry does not cover the window")
                 order = layouts[spellings] = [at[w] for w in window]
-            values = tuple(pattern.values())
-            key = tuple(values[col] for col in order)
-            p = entry["p"]
-            probs[key] = Fraction(p["num"], p["den"]) if isinstance(p, dict) else float(p)
+            probs[tuple(values[col] for col in order)] = prob
         return cls(window, probs)
 
 

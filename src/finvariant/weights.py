@@ -181,16 +181,9 @@ class EntropyValue:
     def zero(cls) -> "EntropyValue":
         return cls.exact({})
 
-    @classmethod
-    def neg_inf(cls) -> "EntropyValue":
-        return cls(float("-inf"))
-
     @property
     def is_exact(self) -> bool:
         return self.combo is not None
-
-    def is_neg_inf(self) -> bool:
-        return self.value == float("-inf")
 
     def __float__(self) -> float:
         return self.value

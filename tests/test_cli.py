@@ -181,6 +181,41 @@ class TestFEstimate:
         assert "-inf" in out.read_text()
         assert "multiple" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "epsilon", [True, [1], "abc", "1/0", float("nan"), {"num": 1}], ids=repr
+    )
+    def test_malformed_epsilon_exits_2(self, half_weight_file, tmp_path, capsys, epsilon):
+        cfg = self._config(tmp_path, half_weight_file, epsilon=epsilon)
+        assert main(["f-estimate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("input error: malformed epsilon")
+
+    def test_json_number_epsilon_is_the_decimal_it_spells(self, half_weight_file, tmp_path, capsys):
+        # n = 2, window 0: "00" and "11" sit at distance exactly 1, so
+        # epsilon 1 - 10^-13 keeps only "01" and "10"; a float epsilon with
+        # 1e-12 slack would count all four
+        cfg = self._config(
+            tmp_path, half_weight_file, epsilon=0.9999999999999, n_list=[2], mode="exact"
+        )
+        assert main(["f-estimate", "--config", cfg]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "2,4,2,0.346573590279973,0"
+
+    def test_float_epsilon_output_unchanged(self, tmp_path, monkeypatch, capsys):
+        # stdout and config hash generated before JSON numbers were read as
+        # exact decimals
+        monkeypatch.chdir(tmp_path)
+        w = bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2)
+        (tmp_path / "half.json").write_text(json.dumps(w.to_json()))
+        cfg = {"weight": "half.json", "window": 1, "epsilon": 1.3, "n_list": [4, 5],
+               "mode": "monte_carlo", "samples": 20, "seed": 9, "distance_mode": "edge_star"}
+        (tmp_path / "est.json").write_text(json.dumps(cfg))
+        assert main(["f-estimate", "--config", "est.json"]) == 0
+        assert capsys.readouterr().out == (
+            "# config_hash 42dbaf050cd26b57\n"
+            "n,samples,mean_count,log_mean_over_n,stderr\n"
+            "4,20,11.5,0.610586758842301,0.380442955126341\n"
+            "5,20,18.2,0.58028431881655,0.500526039072368\n"
+        )
+
     def test_cap_exits_3(self, half_weight_file, tmp_path):
         cfg = self._config(tmp_path, half_weight_file, mode="exact", n_list=[6])
         assert main(["f-estimate", "--config", cfg, "--cap-exact", "100"]) == 3
@@ -356,6 +391,18 @@ class TestEstimateFromMarginals:
 
 
 class TestWeightTools:
+    @pytest.mark.parametrize(
+        "entry",
+        [{"pattern": {"": "0"}}, {"p": 1.0}, {"pattern": {"": "0"}, "p": {"num": 1}}],
+        ids=["no_p", "no_pattern", "p_without_den"],
+    )
+    def test_malformed_marginal_entry_exits_2(self, half_weight_file, tmp_path, capsys, entry):
+        marg = tmp_path / "marg.json"
+        marg.write_text(json.dumps({"rank": 2, "window_radius": 0, "entries": [entry]}))
+        argv = ["weight-tools", "markovize", "--marginals", str(marg), "--weight", half_weight_file]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("input error: malformed distribution entry")
+
     def test_validate(self, half_weight_file, capsys):
         assert main(["weight-tools", "validate", "--weight", half_weight_file]) == 0
         assert "valid" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Neighborhood counting, exhaustive and Monte Carlo averaging, and the
 growth-rate table."""
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -29,6 +30,7 @@ from finvariant import (
     sample_action,
     sft_check_all,
 )
+from finvariant import counting
 
 CTX2 = FreeGroupCtx(2)
 CTX1 = FreeGroupCtx(1)
@@ -140,25 +142,33 @@ class TestCountOmega:
             count_omega(CTX2, action, ("0", "1"), nbhd, caps=Caps(labelings=100))
 
 
-def brute_count(ctx, action, alphabet, nbhd):
-    """Reference count: each labeling's empirical distribution and its l1 or
-    d_star distance to the target, in Fractions.  A float epsilon carries the
-    documented 1e-12 slack; a rational one is compared exactly."""
-    target = nbhd.target
+@functools.lru_cache(maxsize=None)
+def _brute_distances(ctx, action, alphabet, target, mode):
+    """Each labeling of A^n with its l1 or d_star distance to the target, in
+    Fractions; a float probability is read as the exact dyadic rational it
+    is.  Cached, since the oracle cases share actions across epsilons."""
+    exact = PatternDistribution(target.window, {k: Fraction(p) for k, p in target.probs.items()})
     radius = max(len(g) for g in target.window)
-    eps = nbhd.epsilon
-    bound = Fraction(eps) + Fraction(1e-12) if isinstance(eps, float) else eps
-    count = 0
+    out = []
     for labels in product(alphabet, repeat=action.n):
         emp = empirical_distribution(ctx, action, labels, radius)
-        if nbhd.mode == "window":
-            dist = l1_distance(emp, target)
-        else:
-            dist = d_star(ctx, emp, target)
+        dist = l1_distance(emp, exact) if mode == "window" else d_star(ctx, emp, exact)
         assert isinstance(dist, (int, Fraction))
-        if dist <= bound and (nbhd.sft is None or sft_check_all(ctx, nbhd.sft, action, labels)):
-            count += 1
-    return count
+        out.append((labels, dist))
+    return out
+
+
+def brute_count(ctx, action, alphabet, nbhd):
+    """Reference count: each labeling's empirical distribution and its exact
+    distance to the target.  A float epsilon carries the documented 1e-12
+    slack; a rational one is compared exactly."""
+    eps = nbhd.epsilon
+    bound = Fraction(eps) + Fraction(1e-12) if isinstance(eps, float) else eps
+    return sum(
+        1
+        for labels, dist in _brute_distances(ctx, action, tuple(alphabet), nbhd.target, nbhd.mode)
+        if dist <= bound and (nbhd.sft is None or sft_check_all(ctx, nbhd.sft, action, labels))
+    )
 
 
 SKEWED = marginal_distribution(
@@ -180,6 +190,10 @@ SKEWED = marginal_distribution(
     ),
     CTX2.ball(1),
 )
+TARGET_THREE = marginal_distribution(
+    bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 3), "2": Fraction(1, 6)}, 2),
+    CTX2.ball(1),
+)
 ORACLE_TARGETS = {
     "half_r0": TARGET_B0,
     "half_r1": TARGET_B1,
@@ -187,6 +201,10 @@ ORACLE_TARGETS = {
         bernoulli_weight({"0": Fraction(1, 3), "1": Fraction(2, 3)}, 2), CTX2.ball(1)
     ),
     "skewed_r1": SKEWED,
+    "float_r1": marginal_distribution(bernoulli_weight({"0": 0.3, "1": 0.7}, 2), CTX2.ball(1)),
+    # counted over ("0", "1"), the mass on "2" sits on keys no labeling shows
+    "three_r0": TARGET_THREE.project(((),)),
+    "three_r1": TARGET_THREE,
     # an explicit zero-mass entry must not block exact statistics
     "zero_mass_r0": PatternDistribution(
         ((),), {("0",): Fraction(3, 4), ("1",): Fraction(1, 4), ("2",): Fraction(0)}
@@ -198,22 +216,67 @@ ORACLE_EPSILONS = [
 ]
 
 
+BINARY = ("0", "1")
+TERNARY = ("0", "1", "2")
+ORACLE_ACTIONS = [
+    *(sample_action(n, 2, seed=seed) for n, seed in ((3, 1), (4, 2), (4, 3), (6, 4))),
+    # every vertex fills every column of its own key
+    FiniteAction(4, ((0, 1, 2, 3), (0, 1, 2, 3))),
+    # fixed points: s_1 fixes 0 and 3, s_2 fixes 1 and 2
+    FiniteAction(4, ((0, 2, 1, 3), (3, 1, 2, 0))),
+]
+
+
 class TestBruteForceOracle:
-    @pytest.mark.parametrize("mode,target", [
-        ("window", "half_r0"), ("window", "half_r1"), ("window", "skewed_r1"),
-        ("window", "zero_mass_r0"),
-        ("edge_star", "half_r1"), ("edge_star", "third_r1"), ("edge_star", "skewed_r1"),
+    @pytest.mark.parametrize("mode,target,alphabet", [
+        *(
+            pytest.param(mode, target, BINARY, id=f"{mode}-{target}")
+            for mode, target in (
+                ("window", "half_r0"), ("window", "half_r1"), ("window", "skewed_r1"),
+                ("window", "zero_mass_r0"), ("edge_star", "half_r1"),
+                ("edge_star", "third_r1"), ("edge_star", "skewed_r1"),
+                ("window", "float_r1"), ("edge_star", "float_r1"),
+                ("window", "three_r0"), ("edge_star", "three_r1"),
+            )
+        ),
+        *(
+            pytest.param(mode, target, TERNARY, id=f"{mode}-{target}-ternary")
+            for mode, target in (
+                ("window", "three_r0"), ("window", "three_r1"),
+                ("edge_star", "three_r1"), ("edge_star", "half_r1"),
+            )
+        ),
     ])
     @pytest.mark.parametrize("eps", ORACLE_EPSILONS, ids=repr)
     @pytest.mark.parametrize("restricted", [False, True])
-    def test_counts_equal_brute_force(self, mode, target, eps, restricted):
-        spec = nn_spec(("0", "1"), [("0", "1", 1)]) if restricted else None
-        nbhd = Neighborhood(target=ORACLE_TARGETS[target], epsilon=eps, mode=mode, sft=spec)
-        for n, seed in ((3, 1), (4, 2), (4, 3), (6, 4)):
-            action = sample_action(n, 2, seed=seed)
-            assert count_omega(CTX2, action, ("0", "1"), nbhd) == brute_count(
-                CTX2, action, ("0", "1"), nbhd
-            ), (n, seed)
+    def test_counts_equal_brute_force(self, mode, target, alphabet, eps, restricted):
+        spec = nn_spec(alphabet, [("0", "1", 1)]) if restricted else None
+        target = ORACLE_TARGETS[target]
+        if float(eps) == 0 and not target.is_exact():
+            with pytest.raises(InputError):
+                Neighborhood(target=target, epsilon=eps, mode=mode, sft=spec)
+            return
+        nbhd = Neighborhood(target=target, epsilon=eps, mode=mode, sft=spec)
+        for action in ORACLE_ACTIONS:
+            assert count_omega(CTX2, action, alphabet, nbhd) == brute_count(
+                CTX2, action, alphabet, nbhd
+            ), action
+
+
+    @pytest.mark.parametrize("mode,target,alphabet", [
+        ("window", "half_r1", TERNARY), ("edge_star", "half_r1", TERNARY),
+        ("edge_star", "three_r1", BINARY),
+    ])
+    def test_dict_code_space_counts_the_same(self, monkeypatch, mode, target, alphabet):
+        # a wide window keeps its codes in a dict; force that on small ones,
+        # where labelings with "2" reach codes the target does not list
+        monkeypatch.setattr(counting, "_DENSE_CODES", 0)
+        for eps in (Fraction(1, 2), Fraction(5, 4), 1.7):
+            nbhd = Neighborhood(target=ORACLE_TARGETS[target], epsilon=eps, mode=mode)
+            for action in ORACLE_ACTIONS:
+                assert count_omega(CTX2, action, alphabet, nbhd) == brute_count(
+                    CTX2, action, alphabet, nbhd
+                ), (eps, action)
 
 
 class TestExactStatistics:
@@ -315,6 +378,22 @@ class TestExpectedCount:
             CTX2, 4, ("0", "1"), nbhd, mode="monte_carlo", samples=40, seed=3
         )
         assert base == again
+
+    def test_setup_is_built_once_per_n(self, monkeypatch):
+        # the edge_star pair targets depend on n, not on which of the 3!^2
+        # actions is counted: r projections in all, not r per action
+        calls = []
+        project = PatternDistribution.project
+
+        def counted(self, subwindow):
+            calls.append(subwindow)
+            return project(self, subwindow)
+
+        monkeypatch.setattr(PatternDistribution, "project", counted)
+        nbhd = Neighborhood(target=TARGET_B1, epsilon=Fraction(1), mode="edge_star")
+        stats = expected_count(CTX2, 3, ("0", "1"), nbhd, mode="exact")
+        assert len(calls) == CTX2.rank
+        assert stats.mean == 8 / 3
 
     def test_exact_cap(self):
         nbhd = Neighborhood(target=TARGET_B0, epsilon=1.0)

@@ -70,9 +70,6 @@ def _denominator_lcm(targets: Sequence[PatternDistribution]) -> int:
     return math.lcm(*(Fraction(p).denominator for t in targets for p in t.probs.values()))
 
 
-_DENSE_CODES = 1 << 16  # code spaces up to this size are held in a list
-
-
 def _kernel_setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood):
     """What ``count_omega`` needs beyond the action, fixed by (rank, n,
     alphabet), or None when no labeling can count (an empty alphabet, or
@@ -82,7 +79,9 @@ def _kernel_setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborh
     float is read as the exact dyadic rational it is), so T = n d t is an
     integer.  Returns each statistic's window and offset into one flat code
     space, c d - T per code for the first labeling (all n keys on code 0),
-    that labeling's distance, d and the membership limit.
+    that labeling's distance, d and the integer membership limit.  The code
+    space is a dict of the codes labelings reach: the target lists only some
+    of them, and a wide window has too many to list.
     """
     targets = _statistic_targets(ctx, nbhd)
     d = _denominator_lcm(targets)
@@ -92,7 +91,8 @@ def _kernel_setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborh
     if nbhd.target.is_exact() and isinstance(eps, (int, Fraction)):
         limit = math.floor(eps * n * d)
     else:
-        limit = (float(eps) + 1e-12) * n * d
+        # in integers: n d outgrows a float for a tiny float target
+        limit = math.floor(Fraction(float(eps) + 1e-12) * n * d)
     q = len(alphabet)
     index = {a: k for k, a in enumerate(alphabet)}
     groups, gap, unseen, offset = [], {}, 0, 0
@@ -107,10 +107,7 @@ def _kernel_setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborh
         groups.append((t.window, offset))
         offset += q ** len(t.window)
     start = unseen + sum(map(abs, gap.values()))
-    # a list indexes faster than a dict hashes; a wide window's code space
-    # stays a dict of the codes labelings reach
-    gap = [gap.get(c, 0) for c in range(offset)] if offset <= _DENSE_CODES else defaultdict(int, gap)
-    return groups, gap, start, d, limit
+    return groups, defaultdict(int, gap), start, d, limit
 
 
 def count_omega(
@@ -146,15 +143,13 @@ def count_omega(
     gap = gap.copy()  # c d - T per code
     q = len(alphabet)
     code = []  # per (group, vertex): the code of the vertex's key
-    # per vertex u: (key index, signed digit weight) for each column holding u
-    up = [[] for _ in range(n)]
-    down = [[] for _ in range(n)]
+    # per vertex u: (key index, digit weight) for each column holding u
+    moves = [[] for _ in range(n)]
     for g, (window, offset) in enumerate(groups):
         code.extend([offset] * n)
         for j, col in enumerate(window_columns(ctx, action, window)):
             for v, u in enumerate(col):
-                up[u].append((g * n + v, q**j))
-                down[u].append((g * n + v, -(q**j)))
+                moves[u].append((g * n + v, q**j))
 
     # Knuth's loopless reflected Gray walk (TAOCP 7.2.1.1, algorithm H)
     digit = [0] * n
@@ -179,9 +174,9 @@ def count_omega(
             focus[u + 1] = u + 1
         labels[u] = alphabet[a]
         # one digit change at a time: u may fill several columns of one key
-        for k, step in (up if s > 0 else down)[u]:
+        for k, step in moves[u]:
             old = code[k]
-            new = code[k] = old + step
+            new = code[k] = old + s * step
             # |x - d| - |x| and |x + d| - |x|, for x = c d - T
             x = gap[old]
             gap[old] = x - d

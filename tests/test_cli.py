@@ -389,6 +389,25 @@ class TestEstimateFromMarginals:
         strip = lambda b: b.split(b"\n", 1)[1]
         assert strip(out_w.read_bytes()) == strip(out_m.read_bytes())
 
+    def test_tiny_float_marginal_counts(self, tmp_path, monkeypatch, capsys):
+        # p = 1e-300 is a dyadic rational with a denominator near 2^1049;
+        # stdout generated before float targets were scaled exactly
+        monkeypatch.chdir(tmp_path)
+        entries = [{"pattern": {"": "0"}, "p": 1e-300}, {"pattern": {"": "1"}, "p": 1.0}]
+        (tmp_path / "marg.json").write_text(
+            json.dumps({"rank": 2, "window_radius": 0, "entries": entries})
+        )
+        cfg = {"marginals": "marg.json", "window": 0, "epsilon": 0.5, "n_list": [3, 4],
+               "mode": "exact", "seed": 1}
+        (tmp_path / "est.json").write_text(json.dumps(cfg))
+        assert main(["f-estimate", "--config", "est.json"]) == 0
+        assert capsys.readouterr().out == (
+            "# config_hash 46e75d782032e805\n"
+            "n,samples,mean_count,log_mean_over_n,stderr\n"
+            "3,36,1,0,0\n"
+            "4,576,5,0.402359478108525,0\n"
+        )
+
 
 class TestWeightTools:
     @pytest.mark.parametrize(

@@ -88,6 +88,13 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid json: {exc}") from exc
 
 
+def _as_int(raw, what: str) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be an integer, got {raw!r}") from None
+
+
 def _ctx_for_rank(rank: int) -> FreeGroupCtx:
     if not 1 <= rank <= MAX_CLI_RANK:
         raise InputError(f"cli supports ranks 1..{MAX_CLI_RANK}, got {rank}")
@@ -120,7 +127,7 @@ def cmd_f_exact(args) -> int:
     config.setdefault("rho_max", MAX_CLI_RHO)
     weight = _load_weight(config["weight"])
     ctx = _ctx_for_rank(weight.rank)
-    rho_max = int(config["rho_max"])
+    rho_max = _as_int(config["rho_max"], "rho_max")
     if rho_max > MAX_CLI_RHO:
         raise ResourceCapError(f"cli caps the join radius at {MAX_CLI_RHO}")
 
@@ -181,13 +188,15 @@ def cmd_f_estimate(args) -> int:
     config.setdefault("samples", 100)
     config.setdefault("distance_mode", "window")
 
+    if not isinstance(config["n_list"], list):
+        raise InputError(f"n_list must be a list of integers, got {config['n_list']!r}")
     weight = target = alphabet = None
     if "weight" in config:
         weight = _load_weight(config["weight"])
         ctx = _ctx_for_rank(weight.rank)
     else:
         data = _load_json(config["marginals"])
-        ctx = _ctx_for_rank(int(data.get("rank", 2)))
+        ctx = _ctx_for_rank(_as_int(data.get("rank", 2), "rank"))
         target = PatternDistribution.from_json(ctx, data)
         alphabet = tuple(sorted({sym for key in target.probs for sym in key}, key=str))
     caps = Caps(
@@ -201,12 +210,12 @@ def cmd_f_estimate(args) -> int:
     result = f_estimate(
         ctx,
         weight,
-        int(config["window"]),
+        _as_int(config["window"], "window"),
         _parse_epsilon(config["epsilon"]),
-        [int(n) for n in config["n_list"]],
+        [_as_int(n, "an n_list entry") for n in config["n_list"]],
         mode=mode,
-        samples=int(config["samples"]),
-        seed=int(config["seed"]),
+        samples=_as_int(config["samples"], "samples"),
+        seed=_as_int(config["seed"], "seed"),
         sft=sft,
         distance_mode=config["distance_mode"],
         caps=caps,
@@ -233,36 +242,34 @@ def cmd_f_estimate(args) -> int:
 
 def _resolve_action(ctx: FreeGroupCtx, config: dict, seed_flag) -> FiniteAction:
     spec = config.get("sigma") or config.get("action")
-    if spec is None:
-        raise InputError("config must provide an action under 'sigma' or 'action'")
+    if not isinstance(spec, dict):
+        raise InputError("config must provide an action object under 'sigma' or 'action'")
     if "file" in spec:
         return FiniteAction.from_json(_load_json(spec["file"]))
     if "perms" in spec:
         return FiniteAction.from_json(spec)
-    n = int(spec.get("n", config.get("n", 0)))
+    n = _as_int(spec.get("n", config.get("n", 0)), "the action's n")
     if n < 1:
         raise InputError("action needs n >= 1")
     seed = spec.get("seed", seed_flag)
     if seed is None:
         raise InputError("a seed is mandatory for randomized commands")
-    return sample_action(n, ctx.rank, int(seed))
+    return sample_action(n, ctx.rank, _as_int(seed, "seed"))
 
 
-def _decode_symbol(ctx: FreeGroupCtx, raw: dict) -> tuple:
+def _decode_symbol(ctx: FreeGroupCtx, raw) -> tuple:
+    if not isinstance(raw, dict):
+        raise InputError(f"a configuration symbol must map letters to words, got {raw!r}")
     images = {}
     for name, word in raw.items():
         g = ctx.parse(name)
         if len(g) != 1:
             raise InputError(f"symbol keys must be single letters, got {name!r}")
         images[g[0]] = ctx.parse(word)
+    missing = [ctx.letter_name(letter) for letter in ctx.letters if letter not in images]
+    if missing:
+        raise InputError(f"symbol {raw!r} has no word for {', '.join(missing)}")
     return tuple(images[letter] for letter in ctx.letters)
-
-
-def _encode_symbol(ctx: FreeGroupCtx, sym: tuple) -> dict:
-    return {
-        ctx.letter_name(letter): ctx.format(sym[k])
-        for k, letter in enumerate(ctx.letters)
-    }
 
 
 def _resolve_config_labels(
@@ -271,29 +278,42 @@ def _resolve_config_labels(
     spec = config.get("x") or config.get("config")
     if spec is None:
         raise InputError("config must provide a configuration under 'x' or 'config'")
+    if isinstance(spec, dict) and "file" in spec:
+        path = spec["file"]
+        data = _load_json(path)
+        spec = data.get("labels") if isinstance(data, dict) else None
+        if not isinstance(spec, list):
+            raise InputError(f"{path} has no 'labels' list")
     if isinstance(spec, list):
+        if len(spec) < action.n:
+            raise InputError(f"configuration has {len(spec)} labels for {action.n} vertices")
         return Microstate(tuple(_decode_symbol(ctx, sym) for sym in spec))
-    if "file" in spec:
-        data = _load_json(spec["file"])
-        return Microstate(tuple(_decode_symbol(ctx, sym) for sym in data["labels"]))
+    if not isinstance(spec, dict):
+        raise InputError("unrecognized configuration source")
     if "automorphism" in spec:
-        auto = Automorphism.from_names(ctx, spec["automorphism"]["images"])
+        source = spec["automorphism"]
+        if not isinstance(source, dict) or not isinstance(source.get("images"), dict):
+            raise InputError("an automorphism source needs an 'images' object")
+        auto = Automorphism.from_names(ctx, source["images"])
         if auto.displacement > rho:
             raise InputError(
                 f"automorphism displacement {auto.displacement} exceeds rho={rho}"
             )
         return auto.constant_config(action.n)
     if "sampler" in spec:
-        seed = spec["sampler"].get("seed", seed_flag)
+        sampler = spec["sampler"]
+        if not isinstance(sampler, dict):
+            raise InputError("a sampler source must be an object")
+        seed = sampler.get("seed", seed_flag)
         if seed is None:
             raise InputError("a seed is mandatory for randomized commands")
         found = sample_sft_config(
             ctx,
             zrho_spec(ctx, rho),
             action,
-            int(seed),
-            budget=int(spec["sampler"].get("budget", 20000)),
-            restarts=int(spec["sampler"].get("restarts", 4)),
+            _as_int(seed, "seed"),
+            budget=_as_int(sampler.get("budget", 20000), "budget"),
+            restarts=_as_int(sampler.get("restarts", 4), "restarts"),
         )
         if found is None:
             raise VerificationError("sampler found no admissible configuration")
@@ -312,10 +332,10 @@ def cmd_rearrange(args) -> int:
     config = _load_json(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    rho = int(config.get("rho", 1))
+    rho = _as_int(config.get("rho", 1), "rho")
     if rho > MAX_CLI_RHO:
         raise ResourceCapError(f"cli caps rho at {MAX_CLI_RHO}")
-    rank = int(config.get("rank", 2))
+    rank = _as_int(config.get("rank", 2), "rank")
     ctx = _ctx_for_rank(rank)
     action = _resolve_action(ctx, config, config.get("seed"))
     state = _resolve_config_labels(ctx, config, action, rho, config.get("seed"))
@@ -407,10 +427,10 @@ def cmd_sft_verify(args) -> int:
     if not args.config:
         raise InputError("sft-verify needs --config")
     config = _load_json(args.config)
-    rho = int(config.get("rho", 1))
+    rho = _as_int(config.get("rho", 1), "rho")
     if rho > MAX_CLI_RHO:
         raise ResourceCapError(f"cli caps rho at {MAX_CLI_RHO}")
-    rank = int(config.get("rank", 2))
+    rank = _as_int(config.get("rank", 2), "rank")
     ctx = _ctx_for_rank(rank)
     action = _resolve_action(ctx, config, args.seed)
     state = _resolve_config_labels(ctx, config, action, rho, args.seed)
@@ -432,8 +452,19 @@ def cmd_sft_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+WEIGHT_TOOLS_FILES = {
+    "validate": ("weight",),
+    "distance": ("weight", "weight2"),
+    "rationalize": ("weight",),
+    "markovize": ("marginals",),
+}
+
+
 def cmd_weight_tools(args) -> int:
     action = args.action
+    for flag in WEIGHT_TOOLS_FILES[action]:
+        if not getattr(args, flag):
+            raise InputError(f"weight-tools {action} needs --{flag}")
     if action == "validate":
         weight = _load_weight(args.weight)
         weight.validate()

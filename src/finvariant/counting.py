@@ -276,6 +276,10 @@ def f_estimate(
         alphabet = weight.alphabet
     elif target is None or alphabet is None:
         raise InputError("estimation needs a weight, or a target with an alphabet")
+    if any(n < 1 for n in n_list):
+        raise InputError(f"every n must be >= 1, got {list(n_list)}")
+    if sft is not None and sft.alphabet is not None and not set(alphabet) <= set(sft.alphabet):
+        raise InputError("the counted alphabet is not contained in the constraint system's alphabet")
     nbhd = Neighborhood(target=target, epsilon=epsilon, mode=distance_mode, sft=sft)
     warnings = []
     if float(epsilon) == 0:

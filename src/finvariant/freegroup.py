@@ -50,10 +50,6 @@ def inv(g: Word) -> Word:
     return tuple(-letter for letter in reversed(g))
 
 
-def word_length(g: Word) -> int:
-    return len(g)
-
-
 def letter_sort_key(letter: int) -> tuple[int, int]:
     # a < A < b < B < ...
     return (abs(letter), 0 if letter > 0 else 1)
@@ -122,6 +118,8 @@ class FreeGroupCtx:
         return name if letter > 0 else name.upper()
 
     def parse(self, s: str) -> Word:
+        if not isinstance(s, str):
+            raise InputError(f"a word is a string of generator letters, got {s!r}")
         letters = []
         for ch in s:
             low = ch.lower()
@@ -151,27 +149,6 @@ class FreeGroupCtx:
             return 2 * radius + 1
         q = 2 * self.rank - 1
         return 1 + 2 * self.rank * (q**radius - 1) // (q - 1)
-
-    def past_window(self, g1: Word, g2: Word, m: int) -> tuple[Word, ...]:
-        """Elements f of the radius-m ball whose geodesic to g1 in the left
-        Cayley tree passes through g2.
-
-        Left Cayley edges join g and sg, so the tree distance between f and
-        h is the length of h * f^-1.
-        """
-        if g1 == g2:
-            raise InputError("past window requires g1 != g2")
-        ball = self.ball(m)
-        ball_set = set(ball)
-        if g1 not in ball_set or g2 not in ball_set:
-            raise InputError("g1 and g2 must lie in the radius-m ball")
-        gap = len(mul(g1, inv(g2)))
-        out = []
-        for f in ball:
-            f_inv = inv(f)
-            if len(mul(g2, f_inv)) + gap == len(mul(g1, f_inv)):
-                out.append(f)
-        return tuple(out)
 
 
 def sort_words(words: Sequence[Word]) -> tuple[Word, ...]:

@@ -1,5 +1,5 @@
-"""Finite-window orbit-change maps, their edge-label encodings, the two
-group actions on them, and the periodic-orbit rearrangement.
+"""Finite-window orbit-change maps, their edge-label decoding and companion
+encoding, and the periodic-orbit rearrangement.
 
 A LocalBijection is the restriction to a ball of an identity-fixing
 bijection of the group whose one-step displacements |phi(g)^-1 phi(gs)| are
@@ -21,7 +21,7 @@ from .errors import (
     WindowError,
 )
 from .freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul
-from .shift import Pattern, pullback_name, shift_pattern
+from .shift import Pattern, pullback_name
 from .sft import axioms_check, symbol_entry, telescope_walk
 
 
@@ -113,115 +113,9 @@ class LocalBijection:
         return out
 
 
-def agree_on_common_window(a: LocalBijection, b: LocalBijection) -> bool:
-    common = set(a.table) & set(b.table)
-    return all(a.table[g] == b.table[g] for g in common)
-
-
-def realized_displacement(ctx: FreeGroupCtx, table: Mapping[Word, Word]) -> int:
-    worst = 1
-    for g, val in table.items():
-        for letter in ctx.letters:
-            h = mul(g, (letter,))
-            if h in table:
-                worst = max(worst, len(mul(inv(val), table[h])))
-    return worst
-
-
-def identity_bijection(ctx: FreeGroupCtx, window: int) -> LocalBijection:
-    return LocalBijection(window, 1, {g: g for g in ctx.ball(window)})
-
-
-def compose(ctx: FreeGroupCtx, outer: LocalBijection, inner: LocalBijection) -> LocalBijection:
-    """outer after inner, on the largest ball where the chain stays evaluable."""
-    table = {}
-    radius = 0
-    for m in range(inner.window + 1):
-        ball = ctx.ball(m)
-        if all(inner.defined(g) and outer.defined(inner(g)) for g in ball):
-            radius = m
-        else:
-            break
-    for g in ctx.ball(radius):
-        table[g] = outer(inner(g))
-    if radius < 1:
-        raise WindowError("composition leaves no usable window")
-    return LocalBijection(radius, realized_displacement(ctx, table), table)
-
-
-def invert(ctx: FreeGroupCtx, phi: LocalBijection) -> LocalBijection:
-    """The inverse table restricted to the largest ball inside the image."""
-    inverse = phi.inverse_table()
-    radius = -1
-    for m in range(phi.window + 1):
-        if all(g in inverse for g in ctx.ball(m)):
-            radius = m
-        else:
-            break
-    if radius < 0:
-        raise WindowError("image does not cover any ball")
-    table = {g: inverse[g] for g in ctx.ball(radius)}
-    return LocalBijection(radius, realized_displacement(ctx, table), table)
-
-
 # ---------------------------------------------------------------------------
-# the two actions
+# decoding and encodings
 # ---------------------------------------------------------------------------
-
-
-def theta_action(ctx: FreeGroupCtx, h: Word, phi: LocalBijection) -> LocalBijection:
-    """(h . phi)(g) = phi(h^-1)^-1 phi(h^-1 g); window shrinks by |h|."""
-    new_window = phi.window - len(h)
-    if new_window < 0:
-        raise WindowError(f"window {phi.window} exhausted by translate of length {len(h)}")
-    h_inv = inv(h)
-    base = inv(phi(h_inv))
-    table = {g: mul(base, phi(mul(h_inv, g))) for g in ctx.ball(new_window)}
-    return LocalBijection(new_window, phi.rho, table)
-
-
-def upsilon_action(ctx: FreeGroupCtx, h: Word, phi: LocalBijection) -> LocalBijection:
-    """(h . phi)(g) = h phi(phi^-1(h^-1) g), realized as the theta translate
-    by phi^-1(h^-1)^-1; window shrinks by |phi^-1(h^-1)| <= rho |h|."""
-    g0 = phi.inverse_word(inv(h))
-    return theta_action(ctx, inv(g0), phi)
-
-
-def same_orbit_witness_theta(phi: LocalBijection, h: Word) -> Word:
-    """h' with (upsilon-h phi) = (theta-h' phi)."""
-    return inv(phi.inverse_word(inv(h)))
-
-
-def same_orbit_witness_upsilon(phi: LocalBijection, h: Word) -> Word:
-    """h'' with (theta-h phi) = (upsilon-h'' phi)."""
-    return inv(phi(inv(h)))
-
-
-# ---------------------------------------------------------------------------
-# encodings
-# ---------------------------------------------------------------------------
-
-
-def encode_E(ctx: FreeGroupCtx, phi: LocalBijection) -> Pattern:
-    """Edge-label encoding on the radius window-1 ball: the symbol at h sends
-    each signed letter s to phi(h)^-1 phi(h s)."""
-    radius = phi.window - 1
-    if radius < 0:
-        raise WindowError("window too small to encode")
-    values = []
-    domain = ctx.ball(radius)
-    for h in domain:
-        base = inv(phi(h))
-        sym = []
-        for letter in ctx.letters:
-            step = mul(base, phi(mul(h, (letter,))))
-            if len(step) > phi.rho:
-                raise InputError(
-                    f"displacement {len(step)} at {h} exceeds the declared bound {phi.rho}"
-                )
-            sym.append(step)
-        values.append(tuple(sym))
-    return Pattern._on_ball(domain, values)
 
 
 def decode_E(ctx: FreeGroupCtx, pattern: Pattern) -> LocalBijection:
@@ -286,19 +180,6 @@ def compose_after_inverse(phi: LocalBijection, ypattern: Pattern) -> Pattern:
     if not domain:
         raise WindowError("no overlap between the label window and the map window")
     return Pattern(domain, values)
-
-
-def encode_F_product(ctx: FreeGroupCtx, phi: LocalBijection, ypattern: Pattern):
-    return encode_F(ctx, phi), compose_after_inverse(phi, ypattern)
-
-
-def theta_tilde(ctx: FreeGroupCtx, h: Word, phi: LocalBijection, ypattern: Pattern):
-    return theta_action(ctx, h, phi), shift_pattern(h, ypattern)
-
-
-def upsilon_tilde(ctx: FreeGroupCtx, h: Word, phi: LocalBijection, ypattern: Pattern):
-    mover = inv(phi.inverse_word(inv(h)))
-    return upsilon_action(ctx, h, phi), shift_pattern(mover, ypattern)
 
 
 # ---------------------------------------------------------------------------
@@ -480,26 +361,3 @@ class Automorphism:
 
     def constant_config(self, n: int) -> Microstate:
         return Microstate((self.constant_symbol(),) * n)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-
-def sym_distance(
-    ctx: FreeGroupCtx, phi: LocalBijection, psi: LocalBijection, depth: int
-) -> float:
-    """Truncated pointwise-convergence metric over the shortlex enumeration:
-    sum 2^-k over disagreements of the maps and of their inverses.  Positions
-    outside either window count as disagreements."""
-    total = 0.0
-    phi_inv = phi.inverse_table()
-    psi_inv = psi.inverse_table()
-    for k, g in enumerate(ctx.ball(depth), start=1):
-        weight = 2.0**-k
-        if phi.table.get(g, ("?",)) != psi.table.get(g, ("!",)):
-            total += weight
-        if phi_inv.get(g, ("?",)) != psi_inv.get(g, ("!",)):
-            total += weight
-    return total

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .actions import FiniteAction, Microstate, derive_seed
 from .errors import InputError
@@ -43,9 +43,6 @@ class OrbitAlphabet:
     def symbols(self) -> Iterator[tuple]:
         ball = self.ctx.ball(self.rho)
         return iter_product(ball, repeat=2 * self.ctx.rank)
-
-    def identity_symbol(self) -> tuple:
-        return tuple((letter,) for letter in self.ctx.letters)
 
 
 def symbol_entry(symbol: tuple, letter: int) -> Word:
@@ -108,7 +105,11 @@ class SftSpec:
         if "builtin" in data:
             if data["builtin"] != "z_rho":
                 raise InputError(f"unknown builtin spec {data['builtin']!r}")
-            return zrho_spec(ctx, int(data["rho"]))
+            try:
+                rho = int(data["rho"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"malformed sft json: {exc!r}") from exc
+            return zrho_spec(ctx, rho)
         try:
             forbidden = tuple(
                 Pattern.from_dict({ctx.parse(k): v for k, v in pat.items()})
@@ -121,14 +122,6 @@ class SftSpec:
             )
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed sft json: {exc}") from exc
-
-
-def nn_spec(alphabet: Sequence, forbidden_pairs: Sequence[tuple]) -> SftSpec:
-    """Nearest-neighbor constraint system from (a, b, i) forbidden triples."""
-    patterns = tuple(
-        Pattern([IDENTITY, (i,)], [a, b]) for (a, b, i) in forbidden_pairs
-    )
-    return SftSpec(alphabet=tuple(alphabet), forbidden=patterns, nearest_neighbor=True)
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +297,6 @@ def _bfs(action: FiniteAction, start: int, seen: set) -> list[int]:
                     seen.add(w)
                     order.append(w)
     return order
-
-
-def orbit_of(action: FiniteAction, v: int) -> tuple[int, ...]:
-    """Vertices reachable from v under all generators and inverses."""
-    return tuple(sorted(_bfs(action, v, set())))
-
-
-def sft_check_vertex(
-    ctx: FreeGroupCtx, spec: SftSpec, action: FiniteAction, labels, v: int
-) -> bool:
-    """Whether the pullback name at v lies in the constraint system.
-
-    Shifts of the pullback name realize every vertex in the orbit of v, so
-    this inspects the whole orbit, not just v.
-    """
-    return all(_check_local(ctx, spec, action, labels, u) for u in orbit_of(action, v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Patterns on finite windows of the group, the left shift action, pullback
-names of finite actions, empirical distributions and l1 pattern distances.
+"""Patterns on finite windows of the group, pullback names of finite
+actions, empirical distributions and l1 pattern distances.
 
 A window is a shortlex-sorted tuple of words.  Distributions key their
 entries by the tuple of symbols aligned to the window, which keeps the hot
@@ -9,25 +9,12 @@ the single-pattern operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product as iter_product
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .actions import FiniteAction
 from .errors import InputError
-from .freegroup import FreeGroupCtx, Word, inv, mul, sort_words, word_sort_key
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    symbols: tuple
-
-    def __post_init__(self):
-        if not self.symbols:
-            raise InputError("alphabet must be nonempty")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise InputError("alphabet symbols must be distinct")
+from .freegroup import FreeGroupCtx, Word, inv, sort_words, word_sort_key
 
 
 class Pattern:
@@ -96,13 +83,6 @@ class Pattern:
 
     def __repr__(self):
         return f"Pattern({dict(zip(self.domain, self.values))!r})"
-
-
-def shift_pattern(g: Word, p: Pattern) -> Pattern:
-    """Left shift: (g.p)(f) = p(g^-1 f), so the domain moves to g * domain."""
-    g_inv = inv(g)
-    new_domain = [mul(g, w) for w in p.domain]
-    return Pattern(new_domain, [p[mul(g_inv, w)] for w in new_domain])
 
 
 class PatternDistribution:
@@ -196,15 +176,6 @@ def l1_distance(d1: PatternDistribution, d2: PatternDistribution):
     return sum(abs(d1.probs.get(k, 0) - d2.probs.get(k, 0)) for k in keys)
 
 
-def d_star(ctx: FreeGroupCtx, d1: PatternDistribution, d2: PatternDistribution):
-    """Sum over generators of the l1 distance of the {e, s_i} pair marginals."""
-    total = 0
-    for i in range(1, ctx.rank + 1):
-        window = sort_words([(), (i,)])
-        total += l1_distance(d1.project(window), d2.project(window))
-    return total
-
-
 def window_columns(ctx: FreeGroupCtx, action: FiniteAction, window: Sequence[Word]) -> list[tuple[int, ...]]:
     """Per-window-word vertex lookup tables: entry g gives sigma(g)^-1 v."""
     return [action.word_perm(inv(g)) for g in window]
@@ -265,57 +236,3 @@ def empirical_product_distribution(
         key = ((k1, k2),)
         counts[key] = counts.get(key, 0) + 1
     return PatternDistribution(((),), {k: Fraction(c, n) for k, c in counts.items()})
-
-
-@dataclass(frozen=True)
-class BlockCode:
-    """A continuous observable with window radius w: a dense table from
-    patterns on the radius-w ball to output symbols."""
-
-    window_radius: int
-    alphabet: Alphabet
-    table: Mapping[tuple, object]
-
-    def __post_init__(self):
-        size = len(self.alphabet.symbols)
-        for key in self.table:
-            for sym in key:
-                if sym not in self.alphabet.symbols:
-                    raise InputError(f"table key uses unknown symbol {sym!r}")
-        # density is checked against the key length; apply_block_code verifies
-        # that length against the actual ball of the window radius
-        lengths = {len(k) for k in self.table}
-        if len(lengths) != 1:
-            raise InputError("block code table keys must share the window size")
-        (cells,) = lengths
-        if len(self.table) != size**cells:
-            raise InputError(
-                f"block code table must be total: expected {size ** cells} entries, got {len(self.table)}"
-            )
-
-
-def identity_code(alphabet: Alphabet) -> BlockCode:
-    return BlockCode(0, alphabet, {(s,): s for s in alphabet.symbols})
-
-
-def join_code(ctx: FreeGroupCtx, alphabet: Alphabet, m: int) -> BlockCode:
-    """The radius-m join observable: a pattern maps to itself as a tuple."""
-    cells = len(ctx.ball(m))
-    table = {key: key for key in iter_product(alphabet.symbols, repeat=cells)}
-    return BlockCode(m, alphabet, table)
-
-
-def apply_block_code(
-    ctx: FreeGroupCtx, code: BlockCode, action: FiniteAction, labels: Sequence
-) -> tuple:
-    """Recode a labeling through the observable: y(v) = code(pullback name at v)."""
-    window = ctx.ball(code.window_radius)
-    if any(len(k) != len(window) for k in code.table):
-        raise InputError("block code table does not match the window ball")
-    out = []
-    for key in _pullback_keys(ctx, action, labels, window):
-        try:
-            out.append(code.table[key])
-        except KeyError:
-            raise InputError(f"block code table missing pattern {key!r}") from None
-    return tuple(out)

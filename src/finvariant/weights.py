@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .errors import ConstructionError, InputError, ResourceCapError, WeightError
 from .freegroup import FreeGroupCtx, Word, mul, sort_words
-from .shift import Pattern, PatternDistribution
+from .shift import PatternDistribution
 
 Number = object  # float | int | Fraction
 
@@ -372,26 +372,6 @@ class Weight:
         return w
 
 
-def bernoulli_weight(base: Mapping, rank: int) -> Weight:
-    """Product weight: vertex = base, edge(a,b;i) = base(a) * base(b)."""
-    for p in base.values():
-        if float(p) < 0:
-            raise WeightError("base probabilities must be nonnegative")
-    total = sum(base.values())
-    if abs(float(total) - 1.0) > BALANCE_TOL:
-        raise WeightError("base must sum to 1")
-    alphabet = tuple(base)
-    edge = {
-        (a, b, i): base[a] * base[b]
-        for a in alphabet
-        for b in alphabet
-        for i in range(1, rank + 1)
-    }
-    w = Weight(rank, alphabet, dict(base), edge)
-    w.validate()
-    return w
-
-
 def weight_distance(w1: Weight, w2: Weight):
     """l1 distance over all edge entries (a, b, i)."""
     if w1.alphabet != w2.alphabet or w1.rank != w2.rank:
@@ -401,7 +381,7 @@ def weight_distance(w1: Weight, w2: Weight):
 
 
 # ---------------------------------------------------------------------------
-# pattern probabilities on subtrees
+# window marginals and their entropies
 # ---------------------------------------------------------------------------
 
 
@@ -438,30 +418,6 @@ def _window_structure(window: Sequence[Word], rank: int):
     if not all(seen):
         raise InputError("word set is not connected in the Cayley tree")
     return edges, order
-
-
-def pattern_probability(w: Weight, pattern: Pattern):
-    """Probability of a pattern on a connected subtree under the weight's
-    Markov measure.  Domains not containing the identity are translated
-    there first; the result is translation-invariant."""
-    domain = pattern.domain
-    values = pattern.values
-    if () not in pattern:
-        base = domain[0]
-        shifted = Pattern([mul(tuple(-l for l in reversed(base)), g) for g in domain], values)
-        return pattern_probability(w, shifted)
-    edges, order = _window_structure(domain, w.rank)
-    prob = w.vertex_prob(values[order[0]])
-    for parent, child, i, forward in edges:
-        vp = w.vertex_prob(values[parent])
-        if float(vp) == 0.0:
-            return 0 if isinstance(vp, (int, Fraction)) else 0.0
-        if forward:
-            pair = w.edge_prob(values[parent], values[child], i)
-        else:
-            pair = w.edge_prob(values[child], values[parent], i)
-        prob = prob * pair / vp
-    return prob
 
 
 def marginal_distribution(w: Weight, window: Sequence[Word], cap: int = 1 << 22) -> PatternDistribution:
@@ -508,23 +464,20 @@ def marginal_distribution(w: Weight, window: Sequence[Word], cap: int = 1 << 22)
     return PatternDistribution(window, probs)
 
 
-def _window_entropy_enumerate(w: Weight, window: Sequence[Word]) -> EntropyValue:
-    dist = marginal_distribution(w, window)
-    return shannon_entropy(dist)
-
-
-def _window_entropy_chain(w: Weight, window: Sequence[Word]) -> EntropyValue:
-    """Entropy of the window marginal via the chain rule along the tree.
+def window_entropy(w: Weight, window: Sequence[Word]) -> EntropyValue:
+    """Entropy of the measure's marginal on a connected window, by the chain
+    rule along the tree.
 
     The factorized pattern probability is a tree-indexed chain whose one-step
     conditionals have entropy H(edge_i) - H(vertex), so the joint entropy of a
     connected window is H(vertex) + sum_i E_i * (H(edge_i) - H(vertex)) with
     E_i the number of generator-i edges inside the window.  This is an exact
-    identity for the measure defined by the weight, not an approximation.
+    identity for the measure defined by the weight, not an approximation; the
+    test suite checks it against the entropy of the enumerated marginal.
     A connected word set in the tree is itself a tree, so its BFS edges are
     all of its edges.
     """
-    edges, _ = _window_structure(window, w.rank)  # raises if not connected
+    edges, _ = _window_structure(sort_words(window), w.rank)  # raises if not connected
     counts = [0] * (w.rank + 1)
     for _, _, i, _ in edges:
         counts[i] += 1
@@ -533,28 +486,6 @@ def _window_entropy_chain(w: Weight, window: Sequence[Word]) -> EntropyValue:
     for i in range(1, w.rank + 1):
         total = total + (w.entropies[i] - h_vertex).scaled(counts[i])
     return total
-
-
-def window_entropy(
-    w: Weight, window: Sequence[Word], method: str = "auto", enum_cap: int = 1 << 18
-) -> EntropyValue:
-    """Entropy of the measure's marginal on a connected window.
-
-    ``enumerate`` walks every positive-probability pattern; ``chain`` uses
-    the exact tree chain rule.  ``auto`` enumerates when the pattern space is
-    small (and the weight is float-valued), otherwise uses the chain form.
-    The two routes agree and that agreement is part of the test suite.
-    """
-    window = sort_words(window)
-    if method == "enumerate":
-        return _window_entropy_enumerate(w, window)
-    if method == "chain":
-        return _window_entropy_chain(w, window)
-    if method != "auto":
-        raise InputError(f"unknown entropy method {method!r}")
-    if not w.is_exact and len(w.alphabet) ** len(window) <= enum_cap:
-        return _window_entropy_enumerate(w, window)
-    return _window_entropy_chain(w, window)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +497,6 @@ def F_value(
     ctx: FreeGroupCtx,
     w: Weight,
     join_radius: int,
-    method: str = "auto",
     cell_cap: int = 20000,
 ) -> EntropyValue:
     """(1 - 2r) H(ball marginal) + sum_i H(marginal on ball, union s_i ball).
@@ -581,20 +511,20 @@ def F_value(
     if len(ball) > cell_cap:
         raise ResourceCapError(f"ball of radius {join_radius} has {len(ball)} cells, cap {cell_cap}")
     r = ctx.rank
-    h_ball = window_entropy(w, ball, method=method)
+    h_ball = window_entropy(w, ball)
     total = h_ball.scaled(1 - 2 * r)
     for i in range(1, r + 1):
         union = set(ball)
         union.update(mul((i,), g) for g in ball)
-        h_join = window_entropy(w, sort_words(union), method=method)
+        h_join = window_entropy(w, union)
         total = total + h_join
     return total
 
 
-def f_markov(ctx: FreeGroupCtx, w: Weight, method: str = "auto") -> EntropyValue:
+def f_markov(ctx: FreeGroupCtx, w: Weight) -> EntropyValue:
     """The invariant of the weight's Markov measure; equals the functional at
     radius zero."""
-    return F_value(ctx, w, 0, method=method)
+    return F_value(ctx, w, 0)
 
 
 @dataclass(frozen=True)
@@ -612,14 +542,14 @@ class ConstancyReport:
 
 
 def constancy_check(
-    ctx: FreeGroupCtx, w: Weight, rho_max: int, tol: float = 1e-9, method: str = "auto"
+    ctx: FreeGroupCtx, w: Weight, rho_max: int, tol: float = 1e-9
 ) -> ConstancyReport:
     """The functional of a Markov weight should not depend on the join radius;
-    a violation signals a pattern-probability bug."""
-    base = float(F_value(ctx, w, 0, method=method))
+    a violation signals a wrong count of window edges."""
+    base = float(F_value(ctx, w, 0))
     rows = []
     for rho in range(rho_max + 1):
-        val = float(F_value(ctx, w, rho, method=method)) if rho else base
+        val = float(F_value(ctx, w, rho)) if rho else base
         rows.append((rho, val, val - base))
     return ConstancyReport(tuple(rows), tol)
 

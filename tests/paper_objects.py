@@ -1,0 +1,330 @@
+"""Paper objects and oracles that only the tests use.
+
+The package holds what its commands run.  The definitions here come from the
+paper but have no caller outside the test suite: the left shift and the
+theta/upsilon actions with the edge-label encoding E (criterion 08), block
+codes and the join observable (criterion 09), the pair-marginal distance
+d_star that the brute-force counting oracle uses, Bernoulli product weights,
+tree-factorized pattern probabilities, nearest-neighbor constraint systems,
+past windows and the orbit-map diagnostics.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product as iter_product
+from typing import Mapping, Sequence
+
+from finvariant.actions import FiniteAction
+from finvariant.errors import InputError, WeightError, WindowError
+from finvariant.freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul, sort_words
+from finvariant.orbitmaps import LocalBijection
+from finvariant.sft import OrbitAlphabet, SftSpec, _bfs, _check_local
+from finvariant.shift import Pattern, PatternDistribution, _pullback_keys, l1_distance
+from finvariant.weights import BALANCE_TOL, Weight, _window_structure
+
+
+# ---------------------------------------------------------------------------
+# free group
+# ---------------------------------------------------------------------------
+
+
+def past_window(ctx: FreeGroupCtx, g1: Word, g2: Word, m: int) -> tuple[Word, ...]:
+    """Elements f of the radius-m ball whose geodesic to g1 in the left
+    Cayley tree passes through g2.
+
+    Left Cayley edges join g and sg, so the tree distance between f and
+    h is the length of h * f^-1.
+    """
+    if g1 == g2:
+        raise InputError("past window requires g1 != g2")
+    ball = ctx.ball(m)
+    ball_set = set(ball)
+    if g1 not in ball_set or g2 not in ball_set:
+        raise InputError("g1 and g2 must lie in the radius-m ball")
+    gap = len(mul(g1, inv(g2)))
+    out = []
+    for f in ball:
+        f_inv = inv(f)
+        if len(mul(g2, f_inv)) + gap == len(mul(g1, f_inv)):
+            out.append(f)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# shift space
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Alphabet:
+    symbols: tuple
+
+    def __post_init__(self):
+        if not self.symbols:
+            raise InputError("alphabet must be nonempty")
+        if len(set(self.symbols)) != len(self.symbols):
+            raise InputError("alphabet symbols must be distinct")
+
+
+def shift_pattern(g: Word, p: Pattern) -> Pattern:
+    """Left shift: (g.p)(f) = p(g^-1 f), so the domain moves to g * domain."""
+    g_inv = inv(g)
+    new_domain = [mul(g, w) for w in p.domain]
+    return Pattern(new_domain, [p[mul(g_inv, w)] for w in new_domain])
+
+
+def d_star(ctx: FreeGroupCtx, d1: PatternDistribution, d2: PatternDistribution):
+    """Sum over generators of the l1 distance of the {e, s_i} pair marginals."""
+    total = 0
+    for i in range(1, ctx.rank + 1):
+        window = sort_words([(), (i,)])
+        total += l1_distance(d1.project(window), d2.project(window))
+    return total
+
+
+@dataclass(frozen=True)
+class BlockCode:
+    """A continuous observable with window radius w: a dense table from
+    patterns on the radius-w ball to output symbols."""
+
+    window_radius: int
+    alphabet: Alphabet
+    table: Mapping[tuple, object]
+
+    def __post_init__(self):
+        size = len(self.alphabet.symbols)
+        for key in self.table:
+            for sym in key:
+                if sym not in self.alphabet.symbols:
+                    raise InputError(f"table key uses unknown symbol {sym!r}")
+        # density is checked against the key length; apply_block_code verifies
+        # that length against the actual ball of the window radius
+        lengths = {len(k) for k in self.table}
+        if len(lengths) != 1:
+            raise InputError("block code table keys must share the window size")
+        (cells,) = lengths
+        if len(self.table) != size**cells:
+            raise InputError(
+                f"block code table must be total: expected {size ** cells} entries, got {len(self.table)}"
+            )
+
+
+def identity_code(alphabet: Alphabet) -> BlockCode:
+    return BlockCode(0, alphabet, {(s,): s for s in alphabet.symbols})
+
+
+def join_code(ctx: FreeGroupCtx, alphabet: Alphabet, m: int) -> BlockCode:
+    """The radius-m join observable: a pattern maps to itself as a tuple."""
+    cells = len(ctx.ball(m))
+    table = {key: key for key in iter_product(alphabet.symbols, repeat=cells)}
+    return BlockCode(m, alphabet, table)
+
+
+def apply_block_code(
+    ctx: FreeGroupCtx, code: BlockCode, action: FiniteAction, labels: Sequence
+) -> tuple:
+    """Recode a labeling through the observable: y(v) = code(pullback name at v)."""
+    window = ctx.ball(code.window_radius)
+    if any(len(k) != len(window) for k in code.table):
+        raise InputError("block code table does not match the window ball")
+    out = []
+    for key in _pullback_keys(ctx, action, labels, window):
+        try:
+            out.append(code.table[key])
+        except KeyError:
+            raise InputError(f"block code table missing pattern {key!r}") from None
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# weights
+# ---------------------------------------------------------------------------
+
+
+def bernoulli_weight(base: Mapping, rank: int) -> Weight:
+    """Product weight: vertex = base, edge(a,b;i) = base(a) * base(b)."""
+    for p in base.values():
+        if float(p) < 0:
+            raise WeightError("base probabilities must be nonnegative")
+    total = sum(base.values())
+    if abs(float(total) - 1.0) > BALANCE_TOL:
+        raise WeightError("base must sum to 1")
+    alphabet = tuple(base)
+    edge = {
+        (a, b, i): base[a] * base[b]
+        for a in alphabet
+        for b in alphabet
+        for i in range(1, rank + 1)
+    }
+    w = Weight(rank, alphabet, dict(base), edge)
+    w.validate()
+    return w
+
+
+def pattern_probability(w: Weight, pattern: Pattern):
+    """Probability of a pattern on a connected subtree under the weight's
+    Markov measure.  Domains not containing the identity are translated
+    there first; the result is translation-invariant."""
+    domain = pattern.domain
+    values = pattern.values
+    if () not in pattern:
+        base = domain[0]
+        shifted = Pattern([mul(tuple(-l for l in reversed(base)), g) for g in domain], values)
+        return pattern_probability(w, shifted)
+    edges, order = _window_structure(domain, w.rank)
+    prob = w.vertex_prob(values[order[0]])
+    for parent, child, i, forward in edges:
+        vp = w.vertex_prob(values[parent])
+        if float(vp) == 0.0:
+            return 0 if isinstance(vp, (int, Fraction)) else 0.0
+        if forward:
+            pair = w.edge_prob(values[parent], values[child], i)
+        else:
+            pair = w.edge_prob(values[child], values[parent], i)
+        prob = prob * pair / vp
+    return prob
+
+
+# ---------------------------------------------------------------------------
+# constraint systems
+# ---------------------------------------------------------------------------
+
+
+def nn_spec(alphabet: Sequence, forbidden_pairs: Sequence[tuple]) -> SftSpec:
+    """Nearest-neighbor constraint system from (a, b, i) forbidden triples."""
+    patterns = tuple(
+        Pattern([IDENTITY, (i,)], [a, b]) for (a, b, i) in forbidden_pairs
+    )
+    return SftSpec(alphabet=tuple(alphabet), forbidden=patterns, nearest_neighbor=True)
+
+
+def orbit_of(action: FiniteAction, v: int) -> tuple[int, ...]:
+    """Vertices reachable from v under all generators and inverses."""
+    return tuple(sorted(_bfs(action, v, set())))
+
+
+def sft_check_vertex(
+    ctx: FreeGroupCtx, spec: SftSpec, action: FiniteAction, labels, v: int
+) -> bool:
+    """Whether the pullback name at v lies in the constraint system.
+
+    Shifts of the pullback name realize every vertex in the orbit of v, so
+    this inspects the whole orbit, not just v.
+    """
+    return all(_check_local(ctx, spec, action, labels, u) for u in orbit_of(action, v))
+
+
+def identity_symbol(alphabet: OrbitAlphabet) -> tuple:
+    return tuple((letter,) for letter in alphabet.ctx.letters)
+
+
+# ---------------------------------------------------------------------------
+# orbit-change maps: the two actions, the encoding E, diagnostics
+# ---------------------------------------------------------------------------
+
+
+def agree_on_common_window(a: LocalBijection, b: LocalBijection) -> bool:
+    common = set(a.table) & set(b.table)
+    return all(a.table[g] == b.table[g] for g in common)
+
+
+def realized_displacement(ctx: FreeGroupCtx, table: Mapping[Word, Word]) -> int:
+    worst = 1
+    for g, val in table.items():
+        for letter in ctx.letters:
+            h = mul(g, (letter,))
+            if h in table:
+                worst = max(worst, len(mul(inv(val), table[h])))
+    return worst
+
+
+def compose(ctx: FreeGroupCtx, outer: LocalBijection, inner: LocalBijection) -> LocalBijection:
+    """outer after inner, on the largest ball where the chain stays evaluable."""
+    table = {}
+    radius = 0
+    for m in range(inner.window + 1):
+        ball = ctx.ball(m)
+        if all(inner.defined(g) and outer.defined(inner(g)) for g in ball):
+            radius = m
+        else:
+            break
+    for g in ctx.ball(radius):
+        table[g] = outer(inner(g))
+    if radius < 1:
+        raise WindowError("composition leaves no usable window")
+    return LocalBijection(radius, realized_displacement(ctx, table), table)
+
+
+def invert(ctx: FreeGroupCtx, phi: LocalBijection) -> LocalBijection:
+    """The inverse table restricted to the largest ball inside the image."""
+    inverse = phi.inverse_table()
+    radius = -1
+    for m in range(phi.window + 1):
+        if all(g in inverse for g in ctx.ball(m)):
+            radius = m
+        else:
+            break
+    if radius < 0:
+        raise WindowError("image does not cover any ball")
+    table = {g: inverse[g] for g in ctx.ball(radius)}
+    return LocalBijection(radius, realized_displacement(ctx, table), table)
+
+
+def theta_action(ctx: FreeGroupCtx, h: Word, phi: LocalBijection) -> LocalBijection:
+    """(h . phi)(g) = phi(h^-1)^-1 phi(h^-1 g); window shrinks by |h|."""
+    new_window = phi.window - len(h)
+    if new_window < 0:
+        raise WindowError(f"window {phi.window} exhausted by translate of length {len(h)}")
+    h_inv = inv(h)
+    base = inv(phi(h_inv))
+    table = {g: mul(base, phi(mul(h_inv, g))) for g in ctx.ball(new_window)}
+    return LocalBijection(new_window, phi.rho, table)
+
+
+def upsilon_action(ctx: FreeGroupCtx, h: Word, phi: LocalBijection) -> LocalBijection:
+    """(h . phi)(g) = h phi(phi^-1(h^-1) g), realized as the theta translate
+    by phi^-1(h^-1)^-1; window shrinks by |phi^-1(h^-1)| <= rho |h|."""
+    g0 = phi.inverse_word(inv(h))
+    return theta_action(ctx, inv(g0), phi)
+
+
+def encode_E(ctx: FreeGroupCtx, phi: LocalBijection) -> Pattern:
+    """Edge-label encoding on the radius window-1 ball: the symbol at h sends
+    each signed letter s to phi(h)^-1 phi(h s)."""
+    radius = phi.window - 1
+    if radius < 0:
+        raise WindowError("window too small to encode")
+    values = []
+    domain = ctx.ball(radius)
+    for h in domain:
+        base = inv(phi(h))
+        sym = []
+        for letter in ctx.letters:
+            step = mul(base, phi(mul(h, (letter,))))
+            if len(step) > phi.rho:
+                raise InputError(
+                    f"displacement {len(step)} at {h} exceeds the declared bound {phi.rho}"
+                )
+            sym.append(step)
+        values.append(tuple(sym))
+    return Pattern._on_ball(domain, values)
+
+
+def sym_distance(
+    ctx: FreeGroupCtx, phi: LocalBijection, psi: LocalBijection, depth: int
+) -> float:
+    """Truncated pointwise-convergence metric over the shortlex enumeration:
+    sum 2^-k over disagreements of the maps and of their inverses.  Positions
+    outside either window count as disagreements."""
+    total = 0.0
+    phi_inv = phi.inverse_table()
+    psi_inv = psi.inverse_table()
+    for k, g in enumerate(ctx.ball(depth), start=1):
+        weight = 2.0**-k
+        if phi.table.get(g, ("?",)) != psi.table.get(g, ("!",)):
+            total += weight
+        if phi_inv.get(g, ("?",)) != psi_inv.get(g, ("!",)):
+            total += weight
+    return total

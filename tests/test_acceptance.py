@@ -15,56 +15,51 @@ from fractions import Fraction
 import pytest
 
 from finvariant import (
-    Alphabet,
     WindowError,
     Automorphism,
     F_value,
     FreeGroupCtx,
     Neighborhood,
-    apply_block_code,
-    bernoulli_weight,
     count_omega,
     decode_E,
-    encode_E,
     encode_F,
     enumerate_actions,
     expected_count,
     f_estimate,
     f_markov,
-    join_code,
     marginal_distribution,
-    nn_spec,
     pattern_inverse_eval,
     pullback_name,
     reconstruct_sigma,
     sample_action,
     sft_check_all,
     shannon_entropy,
-    shift_pattern,
     tau_construct,
-    theta_action,
-    theta_tilde,
-    upsilon_action,
-    upsilon_tilde,
-    encode_F_product,
     verify_zrho,
     zrho_spec,
 )
 from finvariant.cli import main
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
-from finvariant.orbitmaps import (
-    LocalBijection,
-    compose,
-    compose_after_inverse,
-    realized_displacement,
-    same_orbit_witness_theta,
-    same_orbit_witness_upsilon,
-)
+from finvariant.orbitmaps import LocalBijection, compose_after_inverse
 from finvariant.weights import Weight
 
 from conftest import canonical_automorphisms
+from paper_objects import (
+    Alphabet,
+    apply_block_code,
+    bernoulli_weight,
+    compose,
+    encode_E,
+    join_code,
+    nn_spec,
+    realized_displacement,
+    shift_pattern,
+    theta_action,
+    upsilon_action,
+)
 from test_weights import (
     entropy_rate_oracle,
+    enumerated_F_value,
     random_exact_chain_weight,
     reversible_weight,
 )
@@ -117,7 +112,7 @@ def test_criterion_02_markov_entropy_rate():
         w = random_exact_chain_weight(("0", "1", "2"), rng)
         oracle = entropy_rate_oracle(w)
         ok &= abs(float(F_value(CTX1, w, 0)) - oracle) <= 1e-10
-        ok &= abs(float(F_value(CTX1, w, 0, method="enumerate")) - oracle) <= 1e-10
+        ok &= abs(enumerated_F_value(CTX1, w, 0) - oracle) <= 1e-10
     assert report(2, "markov entropy rate", ok, t0, 1.0)
 
 
@@ -131,11 +126,8 @@ def test_criterion_03_join_radius_constancy():
         base = float(F_value(CTX, w, 0))
         for rho in (1, 2):
             ok &= abs(float(F_value(CTX, w, rho)) - base) <= 1e-9
-        # the two entropy routes agree where enumeration is feasible
-        ok &= abs(
-            float(F_value(CTX, w, 1, method="enumerate"))
-            - float(F_value(CTX, w, 1, method="chain"))
-        ) <= 1e-9
+        # the chain rule agrees with the enumerated marginals' entropies
+        ok &= abs(enumerated_F_value(CTX, w, 1) - float(F_value(CTX, w, 1))) <= 1e-9
     assert report(3, "join-radius constancy", ok, t0, 60.0)
 
 
@@ -371,7 +363,7 @@ def test_criterion_08_equivariance_suite():
         except WindowError:
             pass  # window exhausted for this draw; draw again
 
-        tphi, ty = theta_tilde(CTX, h, phi, ypat)
+        tphi, ty = theta_action(CTX, h, phi), shift_pattern(h, ypat)
         lx, ly = encode_E(CTX, tphi), ty
         rx = shift_pattern(h, encode_E(CTX, phi))
         common = [g for g in lx.domain if g in rx]
@@ -380,9 +372,10 @@ def test_criterion_08_equivariance_suite():
         counts["tc1"] += 1
 
         try:
-            uphi, uy = upsilon_tilde(CTX, h, phi, ypat)
-            lx, ly = encode_F_product(CTX, uphi, uy)
-            rx, ry = encode_F_product(CTX, phi, ypat)
+            uphi = upsilon_action(CTX, h, phi)
+            uy = shift_pattern(inv(phi.inverse_word(inv(h))), ypat)
+            lx, ly = encode_F(CTX, uphi), compose_after_inverse(uphi, uy)
+            rx, ry = encode_F(CTX, phi), compose_after_inverse(phi, ypat)
             rx, ry = shift_pattern(h, rx), shift_pattern(h, ry)
             cx = [g for g in lx.domain if g in rx]
             cy = [g for g in ly.domain if g in ry]
@@ -393,12 +386,12 @@ def test_criterion_08_equivariance_suite():
             pass
 
         # same orbits, both directions, against the literal formula
-        witness = same_orbit_witness_theta(phi, h)
+        witness = inv(phi.inverse_word(inv(h)))
         direct = _direct_upsilon_table(h, phi)
         via_theta = theta_action(CTX, witness, phi)
         common = set(direct) & set(via_theta.table)
         ok &= bool(common) and all(direct[g] == via_theta.table[g] for g in common)
-        back = same_orbit_witness_upsilon(phi, h)
+        back = inv(phi(inv(h)))
         direct2 = _direct_upsilon_table(back, phi)
         via_theta2 = theta_action(CTX, h, phi)
         common2 = set(direct2) & set(via_theta2.table)

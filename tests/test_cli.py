@@ -3,12 +3,16 @@
 import json
 import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from finvariant import FreeGroupCtx, bernoulli_weight
+from finvariant import FreeGroupCtx
 from finvariant.cli import main
+
+from paper_objects import bernoulli_weight
+from test_weights import reversible_weight
 
 CTX = FreeGroupCtx(2)
 
@@ -91,6 +95,32 @@ class TestFExact:
         rows = lines[lines.index("rho F delta") + 1 : lines.index("constancy_ok: yes")]
         assert [row.split()[0] for row in rows] == ["0", "1", "2"]
         assert all(row.split()[2] == "0" for row in rows)
+
+    def test_float_weight_golden(self, tmp_path, monkeypatch, capsys):
+        # generated once both entropy routes became the chain rule; the hash
+        # and the entropy lines match the output of the enumeration route,
+        # whose constancy rows read 7.99e-15 and -1.78e-15
+        monkeypatch.chdir(tmp_path)
+        w = reversible_weight(2, ("0", "1", "2"), random.Random(5))
+        (tmp_path / "float.json").write_text(json.dumps(w.to_json()))
+        assert main(["f-exact", "--weight", "float.json"]) == 0
+        assert capsys.readouterr().out == (
+            "config_hash: be0697d90abfcbc6\n"
+            "command: f-exact\n"
+            "alphabet_size: 3\n"
+            "rank: 2\n"
+            "exact_arithmetic: no\n"
+            "f_nats: 0.677239870200543\n"
+            "vertex_entropy: 1.09582336253562\n"
+            "edge_entropy_1: 2.15622207644215\n"
+            "edge_entropy_2: 1.80848788136525\n"
+            "constancy_table:\n"
+            "rho F delta\n"
+            "0 0.677239870200543 0\n"
+            "1 0.677239870200545 1.33226762955019e-15\n"
+            "2 0.677239870200541 -2.22044604925031e-15\n"
+            "constancy_ok: yes\n"
+        )
 
     def test_invalid_weight_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -216,6 +246,24 @@ class TestFEstimate:
             "5,20,18.2,0.58028431881655,0.500526039072368\n"
         )
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"window": "abc"},
+            {"n_list": 3},
+            {"n_list": [0]},
+            {"n_list": [-1]},
+            {"sft": {"builtin": "z_rho"}},
+            # every labeling is near the target, so each meets the constraint
+            {"sft": {"builtin": "z_rho", "rho": 1}, "epsilon": 2},
+        ],
+        ids=["window_abc", "n_list_int", "n_zero", "n_negative", "z_rho_no_rho", "z_rho_binary"],
+    )
+    def test_malformed_config_exits_2(self, half_weight_file, tmp_path, capsys, overrides):
+        cfg = self._config(tmp_path, half_weight_file, **overrides)
+        assert main(["f-estimate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
     def test_cap_exits_3(self, half_weight_file, tmp_path):
         cfg = self._config(tmp_path, half_weight_file, mode="exact", n_list=[6])
         assert main(["f-estimate", "--config", cfg, "--cap-exact", "100"]) == 3
@@ -313,6 +361,29 @@ class TestRearrange:
         assert main(["rearrange", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_bytes() == expected.encode()
 
+    GOOD_SYMBOL = {"a": "a", "A": "A", "b": "b", "B": "B"}
+    MALFORMED = {
+        "labels_file_without_labels": ("rearrange", {"x": {"file": "labels.json"}}),
+        "symbol_without_a_letter": ("rearrange", {"x": [{"a": "a"}, {"a": "a"}]}),
+        "symbol_not_an_object": ("rearrange", {"x": [1, 2]}),
+        "symbol_word_not_a_string": ("rearrange", {"x": [{**GOOD_SYMBOL, "a": 1}] * 2}),
+        "automorphism_without_images": ("rearrange", {"x": {"automorphism": {}}}),
+        "rho_not_an_integer": ("rearrange", {"rho": "x"}),
+        "action_n_not_an_integer": ("rearrange", {"sigma": {"n": "x", "seed": 1}}),
+        "sampler_not_an_object": ("rearrange", {"x": {"sampler": 5}}),
+        "fewer_labels_than_vertices": ("sft-verify", {"x": [GOOD_SYMBOL]}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_source_exits_2(self, tmp_path, monkeypatch, capsys, name):
+        command, overrides = self.MALFORMED[name]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "labels.json").write_text(json.dumps({"symbols": []}))
+        cfg = {"rank": 2, "rho": 1, "sigma": {"n": 2, "seed": 1}, "x": [self.GOOD_SYMBOL] * 2}
+        (tmp_path / "cfg.json").write_text(json.dumps({**cfg, **overrides}))
+        assert main([command, "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
     def test_deterministic_reports(self, tmp_path):
         cfg = self._config(tmp_path, {"a": "b", "b": "a"}, 1)
         blobs = []
@@ -363,9 +434,9 @@ class TestBall:
 
 class TestEstimateFromMarginals:
     def test_marginals_source_matches_weight_source(self, half_weight_file, tmp_path):
-        from finvariant import marginal_distribution, bernoulli_weight as bw
+        from finvariant import marginal_distribution
 
-        w = bw({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2)
+        w = bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2)
         data = marginal_distribution(w, CTX.ball(0)).to_json(CTX)
         data["rank"] = 2
         marg = tmp_path / "marg.json"
@@ -422,6 +493,11 @@ class TestWeightTools:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("input error: malformed distribution entry")
 
+    @pytest.mark.parametrize("action", ["markovize", "distance"])
+    def test_missing_file_flag_exits_2(self, half_weight_file, capsys, action):
+        assert main(["weight-tools", action, "--weight", half_weight_file]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: weight-tools {action} needs --")
+
     def test_validate(self, half_weight_file, capsys):
         assert main(["weight-tools", "validate", "--weight", half_weight_file]) == 0
         assert "valid" in capsys.readouterr().out
@@ -452,9 +528,9 @@ class TestWeightTools:
         assert all(isinstance(v, dict) for v in data["vertex"].values())
 
     def test_markovize_reports_f_match(self, half_weight_file, tmp_path, capsys):
-        from finvariant import marginal_distribution, bernoulli_weight as bw
+        from finvariant import marginal_distribution
 
-        w = bw({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2)
+        w = bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2)
         dist = marginal_distribution(w, CTX.ball(2))
         data = dist.to_json(CTX)
         data["rank"] = 2

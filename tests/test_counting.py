@@ -17,19 +17,18 @@ from finvariant import (
     PatternDistribution,
     ResourceCapError,
     Weight,
-    bernoulli_weight,
     count_omega,
-    d_star,
     empirical_distribution,
     enumerate_actions,
     expected_count,
     f_estimate,
     l1_distance,
     marginal_distribution,
-    nn_spec,
     sample_action,
     sft_check_all,
 )
+
+from paper_objects import bernoulli_weight, d_star, nn_spec
 
 CTX2 = FreeGroupCtx(2)
 CTX1 = FreeGroupCtx(1)

@@ -21,35 +21,30 @@ from finvariant import (
     PreconditionError,
     WindowError,
     decode_E,
-    encode_E,
     encode_F,
-    encode_F_product,
-    identity_bijection,
     pattern_inverse_eval,
     pullback_name,
     reconstruct_sigma,
     sample_action,
-    shift_pattern,
-    sym_distance,
     tau_construct,
-    theta_action,
-    theta_tilde,
-    upsilon_action,
-    upsilon_tilde,
     verify_zrho,
     zrho_spec,
 )
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
-from finvariant.orbitmaps import (
+from finvariant.orbitmaps import compose_after_inverse
+from finvariant.sft import sft_check_all, symbol_entry
+
+from paper_objects import (
     agree_on_common_window,
     compose,
-    compose_after_inverse,
+    encode_E,
     invert,
     realized_displacement,
-    same_orbit_witness_theta,
-    same_orbit_witness_upsilon,
+    shift_pattern,
+    sym_distance,
+    theta_action,
+    upsilon_action,
 )
-from finvariant.sft import sft_check_all, symbol_entry
 
 CTX = FreeGroupCtx(2)
 
@@ -99,7 +94,7 @@ def direct_upsilon_table(ctx, h, phi):
 
 class TestActions:
     def test_theta_fixes_identity(self):
-        phi = identity_bijection(CTX, 4)
+        phi = AUTOS["identity"].bijection(4)
         th = theta_action(CTX, CTX.parse("ab"), phi)
         assert all(th.table[g] == g for g in th.table)
 
@@ -124,7 +119,7 @@ class TestActions:
             assert agree_on_common_window(lhs, rhs)
 
     def test_window_exhaustion(self):
-        phi = identity_bijection(CTX, 1)
+        phi = AUTOS["identity"].bijection(1)
         with pytest.raises(WindowError):
             theta_action(CTX, CTX.parse("ab"), phi)
 
@@ -150,13 +145,13 @@ class TestActions:
             if not h:
                 continue
             # upsilon-h equals theta at the explicit witness
-            h1 = same_orbit_witness_theta(phi, h)
+            h1 = inv(phi.inverse_word(inv(h)))
             lhs = direct_upsilon_table(CTX, h, phi)
             rhs = theta_action(CTX, h1, phi)
             common = set(lhs) & set(rhs.table)
             assert common and all(lhs[g] == rhs.table[g] for g in common)
             # theta-h equals upsilon at the reverse witness
-            h2 = same_orbit_witness_upsilon(phi, h)
+            h2 = inv(phi(inv(h)))
             lhs2 = theta_action(CTX, h, phi)
             rhs2 = direct_upsilon_table(CTX, h2, phi)
             common2 = set(lhs2.table) & set(rhs2)
@@ -171,7 +166,7 @@ def random_word(rng, max_len):
 
 class TestEncodeDecode:
     def test_identity_encodes_to_letters(self):
-        phi = identity_bijection(CTX, 3)
+        phi = AUTOS["identity"].bijection(3)
         x = encode_E(CTX, phi)
         assert all(sym == tuple((l,) for l in CTX.letters) for sym in x.values)
 
@@ -192,7 +187,7 @@ class TestEncodeDecode:
             assert common and all(lhs[g] == rhs[g] for g in common)
 
     def test_decode_constant_identity(self):
-        phi = identity_bijection(CTX, 3)
+        phi = AUTOS["identity"].bijection(3)
         dec = decode_E(CTX, encode_E(CTX, phi))
         assert dec.table == phi.table
 
@@ -228,7 +223,7 @@ class TestEncodeDecode:
     def test_inverse_eval(self):
         phi = AUTOS["swap"].bijection(4)
         assert phi.inverse_word(CTX.parse("a")) == CTX.parse("b")
-        assert identity_bijection(CTX, 3).inverse_word(CTX.parse("ab")) == CTX.parse("ab")
+        assert AUTOS["identity"].bijection(3).inverse_word(CTX.parse("ab")) == CTX.parse("ab")
         with pytest.raises(WindowError):
             phi.inverse_word(CTX.parse("ababab"))
 
@@ -286,7 +281,7 @@ class TestBallPatternOracles:
 
 class TestEncodeF:
     def test_identity(self):
-        f = encode_F(CTX, identity_bijection(CTX, 4))
+        f = encode_F(CTX, AUTOS["identity"].bijection(4))
         assert all(sym == tuple((l,) for l in CTX.letters) for sym in f.values)
 
     def test_automorphisms_agree_with_E(self):
@@ -321,15 +316,15 @@ class TestProductMaps:
     def test_identity_product(self):
         rng = random.Random(6)
         y = self._ypattern(rng)
-        phi = identity_bijection(CTX, 4)
-        fx, fy = encode_F_product(CTX, phi, y)
+        phi = AUTOS["identity"].bijection(4)
+        fy = compose_after_inverse(phi, y)
         assert fy.restrict(y.domain[:3]) == y.restrict(y.domain[:3])
 
     def test_swap_moves_labels(self):
         rng = random.Random(7)
         y = self._ypattern(rng, 1)
         phi = AUTOS["swap"].bijection(4)
-        _, fy = encode_F_product(CTX, phi, y)
+        fy = compose_after_inverse(phi, y)
         assert fy[CTX.parse("a")] == y[CTX.parse("b")]
         assert fy[CTX.parse("b")] == y[CTX.parse("a")]
 
@@ -342,7 +337,7 @@ class TestProductMaps:
             h = random_word(rng, 1)
             if not h:
                 continue
-            tphi, ty = theta_tilde(CTX, h, phi, y)
+            tphi, ty = theta_action(CTX, h, phi), shift_pattern(h, y)
             lx, ly = encode_E(CTX, tphi), ty
             rx = shift_pattern(h, encode_E(CTX, phi))
             ry = shift_pattern(h, y)
@@ -360,11 +355,12 @@ class TestProductMaps:
             if not h:
                 continue
             try:
-                uphi, uy = upsilon_tilde(CTX, h, phi, y)
-                lx, ly = encode_F_product(CTX, uphi, uy)
+                uphi = upsilon_action(CTX, h, phi)
+                uy = shift_pattern(inv(phi.inverse_word(inv(h))), y)
+                lx, ly = encode_F(CTX, uphi), compose_after_inverse(uphi, uy)
             except WindowError:
                 continue
-            rx, ry = encode_F_product(CTX, phi, y)
+            rx, ry = encode_F(CTX, phi), compose_after_inverse(phi, y)
             rx, ry = shift_pattern(h, rx), shift_pattern(h, ry)
             cx = [g for g in lx.domain if g in rx]
             assert cx and all(lx[g] == rx[g] for g in cx)
@@ -527,7 +523,7 @@ class TestDiagnostics:
 
     def test_sym_distance_positive_on_different(self):
         a = AUTOS["swap"].bijection(4)
-        b = identity_bijection(CTX, 4)
+        b = AUTOS["identity"].bijection(4)
         assert sym_distance(CTX, a, b, 3) > 0
 
     def test_compose_and_invert(self):

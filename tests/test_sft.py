@@ -13,15 +13,15 @@ from finvariant import (
     Pattern,
     SftSpec,
     axioms_check,
-    nn_spec,
     sample_action,
     sample_sft_config,
     sft_check_all,
-    sft_check_vertex,
     zrho_spec,
 )
 from finvariant.freegroup import IDENTITY
 from finvariant.orbitmaps import Automorphism
+
+from paper_objects import identity_symbol, nn_spec, sft_check_vertex
 
 CTX2 = FreeGroupCtx(2)
 CTX1 = FreeGroupCtx(1)
@@ -85,12 +85,12 @@ class TestCheckers:
 class TestAxioms:
     def test_identity_configuration_accepted(self):
         alphabet = OrbitAlphabet(CTX2, 1)
-        pattern = constant_pattern(CTX2, 2, alphabet.identity_symbol())
+        pattern = constant_pattern(CTX2, 2, identity_symbol(alphabet))
         assert axioms_check(CTX2, 1, pattern).ok
 
     def test_axiom1_violation(self):
         # z_e(a) = a but z_a(A) = a: the product is aa, not e
-        sym = list(OrbitAlphabet(CTX2, 1).identity_symbol())
+        sym = list(identity_symbol(OrbitAlphabet(CTX2, 1)))
         sym[1] = CTX2.parse("a")  # entry for A
         pattern = constant_pattern(CTX2, 2, tuple(sym))
         report = axioms_check(CTX2, 1, pattern)
@@ -138,7 +138,7 @@ class TestAxioms:
 
     def test_domain_too_small_rejected(self):
         alphabet = OrbitAlphabet(CTX2, 1)
-        pattern = constant_pattern(CTX2, 1, alphabet.identity_symbol())
+        pattern = constant_pattern(CTX2, 1, identity_symbol(alphabet))
         with pytest.raises(Exception):
             axioms_check(CTX2, 1, pattern)
 

@@ -8,24 +8,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finvariant import (
-    Alphabet,
-    BlockCode,
     FiniteAction,
     FreeGroupCtx,
     InputError,
     Pattern,
     PatternDistribution,
-    apply_block_code,
-    d_star,
     empirical_distribution,
-    identity_code,
-    join_code,
     l1_distance,
     pullback_name,
     sample_action,
-    shift_pattern,
 )
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
+
+from paper_objects import (
+    Alphabet,
+    BlockCode,
+    apply_block_code,
+    bernoulli_weight,
+    d_star,
+    identity_code,
+    join_code,
+    shift_pattern,
+)
 
 
 @pytest.fixture(scope="module")
@@ -312,7 +316,7 @@ class TestDistributionJson:
             PatternDistribution(ctx.ball(0), {(0,): 0.7})
 
     def _ball_dist(self, ctx):
-        from finvariant import bernoulli_weight, marginal_distribution
+        from finvariant import marginal_distribution
 
         w = bernoulli_weight({"0": Fraction(1, 3), "1": Fraction(2, 3)}, 2)
         return marginal_distribution(w, ctx.ball(1))

@@ -31,19 +31,20 @@ from .errors import (
     InputError,
     ResourceCapError,
     VerificationError,
+    WindowError,
 )
 from .freegroup import FreeGroupCtx, inv
 from .orbitmaps import (
     Automorphism,
-    compose_after_inverse,
     decode_E,
     encode_F,
     pattern_inverse_eval,
     reconstruct_sigma,
     tau_construct,
     verify_zrho,
+    zrho_pullbacks,
 )
-from .sft import SftSpec, axioms_check, sample_sft_config, zrho_spec
+from .sft import SftSpec, sample_sft_config, zrho_spec
 from .shift import (
     PatternDistribution,
     empirical_distribution,
@@ -79,6 +80,10 @@ def _config_hash(config: dict) -> str:
 
 
 def _load_json(path: str) -> dict:
+    # open() would take an integer (or a bool) as a file descriptor and read
+    # standard input for 0
+    if not isinstance(path, str):
+        raise InputError(f"a file path must be a string, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -285,7 +290,7 @@ def _resolve_config_labels(
         if not isinstance(spec, list):
             raise InputError(f"{path} has no 'labels' list")
     if isinstance(spec, list):
-        if len(spec) < action.n:
+        if len(spec) != action.n:
             raise InputError(f"configuration has {len(spec)} labels for {action.n} vertices")
         return Microstate(tuple(_decode_symbol(ctx, sym) for sym in spec))
     if not isinstance(spec, dict):
@@ -346,20 +351,22 @@ def cmd_rearrange(args) -> int:
     lines.append(f"rho: {rho}")
     failures = []
 
-    patterns = verify_zrho(ctx, rho, action, labels)  # raises naming the vertex
+    pullbacks = verify_zrho(ctx, rho, action, labels)  # raises naming the vertex
     lines.append("admissibility: PASS")
-    tau = tau_construct(ctx, rho, action, patterns)
+    tau = tau_construct(ctx, action, pullbacks)
     lines.append("tau:")
     for i, perm in enumerate(tau.perms, start=1):
         lines.append(f"  {ctx.letter_name(i)}: {list(perm)}")
 
-    # defining formula stays multiplicative on length-2 words
+    # defining formula stays multiplicative on length-2 words; psi_v(g^-1) is
+    # telescoped afresh from each distinct pattern, not read from the witness
+    # tables that tau was built from
     multiplicative = True
     words = [w for w in ctx.ball(2) if w]
     for g in words:
-        for v in range(action.n):
-            w = pattern_inverse_eval(ctx, rho, patterns[v], inv(g))
-            if tau.apply(g, v) != action.apply(inv(w), v):
+        steps = [inv(pattern_inverse_eval(ctx, rho, pat, inv(g))) for pat in pullbacks.patterns]
+        for v, k in enumerate(pullbacks.of_vertex):
+            if tau.apply(g, v) != action.apply(steps[k], v):
                 multiplicative = False
                 failures.append(f"multiplicativity fails at word {ctx.format(g)}, vertex {v}")
     lines.append(f"homomorphism_property: {'PASS' if multiplicative else 'FAIL'}")
@@ -372,25 +379,41 @@ def cmd_rearrange(args) -> int:
         rng = random.Random(int(seed))
         ylabels = tuple(rng.choice(y_alphabet) for _ in range(action.n))
 
-    # one pass per vertex decodes phi_v once: it checks the pullback identity
-    # on the guaranteed window and builds the vertex's transported key.  Each
-    # map is dropped after its vertex; keeping all of them (a table on the
-    # radius rho^2+2 ball per vertex) more than doubles the peak memory.
+    # phi_v depends only on v's pullback pattern, so each distinct pattern is
+    # decoded once.  Per pattern this keeps the companion encoding on the
+    # window and, with labels y, the position of phi^-1(f) in the radius rho*m
+    # ball for each window word f; phi itself, a table on the radius rho^2+2
+    # ball, is dropped, so memory does not grow with the number of patterns.
     m = (rho * rho + 1) // rho
     window = ctx.ball(m)
+    y_ball = {g: c for c, g in enumerate(ctx.ball(rho * m))}
+    expected_keys = []
+    columns = []
+    for pat in pullbacks.patterns:
+        phi = decode_E(ctx, pat)
+        encoded = encode_F(ctx, phi)
+        if len(encoded.domain) < len(window):
+            raise WindowError(f"the companion encoding does not cover the radius-{m} window")
+        # both are shortlex balls, so the window is a prefix of the encoding
+        expected_keys.append(encoded.values[: len(window)])
+        if y_alphabet:
+            # admissibility puts phi^-1 of the window inside the radius rho*m ball
+            inverse = phi.inverse_table()
+            columns.append(tuple(y_ball[inverse[f]] for f in window))
+
+    # the pullback identity and the transported keys are per vertex
     pullback_ok = True
-    transported: dict = {}
-    for v in range(action.n):
-        phi_v = decode_E(ctx, patterns[v])
-        expected = encode_F(ctx, phi_v).restrict(window)
-        if expected != pullback_name(ctx, tau, labels, v, m):
+    counts: dict = {}
+    for v, k in enumerate(pullbacks.of_vertex):
+        key = expected_keys[k]
+        if key != pullback_name(ctx, tau, labels, v, m).values:
             pullback_ok = False
             failures.append(f"pullback identity fails at vertex {v}")
-        key = expected.values
         if y_alphabet:
-            ypat = pullback_name(ctx, action, ylabels, v, rho * m)
-            key = ((key, compose_after_inverse(phi_v, ypat).restrict(window).values),)
-        transported[key] = transported.get(key, 0) + Fraction(1, action.n)
+            yvalues = pullback_name(ctx, action, ylabels, v, rho * m).values
+            key = ((key, tuple(yvalues[c] for c in columns[k])),)
+        counts[key] = counts.get(key, 0) + 1
+    transported = {key: Fraction(c, action.n) for key, c in counts.items()}
     lines.append(f"pullback_identity: {'PASS' if pullback_ok else 'FAIL'}")
 
     sigma_back = reconstruct_sigma(ctx, tau, labels)
@@ -437,9 +460,9 @@ def cmd_sft_verify(args) -> int:
 
     lines = [f"config_hash: {_config_hash(config)}", "command: sft-verify", f"rho: {rho}"]
     ok = True
-    radius = rho * rho + 1
-    for v in range(action.n):
-        report = axioms_check(ctx, rho, pullback_name(ctx, action, state.labels, v, radius))
+    pullbacks = zrho_pullbacks(ctx, rho, action, state.labels)
+    for v, k in enumerate(pullbacks.of_vertex):
+        report = pullbacks.reports[k]
         lines.append(f"vertex {v}: {'OK' if report.ok else 'FAIL ' + (report.reason or '')}")
         ok = ok and report.ok
     lines.append(f"overall: {'PASS' if ok else 'FAIL'}")

@@ -10,7 +10,7 @@ underlying objects are infinite and truncation has to stay explicit.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .actions import FiniteAction, Microstate
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul
 from .shift import Pattern, pullback_name
-from .sft import axioms_check, symbol_entry, telescope_walk
+from .sft import AxiomsReport, axioms_check, symbol_entry, telescope_walk
 
 
 class LocalBijection:
@@ -169,19 +169,6 @@ def encode_F(ctx: FreeGroupCtx, phi: LocalBijection) -> Pattern:
     return Pattern._on_ball(domain, values)
 
 
-def compose_after_inverse(phi: LocalBijection, ypattern: Pattern) -> Pattern:
-    """y o phi^-1: the value of y at f reappears at phi(f)."""
-    domain = []
-    values = []
-    for f in ypattern.domain:
-        if phi.defined(f):
-            domain.append(phi(f))
-            values.append(ypattern[f])
-    if not domain:
-        raise WindowError("no overlap between the label window and the map window")
-    return Pattern(domain, values)
-
-
 # ---------------------------------------------------------------------------
 # reconstruction from patterns and the rearranged action
 # ---------------------------------------------------------------------------
@@ -208,41 +195,70 @@ def pattern_inverse_eval(ctx: FreeGroupCtx, rho: int, pattern: Pattern, target: 
     return cur
 
 
-def verify_zrho(
-    ctx: FreeGroupCtx, rho: int, action: FiniteAction, labels
-) -> list[Pattern]:
-    """Check every pullback against the admissibility axioms; returns the
-    pullback patterns, which ``tau_construct`` takes.  Raises naming the
-    first failing vertex."""
+class Pullbacks:
+    """The radius rho^2+1 pullback patterns of a configuration, read as a
+    block code: each distinct pattern once, in order of first appearance,
+    with its axiom report, and per vertex the index of its pattern."""
+
+    __slots__ = ("patterns", "reports", "of_vertex")
+
+    def __init__(
+        self,
+        patterns: tuple[Pattern, ...],
+        reports: tuple[AxiomsReport, ...],
+        of_vertex: tuple[int, ...],
+    ):
+        self.patterns = patterns
+        self.reports = reports
+        self.of_vertex = of_vertex
+
+
+def zrho_pullbacks(ctx: FreeGroupCtx, rho: int, action: FiniteAction, labels) -> Pullbacks:
+    """Check every vertex's pullback against the admissibility axioms,
+    running the check once per distinct pattern."""
     radius = rho * rho + 1
-    patterns = []
+    index: dict[tuple, int] = {}
+    patterns: list[Pattern] = []
+    reports: list[AxiomsReport] = []
+    of_vertex = []
     for v in range(action.n):
         pat = pullback_name(ctx, action, labels, v, radius)
-        report = axioms_check(ctx, rho, pat)
+        k = index.get(pat.values)
+        if k is None:
+            k = index[pat.values] = len(patterns)
+            patterns.append(pat)
+            reports.append(axioms_check(ctx, rho, pat))
+        of_vertex.append(k)
+    return Pullbacks(tuple(patterns), tuple(reports), tuple(of_vertex))
+
+
+def verify_zrho(ctx: FreeGroupCtx, rho: int, action: FiniteAction, labels) -> Pullbacks:
+    """Check every pullback against the admissibility axioms; returns the
+    checked pullbacks, which ``tau_construct`` takes.  Raises naming the
+    first failing vertex."""
+    pullbacks = zrho_pullbacks(ctx, rho, action, labels)
+    for v, k in enumerate(pullbacks.of_vertex):
+        report = pullbacks.reports[k]
         if not report.ok:
             raise PreconditionError(f"vertex {v}: {report.reason}", vertex=v)
-        patterns.append(pat)
-    return patterns
+    return pullbacks
 
 
-def tau_construct(
-    ctx: FreeGroupCtx, rho: int, action: FiniteAction, patterns: Sequence[Pattern]
-) -> FiniteAction:
-    """The rearranged action: tau(g) v = sigma(phi_v^-1(g^-1)^-1) v, with
-    phi_v read off lazily from the pullback encoding at v.
+def tau_construct(ctx: FreeGroupCtx, action: FiniteAction, pullbacks: Pullbacks) -> FiniteAction:
+    """The rearranged action: tau(g) v = sigma(phi_v^-1(g^-1)^-1) v.
 
-    ``patterns`` are the per-vertex pullbacks that ``verify_zrho`` returned
-    for this action; admissibility is checked there and not again here.
-    Given admissible patterns, the returned generator images are bijections
-    and the defining formula is multiplicative in g.
+    On a generator, phi_v^-1(s_i^-1) is the telescope witness of s_i^-1 that
+    the axiom check of v's pullback pattern found, so it is read from that
+    pattern's report.  ``pullbacks`` is what ``verify_zrho`` returned for this
+    action; admissibility is checked there and not again here.  Given
+    admissible patterns, the returned generator images are bijections and the
+    defining formula is multiplicative in g.
     """
     n = action.n
     perms = []
     for i in range(1, ctx.rank + 1):
-        images = []
-        for v in range(n):
-            w = pattern_inverse_eval(ctx, rho, patterns[v], (-i,))
-            images.append(action.apply(inv(w), v))
+        steps = [inv(report.witnesses[(-i,)]) for report in pullbacks.reports]
+        images = [action.apply(steps[k], v) for v, k in enumerate(pullbacks.of_vertex)]
         if sorted(images) != list(range(n)):
             raise VerificationError(
                 f"rearranged generator {i} is not a bijection; admissibility was vacuous"

@@ -131,8 +131,13 @@ class SftSpec:
 
 @dataclass(frozen=True)
 class AxiomsReport:
+    """The verdict on one pattern.  A passing report carries the unique
+    telescope witness of every h in the radius-rho ball (the empty word for
+    the identity): the inverse of the encoded map, read on that ball."""
+
     ok: bool
     reason: str | None = None
+    witnesses: dict | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -216,13 +221,27 @@ def axioms_check(ctx: FreeGroupCtx, rho: int, pattern: Pattern) -> AxiomsReport:
                 f"axiom 2 fails: witness for {ctx.format(h)} has length "
                 f"{len(witnesses[0])}, beyond the geodesic bound {rho * len(h)}",
             )
-    return AxiomsReport(True)
+    return AxiomsReport(
+        True, witnesses={h: ws[0] if ws else IDENTITY for h, ws in targets.items()}
+    )
 
 
-def _zrho_edge_filter(ctx: FreeGroupCtx):
+def _zrho_edge_filter(ctx: FreeGroupCtx, rho: int):
+    # reduced words a, b multiply to e exactly when b = a^-1, so the inverses
+    # of the alphabet's words are looked up instead of multiplied
+    inverse = {w: inv(w) for w in ctx.ball(rho)}
+
     def ok(sym_v: tuple, sym_u: tuple, letter: int) -> bool:
-        # necessary pair condition from axiom 1 along the edge u = sigma(letter)^-1 v
-        return mul(symbol_entry(sym_v, letter), symbol_entry(sym_u, -letter)) == IDENTITY
+        # necessary pair condition from axiom 1 along the edge u = sigma(letter)^-1 v:
+        # z_v(s) z_u(s^-1) = e, with symbol_entry's positions written out
+        if letter > 0:
+            out, back = sym_v[2 * letter - 2], sym_u[2 * letter - 1]
+        else:
+            out, back = sym_v[-2 * letter - 1], sym_u[-2 * letter - 2]
+        expected = inverse.get(out)
+        if expected is None:  # a hint symbol outside the alphabet
+            return mul(out, back) == IDENTITY
+        return back == expected
 
     return ok
 
@@ -240,7 +259,7 @@ def zrho_spec(ctx: FreeGroupCtx, rho: int) -> SftSpec:
         alphabet=alphabet,
         predicate=predicate,
         predicate_radius=rho * rho + 1,
-        edge_filter=_zrho_edge_filter(ctx),
+        edge_filter=_zrho_edge_filter(ctx, rho),
         builtin="z_rho",
         rho=rho,
     )

@@ -20,7 +20,7 @@ from .freegroup import FreeGroupCtx, Word, inv, sort_words, word_sort_key
 class Pattern:
     """A total assignment window -> symbols, domain canonically shortlex-sorted."""
 
-    __slots__ = ("domain", "values", "_index")
+    __slots__ = ("domain", "values", "_at")
 
     def __init__(self, domain: Sequence[Word], values: Sequence):
         if len(domain) != len(values):
@@ -31,17 +31,24 @@ class Pattern:
             raise InputError("pattern domain has repeated words")
         object.__setattr__(self, "domain", dom)
         object.__setattr__(self, "values", tuple(values[k] for k in order))
-        object.__setattr__(self, "_index", {w: k for k, w in enumerate(dom)})
+        object.__setattr__(self, "_at", {w: k for k, w in enumerate(dom)})
 
     @classmethod
     def _on_ball(cls, ball: tuple, values: Sequence) -> "Pattern":
         """A pattern on ``ctx.ball(m)``, which is shortlex-sorted and
-        repeat-free by construction, so the sort and the check are skipped."""
+        repeat-free by construction, so the sort and the check are skipped.
+        The word index is built on first lookup: most pullback patterns are
+        only compared or hashed by their values."""
         self = object.__new__(cls)
         object.__setattr__(self, "domain", ball)
         object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "_index", {w: k for k, w in enumerate(ball)})
+        object.__setattr__(self, "_at", None)
         return self
+
+    def _build_index(self) -> dict:
+        at = {w: k for k, w in enumerate(self.domain)}
+        object.__setattr__(self, "_at", at)
+        return at
 
     def __setattr__(self, name, value):
         raise AttributeError("Pattern is immutable")
@@ -52,16 +59,16 @@ class Pattern:
         return cls([w for w, _ in items], [v for _, v in items])
 
     def __contains__(self, w: Word) -> bool:
-        return w in self._index
+        return w in (self._at or self._build_index())
 
     def __getitem__(self, w: Word):
         try:
-            return self.values[self._index[w]]
+            return self.values[(self._at or self._build_index())[w]]
         except KeyError:
             raise InputError(f"word {w} outside pattern domain") from None
 
     def get(self, w: Word, default=None):
-        k = self._index.get(w)
+        k = (self._at or self._build_index()).get(w)
         return default if k is None else self.values[k]
 
     def as_dict(self) -> dict:

@@ -6,7 +6,8 @@ theta/upsilon actions with the edge-label encoding E (criterion 08), block
 codes and the join observable (criterion 09), the pair-marginal distance
 d_star that the brute-force counting oracle uses, Bernoulli product weights,
 tree-factorized pattern probabilities, nearest-neighbor constraint systems,
-past windows and the orbit-map diagnostics.
+past windows, label transport through an orbit map and the orbit-map
+diagnostics.
 """
 
 from __future__ import annotations
@@ -310,6 +311,20 @@ def encode_E(ctx: FreeGroupCtx, phi: LocalBijection) -> Pattern:
             sym.append(step)
         values.append(tuple(sym))
     return Pattern._on_ball(domain, values)
+
+
+def compose_after_inverse(phi: LocalBijection, ypattern: Pattern) -> Pattern:
+    """y o phi^-1: the value of y at f reappears at phi(f).  The oracle of the
+    column tables through which ``rearrange`` transports labels."""
+    domain = []
+    values = []
+    for f in ypattern.domain:
+        if phi.defined(f):
+            domain.append(phi(f))
+            values.append(ypattern[f])
+    if not domain:
+        raise WindowError("no overlap between the label window and the map window")
+    return Pattern(domain, values)
 
 
 def sym_distance(

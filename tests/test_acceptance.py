@@ -40,7 +40,7 @@ from finvariant import (
 )
 from finvariant.cli import main
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
-from finvariant.orbitmaps import LocalBijection, compose_after_inverse
+from finvariant.orbitmaps import LocalBijection
 from finvariant.weights import Weight
 
 from conftest import canonical_automorphisms
@@ -49,6 +49,7 @@ from paper_objects import (
     apply_block_code,
     bernoulli_weight,
     compose,
+    compose_after_inverse,
     encode_E,
     join_code,
     nn_spec,
@@ -256,7 +257,7 @@ def test_criterion_07_rearrangement_suite(accepted_instances):
         rho = inst.rho
         action, labels = inst.action, inst.labels
         n = action.n
-        tau = tau_construct(CTX, rho, action, verify_zrho(CTX, rho, action, labels))
+        tau = tau_construct(CTX, action, verify_zrho(CTX, rho, action, labels))
 
         # multiplicativity of the generator images on random word pairs
         for _ in range(100):

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -126,6 +128,21 @@ class TestFExact:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"rank": 2, "alphabet": ["0"], "vertex": {"0": 0.5}, "edge": []}))
         assert main(["f-exact", "--weight", str(path)]) == 2
+
+    @pytest.mark.parametrize("path", [0, True, ["half.json"]], ids=["zero", "true", "list"])
+    def test_non_string_path_exits_2_without_reading(self, tmp_path, path):
+        # open() takes an integer as a file descriptor: 0 is standard input.
+        # The child runs with standard input closed, so a read cannot hang.
+        (tmp_path / "cfg.json").write_text(json.dumps({"weight": path}))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = "import os, sys; os.close(0); from finvariant.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "f-exact", "--config", "cfg.json"],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, stdin=subprocess.DEVNULL,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"input error: a file path must be a string, got {path!r}\n"
 
     def test_rho_cap_exits_3(self, half_weight_file, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -372,6 +389,7 @@ class TestRearrange:
         "action_n_not_an_integer": ("rearrange", {"sigma": {"n": "x", "seed": 1}}),
         "sampler_not_an_object": ("rearrange", {"x": {"sampler": 5}}),
         "fewer_labels_than_vertices": ("sft-verify", {"x": [GOOD_SYMBOL]}),
+        "more_labels_than_vertices": ("sft-verify", {"x": [GOOD_SYMBOL] * 3}),
     }
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -383,6 +401,27 @@ class TestRearrange:
         (tmp_path / "cfg.json").write_text(json.dumps({**cfg, **overrides}))
         assert main([command, "--config", "cfg.json"]) == 2
         assert capsys.readouterr().err.startswith("input error: ")
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_label_count_must_match_vertices(self, tmp_path, capsys, count):
+        cfg = {"rank": 2, "rho": 1, "sigma": {"n": 2, "seed": 1}, "x": [self.GOOD_SYMBOL] * count}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["sft-verify", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: configuration has {count} labels for 2 vertices\n"
+        )
+
+    # a rho = 1 configuration with 40 distinct radius-2 pullback patterns over
+    # n = 200 (tests/data/make_mixed_rho1.py); both reports were generated
+    # while every vertex was still checked and decoded on its own
+    @pytest.mark.parametrize("command", ["rearrange", "sft-verify"])
+    def test_many_pattern_golden_report(self, tmp_path, command):
+        data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+        out = tmp_path / "report.txt"
+        assert main([command, "--config", os.path.join(data, "mixed_rho1.json"), "--out", str(out)]) == 0
+        golden = os.path.join(data, f"mixed_rho1_{command.replace('-', '_')}.txt")
+        with open(golden, "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
     def test_deterministic_reports(self, tmp_path):
         cfg = self._config(tmp_path, {"a": "b", "b": "a"}, 1)

@@ -6,6 +6,8 @@ independently of the library's theta-reduction, so the same-orbit identities
 are genuine cross-checks rather than restatements of the implementation.
 """
 
+import json
+import os
 import random
 
 import pytest
@@ -20,6 +22,7 @@ from finvariant import (
     Pattern,
     PreconditionError,
     WindowError,
+    axioms_check,
     decode_E,
     encode_F,
     pattern_inverse_eval,
@@ -31,12 +34,12 @@ from finvariant import (
     zrho_spec,
 )
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
-from finvariant.orbitmaps import compose_after_inverse
 from finvariant.sft import sft_check_all, symbol_entry
 
 from paper_objects import (
     agree_on_common_window,
     compose,
+    compose_after_inverse,
     encode_E,
     invert,
     realized_displacement,
@@ -396,13 +399,13 @@ class TestTau:
     def test_identity_config_gives_sigma(self):
         action = sample_action(7, 2, seed=11)
         labels = AUTOS["identity"].constant_config(7).labels
-        tau = tau_construct(CTX, 1, action, verify_zrho(CTX, 1, action, labels))
+        tau = tau_construct(CTX, action, verify_zrho(CTX, 1, action, labels))
         assert tau == action
 
     def test_swap_config_brute_force(self):
         action = sample_action(6, 2, seed=12)
         labels = AUTOS["swap"].constant_config(6).labels
-        tau = tau_construct(CTX, 1, action, verify_zrho(CTX, 1, action, labels))
+        tau = tau_construct(CTX, action, verify_zrho(CTX, 1, action, labels))
         # phi_v is constantly the swap (its own inverse): tau(g) = sigma(swap(g))
         assert tau.perms[0] == action.perms[1]
         assert tau.perms[1] == action.perms[0]
@@ -411,7 +414,7 @@ class TestTau:
         action = sample_action(6, 2, seed=13)
         auto = AUTOS["nielsen"]
         labels = auto.constant_config(6).labels
-        tau = tau_construct(CTX, 2, action, verify_zrho(CTX, 2, action, labels))
+        tau = tau_construct(CTX, action, verify_zrho(CTX, 2, action, labels))
         # phi_v = nielsen^-1, so tau(g) = sigma(nielsen(g))
         for i, name in ((1, "a"), (2, "b")):
             word = auto.apply(CTX.parse(name))
@@ -424,13 +427,13 @@ class TestTau:
         sym[0] = CTX.parse("a")
         labels[3] = tuple(sym)
         with pytest.raises(PreconditionError):
-            tau_construct(CTX, 1, action, verify_zrho(CTX, 1, action, tuple(labels)))
+            tau_construct(CTX, action, verify_zrho(CTX, 1, action, tuple(labels)))
 
     def test_pullback_identity(self):
         action = sample_action(6, 2, seed=15)
         for name in ("swap", "inversion"):
             labels = AUTOS[name].constant_config(6).labels
-            tau = tau_construct(CTX, 1, action, verify_zrho(CTX, 1, action, labels))
+            tau = tau_construct(CTX, action, verify_zrho(CTX, 1, action, labels))
             for v in range(6):
                 phi_v = decode_E(CTX, pullback_name(CTX, action, labels, v, 2))
                 lhs = pullback_name(CTX, tau, labels, v, 2)
@@ -443,7 +446,7 @@ class TestTau:
             auto = AUTOS[name]
             labels = auto.constant_config(6).labels
             rho = auto.displacement
-            tau = tau_construct(CTX, rho, action, verify_zrho(CTX, rho, action, labels))
+            tau = tau_construct(CTX, action, verify_zrho(CTX, rho, action, labels))
             assert reconstruct_sigma(CTX, tau, labels) == action
 
 
@@ -485,8 +488,6 @@ class TestInclusions:
 
     def test_encodings_of_bounded_bijections_are_admissible(self):
         # includes a genuinely non-automorphism element: the tree transposition
-        from finvariant import axioms_check
-
         t = transposition(CTX, 7, CTX.parse("a"), CTX.parse("aa"))
         assert t.rho == 2
         t.validate(CTX)
@@ -505,8 +506,6 @@ class TestInclusions:
             assert axioms_check(CTX, rho, pattern2).ok
 
     def test_accepted_patterns_decode_to_bounded_bijections(self):
-        from finvariant import axioms_check
-
         t = transposition(CTX, 7, CTX.parse("a"), CTX.parse("aa"))
         pattern = encode_E(CTX, t).restrict(CTX.ball(5))
         assert axioms_check(CTX, 2, pattern).ok
@@ -543,10 +542,112 @@ class TestLabeledTransport:
             rho = auto.displacement
             labels = auto.constant_config(6).labels
             ylabels = tuple(rng.choice("pq") for _ in range(6))
-            tau = tau_construct(CTX, rho, action, verify_zrho(CTX, rho, action, labels))
+            tau = tau_construct(CTX, action, verify_zrho(CTX, rho, action, labels))
             for v in range(6):
                 phi_v = decode_E(CTX, pullback_name(CTX, action, labels, v, rho * rho + 1))
                 lhs = pullback_name(CTX, tau, ylabels, v, 1)
                 y_sigma = pullback_name(CTX, action, ylabels, v, rho)
                 rhs = compose_after_inverse(phi_v, y_sigma).restrict(CTX.ball(1))
                 assert lhs == rhs
+
+
+MIXED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "mixed_rho1.json")
+
+
+def mixed_config():
+    """The checked-in rho = 1 configuration with 40 distinct radius-2
+    pullback patterns over n = 200 (see ``data/make_mixed_rho1.py``)."""
+    with open(MIXED, encoding="utf-8") as fh:
+        config = json.load(fh)
+    labels = tuple(
+        tuple(CTX.parse(sym[CTX.letter_name(letter)]) for letter in CTX.letters)
+        for sym in config["x"]
+    )
+    return FiniteAction.from_json(config["sigma"]), labels
+
+
+def distinct_pullbacks(action, labels, radius):
+    seen = {}
+    for v in range(action.n):
+        pat = pullback_name(CTX, action, labels, v, radius)
+        seen.setdefault(pat.values, pat)
+    return list(seen.values())
+
+
+class TestBlockCode:
+    """The block-code route of ``rearrange`` and ``sft-verify`` against
+    per-vertex oracles."""
+
+    def constant_cases(self):
+        for seed, name in enumerate(("identity", "swap", "inversion", "nielsen")):
+            auto = AUTOS[name]
+            action = sample_action(7, 2, seed=30 + seed)
+            yield auto.displacement, action, auto.constant_config(7).labels
+
+    def test_witnesses_are_the_telescoped_inverse(self):
+        cases = [(rho, pullback_name(CTX, action, labels, 0, rho * rho + 1))
+                 for rho, action, labels in self.constant_cases()]
+        action, labels = mixed_config()
+        cases += [(1, pat) for pat in distinct_pullbacks(action, labels, 2)]
+        assert len(cases) == 4 + 40
+        for rho, pat in cases:
+            report = axioms_check(CTX, rho, pat)
+            assert report.ok and set(report.witnesses) == set(CTX.ball(rho))
+            for t in CTX.letters:
+                assert report.witnesses[(t,)] == pattern_inverse_eval(CTX, rho, pat, (t,))
+            for h in CTX.ball(rho):
+                assert report.witnesses[h] == pattern_inverse_eval(CTX, rho, pat, h)
+
+    def test_tau_matches_per_vertex_oracle(self):
+        mixed_action, mixed_labels = mixed_config()
+        cases = list(self.constant_cases()) + [(1, mixed_action, mixed_labels)]
+        for rho, action, labels in cases:
+            tau = tau_construct(CTX, action, verify_zrho(CTX, rho, action, labels))
+            for i in range(1, CTX.rank + 1):
+                expected = []
+                for v in range(action.n):
+                    pat = pullback_name(CTX, action, labels, v, rho * rho + 1)
+                    w = pattern_inverse_eval(CTX, rho, pat, (-i,))
+                    expected.append(action.apply(inv(w), v))
+                assert list(tau.perms[i - 1]) == expected
+
+    def test_first_failing_vertex_is_named_when_its_pattern_repeats(self):
+        # two copies of one component, corrupted alike: every failing pattern
+        # of the first copy comes back in the second
+        part = sample_action(6, 2, seed=40)
+        action = FiniteAction(12, tuple(p + tuple(v + 6 for v in p) for p in part.perms))
+        labels = list(AUTOS["swap"].constant_config(12).labels)
+        for u in (4, 10):
+            sym = list(labels[u])
+            sym[0] = CTX.parse("a")
+            labels[u] = tuple(sym)
+        labels = tuple(labels)
+        pats = [pullback_name(CTX, action, labels, v, 2) for v in range(12)]
+        failing = [v for v in range(12) if not axioms_check(CTX, 1, pats[v]).ok]
+        first = failing[0]
+        assert pats[first] == pats[first + 6]
+        with pytest.raises(PreconditionError) as err:
+            verify_zrho(CTX, 1, action, labels)
+        assert err.value.vertex == first
+        assert str(err.value).startswith(f"vertex {first}: ")
+
+    def test_each_rearrange_run_checks_each_distinct_pattern_once(self, tmp_path, monkeypatch):
+        # a memo that outlived one command would make the second run check less
+        from finvariant import orbitmaps
+        from finvariant.cli import main
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return axioms_check(*args, **kwargs)
+
+        monkeypatch.setattr(orbitmaps, "axioms_check", counted)
+        action, labels = mixed_config()
+        distinct = len(distinct_pullbacks(action, labels, 2))
+        per_run = []
+        for k in range(2):
+            calls.clear()
+            assert main(["rearrange", "--config", MIXED, "--out", str(tmp_path / f"r{k}.txt")]) == 0
+            per_run.append(len(calls))
+        assert per_run == [distinct, distinct]

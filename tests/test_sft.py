@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finvariant import (
     FiniteAction,
@@ -18,8 +19,9 @@ from finvariant import (
     sft_check_all,
     zrho_spec,
 )
-from finvariant.freegroup import IDENTITY
+from finvariant.freegroup import IDENTITY, inv, mul
 from finvariant.orbitmaps import Automorphism
+from finvariant.sft import symbol_entry
 
 from paper_objects import identity_symbol, nn_spec, sft_check_vertex
 
@@ -182,6 +184,39 @@ class TestZrhoSpec:
         spec = nn_spec(("0", "1"), [("0", "1", 1)])
         back = SftSpec.from_json(CTX2, spec.to_json(CTX2))
         assert back.forbidden_pairs == spec.forbidden_pairs
+
+
+@st.composite
+def edge_filter_cases(draw):
+    """(rho, sym_v, sym_u, letter) over the z_rho alphabet; half the draws
+    make sym_u's back entry the inverse of sym_v's out entry, so both
+    verdicts occur."""
+    rho = draw(st.sampled_from((1, 2)))
+    words = st.sampled_from(CTX2.ball(rho))
+    sym_v = draw(st.tuples(*[words] * 4))
+    sym_u = list(draw(st.tuples(*[words] * 4)))
+    letter = draw(st.sampled_from(CTX2.letters))
+    if draw(st.booleans()):
+        back = CTX2.letters.index(-letter)
+        sym_u[back] = inv(symbol_entry(sym_v, letter))
+    return rho, sym_v, tuple(sym_u), letter
+
+
+class TestEdgeFilter:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_filter_cases())
+    def test_matches_the_product_form(self, case):
+        rho, sym_v, sym_u, letter = case
+        product = mul(symbol_entry(sym_v, letter), symbol_entry(sym_u, -letter))
+        assert zrho_spec(CTX2, rho).edge_filter(sym_v, sym_u, letter) == (product == IDENTITY)
+
+    def test_symbol_outside_the_alphabet(self):
+        # a hint symbol may carry words longer than rho
+        ok = zrho_spec(CTX2, 1).edge_filter
+        a, aa = CTX2.parse("a"), CTX2.parse("aa")
+        v = (aa, a, a, a)
+        assert ok(v, (a, inv(aa), a, a), 1)
+        assert not ok(v, (a, a, a, a), 1)
 
 
 class TestSampler:

@@ -88,6 +88,11 @@ def _ball(rank: int, radius: int) -> tuple[Word, ...]:
     return tuple(entry[0] for entry in _ball_tree(rank, radius))
 
 
+@lru_cache(maxsize=None)
+def _ball_index(rank: int, radius: int) -> dict[Word, int]:
+    return {w: k for k, w in enumerate(_ball(rank, radius))}
+
+
 @dataclass(frozen=True)
 class FreeGroupCtx:
     """Rank and generator naming for one free group."""
@@ -137,6 +142,13 @@ class FreeGroupCtx:
         if radius < 0:
             raise InputError("radius must be >= 0")
         return _ball(self.rank, radius)
+
+    def ball_index(self, radius: int) -> dict[Word, int]:
+        """Word -> position in ``ball(radius)``.  The dict is shared between
+        callers and must not be modified."""
+        if radius < 0:
+            raise InputError("radius must be >= 0")
+        return _ball_index(self.rank, radius)
 
     def ball_tree(self, radius: int) -> tuple[tuple[Word, int, int], ...]:
         if radius < 0:

@@ -10,7 +10,7 @@ underlying objects are infinite and truncation has to stay explicit.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .actions import FiniteAction, Microstate
 from .errors import (
@@ -159,14 +159,13 @@ def encode_F(ctx: FreeGroupCtx, phi: LocalBijection) -> Pattern:
     radius = (phi.window - 1) // phi.rho
     if radius < 0:
         raise WindowError("window too small to encode")
-    domain = ctx.ball(radius)
     values = []
-    for h in domain:
+    for h in ctx.ball(radius):
         gh = phi.inverse_word(h)
         h_inv = inv(h)
         sym = tuple(mul(h_inv, phi(mul(gh, (letter,)))) for letter in ctx.letters)
         values.append(sym)
-    return Pattern._on_ball(domain, values)
+    return Pattern._on_ball(ctx, radius, values)
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +194,14 @@ def pattern_inverse_eval(ctx: FreeGroupCtx, rho: int, pattern: Pattern, target: 
     return cur
 
 
-class Pullbacks:
+class Pullbacks(NamedTuple):
     """The radius rho^2+1 pullback patterns of a configuration, read as a
     block code: each distinct pattern once, in order of first appearance,
     with its axiom report, and per vertex the index of its pattern."""
 
-    __slots__ = ("patterns", "reports", "of_vertex")
-
-    def __init__(
-        self,
-        patterns: tuple[Pattern, ...],
-        reports: tuple[AxiomsReport, ...],
-        of_vertex: tuple[int, ...],
-    ):
-        self.patterns = patterns
-        self.reports = reports
-        self.of_vertex = of_vertex
+    patterns: tuple[Pattern, ...]
+    reports: tuple[AxiomsReport, ...]
+    of_vertex: tuple[int, ...]
 
 
 def zrho_pullbacks(ctx: FreeGroupCtx, rho: int, action: FiniteAction, labels) -> Pullbacks:

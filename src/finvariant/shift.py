@@ -20,7 +20,7 @@ from .freegroup import FreeGroupCtx, Word, inv, sort_words, word_sort_key
 class Pattern:
     """A total assignment window -> symbols, domain canonically shortlex-sorted."""
 
-    __slots__ = ("domain", "values", "_at")
+    __slots__ = ("domain", "values", "_index")
 
     def __init__(self, domain: Sequence[Word], values: Sequence):
         if len(domain) != len(values):
@@ -31,24 +31,19 @@ class Pattern:
             raise InputError("pattern domain has repeated words")
         object.__setattr__(self, "domain", dom)
         object.__setattr__(self, "values", tuple(values[k] for k in order))
-        object.__setattr__(self, "_at", {w: k for k, w in enumerate(dom)})
+        object.__setattr__(self, "_index", {w: k for k, w in enumerate(dom)})
 
     @classmethod
-    def _on_ball(cls, ball: tuple, values: Sequence) -> "Pattern":
+    def _on_ball(cls, ctx: FreeGroupCtx, m: int, values: Sequence) -> "Pattern":
         """A pattern on ``ctx.ball(m)``, which is shortlex-sorted and
-        repeat-free by construction, so the sort and the check are skipped.
-        The word index is built on first lookup: most pullback patterns are
-        only compared or hashed by their values."""
+        repeat-free by construction, so the sort and the check are skipped,
+        and whose word index is the ball's own, shared by every pattern on
+        that ball."""
         self = object.__new__(cls)
-        object.__setattr__(self, "domain", ball)
+        object.__setattr__(self, "domain", ctx.ball(m))
         object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "_at", None)
+        object.__setattr__(self, "_index", ctx.ball_index(m))
         return self
-
-    def _build_index(self) -> dict:
-        at = {w: k for k, w in enumerate(self.domain)}
-        object.__setattr__(self, "_at", at)
-        return at
 
     def __setattr__(self, name, value):
         raise AttributeError("Pattern is immutable")
@@ -59,16 +54,16 @@ class Pattern:
         return cls([w for w, _ in items], [v for _, v in items])
 
     def __contains__(self, w: Word) -> bool:
-        return w in (self._at or self._build_index())
+        return w in self._index
 
     def __getitem__(self, w: Word):
         try:
-            return self.values[(self._at or self._build_index())[w]]
+            return self.values[self._index[w]]
         except KeyError:
             raise InputError(f"word {w} outside pattern domain") from None
 
     def get(self, w: Word, default=None):
-        k = (self._at or self._build_index()).get(w)
+        k = self._index.get(w)
         return default if k is None else self.values[k]
 
     def as_dict(self) -> dict:
@@ -205,7 +200,7 @@ def pullback_name(ctx: FreeGroupCtx, action: FiniteAction, labels: Sequence, v: 
         u = action.letter_perm(-letter)[verts[parent]]
         verts[k] = u
         values[k] = labels[u]
-    return Pattern._on_ball(ctx.ball(m), values)
+    return Pattern._on_ball(ctx, m, values)
 
 
 def _pullback_keys(ctx, action, labels, window):

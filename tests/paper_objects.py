@@ -298,8 +298,7 @@ def encode_E(ctx: FreeGroupCtx, phi: LocalBijection) -> Pattern:
     if radius < 0:
         raise WindowError("window too small to encode")
     values = []
-    domain = ctx.ball(radius)
-    for h in domain:
+    for h in ctx.ball(radius):
         base = inv(phi(h))
         sym = []
         for letter in ctx.letters:
@@ -310,7 +309,7 @@ def encode_E(ctx: FreeGroupCtx, phi: LocalBijection) -> Pattern:
                 )
             sym.append(step)
         values.append(tuple(sym))
-    return Pattern._on_ball(domain, values)
+    return Pattern._on_ball(ctx, radius, values)
 
 
 def compose_after_inverse(phi: LocalBijection, ypattern: Pattern) -> Pattern:

@@ -2,7 +2,7 @@
 microstate counting over random finite actions, and the bounded orbit-change
 rearrangement machinery."""
 
-from .actions import FiniteAction, Microstate, derive_seed, enumerate_actions, hom_count, sample_action
+from .actions import FiniteAction, derive_seed, enumerate_actions, hom_count, sample_action
 from .counting import Caps, EstimateResult, EstimateRow, Neighborhood, count_omega, expected_count, f_estimate
 from .errors import (
     ConstructionError,
@@ -27,27 +27,18 @@ from .orbitmaps import (
 )
 from .sft import (
     AxiomsReport,
-    OrbitAlphabet,
     SftSpec,
     axioms_check,
     sample_sft_config,
     sft_check_all,
     zrho_spec,
 )
-from .shift import (
-    Pattern,
-    PatternDistribution,
-    empirical_distribution,
-    empirical_product_distribution,
-    l1_distance,
-    pullback_name,
-)
+from .shift import Pattern, PatternDistribution, pullback_name
 from .weights import (
     EntropyValue,
     F_value,
     Weight,
     constancy_check,
-    f_markov,
     marginal_distribution,
     markovize,
     rationalize_weight,

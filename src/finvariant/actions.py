@@ -15,7 +15,8 @@ from .freegroup import Word
 
 
 def derive_seed(seed: int, *indices: int) -> int:
-    """Stable per-task seed so parallel draws are order-independent."""
+    """A stable seed for one draw, hashed from (seed, *indices), so a draw
+    depends on its own indices and not on the draws made before it."""
     tag = ":".join(str(x) for x in (seed, *indices)).encode()
     return int.from_bytes(hashlib.sha256(tag).digest()[:8], "big")
 
@@ -77,17 +78,6 @@ class FiniteAction:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed action json: {exc}") from exc
         return cls(n, perms)
-
-
-@dataclass(frozen=True)
-class Microstate:
-    """A labeling of [n]."""
-
-    labels: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
 
 def sample_action(n: int, rank: int, seed: int) -> FiniteAction:

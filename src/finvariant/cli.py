@@ -22,9 +22,10 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
-from .actions import FiniteAction, Microstate, sample_action
+from .actions import FiniteAction, sample_action
 from .counting import Caps, f_estimate
 from .errors import (
     FinvariantError,
@@ -45,17 +46,11 @@ from .orbitmaps import (
     zrho_pullbacks,
 )
 from .sft import SftSpec, sample_sft_config, zrho_spec
-from .shift import (
-    PatternDistribution,
-    empirical_distribution,
-    empirical_product_distribution,
-    l1_distance,
-    pullback_name,
-)
+from .shift import PatternDistribution, pullback_name
 from .weights import (
+    F_value,
     Weight,
     constancy_check,
-    f_markov,
     markovize,
     rationalize_weight,
     weight_distance,
@@ -80,17 +75,21 @@ def _config_hash(config: dict) -> str:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in a file; every file the commands read holds one."""
     # open() would take an integer (or a bool) as a file descriptor and read
     # standard input for 0
     if not isinstance(path, str):
         raise InputError(f"a file path must be a string, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid json: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a json object, got {type(data).__name__}")
+    return data
 
 
 def _as_int(raw, what: str) -> int:
@@ -136,7 +135,7 @@ def cmd_f_exact(args) -> int:
     if rho_max > MAX_CLI_RHO:
         raise ResourceCapError(f"cli caps the join radius at {MAX_CLI_RHO}")
 
-    value = f_markov(ctx, weight)
+    value = F_value(ctx, weight, 0)
     report = constancy_check(ctx, weight, rho_max)
     lines = [f"config_hash: {_config_hash(config)}", "command: f-exact"]
     lines.append(f"alphabet_size: {len(weight.alphabet)}")
@@ -249,10 +248,11 @@ def _resolve_action(ctx: FreeGroupCtx, config: dict, seed_flag) -> FiniteAction:
     spec = config.get("sigma") or config.get("action")
     if not isinstance(spec, dict):
         raise InputError("config must provide an action object under 'sigma' or 'action'")
-    if "file" in spec:
-        return FiniteAction.from_json(_load_json(spec["file"]))
-    if "perms" in spec:
-        return FiniteAction.from_json(spec)
+    if "file" in spec or "perms" in spec:
+        action = FiniteAction.from_json(_load_json(spec["file"]) if "file" in spec else spec)
+        if action.rank != ctx.rank:
+            raise InputError(f"the action has {action.rank} generators for rank {ctx.rank}")
+        return action
     n = _as_int(spec.get("n", config.get("n", 0)), "the action's n")
     if n < 1:
         raise InputError("action needs n >= 1")
@@ -279,20 +279,19 @@ def _decode_symbol(ctx: FreeGroupCtx, raw) -> tuple:
 
 def _resolve_config_labels(
     ctx: FreeGroupCtx, config: dict, action: FiniteAction, rho: int, seed_flag
-) -> Microstate:
+) -> tuple:
     spec = config.get("x") or config.get("config")
     if spec is None:
         raise InputError("config must provide a configuration under 'x' or 'config'")
     if isinstance(spec, dict) and "file" in spec:
         path = spec["file"]
-        data = _load_json(path)
-        spec = data.get("labels") if isinstance(data, dict) else None
+        spec = _load_json(path).get("labels")
         if not isinstance(spec, list):
             raise InputError(f"{path} has no 'labels' list")
     if isinstance(spec, list):
         if len(spec) != action.n:
             raise InputError(f"configuration has {len(spec)} labels for {action.n} vertices")
-        return Microstate(tuple(_decode_symbol(ctx, sym) for sym in spec))
+        return tuple(_decode_symbol(ctx, sym) for sym in spec)
     if not isinstance(spec, dict):
         raise InputError("unrecognized configuration source")
     if "automorphism" in spec:
@@ -343,8 +342,7 @@ def cmd_rearrange(args) -> int:
     rank = _as_int(config.get("rank", 2), "rank")
     ctx = _ctx_for_rank(rank)
     action = _resolve_action(ctx, config, config.get("seed"))
-    state = _resolve_config_labels(ctx, config, action, rho, config.get("seed"))
-    labels = state.labels
+    labels = _resolve_config_labels(ctx, config, action, rho, config.get("seed"))
 
     lines = [f"config_hash: {_config_hash(config)}", "command: rearrange"]
     lines.append(f"n: {action.n}")
@@ -373,10 +371,12 @@ def cmd_rearrange(args) -> int:
 
     y_alphabet = config.get("y_alphabet")
     if y_alphabet:
+        if not isinstance(y_alphabet, list) or any(isinstance(a, (list, dict)) for a in y_alphabet):
+            raise InputError(f"y_alphabet must be a list of symbols, got {y_alphabet!r}")
         seed = config.get("y_seed", config.get("seed"))
         if seed is None:
             raise InputError("a seed is mandatory for randomized commands")
-        rng = random.Random(int(seed))
+        rng = random.Random(_as_int(seed, "y_seed"))
         ylabels = tuple(rng.choice(y_alphabet) for _ in range(action.n))
 
     # phi_v depends only on v's pullback pattern, so each distinct pattern is
@@ -401,19 +401,23 @@ def cmd_rearrange(args) -> int:
             inverse = phi.inverse_table()
             columns.append(tuple(y_ball[inverse[f]] for f in window))
 
-    # the pullback identity and the transported keys are per vertex
+    # the pullback identity is per vertex; the empirical transport compares
+    # the multiset of tau's pullback names (paired with tau's y-names when
+    # labels y are given) with the multiset of transported keys
     pullback_ok = True
-    counts: dict = {}
+    names, transported = Counter(), Counter()
     for v, k in enumerate(pullbacks.of_vertex):
         key = expected_keys[k]
-        if key != pullback_name(ctx, tau, labels, v, m).values:
+        name = pullback_name(ctx, tau, labels, v, m).values
+        if key != name:
             pullback_ok = False
             failures.append(f"pullback identity fails at vertex {v}")
         if y_alphabet:
             yvalues = pullback_name(ctx, action, ylabels, v, rho * m).values
-            key = ((key, tuple(yvalues[c] for c in columns[k])),)
-        counts[key] = counts.get(key, 0) + 1
-    transported = {key: Fraction(c, action.n) for key, c in counts.items()}
+            key = (key, tuple(yvalues[c] for c in columns[k]))
+            name = (name, pullback_name(ctx, tau, ylabels, v, m).values)
+        names[name] += 1
+        transported[key] += 1
     lines.append(f"pullback_identity: {'PASS' if pullback_ok else 'FAIL'}")
 
     sigma_back = reconstruct_sigma(ctx, tau, labels)
@@ -422,13 +426,7 @@ def cmd_rearrange(args) -> int:
         failures.append("sigma reconstruction mismatch")
     lines.append(f"sigma_reconstruction: {'PASS' if recon_ok else 'FAIL'}")
 
-    # empirical pushforward across the rearrangement, with labels when given
-    if y_alphabet:
-        lhs = empirical_product_distribution(ctx, tau, labels, ylabels, m)
-    else:
-        lhs = empirical_distribution(ctx, tau, labels, m)
-    rhs = PatternDistribution(lhs.window, transported)
-    transport_ok = l1_distance(lhs, rhs) == 0
+    transport_ok = names == transported
     if not transport_ok:
         failures.append("empirical transport mismatch")
     lines.append(f"empirical_transport: {'PASS' if transport_ok else 'FAIL'}")
@@ -456,11 +454,11 @@ def cmd_sft_verify(args) -> int:
     rank = _as_int(config.get("rank", 2), "rank")
     ctx = _ctx_for_rank(rank)
     action = _resolve_action(ctx, config, args.seed)
-    state = _resolve_config_labels(ctx, config, action, rho, args.seed)
+    labels = _resolve_config_labels(ctx, config, action, rho, args.seed)
 
     lines = [f"config_hash: {_config_hash(config)}", "command: sft-verify", f"rho: {rho}"]
     ok = True
-    pullbacks = zrho_pullbacks(ctx, rho, action, state.labels)
+    pullbacks = zrho_pullbacks(ctx, rho, action, labels)
     for v, k in enumerate(pullbacks.of_vertex):
         report = pullbacks.reports[k]
         lines.append(f"vertex {v}: {'OK' if report.ok else 'FAIL ' + (report.reason or '')}")
@@ -490,7 +488,6 @@ def cmd_weight_tools(args) -> int:
             raise InputError(f"weight-tools {action} needs --{flag}")
     if action == "validate":
         weight = _load_weight(args.weight)
-        weight.validate()
         _emit(
             f"config_hash: {_config_hash({'weight': args.weight})}\n"
             f"weight: valid ({len(weight.alphabet)} symbols, rank {weight.rank}, "
@@ -517,16 +514,15 @@ def cmd_weight_tools(args) -> int:
         return 0
     if action == "markovize":
         data = _load_json(args.marginals)
-        rank = int(data.get("rank", 2))
-        ctx = _ctx_for_rank(rank)
+        ctx = _ctx_for_rank(_as_int(data.get("rank", 2), "rank"))
         dist = PatternDistribution.from_json(ctx, data)
         weight = markovize(ctx, dist)
-        value = f_markov(ctx, weight)
+        value = F_value(ctx, weight, 0)
         _emit(json.dumps(weight.to_json(), indent=2, sort_keys=True) + "\n", args.out)
         sys.stdout.write(f"f_nats: {_fmt(float(value))}\n")
         if args.weight:
             reference = _load_weight(args.weight)
-            ref_value = f_markov(_ctx_for_rank(reference.rank), reference)
+            ref_value = F_value(_ctx_for_rank(reference.rank), reference, 0)
             delta = abs(float(value) - float(ref_value))
             sys.stdout.write(f"reference_f_nats: {_fmt(float(ref_value))}\n")
             sys.stdout.write(f"f_delta: {_fmt(delta)}\n")

@@ -95,23 +95,15 @@ def _ball_index(rank: int, radius: int) -> dict[Word, int]:
 
 @dataclass(frozen=True)
 class FreeGroupCtx:
-    """Rank and generator naming for one free group."""
+    """One free group: its rank, with generators named a, b, c, ..."""
 
     rank: int
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.rank < 1:
             raise InputError(f"rank must be >= 1, got {self.rank}")
-        names = self.names or tuple(string.ascii_lowercase[: self.rank])
-        if len(names) != self.rank:
-            raise InputError("need one name per generator")
-        if len(set(names)) != self.rank:
-            raise InputError("generator names must be distinct")
-        for name in names:
-            if len(name) != 1 or name not in string.ascii_lowercase:
-                raise InputError(f"generator name must be a lowercase letter: {name!r}")
-        object.__setattr__(self, "names", names)
+        if self.rank > len(string.ascii_lowercase):
+            raise InputError(f"rank {self.rank} has more generators than letters to name them")
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -119,7 +111,7 @@ class FreeGroupCtx:
         return tuple(sign * i for i in range(1, self.rank + 1) for sign in (1, -1))
 
     def letter_name(self, letter: int) -> str:
-        name = self.names[abs(letter) - 1]
+        name = string.ascii_lowercase[abs(letter) - 1]
         return name if letter > 0 else name.upper()
 
     def parse(self, s: str) -> Word:
@@ -127,10 +119,9 @@ class FreeGroupCtx:
             raise InputError(f"a word is a string of generator letters, got {s!r}")
         letters = []
         for ch in s:
-            low = ch.lower()
-            if low not in self.names:
+            idx = string.ascii_lowercase.find(ch.lower()) + 1
+            if not 1 <= idx <= self.rank:
                 raise InputError(f"unknown generator letter {ch!r}")
-            idx = self.names.index(low) + 1
             letters.append(idx if ch.islower() else -idx)
         return reduce_word(letters)
 

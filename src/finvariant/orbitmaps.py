@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .actions import FiniteAction, Microstate
+from .actions import FiniteAction
 from .errors import (
     ConstructionError,
     InputError,
@@ -42,9 +42,6 @@ class LocalBijection:
             return self.table[g]
         except KeyError:
             raise WindowError(f"word {g} outside the radius-{self.window} window") from None
-
-    def defined(self, g: Word) -> bool:
-        return g in self.table
 
     def inverse_table(self) -> dict:
         if self._inverse is None:
@@ -355,10 +352,6 @@ class Automorphism:
     def inverse(self) -> "Automorphism":
         return self._inverse
 
-    def bijection(self, window: int) -> LocalBijection:
-        table = {g: self.apply(g) for g in self.ctx.ball(window)}
-        return LocalBijection(window, self.forward_displacement, table)
-
     def constant_symbol(self) -> tuple:
         """One orbit-alphabet symbol: each signed letter maps to the inverse
         automorphism's image, matching an orbit-change map constantly equal
@@ -366,5 +359,5 @@ class Automorphism:
         inv_auto = self.inverse()
         return tuple(inv_auto.images[letter] for letter in self.ctx.letters)
 
-    def constant_config(self, n: int) -> Microstate:
-        return Microstate((self.constant_symbol(),) * n)
+    def constant_config(self, n: int) -> tuple:
+        return (self.constant_symbol(),) * n

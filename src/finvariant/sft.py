@@ -23,26 +23,10 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Iterator
 
-from .actions import FiniteAction, Microstate, derive_seed
+from .actions import FiniteAction, derive_seed
 from .errors import InputError
 from .freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul
 from .shift import Pattern, pullback_name
-
-
-@dataclass(frozen=True)
-class OrbitAlphabet:
-    """Symbols are tuples of words, one per signed generator, each of length
-    at most rho."""
-
-    ctx: FreeGroupCtx
-    rho: int
-
-    def size(self) -> int:
-        return self.ctx.ball_size(self.rho) ** (2 * self.ctx.rank)
-
-    def symbols(self) -> Iterator[tuple]:
-        ball = self.ctx.ball(self.rho)
-        return iter_product(ball, repeat=2 * self.ctx.rank)
 
 
 def symbol_entry(symbol: tuple, letter: int) -> Word:
@@ -67,8 +51,6 @@ class SftSpec:
     predicate: Callable[[Pattern], bool] | None = None
     predicate_radius: int | None = None
     edge_filter: Callable | None = None
-    builtin: str | None = None
-    rho: int | None = None
 
     def __post_init__(self):
         if self.predicate is not None and self.predicate_radius is None:
@@ -90,8 +72,6 @@ class SftSpec:
         return frozenset(pairs)
 
     def to_json(self, ctx: FreeGroupCtx) -> dict:
-        if self.builtin:
-            return {"builtin": self.builtin, "rho": self.rho}
         return {
             "alphabet": list(self.alphabet or ()),
             "forbidden": [
@@ -102,14 +82,6 @@ class SftSpec:
 
     @classmethod
     def from_json(cls, ctx: FreeGroupCtx, data: dict) -> "SftSpec":
-        if "builtin" in data:
-            if data["builtin"] != "z_rho":
-                raise InputError(f"unknown builtin spec {data['builtin']!r}")
-            try:
-                rho = int(data["rho"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InputError(f"malformed sft json: {exc!r}") from exc
-            return zrho_spec(ctx, rho)
         try:
             forbidden = tuple(
                 Pattern.from_dict({ctx.parse(k): v for k, v in pat.items()})
@@ -120,7 +92,7 @@ class SftSpec:
                 forbidden=forbidden,
                 nearest_neighbor=bool(data.get("nearest_neighbor", False)),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed sft json: {exc}") from exc
 
 
@@ -138,9 +110,6 @@ class AxiomsReport:
     ok: bool
     reason: str | None = None
     witnesses: dict | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def telescope_walk(
@@ -249,8 +218,10 @@ def _zrho_edge_filter(ctx: FreeGroupCtx, rho: int):
 def zrho_spec(ctx: FreeGroupCtx, rho: int) -> SftSpec:
     """The constraint system whose admissible configurations encode
     displacement-rho orbit-change maps.  Membership is predicate-backed; the
-    forbidden set is astronomically large and never materialized."""
-    alphabet = tuple(OrbitAlphabet(ctx, rho).symbols())
+    forbidden set is astronomically large and never materialized.  A symbol
+    is a tuple of words, one per signed generator, each of length at most
+    rho."""
+    alphabet = tuple(iter_product(ctx.ball(rho), repeat=2 * ctx.rank))
 
     def predicate(pattern: Pattern) -> bool:
         return axioms_check(ctx, rho, pattern).ok
@@ -260,8 +231,6 @@ def zrho_spec(ctx: FreeGroupCtx, rho: int) -> SftSpec:
         predicate=predicate,
         predicate_radius=rho * rho + 1,
         edge_filter=_zrho_edge_filter(ctx, rho),
-        builtin="z_rho",
-        rho=rho,
     )
 
 
@@ -323,17 +292,6 @@ def _bfs(action: FiniteAction, start: int, seen: set) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, total: int):
-        self.left = total
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -354,8 +312,8 @@ def sample_sft_config(
     seed: int,
     budget: int = 20000,
     restarts: int = 4,
-    hint: Microstate | None = None,
-) -> Microstate | None:
+    hint: tuple | None = None,
+) -> tuple | None:
     """Backtracking search for a labeling passing the constraint system.
 
     Vertices are assigned in BFS order from vertex 0; symbol order is the
@@ -426,18 +384,20 @@ def sample_sft_config(
             shuffled = symbols[:]
             rng.shuffle(shuffled)
             if hint is not None:
-                h = hint.labels[v]
+                h = hint[v]
                 shuffled = [h] + [s for s in shuffled if s != h]
             per_vertex_symbols.append(shuffled)
         assign: list = [None] * n
-        bud = _Budget(budget)
+        left = budget
 
         def backtrack(k: int) -> bool:
+            nonlocal left
             if k == n:
                 return True
             v = order[k]
             for sym in per_vertex_symbols[v]:
-                if not bud.spend():
+                left -= 1
+                if left < 0:
                     raise _BudgetExhausted
                 assign[v] = sym
                 if run_checks(assign, k) and backtrack(k + 1):
@@ -447,7 +407,7 @@ def sample_sft_config(
 
         try:
             if backtrack(0):
-                return Microstate(tuple(assign))
+                return tuple(assign)
         except _BudgetExhausted:
             continue
     return None

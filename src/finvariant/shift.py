@@ -1,20 +1,22 @@
 """Patterns on finite windows of the group, pullback names of finite
-actions, empirical distributions and l1 pattern distances.
+actions, and distributions of patterns on a window.
 
 A window is a shortlex-sorted tuple of words.  Distributions key their
-entries by the tuple of symbols aligned to the window, which keeps the hot
-counting loops allocation-light; ``Pattern`` objects wrap the same data for
-the single-pattern operations.
+entries by the tuple of symbols aligned to the window; ``Pattern`` objects
+carry a domain with its values for the single-pattern operations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .actions import FiniteAction
 from .errors import InputError
 from .freegroup import FreeGroupCtx, Word, inv, sort_words, word_sort_key
+
+# slack on a distribution's total mass and on its negative entries
+PROB_TOL = 1e-12
 
 
 class Pattern:
@@ -66,13 +68,6 @@ class Pattern:
         k = self._index.get(w)
         return default if k is None else self.values[k]
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.domain, self.values))
-
-    def restrict(self, words: Iterable[Word]) -> "Pattern":
-        ws = list(words)
-        return Pattern(ws, [self[w] for w in ws])
-
     def __eq__(self, other):
         return (
             isinstance(other, Pattern)
@@ -96,7 +91,7 @@ class PatternDistribution:
 
     __slots__ = ("window", "probs")
 
-    def __init__(self, window: Sequence[Word], probs: Mapping[tuple, object], tol: float = 1e-12):
+    def __init__(self, window: Sequence[Word], probs: Mapping[tuple, object]):
         win = sort_words(window)
         if win != tuple(window):
             raise InputError("window must be shortlex-sorted")
@@ -104,9 +99,9 @@ class PatternDistribution:
             if len(key) != len(win):
                 raise InputError("distribution key does not match window size")
         total = sum(probs.values())
-        if abs(float(total) - 1.0) > tol:
+        if abs(float(total) - 1.0) > PROB_TOL:
             raise InputError(f"probabilities sum to {float(total)}, not 1")
-        if any(float(p) < -tol for p in probs.values()):
+        if any(float(p) < -PROB_TOL for p in probs.values()):
             raise InputError("negative probability")
         self.window = win
         self.probs = dict(probs)
@@ -147,8 +142,10 @@ class PatternDistribution:
         try:
             radius = int(data["window_radius"])
             entries = data["entries"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed distribution json: {exc}") from exc
+        if not isinstance(entries, list):
+            raise InputError(f"malformed distribution json: entries must be a list, got {entries!r}")
         window = ctx.ball(radius)
         # entry column of each window word, per spelling of the entry's words
         layouts: dict[tuple, list[int]] = {}
@@ -168,14 +165,6 @@ class PatternDistribution:
                 order = layouts[spellings] = [at[w] for w in window]
             probs[tuple(values[col] for col in order)] = prob
         return cls(window, probs)
-
-
-def l1_distance(d1: PatternDistribution, d2: PatternDistribution):
-    """l1 distance of two distributions on the same window; range [0, 2]."""
-    if d1.window != d2.window:
-        raise InputError("l1 distance needs matching windows")
-    keys = set(d1.probs) | set(d2.probs)
-    return sum(abs(d1.probs.get(k, 0) - d2.probs.get(k, 0)) for k in keys)
 
 
 def window_columns(ctx: FreeGroupCtx, action: FiniteAction, window: Sequence[Word]) -> list[tuple[int, ...]]:
@@ -201,40 +190,3 @@ def pullback_name(ctx: FreeGroupCtx, action: FiniteAction, labels: Sequence, v: 
         verts[k] = u
         values[k] = labels[u]
     return Pattern._on_ball(ctx, m, values)
-
-
-def _pullback_keys(ctx, action, labels, window):
-    cols = window_columns(ctx, action, window)
-    n = action.n
-    return [tuple(labels[col[v]] for col in cols) for v in range(n)]
-
-
-def empirical_distribution(
-    ctx: FreeGroupCtx, action: FiniteAction, labels: Sequence, m: int
-) -> PatternDistribution:
-    """Empirical distribution of pullback names, projected to the radius-m ball.
-
-    Probabilities come out as exact multiples of 1/n.
-    """
-    window = ctx.ball(m)
-    n = action.n
-    counts: dict[tuple, int] = {}
-    for key in _pullback_keys(ctx, action, labels, window):
-        counts[key] = counts.get(key, 0) + 1
-    return PatternDistribution(window, {k: Fraction(c, n) for k, c in counts.items()})
-
-
-def empirical_product_distribution(
-    ctx: FreeGroupCtx, action: FiniteAction, labels: Sequence, labels2: Sequence, m: int
-) -> PatternDistribution:
-    """Joint empirical distribution of a paired labeling; keys are pairs of
-    symbol tuples, packaged as one tuple per vertex."""
-    window = ctx.ball(m)
-    n = action.n
-    keys1 = _pullback_keys(ctx, action, labels, window)
-    keys2 = _pullback_keys(ctx, action, labels2, window)
-    counts: dict[tuple, int] = {}
-    for k1, k2 in zip(keys1, keys2):
-        key = ((k1, k2),)
-        counts[key] = counts.get(key, 0) + 1
-    return PatternDistribution(((),), {k: Fraction(c, n) for k, c in counts.items()})

@@ -32,11 +32,17 @@ from typing import Mapping, Sequence
 
 from .errors import ConstructionError, InputError, ResourceCapError, WeightError
 from .freegroup import FreeGroupCtx, Word, mul, sort_words
+from .sft import SftSpec
 from .shift import PatternDistribution
 
-Number = object  # float | int | Fraction
-
 BALANCE_TOL = 1e-12
+# markovize accepts marginals whose projections agree up to this slack
+MARGINAL_TOL = 1e-9
+# a constancy table row passes when its delta is at most this
+CONSTANCY_TOL = 1e-9
+# patterns marginal_distribution may enumerate, and cells F_value may read
+PATTERN_CAP = 1 << 22
+CELL_CAP = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +182,6 @@ class EntropyValue:
     def exact(cls, combo: Mapping[int, Fraction]) -> "EntropyValue":
         combo = {p: Fraction(c) for p, c in combo.items() if c}
         return cls(_combo_value(combo), combo)
-
-    @classmethod
-    def zero(cls) -> "EntropyValue":
-        return cls.exact({})
 
     @property
     def is_exact(self) -> bool:
@@ -365,9 +367,9 @@ class Weight:
             edge = {
                 (e["from"], e["to"], int(e["gen"])): dec(e["p"]) for e in data["edge"]
             }
-        except (KeyError, TypeError, ValueError) as exc:
+            w = cls(rank, alphabet, vertex, edge)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed weight json: {exc}") from exc
-        w = cls(rank, alphabet, vertex, edge)
         w.validate()
         return w
 
@@ -420,7 +422,7 @@ def _window_structure(window: Sequence[Word], rank: int):
     return edges, order
 
 
-def marginal_distribution(w: Weight, window: Sequence[Word], cap: int = 1 << 22) -> PatternDistribution:
+def marginal_distribution(w: Weight, window: Sequence[Word]) -> PatternDistribution:
     """Exact finite-window marginal of the weight's Markov measure.
 
     Enumerates only patterns of positive probability, walking the window in
@@ -429,9 +431,9 @@ def marginal_distribution(w: Weight, window: Sequence[Word], cap: int = 1 << 22)
     window = sort_words(window)
     if () not in window:
         raise InputError("marginal windows must contain the identity")
-    if len(w.alphabet) ** len(window) > cap:
+    if len(w.alphabet) ** len(window) > PATTERN_CAP:
         raise ResourceCapError(
-            f"{len(w.alphabet)}^{len(window)} window patterns exceed cap {cap}"
+            f"{len(w.alphabet)}^{len(window)} window patterns exceed cap {PATTERN_CAP}"
         )
     edges, order = _window_structure(window, w.rank)
     probs: dict[tuple, object] = {}
@@ -493,23 +495,19 @@ def window_entropy(w: Weight, window: Sequence[Word]) -> EntropyValue:
 # ---------------------------------------------------------------------------
 
 
-def F_value(
-    ctx: FreeGroupCtx,
-    w: Weight,
-    join_radius: int,
-    cell_cap: int = 20000,
-) -> EntropyValue:
+def F_value(ctx: FreeGroupCtx, w: Weight, join_radius: int) -> EntropyValue:
     """(1 - 2r) H(ball marginal) + sum_i H(marginal on ball, union s_i ball).
 
-    ``join_radius`` 0 evaluates the functional on the single-site observable.
+    ``join_radius`` 0 evaluates the functional on the single-site observable,
+    which is the invariant of the weight's Markov measure.
     """
     if ctx.rank != w.rank:
         raise InputError("context and weight rank differ")
     if join_radius < 0:
         raise InputError("join radius must be >= 0")
     ball = ctx.ball(join_radius)
-    if len(ball) > cell_cap:
-        raise ResourceCapError(f"ball of radius {join_radius} has {len(ball)} cells, cap {cell_cap}")
+    if len(ball) > CELL_CAP:
+        raise ResourceCapError(f"ball of radius {join_radius} has {len(ball)} cells, cap {CELL_CAP}")
     r = ctx.rank
     h_ball = window_entropy(w, ball)
     total = h_ball.scaled(1 - 2 * r)
@@ -521,29 +519,16 @@ def F_value(
     return total
 
 
-def f_markov(ctx: FreeGroupCtx, w: Weight) -> EntropyValue:
-    """The invariant of the weight's Markov measure; equals the functional at
-    radius zero."""
-    return F_value(ctx, w, 0)
-
-
 @dataclass(frozen=True)
 class ConstancyReport:
     rows: tuple[tuple[int, float, float], ...]  # (radius, value, delta vs radius 0)
-    tol: float
 
     @property
     def ok(self) -> bool:
-        return all(abs(delta) <= self.tol for _, _, delta in self.rows)
-
-    @property
-    def worst(self) -> float:
-        return max(abs(delta) for _, _, delta in self.rows)
+        return all(abs(delta) <= CONSTANCY_TOL for _, _, delta in self.rows)
 
 
-def constancy_check(
-    ctx: FreeGroupCtx, w: Weight, rho_max: int, tol: float = 1e-9
-) -> ConstancyReport:
+def constancy_check(ctx: FreeGroupCtx, w: Weight, rho_max: int) -> ConstancyReport:
     """The functional of a Markov weight should not depend on the join radius;
     a violation signals a wrong count of window edges."""
     base = float(F_value(ctx, w, 0))
@@ -551,7 +536,7 @@ def constancy_check(
     for rho in range(rho_max + 1):
         val = float(F_value(ctx, w, rho)) if rho else base
         rows.append((rho, val, val - base))
-    return ConstancyReport(tuple(rows), tol)
+    return ConstancyReport(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +548,7 @@ def pattern_symbol_name(ctx: FreeGroupCtx, window: Sequence[Word], key: tuple) -
     return ",".join(f"{ctx.format(g)}={key[k]}" for k, g in enumerate(window))
 
 
-def markovize(
-    ctx: FreeGroupCtx, dist: PatternDistribution, tol: float = 1e-9
-) -> Weight:
+def markovize(ctx: FreeGroupCtx, dist: PatternDistribution) -> Weight:
     """Collapse a radius-(m+1) marginal into a weight over the super-alphabet
     of radius-m patterns.
 
@@ -608,7 +591,7 @@ def markovize(
             edge[edge_key] = edge.get(edge_key, 0) + p
     w = Weight(ctx.rank, alphabet, vertex, edge)
     try:
-        w.validate(tol=tol)
+        w.validate(tol=MARGINAL_TOL)
     except WeightError as exc:
         raise InputError(f"marginals are not projection-consistent: {exc}") from exc
     return w
@@ -651,7 +634,7 @@ def _try_exact_passthrough(w: Weight, q: int) -> Weight | None:
 def _round_vertex(w: Weight, n_total: int) -> dict:
     """Largest-remainder rounding of vertex weights to integers summing to
     n_total, preserving zeros."""
-    raw = {a: Fraction(w.vertex_prob(a)) if isinstance(w.vertex_prob(a), (int, Fraction)) else Fraction(float(w.vertex_prob(a))) for a in w.alphabet}
+    raw = {a: Fraction(w.vertex_prob(a)) for a in w.alphabet}
     floors = {a: int(raw[a] * n_total) for a in w.alphabet}
     assigned = sum(floors.values())
     remainders = sorted(
@@ -684,8 +667,7 @@ def _integer_transport(w: Weight, i: int, counts: dict, n_total: int):
     }
     mat = {}
     for a, b in support:
-        p = w.edge_prob(a, b, i)
-        frac = Fraction(p) if isinstance(p, (int, Fraction)) else Fraction(float(p))
+        frac = Fraction(w.edge_prob(a, b, i))
         mat[(a, b)] = min(int(frac * n_total), counts[a], counts[b])
     # trim rows/columns that overflow their target (floors can exceed after min-clamps interplay)
     def row_sum(a):
@@ -750,7 +732,7 @@ def _integer_transport(w: Weight, i: int, counts: dict, n_total: int):
     return mat, None
 
 
-def rationalize_weight(w: Weight, q: int, support: "object | None" = None) -> Weight:
+def rationalize_weight(w: Weight, q: int, support: SftSpec | None = None) -> Weight:
     """Round a weight to exact rationals with denominator <= q, keeping it
     exactly balanced and normalized and preserving every zero entry.
 
@@ -762,10 +744,7 @@ def rationalize_weight(w: Weight, q: int, support: "object | None" = None) -> We
         raise InputError("denominator bound must be >= 1")
     w.validate()
     if support is not None:
-        forbidden = getattr(support, "forbidden_pairs", None)
-        if forbidden is None:
-            raise InputError("support must expose nearest-neighbor forbidden pairs")
-        for a, b, i in forbidden:
+        for a, b, i in support.forbidden_pairs:
             if float(w.edge_prob(a, b, i)) != 0.0:
                 raise InputError(
                     f"weight is not supported on the constraint system: edge ({a!r},{b!r};{i}) positive"

@@ -12,7 +12,6 @@ from finvariant import (
     Automorphism,
     FiniteAction,
     FreeGroupCtx,
-    Microstate,
     sample_action,
     sample_sft_config,
     zrho_spec,
@@ -82,7 +81,7 @@ def build_instances(ctx: FreeGroupCtx, min_count: int = 50) -> list[Instance]:
                     name=f"{name}-s{seed}",
                     rho=auto.displacement,
                     action=action,
-                    labels=auto.constant_config(n).labels,
+                    labels=auto.constant_config(n),
                     ylabels=ylabels_for(n),
                 )
             )
@@ -105,7 +104,7 @@ def build_instances(ctx: FreeGroupCtx, min_count: int = 50) -> list[Instance]:
         a2 = sample_action(6, ctx.rank, seed=3000 + k)
         action = _block_action(a1, a2)
         labels = (
-            autos[left].constant_config(5).labels + autos[right].constant_config(6).labels
+            autos[left].constant_config(5) + autos[right].constant_config(6)
         )
         rho = max(autos[left].displacement, autos[right].displacement)
         instances.append(
@@ -133,7 +132,7 @@ def build_instances(ctx: FreeGroupCtx, min_count: int = 50) -> list[Instance]:
                     name=f"sampled-{k}",
                     rho=1,
                     action=action,
-                    labels=found.labels,
+                    labels=found,
                     ylabels=ylabels_for(6),
                     source="sampler",
                 )
@@ -150,7 +149,7 @@ def build_instances(ctx: FreeGroupCtx, min_count: int = 50) -> list[Instance]:
                     name=f"sampled-free-{k}",
                     rho=1,
                     action=action,
-                    labels=found.labels,
+                    labels=found,
                     ylabels=ylabels_for(5),
                     source="sampler",
                 )

@@ -51,7 +51,7 @@ def main() -> None:
             perm.extend(v + offset for v in part)
         labels += [
             {ctx.letter_name(letter): ctx.format(word) for letter, word in zip(ctx.letters, sym)}
-            for sym in found.labels
+            for sym in found
         ]
     config = {
         "rank": RANK,

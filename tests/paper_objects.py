@@ -3,10 +3,11 @@
 The package holds what its commands run.  The definitions here come from the
 paper but have no caller outside the test suite: the left shift and the
 theta/upsilon actions with the edge-label encoding E (criterion 08), block
-codes and the join observable (criterion 09), the pair-marginal distance
-d_star that the brute-force counting oracle uses, Bernoulli product weights,
-tree-factorized pattern probabilities, nearest-neighbor constraint systems,
-past windows, label transport through an orbit map and the orbit-map
+codes and the join observable (criterion 09), empirical distributions and
+the l1 and pair-marginal distances that the brute-force counting oracle
+uses, Bernoulli product weights, tree-factorized pattern probabilities,
+nearest-neighbor constraint systems, past windows, automorphism tables,
+pattern restriction, label transport through an orbit map and the orbit-map
 diagnostics.
 """
 
@@ -15,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from finvariant.actions import FiniteAction
 from finvariant.errors import InputError, WeightError, WindowError
 from finvariant.freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul, sort_words
-from finvariant.orbitmaps import LocalBijection
-from finvariant.sft import OrbitAlphabet, SftSpec, _bfs, _check_local
-from finvariant.shift import Pattern, PatternDistribution, _pullback_keys, l1_distance
+from finvariant.orbitmaps import Automorphism, LocalBijection
+from finvariant.sft import SftSpec, _bfs, _check_local
+from finvariant.shift import Pattern, PatternDistribution, window_columns
 from finvariant.weights import BALANCE_TOL, Weight, _window_structure
 
 
@@ -69,11 +70,48 @@ class Alphabet:
             raise InputError("alphabet symbols must be distinct")
 
 
+def as_dict(p: Pattern) -> dict:
+    return dict(zip(p.domain, p.values))
+
+
+def restrict(p: Pattern, words: Iterable[Word]) -> Pattern:
+    ws = list(words)
+    return Pattern(ws, [p[w] for w in ws])
+
+
 def shift_pattern(g: Word, p: Pattern) -> Pattern:
     """Left shift: (g.p)(f) = p(g^-1 f), so the domain moves to g * domain."""
     g_inv = inv(g)
     new_domain = [mul(g, w) for w in p.domain]
     return Pattern(new_domain, [p[mul(g_inv, w)] for w in new_domain])
+
+
+def l1_distance(d1: PatternDistribution, d2: PatternDistribution):
+    """l1 distance of two distributions on the same window; range [0, 2]."""
+    if d1.window != d2.window:
+        raise InputError("l1 distance needs matching windows")
+    keys = set(d1.probs) | set(d2.probs)
+    return sum(abs(d1.probs.get(k, 0) - d2.probs.get(k, 0)) for k in keys)
+
+
+def _pullback_keys(ctx, action, labels, window):
+    cols = window_columns(ctx, action, window)
+    return [tuple(labels[col[v]] for col in cols) for v in range(action.n)]
+
+
+def empirical_distribution(
+    ctx: FreeGroupCtx, action: FiniteAction, labels: Sequence, m: int
+) -> PatternDistribution:
+    """Empirical distribution of pullback names, projected to the radius-m ball.
+
+    Probabilities come out as exact multiples of 1/n.
+    """
+    window = ctx.ball(m)
+    n = action.n
+    counts: dict[tuple, int] = {}
+    for key in _pullback_keys(ctx, action, labels, window):
+        counts[key] = counts.get(key, 0) + 1
+    return PatternDistribution(window, {k: Fraction(c, n) for k, c in counts.items()})
 
 
 def d_star(ctx: FreeGroupCtx, d1: PatternDistribution, d2: PatternDistribution):
@@ -217,13 +255,23 @@ def sft_check_vertex(
     return all(_check_local(ctx, spec, action, labels, u) for u in orbit_of(action, v))
 
 
-def identity_symbol(alphabet: OrbitAlphabet) -> tuple:
-    return tuple((letter,) for letter in alphabet.ctx.letters)
+def identity_symbol(ctx: FreeGroupCtx) -> tuple:
+    return tuple((letter,) for letter in ctx.letters)
 
 
 # ---------------------------------------------------------------------------
 # orbit-change maps: the two actions, the encoding E, diagnostics
 # ---------------------------------------------------------------------------
+
+
+def defined(phi: LocalBijection, g: Word) -> bool:
+    return g in phi.table
+
+
+def bijection(auto: Automorphism, window: int) -> LocalBijection:
+    """The automorphism's table on the radius-``window`` ball."""
+    table = {g: auto.apply(g) for g in auto.ctx.ball(window)}
+    return LocalBijection(window, auto.forward_displacement, table)
 
 
 def agree_on_common_window(a: LocalBijection, b: LocalBijection) -> bool:
@@ -247,7 +295,7 @@ def compose(ctx: FreeGroupCtx, outer: LocalBijection, inner: LocalBijection) -> 
     radius = 0
     for m in range(inner.window + 1):
         ball = ctx.ball(m)
-        if all(inner.defined(g) and outer.defined(inner(g)) for g in ball):
+        if all(defined(inner, g) and defined(outer, inner(g)) for g in ball):
             radius = m
         else:
             break
@@ -318,7 +366,7 @@ def compose_after_inverse(phi: LocalBijection, ypattern: Pattern) -> Pattern:
     domain = []
     values = []
     for f in ypattern.domain:
-        if phi.defined(f):
+        if defined(phi, f):
             domain.append(phi(f))
             values.append(ypattern[f])
     if not domain:

@@ -26,7 +26,6 @@ from finvariant import (
     enumerate_actions,
     expected_count,
     f_estimate,
-    f_markov,
     marginal_distribution,
     pattern_inverse_eval,
     pullback_name,
@@ -48,12 +47,14 @@ from paper_objects import (
     Alphabet,
     apply_block_code,
     bernoulli_weight,
+    bijection,
     compose,
     compose_after_inverse,
     encode_E,
     join_code,
     nn_spec,
     realized_displacement,
+    restrict,
     shift_pattern,
     theta_action,
     upsilon_action,
@@ -98,7 +99,7 @@ def test_criterion_01_bernoulli_invariant(tmp_path):
         total = sum(raw)
         base = {f"s{k}": Fraction(x, total) for k, x in enumerate(raw)}
         wb = bernoulli_weight(base, 2)
-        value = f_markov(CTX, wb)
+        value = F_value(CTX, wb, 0)
         ok &= value.is_exact and value == shannon_entropy(base)
     assert report(1, "bernoulli invariant", ok, t0, 1.0)
 
@@ -211,7 +212,7 @@ def test_criterion_06_orbit_encoding_constraints(accepted_instances):
     for name, auto in autos.items():
         rho = auto.displacement
         ok &= rho == expected_rho[name]
-        labels = auto.constant_config(9).labels
+        labels = auto.constant_config(9)
         for check_rho in range(rho, 3):
             ok &= sft_check_all(CTX, zrho_spec(CTX, check_rho), action, labels)
 
@@ -229,7 +230,7 @@ def test_criterion_06_orbit_encoding_constraints(accepted_instances):
             phi = decode_E(CTX, pattern)  # raises if not injective
             image = set(phi.table.values())
             ok &= all(h in image for h in CTX.ball(rho))
-            ok &= encode_E(CTX, phi).restrict(pattern.domain) == pattern
+            ok &= restrict(encode_E(CTX, phi), pattern.domain) == pattern
             seen[key] = phi
 
         # every single-coordinate corruption of a symbol violates axiom 1
@@ -287,12 +288,12 @@ def test_criterion_07_rearrangement_suite(accepted_instances):
             if key not in phi_cache:
                 phi_cache[key] = decode_E(CTX, patterns[v])
             phi_v = phi_cache[key]
-            ok &= pullback_name(CTX, tau, labels, v, m) == encode_F(CTX, phi_v).restrict(
-                CTX.ball(m)
+            ok &= pullback_name(CTX, tau, labels, v, m) == restrict(
+                encode_F(CTX, phi_v), CTX.ball(m)
             )
             y_sigma = pullback_name(CTX, action, inst.ylabels, v, 2 * rho)
             lhs = pullback_name(CTX, tau, inst.ylabels, v, m)
-            rhs = compose_after_inverse(phi_v, y_sigma).restrict(CTX.ball(m))
+            rhs = restrict(compose_after_inverse(phi_v, y_sigma), CTX.ball(m))
             ok &= lhs == rhs
 
         ok &= reconstruct_sigma(CTX, tau, labels) == action
@@ -304,14 +305,14 @@ def test_criterion_07_rearrangement_suite(accepted_instances):
 def _equivariance_pool():
     autos = canonical_automorphisms(CTX)
     window = 5
-    pool = [auto.bijection(window) for auto in autos.values()]
+    pool = [bijection(auto, window) for auto in autos.values()]
     table = {g: g for g in CTX.ball(window)}
     u, v = CTX.parse("a"), CTX.parse("aa")
     table[u], table[v] = table[v], table[u]
     trans = LocalBijection(window, realized_displacement(CTX, table), table)
     pool.append(trans)
-    pool.append(compose(CTX, autos["swap"].bijection(window + 1), trans))
-    pool.append(compose(CTX, trans, autos["inversion"].bijection(window + 1)))
+    pool.append(compose(CTX, bijection(autos["swap"], window + 1), trans))
+    pool.append(compose(CTX, trans, bijection(autos["inversion"], window + 1)))
     return pool
 
 

@@ -621,3 +621,65 @@ class TestWeightTools:
             "reference_f_nats: 0.287682072451781\n"
             "f_delta: 0\n"
         )
+
+
+class TestMalformedJsonShapes:
+    """Each input below once escaped as a traceback with exit 1, the code of a
+    verification failure; a malformed input exits 2."""
+
+    SYMBOL = {"a": "a", "A": "A", "b": "b", "B": "B"}
+    REARRANGE = {"rank": 2, "rho": 1, "sigma": {"n": 2, "seed": 1}, "x": [SYMBOL] * 2, "seed": 3}
+    MARGINALS = {"rank": 2, "window_radius": 1, "entries": []}
+    ESTIMATE = {"window": 0, "epsilon": 0.1, "n_list": [3], "mode": "exact"}
+    VALIDATE = ["weight-tools", "validate", "--weight", "w.json"]
+    MARKOVIZE = ["weight-tools", "markovize", "--marginals", "m.json"]
+    CASES = {
+        "weight_vertex_list": (VALIDATE, {"w.json": {"vertex": []}}),
+        "weight_alphabet_holds_a_list": (VALIDATE, {"w.json": {"alphabet": [["0"], "1"]}}),
+        "marginals_rank_not_an_integer": (MARKOVIZE, {"m.json": {**MARGINALS, "rank": "x"}}),
+        "marginals_radius_not_an_integer": (MARKOVIZE, {"m.json": {**MARGINALS, "window_radius": "x"}}),
+        "marginals_array_markovize": (MARKOVIZE, {"m.json": []}),
+        "marginals_array_estimate": (
+            ["f-estimate", "--config", "c.json"],
+            {"c.json": {**ESTIMATE, "marginals": "m.json"}, "m.json": []},
+        ),
+        "marginals_entries_not_a_list": (MARKOVIZE, {"m.json": {**MARGINALS, "entries": 5}}),
+        "sft_forbidden_entry_a_list": (
+            ["f-estimate", "--config", "c.json"],
+            {"c.json": {**ESTIMATE, "weight": "w.json", "sft": {"alphabet": ["0", "1"], "forbidden": [["0"]]}}},
+        ),
+        "y_alphabet_not_a_list": (["rearrange", "--config", "c.json"], {"c.json": {**REARRANGE, "y_alphabet": 5}}),
+        "y_seed_not_an_integer": (
+            ["rearrange", "--config", "c.json"],
+            {"c.json": {**REARRANGE, "y_alphabet": ["p"], "y_seed": "x"}},
+        ),
+        "rearrange_config_array": (["rearrange", "--config", "c.json"], {"c.json": [REARRANGE]}),
+        "sft_verify_config_array": (["sft-verify", "--config", "c.json"], {"c.json": [REARRANGE]}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_malformed_shape_exits_2(self, tmp_path, monkeypatch, capsys, name):
+        argv, files = self.CASES[name]
+        monkeypatch.chdir(tmp_path)
+        weight = bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2).to_json()
+        files = {"w.json": {}, **files}
+        for file_name, data in files.items():
+            if file_name == "w.json":
+                data = {**weight, **data}
+            (tmp_path / file_name).write_text(json.dumps(data))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    @pytest.mark.parametrize(
+        "rank, perms",
+        [(2, [[1, 0]]), (1, [[1, 0], [0, 1]])],
+        ids=["too_few_generators", "too_many_generators"],
+    )
+    def test_action_rank_must_match(self, tmp_path, capsys, rank, perms):
+        symbol = {"a": "a", "A": "A", "b": "b", "B": "B"} if rank == 2 else {"a": "a", "A": "A"}
+        cfg = {"rank": rank, "rho": 1, "sigma": {"n": 2, "perms": perms}, "x": [symbol] * 2}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["sft-verify", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: the action has {len(perms)} generators for rank {rank}\n"
+        )

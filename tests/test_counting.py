@@ -18,17 +18,15 @@ from finvariant import (
     ResourceCapError,
     Weight,
     count_omega,
-    empirical_distribution,
     enumerate_actions,
     expected_count,
     f_estimate,
-    l1_distance,
     marginal_distribution,
     sample_action,
     sft_check_all,
 )
 
-from paper_objects import bernoulli_weight, d_star, nn_spec
+from paper_objects import bernoulli_weight, d_star, empirical_distribution, l1_distance, nn_spec
 
 CTX2 = FreeGroupCtx(2)
 CTX1 = FreeGroupCtx(1)

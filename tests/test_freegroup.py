@@ -206,9 +206,10 @@ class TestCtxValidation:
         with pytest.raises(InputError):
             FreeGroupCtx(0)
 
-    def test_duplicate_names_rejected(self):
+    def test_rank_beyond_the_letters_rejected(self):
+        FreeGroupCtx(26)
         with pytest.raises(InputError):
-            FreeGroupCtx(2, ("a", "a"))
+            FreeGroupCtx(27)
 
     def test_sort_words(self, ctx):
         ws = [ctx.parse("ab"), (), ctx.parse("B"), ctx.parse("a")]

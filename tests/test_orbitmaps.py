@@ -38,11 +38,13 @@ from finvariant.sft import sft_check_all, symbol_entry
 
 from paper_objects import (
     agree_on_common_window,
+    bijection,
     compose,
     compose_after_inverse,
     encode_E,
     invert,
     realized_displacement,
+    restrict,
     shift_pattern,
     sym_distance,
     theta_action,
@@ -70,11 +72,11 @@ def transposition(ctx, window, u, v):
 
 def phi_pool(window=6):
     """Mixed pool: automorphisms, a tree transposition, and their composites."""
-    pool = [auto.bijection(window) for auto in AUTOS.values()]
+    pool = [bijection(auto, window) for auto in AUTOS.values()]
     t = transposition(CTX, window, CTX.parse("a"), CTX.parse("aa"))
     pool.append(t)
-    pool.append(compose(CTX, AUTOS["swap"].bijection(window), t))
-    pool.append(compose(CTX, t, AUTOS["inversion"].bijection(window)))
+    pool.append(compose(CTX, bijection(AUTOS["swap"], window), t))
+    pool.append(compose(CTX, t, bijection(AUTOS["inversion"], window)))
     return pool
 
 
@@ -97,13 +99,13 @@ def direct_upsilon_table(ctx, h, phi):
 
 class TestActions:
     def test_theta_fixes_identity(self):
-        phi = AUTOS["identity"].bijection(4)
+        phi = bijection(AUTOS["identity"], 4)
         th = theta_action(CTX, CTX.parse("ab"), phi)
         assert all(th.table[g] == g for g in th.table)
 
     def test_theta_and_upsilon_fix_automorphisms(self):
         for auto in AUTOS.values():
-            phi = auto.bijection(5)
+            phi = bijection(auto, 5)
             for h in [CTX.parse("a"), CTX.parse("bA")]:
                 th = theta_action(CTX, h, phi)
                 assert all(th.table[g] == phi.table[g] for g in th.table)
@@ -122,7 +124,7 @@ class TestActions:
             assert agree_on_common_window(lhs, rhs)
 
     def test_window_exhaustion(self):
-        phi = AUTOS["identity"].bijection(1)
+        phi = bijection(AUTOS["identity"], 1)
         with pytest.raises(WindowError):
             theta_action(CTX, CTX.parse("ab"), phi)
 
@@ -169,18 +171,18 @@ def random_word(rng, max_len):
 
 class TestEncodeDecode:
     def test_identity_encodes_to_letters(self):
-        phi = AUTOS["identity"].bijection(3)
+        phi = bijection(AUTOS["identity"], 3)
         x = encode_E(CTX, phi)
         assert all(sym == tuple((l,) for l in CTX.letters) for sym in x.values)
 
     def test_swap_encodes_to_swapped_letters(self):
         swap = AUTOS["swap"]
-        x = encode_E(CTX, swap.bijection(3))
+        x = encode_E(CTX, bijection(swap, 3))
         expected = tuple(swap.images[l] for l in CTX.letters)
         assert all(sym == expected for sym in x.values)
 
     def test_encoding_determined_by_identity_cell_and_equivariance(self):
-        phi = AUTOS["nielsen"].bijection(4)
+        phi = bijection(AUTOS["nielsen"], 4)
         x = encode_E(CTX, phi)
         assert x[IDENTITY] == tuple(phi(CTX.parse(s)) for s in ("a", "A", "b", "B"))
         for h in (CTX.parse("a"), CTX.parse("b")):
@@ -190,12 +192,12 @@ class TestEncodeDecode:
             assert common and all(lhs[g] == rhs[g] for g in common)
 
     def test_decode_constant_identity(self):
-        phi = AUTOS["identity"].bijection(3)
+        phi = bijection(AUTOS["identity"], 3)
         dec = decode_E(CTX, encode_E(CTX, phi))
         assert dec.table == phi.table
 
     def test_decode_swap_telescopes(self):
-        dec = decode_E(CTX, encode_E(CTX, AUTOS["swap"].bijection(4)))
+        dec = decode_E(CTX, encode_E(CTX, bijection(AUTOS["swap"], 4)))
         assert dec.table[CTX.parse("ab")] == CTX.parse("ba")
 
     def test_round_trip_random_pool(self):
@@ -224,9 +226,9 @@ class TestEncodeDecode:
             decode_E(CTX, pattern)
 
     def test_inverse_eval(self):
-        phi = AUTOS["swap"].bijection(4)
+        phi = bijection(AUTOS["swap"], 4)
         assert phi.inverse_word(CTX.parse("a")) == CTX.parse("b")
-        assert AUTOS["identity"].bijection(3).inverse_word(CTX.parse("ab")) == CTX.parse("ab")
+        assert bijection(AUTOS["identity"], 3).inverse_word(CTX.parse("ab")) == CTX.parse("ab")
         with pytest.raises(WindowError):
             phi.inverse_word(CTX.parse("ababab"))
 
@@ -273,7 +275,7 @@ class TestBallPatternOracles:
         st.lists(st.sampled_from(CTX.letters), max_size=2),
     )
     def test_decode_displacement_matches_every_cell(self, name, window, k, word):
-        for phi in (AUTOS[name].bijection(window), self._translate(k, word)):
+        for phi in (bijection(AUTOS[name], window), self._translate(k, word)):
             pattern = encode_E(CTX, phi)
             oracle = max(
                 (len(symbol_entry(sym, s)) for sym in pattern.values for s in CTX.letters),
@@ -284,12 +286,12 @@ class TestBallPatternOracles:
 
 class TestEncodeF:
     def test_identity(self):
-        f = encode_F(CTX, AUTOS["identity"].bijection(4))
+        f = encode_F(CTX, bijection(AUTOS["identity"], 4))
         assert all(sym == tuple((l,) for l in CTX.letters) for sym in f.values)
 
     def test_automorphisms_agree_with_E(self):
         for auto in AUTOS.values():
-            phi = auto.bijection(5)
+            phi = bijection(auto, 5)
             e_pat = encode_E(CTX, phi)
             f_pat = encode_F(CTX, phi)
             assert all(f_pat[g] == e_pat[g] for g in f_pat.domain)
@@ -319,14 +321,14 @@ class TestProductMaps:
     def test_identity_product(self):
         rng = random.Random(6)
         y = self._ypattern(rng)
-        phi = AUTOS["identity"].bijection(4)
+        phi = bijection(AUTOS["identity"], 4)
         fy = compose_after_inverse(phi, y)
-        assert fy.restrict(y.domain[:3]) == y.restrict(y.domain[:3])
+        assert restrict(fy, y.domain[:3]) == restrict(y, y.domain[:3])
 
     def test_swap_moves_labels(self):
         rng = random.Random(7)
         y = self._ypattern(rng, 1)
-        phi = AUTOS["swap"].bijection(4)
+        phi = bijection(AUTOS["swap"], 4)
         fy = compose_after_inverse(phi, y)
         assert fy[CTX.parse("a")] == y[CTX.parse("b")]
         assert fy[CTX.parse("b")] == y[CTX.parse("a")]
@@ -374,7 +376,7 @@ class TestProductMaps:
 class TestPatternInverse:
     def test_swap(self):
         swap = AUTOS["swap"]
-        pattern = encode_E(CTX, swap.bijection(4))
+        pattern = encode_E(CTX, bijection(swap, 4))
         assert pattern_inverse_eval(CTX, 1, pattern, CTX.parse("a")) == CTX.parse("b")
         assert pattern_inverse_eval(CTX, 1, pattern, CTX.parse("ab")) == CTX.parse("ba")
 
@@ -398,13 +400,13 @@ class TestPatternInverse:
 class TestTau:
     def test_identity_config_gives_sigma(self):
         action = sample_action(7, 2, seed=11)
-        labels = AUTOS["identity"].constant_config(7).labels
+        labels = AUTOS["identity"].constant_config(7)
         tau = tau_construct(CTX, action, verify_zrho(CTX, 1, action, labels))
         assert tau == action
 
     def test_swap_config_brute_force(self):
         action = sample_action(6, 2, seed=12)
-        labels = AUTOS["swap"].constant_config(6).labels
+        labels = AUTOS["swap"].constant_config(6)
         tau = tau_construct(CTX, action, verify_zrho(CTX, 1, action, labels))
         # phi_v is constantly the swap (its own inverse): tau(g) = sigma(swap(g))
         assert tau.perms[0] == action.perms[1]
@@ -413,7 +415,7 @@ class TestTau:
     def test_nielsen_config(self):
         action = sample_action(6, 2, seed=13)
         auto = AUTOS["nielsen"]
-        labels = auto.constant_config(6).labels
+        labels = auto.constant_config(6)
         tau = tau_construct(CTX, action, verify_zrho(CTX, 2, action, labels))
         # phi_v = nielsen^-1, so tau(g) = sigma(nielsen(g))
         for i, name in ((1, "a"), (2, "b")):
@@ -422,7 +424,7 @@ class TestTau:
 
     def test_precondition_error_names_vertex(self):
         action = sample_action(5, 2, seed=14)
-        labels = list(AUTOS["swap"].constant_config(5).labels)
+        labels = list(AUTOS["swap"].constant_config(5))
         sym = list(labels[3])
         sym[0] = CTX.parse("a")
         labels[3] = tuple(sym)
@@ -432,19 +434,19 @@ class TestTau:
     def test_pullback_identity(self):
         action = sample_action(6, 2, seed=15)
         for name in ("swap", "inversion"):
-            labels = AUTOS[name].constant_config(6).labels
+            labels = AUTOS[name].constant_config(6)
             tau = tau_construct(CTX, action, verify_zrho(CTX, 1, action, labels))
             for v in range(6):
                 phi_v = decode_E(CTX, pullback_name(CTX, action, labels, v, 2))
                 lhs = pullback_name(CTX, tau, labels, v, 2)
-                rhs = encode_F(CTX, phi_v).restrict(CTX.ball(2))
+                rhs = restrict(encode_F(CTX, phi_v), CTX.ball(2))
                 assert lhs == rhs
 
     def test_reconstruction_round_trip(self):
         for seed, name in [(16, "swap"), (17, "nielsen"), (18, "identity")]:
             action = sample_action(6, 2, seed=seed)
             auto = AUTOS[name]
-            labels = auto.constant_config(6).labels
+            labels = auto.constant_config(6)
             rho = auto.displacement
             tau = tau_construct(CTX, action, verify_zrho(CTX, rho, action, labels))
             assert reconstruct_sigma(CTX, tau, labels) == action
@@ -462,7 +464,7 @@ class TestAutomorphismFactory:
         assert auto.displacement == 2
         action = sample_action(8, 2, seed=19)
         spec = zrho_spec(CTX, 2)
-        assert sft_check_all(CTX, spec, action, auto.constant_config(8).labels)
+        assert sft_check_all(CTX, spec, action, auto.constant_config(8))
 
     def test_non_bijective_images_rejected(self):
         with pytest.raises(ConstructionError):
@@ -480,7 +482,7 @@ class TestAutomorphismFactory:
 
     def test_bijection_validates(self):
         for auto in AUTOS.values():
-            auto.bijection(4).validate(CTX)
+            bijection(auto, 4).validate(CTX)
 
 
 class TestInclusions:
@@ -492,37 +494,37 @@ class TestInclusions:
         assert t.rho == 2
         t.validate(CTX)
         cases = [
-            (AUTOS["swap"].bijection(7), 1),
-            (AUTOS["nielsen"].bijection(7), 2),
+            (bijection(AUTOS["swap"], 7), 1),
+            (bijection(AUTOS["nielsen"], 7), 2),
             (t, 2),
-            (compose(CTX, AUTOS["inversion"].bijection(8), t), 2),
+            (compose(CTX, bijection(AUTOS["inversion"], 8), t), 2),
         ]
         for phi, rho in cases:
-            pattern = encode_E(CTX, phi).restrict(CTX.ball(rho * rho + 1))
+            pattern = restrict(encode_E(CTX, phi), CTX.ball(rho * rho + 1))
             assert axioms_check(CTX, rho, pattern).ok
             # translates of admissible encodings stay admissible
             shifted = theta_action(CTX, CTX.parse("a"), phi)
-            pattern2 = encode_E(CTX, shifted).restrict(CTX.ball(rho * rho + 1))
+            pattern2 = restrict(encode_E(CTX, shifted), CTX.ball(rho * rho + 1))
             assert axioms_check(CTX, rho, pattern2).ok
 
     def test_accepted_patterns_decode_to_bounded_bijections(self):
         t = transposition(CTX, 7, CTX.parse("a"), CTX.parse("aa"))
-        pattern = encode_E(CTX, t).restrict(CTX.ball(5))
+        pattern = restrict(encode_E(CTX, t), CTX.ball(5))
         assert axioms_check(CTX, 2, pattern).ok
         phi = decode_E(CTX, pattern)
         image = set(phi.table.values())
         assert all(h in image for h in CTX.ball(2))
-        assert encode_E(CTX, phi).restrict(CTX.ball(5)) == pattern
+        assert restrict(encode_E(CTX, phi), CTX.ball(5)) == pattern
 
 
 class TestDiagnostics:
     def test_sym_distance_zero_on_equal(self):
-        phi = AUTOS["swap"].bijection(4)
+        phi = bijection(AUTOS["swap"], 4)
         assert sym_distance(CTX, phi, phi, 3) == 0.0
 
     def test_sym_distance_positive_on_different(self):
-        a = AUTOS["swap"].bijection(4)
-        b = AUTOS["identity"].bijection(4)
+        a = bijection(AUTOS["swap"], 4)
+        b = bijection(AUTOS["identity"], 4)
         assert sym_distance(CTX, a, b, 3) > 0
 
     def test_compose_and_invert(self):
@@ -540,14 +542,14 @@ class TestLabeledTransport:
         for name in ("swap", "nielsen"):
             auto = AUTOS[name]
             rho = auto.displacement
-            labels = auto.constant_config(6).labels
+            labels = auto.constant_config(6)
             ylabels = tuple(rng.choice("pq") for _ in range(6))
             tau = tau_construct(CTX, action, verify_zrho(CTX, rho, action, labels))
             for v in range(6):
                 phi_v = decode_E(CTX, pullback_name(CTX, action, labels, v, rho * rho + 1))
                 lhs = pullback_name(CTX, tau, ylabels, v, 1)
                 y_sigma = pullback_name(CTX, action, ylabels, v, rho)
-                rhs = compose_after_inverse(phi_v, y_sigma).restrict(CTX.ball(1))
+                rhs = restrict(compose_after_inverse(phi_v, y_sigma), CTX.ball(1))
                 assert lhs == rhs
 
 
@@ -582,7 +584,7 @@ class TestBlockCode:
         for seed, name in enumerate(("identity", "swap", "inversion", "nielsen")):
             auto = AUTOS[name]
             action = sample_action(7, 2, seed=30 + seed)
-            yield auto.displacement, action, auto.constant_config(7).labels
+            yield auto.displacement, action, auto.constant_config(7)
 
     def test_witnesses_are_the_telescoped_inverse(self):
         cases = [(rho, pullback_name(CTX, action, labels, 0, rho * rho + 1))
@@ -616,7 +618,7 @@ class TestBlockCode:
         # of the first copy comes back in the second
         part = sample_action(6, 2, seed=40)
         action = FiniteAction(12, tuple(p + tuple(v + 6 for v in p) for p in part.perms))
-        labels = list(AUTOS["swap"].constant_config(12).labels)
+        labels = list(AUTOS["swap"].constant_config(12))
         for u in (4, 10):
             sym = list(labels[u])
             sym[0] = CTX.parse("a")

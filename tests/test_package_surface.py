@@ -1,10 +1,15 @@
 """The package holds only what its commands and the benchmark run.
 
-Every top-level function and class in ``src/finvariant`` must be read by
-other code in the package (its own body and the ``__init__`` re-export do
-not count) or by ``perfbench/``, which drives the package through the CLI
+Every top-level function and class in ``src/finvariant``, and every method,
+property and classmethod of those classes other than dunders, must be read
+by other code in the package (its own body and the ``__init__`` re-export
+do not count) or by ``perfbench/``, which drives the package through the CLI
 and hooks some functions by name.  A definition that only tests use belongs
-in ``tests/paper_objects.py``.
+in ``tests/paper_objects.py``.  A member is matched by name alone, so one
+that shares its name with a used member passes.
+
+Every name a module imports must also be read in that module, so that a
+deletion leaves no import behind.
 """
 
 import ast
@@ -26,24 +31,66 @@ def _names_read(tree: ast.AST) -> Counter:
     )
 
 
-def zero_caller_definitions(package: pathlib.Path = PACKAGE) -> list:
-    modules = {
+def _modules(package: pathlib.Path) -> dict:
+    return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(package.glob("*.py"))
         if path.name != "__init__.py"
     }
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level definition and of each
+    non-dunder member of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{node.name}.{member.name}", member
+
+
+def zero_caller_definitions(package: pathlib.Path = PACKAGE) -> list:
+    modules = _modules(package)
     reads = sum((_names_read(tree) for tree in modules.values()), Counter())
     bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py")))
     unused = []
     for name, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for qualified, node in _definitions(tree):
             if reads[node.name] > _names_read(node)[node.name]:
                 continue
             if not re.search(rf"\b{re.escape(node.name)}\b", bench):
-                unused.append(f"{name}:{node.name}")
+                unused.append(f"{name}:{qualified}")
     return unused
+
+
+def unused_imports(package: pathlib.Path = PACKAGE) -> list:
+    unused = []
+    for name, tree in _modules(package).items():
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{name}:{bound}")
+    return unused
+
+
+def _copy_package(tmp_path: pathlib.Path) -> None:
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+
+
+def _plant(path: pathlib.Path, anchor: str, text: str) -> None:
+    source = path.read_text(encoding="utf-8")
+    assert source.count(anchor) == 1
+    path.write_text(source.replace(anchor, anchor + text), encoding="utf-8")
 
 
 def test_every_definition_has_a_caller():
@@ -52,8 +99,27 @@ def test_every_definition_has_a_caller():
 
 def test_the_check_sees_a_zero_caller_definition(tmp_path):
     # a copy of the package with one self-recursive orphan must report it
-    for path in PACKAGE.glob("*.py"):
-        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    _copy_package(tmp_path)
     with open(tmp_path / "shift.py", "a", encoding="utf-8") as fh:
         fh.write("\n\ndef orphan(x):\n    return orphan(x - 1) if x else 0\n")
     assert zero_caller_definitions(tmp_path) == ["shift.py:orphan"]
+
+
+def test_the_check_sees_a_zero_caller_method(tmp_path):
+    _copy_package(tmp_path)
+    _plant(
+        tmp_path / "shift.py",
+        '    __slots__ = ("domain", "values", "_index")\n',
+        "\n    def orphan_method(self, x):\n        return self.orphan_method(x - 1) if x else 0\n",
+    )
+    assert zero_caller_definitions(tmp_path) == ["shift.py:Pattern.orphan_method"]
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
+
+
+def test_the_check_sees_an_unused_import(tmp_path):
+    _copy_package(tmp_path)
+    _plant(tmp_path / "shift.py", "from __future__ import annotations\n", "\nimport os\n")
+    assert unused_imports(tmp_path) == ["shift.py:os"]

@@ -10,6 +10,8 @@ from finvariant import (
     LocalBijection,
 )
 
+from paper_objects import bijection
+
 CTX = FreeGroupCtx(2)
 
 
@@ -26,7 +28,7 @@ class TestActionJson:
 class TestLocalBijectionJson:
     def test_round_trip(self):
         auto = Automorphism.from_names(CTX, {"a": "ab", "b": "b"})
-        phi = auto.bijection(3)
+        phi = bijection(auto, 3)
         data = phi.to_json(CTX)
         back = LocalBijection.from_json(CTX, data)
         assert back.table == phi.table

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from finvariant import (
     FiniteAction,
     FreeGroupCtx,
-    Microstate,
-    OrbitAlphabet,
     Pattern,
     SftSpec,
     axioms_check,
@@ -86,13 +84,12 @@ class TestCheckers:
 
 class TestAxioms:
     def test_identity_configuration_accepted(self):
-        alphabet = OrbitAlphabet(CTX2, 1)
-        pattern = constant_pattern(CTX2, 2, identity_symbol(alphabet))
+        pattern = constant_pattern(CTX2, 2, identity_symbol(CTX2))
         assert axioms_check(CTX2, 1, pattern).ok
 
     def test_axiom1_violation(self):
         # z_e(a) = a but z_a(A) = a: the product is aa, not e
-        sym = list(identity_symbol(OrbitAlphabet(CTX2, 1)))
+        sym = list(identity_symbol(CTX2))
         sym[1] = CTX2.parse("a")  # entry for A
         pattern = constant_pattern(CTX2, 2, tuple(sym))
         report = axioms_check(CTX2, 1, pattern)
@@ -139,8 +136,7 @@ class TestAxioms:
                 assert len(witnesses[0]) <= 2 * len(h)
 
     def test_domain_too_small_rejected(self):
-        alphabet = OrbitAlphabet(CTX2, 1)
-        pattern = constant_pattern(CTX2, 1, identity_symbol(alphabet))
+        pattern = constant_pattern(CTX2, 1, identity_symbol(CTX2))
         with pytest.raises(Exception):
             axioms_check(CTX2, 1, pattern)
 
@@ -151,34 +147,26 @@ class TestZrhoSpec:
         ident = Automorphism.from_names(CTX2, {"a": "a", "b": "b"})
         for seed in range(3):
             action = sample_action(6, 2, seed=seed)
-            assert sft_check_all(CTX2, spec, action, ident.constant_config(6).labels)
+            assert sft_check_all(CTX2, spec, action, ident.constant_config(6))
 
     def test_constant_swap_accepted(self):
         spec = zrho_spec(CTX2, 1)
         swap = Automorphism.from_names(CTX2, {"a": "b", "b": "a"})
         action = sample_action(7, 2, seed=4)
-        assert sft_check_all(CTX2, spec, action, swap.constant_config(7).labels)
+        assert sft_check_all(CTX2, spec, action, swap.constant_config(7))
 
     def test_axiom1_mutation_rejected(self):
         spec = zrho_spec(CTX2, 1)
         swap = Automorphism.from_names(CTX2, {"a": "b", "b": "a"})
         action = sample_action(6, 2, seed=5)
-        labels = list(swap.constant_config(6).labels)
+        labels = list(swap.constant_config(6))
         sym = list(labels[2])
         sym[0] = CTX2.parse("a")  # z_e(a) no longer inverts across the edge
         labels[2] = tuple(sym)
         assert not sft_check_all(CTX2, spec, action, tuple(labels))
 
     def test_orbit_alphabet_size(self):
-        assert OrbitAlphabet(CTX2, 1).size() == 5**4
-        assert len(tuple(OrbitAlphabet(CTX2, 1).symbols())) == 625
-
-    def test_json_round_trip(self):
-        spec = zrho_spec(CTX2, 1)
-        data = spec.to_json(CTX2)
-        assert data == {"builtin": "z_rho", "rho": 1}
-        back = SftSpec.from_json(CTX2, data)
-        assert back.predicate_radius == 2
+        assert len(zrho_spec(CTX2, 1).alphabet) == 5**4
 
     def test_explicit_json_round_trip(self):
         spec = nn_spec(("0", "1"), [("0", "1", 1)])
@@ -224,7 +212,7 @@ class TestSampler:
         spec = SftSpec(alphabet=(0, 1))
         action = sample_action(6, 2, seed=0)
         got = sample_sft_config(CTX2, spec, action, seed=1)
-        assert got is not None and len(got.labels) == 6
+        assert got is not None and len(got) == 6
 
     def test_identity_hint_succeeds_immediately(self):
         spec = zrho_spec(CTX2, 1)
@@ -232,7 +220,7 @@ class TestSampler:
         action = sample_action(8, 2, seed=1)
         hint = ident.constant_config(8)
         got = sample_sft_config(CTX2, spec, action, seed=0, budget=2000, hint=hint)
-        assert got is not None and got.labels == hint.labels
+        assert got is not None and got == hint
 
     def test_odd_cycle_two_coloring_unsatisfiable(self):
         # proper 2-coloring along a 3-cycle: exhaustively impossible
@@ -249,7 +237,7 @@ class TestSampler:
         spec = nn_spec((0, 1), [(0, 0, 1), (1, 1, 1)])
         got = sample_sft_config(CTX1, spec, action, seed=7, budget=5000)
         assert got is not None
-        assert sft_check_all(CTX1, spec, action, got.labels)
+        assert sft_check_all(CTX1, spec, action, got)
 
     def test_deterministic_given_seed(self):
         spec = nn_spec((0, 1, 2), [(0, 0, 1), (1, 1, 1), (2, 2, 1)])
@@ -266,7 +254,7 @@ class TestSampler:
             CTX2, spec, action, seed=2, budget=4000, hint=swap.constant_config(6)
         )
         assert got is not None
-        assert sft_check_all(CTX2, spec, action, got.labels)
+        assert sft_check_all(CTX2, spec, action, got)
 
     def test_unhinted_discovery_on_multi_orbit_action(self):
         # with two orbits the solution space is a product of per-orbit
@@ -280,5 +268,5 @@ class TestSampler:
         action = FiniteAction(4, perms)
         got = sample_sft_config(CTX2, spec, action, seed=0, budget=60000, restarts=2)
         assert got is not None
-        assert sft_check_all(CTX2, spec, action, got.labels)
-        assert len(set(got.labels)) > 1
+        assert sft_check_all(CTX2, spec, action, got)
+        assert len(set(got)) > 1

@@ -13,8 +13,6 @@ from finvariant import (
     InputError,
     Pattern,
     PatternDistribution,
-    empirical_distribution,
-    l1_distance,
     pullback_name,
     sample_action,
 )
@@ -24,10 +22,14 @@ from paper_objects import (
     Alphabet,
     BlockCode,
     apply_block_code,
+    as_dict,
     bernoulli_weight,
     d_star,
+    empirical_distribution,
     identity_code,
     join_code,
+    l1_distance,
+    restrict,
     shift_pattern,
 )
 
@@ -49,7 +51,7 @@ class TestShift:
     def test_basic_move(self, ctx):
         p = Pattern([(), ctx.parse("a")], [0, 1])
         q = shift_pattern(ctx.parse("a"), p)
-        assert q.as_dict() == {ctx.parse("a"): 0, ctx.parse("aa"): 1}
+        assert as_dict(q) == {ctx.parse("a"): 0, ctx.parse("aa"): 1}
 
     def test_action_law_randomized(self, ctx):
         rng = random.Random(12)
@@ -77,7 +79,7 @@ class TestPullback:
         ctx1 = FreeGroupCtx(1)
         action = FiniteAction(2, ((1, 0),))
         p = pullback_name(ctx1, action, (0, 1), 0, 1)
-        assert p.as_dict() == {(): 0, (1,): 1, (-1,): 1}
+        assert as_dict(p) == {(): 0, (1,): 1, (-1,): 1}
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 7), st.data())
@@ -108,7 +110,7 @@ class TestPullback:
             u = action.apply(g, v)
             small = ctx.ball(m - len(g))
             lhs = pullback_name(ctx, action, x, u, m - len(g))
-            rhs = shift_pattern(g, pullback_name(ctx, action, x, v, m)).restrict(small)
+            rhs = restrict(shift_pattern(g, pullback_name(ctx, action, x, v, m)), small)
             assert lhs == rhs
 
 

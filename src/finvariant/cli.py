@@ -244,7 +244,7 @@ def cmd_f_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_action(ctx: FreeGroupCtx, config: dict, seed_flag) -> FiniteAction:
+def _resolve_action(ctx: FreeGroupCtx, config: dict) -> FiniteAction:
     spec = config.get("sigma") or config.get("action")
     if not isinstance(spec, dict):
         raise InputError("config must provide an action object under 'sigma' or 'action'")
@@ -256,7 +256,7 @@ def _resolve_action(ctx: FreeGroupCtx, config: dict, seed_flag) -> FiniteAction:
     n = _as_int(spec.get("n", config.get("n", 0)), "the action's n")
     if n < 1:
         raise InputError("action needs n >= 1")
-    seed = spec.get("seed", seed_flag)
+    seed = spec.get("seed", config.get("seed"))
     if seed is None:
         raise InputError("a seed is mandatory for randomized commands")
     return sample_action(n, ctx.rank, _as_int(seed, "seed"))
@@ -277,9 +277,7 @@ def _decode_symbol(ctx: FreeGroupCtx, raw) -> tuple:
     return tuple(images[letter] for letter in ctx.letters)
 
 
-def _resolve_config_labels(
-    ctx: FreeGroupCtx, config: dict, action: FiniteAction, rho: int, seed_flag
-) -> tuple:
+def _resolve_config_labels(ctx: FreeGroupCtx, config: dict, action: FiniteAction, rho: int) -> tuple:
     spec = config.get("x") or config.get("config")
     if spec is None:
         raise InputError("config must provide a configuration under 'x' or 'config'")
@@ -308,7 +306,7 @@ def _resolve_config_labels(
         sampler = spec["sampler"]
         if not isinstance(sampler, dict):
             raise InputError("a sampler source must be an object")
-        seed = sampler.get("seed", seed_flag)
+        seed = sampler.get("seed", config.get("seed"))
         if seed is None:
             raise InputError("a seed is mandatory for randomized commands")
         found = sample_sft_config(
@@ -325,25 +323,30 @@ def _resolve_config_labels(
     raise InputError("unrecognized configuration source")
 
 
-# ---------------------------------------------------------------------------
-# rearrange
-# ---------------------------------------------------------------------------
-
-
-def cmd_rearrange(args) -> int:
+def _orbit_inputs(args, command: str):
+    """The config, group, rho, action and configuration that ``rearrange``
+    and ``sft-verify`` read; ``--seed`` overrides the config's ``seed``."""
     if not args.config:
-        raise InputError("rearrange needs --config")
+        raise InputError(f"{command} needs --config")
     config = _load_json(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
     rho = _as_int(config.get("rho", 1), "rho")
     if rho > MAX_CLI_RHO:
         raise ResourceCapError(f"cli caps rho at {MAX_CLI_RHO}")
-    rank = _as_int(config.get("rank", 2), "rank")
-    ctx = _ctx_for_rank(rank)
-    action = _resolve_action(ctx, config, config.get("seed"))
-    labels = _resolve_config_labels(ctx, config, action, rho, config.get("seed"))
+    ctx = _ctx_for_rank(_as_int(config.get("rank", 2), "rank"))
+    action = _resolve_action(ctx, config)
+    labels = _resolve_config_labels(ctx, config, action, rho)
+    return config, ctx, rho, action, labels
 
+
+# ---------------------------------------------------------------------------
+# rearrange
+# ---------------------------------------------------------------------------
+
+
+def cmd_rearrange(args) -> int:
+    config, ctx, rho, action, labels = _orbit_inputs(args, "rearrange")
     lines = [f"config_hash: {_config_hash(config)}", "command: rearrange"]
     lines.append(f"n: {action.n}")
     lines.append(f"rho: {rho}")
@@ -386,7 +389,7 @@ def cmd_rearrange(args) -> int:
     # ball, is dropped, so memory does not grow with the number of patterns.
     m = (rho * rho + 1) // rho
     window = ctx.ball(m)
-    y_ball = {g: c for c, g in enumerate(ctx.ball(rho * m))}
+    y_ball = ctx.ball_index(rho * m)
     expected_keys = []
     columns = []
     for pat in pullbacks.patterns:
@@ -445,17 +448,7 @@ def cmd_rearrange(args) -> int:
 
 
 def cmd_sft_verify(args) -> int:
-    if not args.config:
-        raise InputError("sft-verify needs --config")
-    config = _load_json(args.config)
-    rho = _as_int(config.get("rho", 1), "rho")
-    if rho > MAX_CLI_RHO:
-        raise ResourceCapError(f"cli caps rho at {MAX_CLI_RHO}")
-    rank = _as_int(config.get("rank", 2), "rank")
-    ctx = _ctx_for_rank(rank)
-    action = _resolve_action(ctx, config, args.seed)
-    labels = _resolve_config_labels(ctx, config, action, rho, args.seed)
-
+    config, ctx, rho, action, labels = _orbit_inputs(args, "sft-verify")
     lines = [f"config_hash: {_config_hash(config)}", "command: sft-verify", f"rho: {rho}"]
     ok = True
     pullbacks = zrho_pullbacks(ctx, rho, action, labels)

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul
 from .shift import Pattern, pullback_name
-from .sft import AxiomsReport, axioms_check, symbol_entry, telescope_walk
+from .sft import AxiomsReport, axioms_check, symbol_entry, telescope
 
 
 class LocalBijection:
@@ -124,14 +124,7 @@ def decode_E(ctx: FreeGroupCtx, pattern: Pattern) -> LocalBijection:
     radius = max((len(g) for g in pattern.domain), default=0)
     if pattern.domain != ctx.ball(radius):
         raise InputError("decoding needs a pattern on a full ball")
-    tree = ctx.ball_tree(radius + 1)
-    # the pattern's ball is the shortlex prefix of this tree, so a parent's
-    # tree index is also its position in pattern.values
-    values = pattern.values
-    images: list[Word] = [IDENTITY] * len(tree)
-    for k in range(1, len(tree)):
-        _, parent, letter = tree[k]
-        images[k] = mul(images[parent], symbol_entry(values[parent], letter))
+    images = telescope(ctx, pattern, IDENTITY, radius + 1)
     table = dict(zip(ctx.ball(radius + 1), images))
     inverse: dict[Word, Word] = {}
     for g, val in table.items():
@@ -142,7 +135,7 @@ def decode_E(ctx: FreeGroupCtx, pattern: Pattern) -> LocalBijection:
             )
         inverse[val] = g
     rho = max(
-        (len(symbol_entry(sym, letter)) for sym in set(values) for letter in ctx.letters),
+        (len(symbol_entry(sym, letter)) for sym in set(pattern.values) for letter in ctx.letters),
         default=1,
     )
     phi = LocalBijection(radius + 1, max(rho, 1), table)
@@ -179,9 +172,8 @@ def pattern_inverse_eval(ctx: FreeGroupCtx, rho: int, pattern: Pattern, target: 
     """
     cur = IDENTITY
     for t in target:
-        witnesses = [
-            u for u, prod in telescope_walk(ctx, pattern, cur, rho) if prod == (t,)
-        ]
+        products = telescope(ctx, pattern, cur, rho)
+        witnesses = [u for u, prod in zip(ctx.ball(rho), products) if prod == (t,)]
         if len(witnesses) != 1:
             raise PreconditionError(
                 f"expected a unique length-<={rho} witness for {ctx.letter_name(t)} "
@@ -327,24 +319,17 @@ class Automorphism:
         return None
 
     def _check_bijective(self) -> None:
-        rho = self.forward_displacement
-        test_ball = self.ctx.ball(2 * rho)
-        seen = {}
-        for g in test_ball:
-            img = self.apply(g)
-            if img in seen:
-                raise ConstructionError(
-                    "images do not define a bijection on the test ball: "
-                    f"{self.ctx.format(seen[img])} and {self.ctx.format(g)} collide"
-                )
-            seen[img] = g
+        # a preimage of every generator makes the map onto, and a free group
+        # of finite rank is Hopfian: a surjective endomorphism is injective
+        # too, so no separate injectivity check is needed
+        radius = 2 * self.forward_displacement + 2
         inverse_images = {}
         for i in range(1, self.ctx.rank + 1):
-            pre = self._find_preimage((i,), 2 * rho + 2)
+            pre = self._find_preimage((i,), radius)
             if pre is None:
                 raise ConstructionError(
-                    "images do not define a bijection on the test ball: "
-                    f"generator {self.ctx.letter_name(i)} has no preimage"
+                    "images do not define an automorphism: generator "
+                    f"{self.ctx.letter_name(i)} has no preimage within radius {radius}"
                 )
             inverse_images[i] = pre
         self._inverse = Automorphism(self.ctx, inverse_images, _inverse=self)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Callable, Iterator
+from typing import Callable
 
 from .actions import FiniteAction, derive_seed
 from .errors import InputError
@@ -87,13 +87,15 @@ class SftSpec:
                 Pattern.from_dict({ctx.parse(k): v for k, v in pat.items()})
                 for pat in data["forbidden"]
             )
-            return cls(
-                alphabet=tuple(data["alphabet"]),
-                forbidden=forbidden,
-                nearest_neighbor=bool(data.get("nearest_neighbor", False)),
-            )
+            alphabet = tuple(data["alphabet"])
+            nearest_neighbor = bool(data.get("nearest_neighbor", False))
         except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed sft json: {exc}") from exc
+        for sym in alphabet + tuple(v for pat in forbidden for v in pat.values):
+            # symbols are compared and hashed, so a list or object cannot be one
+            if isinstance(sym, (list, dict)):
+                raise InputError(f"malformed sft json: a symbol must be a string or number, got {sym!r}")
+        return cls(alphabet=alphabet, forbidden=forbidden, nearest_neighbor=nearest_neighbor)
 
 
 # ---------------------------------------------------------------------------
@@ -112,32 +114,26 @@ class AxiomsReport:
     witnesses: dict | None = None
 
 
-def telescope_walk(
-    ctx: FreeGroupCtx, pattern: Pattern, base: Word, max_len: int
-) -> Iterator[tuple[Word, Word]]:
-    """All (reduced word u, telescoped product) pairs with 1 <= |u| <= max_len.
-
-    The product of u = s_1...s_n from ``base`` is
-    z_{base}(s_1) z_{base s_1}(s_2) ... z_{base s_1..s_{n-1}}(s_n); every
-    prefix position base * s_1..s_{k-1} must lie in the pattern domain.
+def telescope(ctx: FreeGroupCtx, pattern: Pattern, base: Word, depth: int) -> list[Word]:
+    """The telescoped product of every word of ``ctx.ball(depth)``, in ball
+    order: for u = s_1...s_n it is
+    z_{base}(s_1) z_{base s_1}(s_2) ... z_{base s_1..s_{n-1}}(s_n), and the
+    empty word's is e.  Each prefix position base * s_1..s_{k-1} must lie in
+    the pattern domain.
     """
-    letters = ctx.letters
-    stack = [(IDENTITY, IDENTITY)]
-    while stack:
-        prefix, prod = stack.pop()
-        pos = mul(base, prefix)
-        sym = pattern.get(pos)
-        if sym is None:
-            raise InputError(f"pattern domain misses position {pos}")
-        last = prefix[-1] if prefix else 0
-        for letter in reversed(letters):
-            if letter == -last:
-                continue
-            word = prefix + (letter,)
-            new_prod = mul(prod, symbol_entry(sym, letter))
-            yield word, new_prod
-            if len(word) < max_len:
-                stack.append((word, new_prod))
+    tree = ctx.ball_tree(depth)
+    products: list[Word] = [IDENTITY] * len(tree)
+    # a parent's children are consecutive in the tree, so its symbol is
+    # looked up once for all of them
+    last = -1
+    for k in range(1, len(tree)):
+        _, parent, letter = tree[k]
+        if parent != last:
+            last = parent
+            word = tree[parent][0]
+            sym = pattern[mul(base, word) if base else word]
+        products[k] = mul(products[parent], symbol_entry(sym, letter))
+    return products
 
 
 def axioms_check(ctx: FreeGroupCtx, rho: int, pattern: Pattern) -> AxiomsReport:
@@ -165,7 +161,8 @@ def axioms_check(ctx: FreeGroupCtx, rho: int, pattern: Pattern) -> AxiomsReport:
                 f"{ctx.format(out)} * {ctx.format(back)} != e",
             )
     targets = {h: [] for h in ctx.ball(rho)}
-    for word, prod in telescope_walk(ctx, pattern, IDENTITY, depth):
+    products = telescope(ctx, pattern, IDENTITY, depth)
+    for word, prod in zip(ctx.ball(depth)[1:], products[1:]):
         if prod in targets:
             targets[prod].append(word)
     for h, witnesses in targets.items():

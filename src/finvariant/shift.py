@@ -64,10 +64,6 @@ class Pattern:
         except KeyError:
             raise InputError(f"word {w} outside pattern domain") from None
 
-    def get(self, w: Word, default=None):
-        k = self._index.get(w)
-        return default if k is None else self.values[k]
-
     def __eq__(self, other):
         return (
             isinstance(other, Pattern)

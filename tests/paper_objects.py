@@ -6,7 +6,8 @@ theta/upsilon actions with the edge-label encoding E (criterion 08), block
 codes and the join observable (criterion 09), empirical distributions and
 the l1 and pair-marginal distances that the brute-force counting oracle
 uses, Bernoulli product weights, tree-factorized pattern probabilities,
-nearest-neighbor constraint systems, past windows, automorphism tables,
+nearest-neighbor constraint systems, the depth-first telescope walk, past
+windows, automorphism tables and the collision-scan automorphism check,
 pattern restriction, label transport through an orbit map and the orbit-map
 diagnostics.
 """
@@ -16,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from finvariant.actions import FiniteAction
-from finvariant.errors import InputError, WeightError, WindowError
+from finvariant.errors import ConstructionError, InputError, WeightError, WindowError
 from finvariant.freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul, sort_words
 from finvariant.orbitmaps import Automorphism, LocalBijection
-from finvariant.sft import SftSpec, _bfs, _check_local
+from finvariant.sft import SftSpec, _bfs, _check_local, symbol_entry
 from finvariant.shift import Pattern, PatternDistribution, window_columns
 from finvariant.weights import BALANCE_TOL, Weight, _window_structure
 
@@ -259,6 +260,35 @@ def identity_symbol(ctx: FreeGroupCtx) -> tuple:
     return tuple((letter,) for letter in ctx.letters)
 
 
+def telescope_walk(
+    ctx: FreeGroupCtx, pattern: Pattern, base: Word, max_len: int
+) -> Iterator[tuple[Word, Word]]:
+    """All (reduced word u, telescoped product) pairs with 1 <= |u| <= max_len,
+    depth first: the oracle of ``sft.telescope``.
+
+    The product of u = s_1...s_n from ``base`` is
+    z_{base}(s_1) z_{base s_1}(s_2) ... z_{base s_1..s_{n-1}}(s_n); every
+    prefix position base * s_1..s_{k-1} must lie in the pattern domain.
+    """
+    letters = ctx.letters
+    stack = [(IDENTITY, IDENTITY)]
+    while stack:
+        prefix, prod = stack.pop()
+        pos = mul(base, prefix)
+        if pos not in pattern:
+            raise InputError(f"pattern domain misses position {pos}")
+        sym = pattern[pos]
+        last = prefix[-1] if prefix else 0
+        for letter in reversed(letters):
+            if letter == -last:
+                continue
+            word = prefix + (letter,)
+            new_prod = mul(prod, symbol_entry(sym, letter))
+            yield word, new_prod
+            if len(word) < max_len:
+                stack.append((word, new_prod))
+
+
 # ---------------------------------------------------------------------------
 # orbit-change maps: the two actions, the encoding E, diagnostics
 # ---------------------------------------------------------------------------
@@ -272,6 +302,35 @@ def bijection(auto: Automorphism, window: int) -> LocalBijection:
     """The automorphism's table on the radius-``window`` ball."""
     table = {g: auto.apply(g) for g in auto.ctx.ball(window)}
     return LocalBijection(window, auto.forward_displacement, table)
+
+
+def check_automorphism_by_scan(ctx: FreeGroupCtx, images: Mapping[str, str]) -> None:
+    """The bijectivity check that ``Automorphism`` ran before it relied on
+    the Hopfian property: no two words of the radius-2rho ball share an
+    image, and every generator has a preimage within radius 2rho+2, where rho
+    is the longest generator image.  Raises ``ConstructionError`` otherwise."""
+    full = {}
+    for name, word in images.items():
+        i, img = ctx.parse(name)[0], ctx.parse(word)
+        full[i], full[-i] = img, inv(img)
+
+    def apply(w: Word) -> Word:
+        out = IDENTITY
+        for letter in w:
+            out = mul(out, full[letter])
+        return out
+
+    rho = max(len(img) for img in full.values())
+    seen = {}
+    for g in ctx.ball(2 * rho):
+        img = apply(g)
+        if img in seen:
+            raise ConstructionError(f"{ctx.format(seen[img])} and {ctx.format(g)} collide")
+        seen[img] = g
+    preimages = {apply(w) for w in ctx.ball(2 * rho + 2)}
+    for i in range(1, ctx.rank + 1):
+        if (i,) not in preimages:
+            raise ConstructionError(f"generator {ctx.letter_name(i)} has no preimage")
 
 
 def agree_on_common_window(a: LocalBijection, b: LocalBijection) -> bool:

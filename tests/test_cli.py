@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from finvariant import FreeGroupCtx
+from finvariant import FreeGroupCtx, sample_action
 from finvariant.cli import main
 
 from paper_objects import bernoulli_weight
@@ -461,6 +461,38 @@ class TestSftVerify:
         assert main(["sft-verify", "--config", str(path2), "--out", str(out2)]) == 1
         assert "FAIL" in out2.read_text()
 
+    SWAP = {"automorphism": {"images": {"a": "b", "b": "a"}}}
+
+    def test_seed_flag_enters_the_config_hash(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sigma": {"n": 6}, "x": self.SWAP}))
+        hashes = []
+        for seed in ("1", "2"):
+            assert main(["sft-verify", "--config", str(path), "--seed", seed]) == 0
+            hashes.append(capsys.readouterr().out.splitlines()[0])
+        assert hashes[0].startswith("config_hash: ")
+        assert hashes[0] != hashes[1]
+
+    def test_top_level_seed_samples_the_action_rearrange_samples(self, tmp_path, monkeypatch):
+        from finvariant import cli
+
+        seen = {}
+
+        def recording(command, check):
+            def run(ctx, rho, action, labels):
+                seen[command] = action
+                return check(ctx, rho, action, labels)
+
+            return run
+
+        monkeypatch.setattr(cli, "verify_zrho", recording("rearrange", cli.verify_zrho))
+        monkeypatch.setattr(cli, "zrho_pullbacks", recording("sft-verify", cli.zrho_pullbacks))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sigma": {"n": 6}, "seed": 3, "x": self.SWAP}))
+        for command in ("rearrange", "sft-verify"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out.txt")]) == 0
+        assert seen["sft-verify"] == seen["rearrange"] == sample_action(6, 2, 3)
+
 
 class TestBall:
     def test_radius_one(self, capsys):
@@ -647,6 +679,15 @@ class TestMalformedJsonShapes:
         "sft_forbidden_entry_a_list": (
             ["f-estimate", "--config", "c.json"],
             {"c.json": {**ESTIMATE, "weight": "w.json", "sft": {"alphabet": ["0", "1"], "forbidden": [["0"]]}}},
+        ),
+        "sft_alphabet_holds_a_list": (
+            ["f-estimate", "--config", "c.json"],
+            {"c.json": {**ESTIMATE, "weight": "w.json", "sft": {"alphabet": [["0"], "1"], "forbidden": []}}},
+        ),
+        "sft_forbidden_value_a_list": (
+            ["f-estimate", "--config", "c.json"],
+            {"c.json": {**ESTIMATE, "weight": "w.json", "sft": {
+                "alphabet": ["0", "1"], "forbidden": [{"": ["0"], "a": "1"}], "nearest_neighbor": True}}},
         ),
         "y_alphabet_not_a_list": (["rearrange", "--config", "c.json"], {"c.json": {**REARRANGE, "y_alphabet": 5}}),
         "y_seed_not_an_integer": (

@@ -6,6 +6,7 @@ independently of the library's theta-reduction, so the same-orbit identities
 are genuine cross-checks rather than restatements of the implementation.
 """
 
+import itertools
 import json
 import os
 import random
@@ -18,6 +19,7 @@ from finvariant import (
     ConstructionError,
     FiniteAction,
     FreeGroupCtx,
+    InputError,
     LocalBijection,
     Pattern,
     PreconditionError,
@@ -34,11 +36,12 @@ from finvariant import (
     zrho_spec,
 )
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
-from finvariant.sft import sft_check_all, symbol_entry
+from finvariant.sft import sft_check_all, symbol_entry, telescope
 
 from paper_objects import (
     agree_on_common_window,
     bijection,
+    check_automorphism_by_scan,
     compose,
     compose_after_inverse,
     encode_E,
@@ -47,6 +50,7 @@ from paper_objects import (
     restrict,
     shift_pattern,
     sym_distance,
+    telescope_walk,
     theta_action,
     upsilon_action,
 )
@@ -472,6 +476,27 @@ class TestAutomorphismFactory:
         with pytest.raises(ConstructionError):
             Automorphism.from_names(CTX, {"a": "aa", "b": "b"})
 
+    def test_preimages_decide_like_the_collision_scan(self):
+        # a free group of finite rank is Hopfian, so generator preimages alone
+        # decide bijectivity; the scan oracle also looks for collisions
+        words = [CTX.format(w) for w in CTX.ball(2)]
+        collisions = 0
+        for a, b in itertools.product(words, repeat=2):
+            images = {"a": a, "b": b}
+            try:
+                check_automorphism_by_scan(CTX, images)
+                expected = None
+            except ConstructionError as exc:
+                expected = str(exc)
+            try:
+                Automorphism.from_names(CTX, images)
+                rejected = False
+            except ConstructionError:
+                rejected = True
+            assert rejected == (expected is not None), images
+            collisions += expected is not None and "collide" in expected
+        assert collisions > 0
+
     def test_inverse_images(self):
         auto = AUTOS["nielsen"]
         inverse = auto.inverse()
@@ -599,6 +624,31 @@ class TestBlockCode:
                 assert report.witnesses[(t,)] == pattern_inverse_eval(CTX, rho, pat, (t,))
             for h in CTX.ball(rho):
                 assert report.witnesses[h] == pattern_inverse_eval(CTX, rho, pat, h)
+
+    def test_telescope_matches_the_walk_oracle(self):
+        action, labels = mixed_config()
+        cases = [(1, pat) for pat in distinct_pullbacks(action, labels, 2)]
+        for name in ("identity", "swap", "nielsen"):
+            rho = AUTOS[name].displacement
+            ball = CTX.ball(rho * rho + 1)
+            cases.append((rho, Pattern(ball, [AUTOS[name].constant_symbol()] * len(ball))))
+        assert len(cases) == 40 + 3
+        compared = 0
+        for rho, pat in cases:
+            for depth, base in itertools.product((rho, rho * rho + 1), CTX.ball(2)):
+                if not all(mul(base, w) in pat for w in CTX.ball(depth - 1)):
+                    with pytest.raises(InputError):
+                        telescope(CTX, pat, base, depth)
+                    with pytest.raises(InputError):
+                        list(telescope_walk(CTX, pat, base, depth))
+                    continue
+                products = telescope(CTX, pat, base, depth)
+                assert products[0] == IDENTITY
+                assert set(zip(CTX.ball(depth)[1:], products[1:])) == set(
+                    telescope_walk(CTX, pat, base, depth)
+                )
+                compared += 1
+        assert compared > len(cases) * 2
 
     def test_tau_matches_per_vertex_oracle(self):
         mixed_action, mixed_labels = mixed_config()

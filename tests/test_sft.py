@@ -21,7 +21,7 @@ from finvariant.freegroup import IDENTITY, inv, mul
 from finvariant.orbitmaps import Automorphism
 from finvariant.sft import symbol_entry
 
-from paper_objects import identity_symbol, nn_spec, sft_check_vertex
+from paper_objects import identity_symbol, nn_spec, sft_check_vertex, telescope_walk
 
 CTX2 = FreeGroupCtx(2)
 CTX1 = FreeGroupCtx(1)
@@ -100,8 +100,6 @@ class TestAxioms:
         pattern = constant_pattern(CTX2, 2, swap.constant_symbol())
         assert axioms_check(CTX2, 1, pattern).ok
         # the witness for h = a must be the single letter b
-        from finvariant.sft import telescope_walk
-
         witnesses = [
             u
             for u, prod in telescope_walk(CTX2, pattern, IDENTITY, 2)
@@ -123,8 +121,6 @@ class TestAxioms:
         nielsen = Automorphism.from_names(CTX2, {"a": "ab", "b": "b"})
         pattern = constant_pattern(CTX2, 5, nielsen.constant_symbol())
         assert axioms_check(CTX2, 2, pattern).ok
-        from finvariant.sft import telescope_walk
-
         for h in CTX2.ball(2):
             witnesses = [
                 u for u, prod in telescope_walk(CTX2, pattern, IDENTITY, 5) if prod == h

@@ -31,7 +31,6 @@ from .sft import (
     axioms_check,
     sample_sft_config,
     sft_check_all,
-    zrho_spec,
 )
 from .shift import Pattern, PatternDistribution, pullback_name
 from .weights import (

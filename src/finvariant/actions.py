@@ -67,9 +67,6 @@ class FiniteAction:
             v = self.letter_perm(letter)[v]
         return v
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "rank": self.rank, "perms": [list(p) for p in self.perms]}
-
     @classmethod
     def from_json(cls, data: dict) -> "FiniteAction":
         try:

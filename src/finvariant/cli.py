@@ -45,7 +45,7 @@ from .orbitmaps import (
     verify_zrho,
     zrho_pullbacks,
 )
-from .sft import SftSpec, sample_sft_config, zrho_spec
+from .sft import SftSpec, sample_sft_config
 from .shift import PatternDistribution, pullback_name
 from .weights import (
     F_value,
@@ -311,7 +311,7 @@ def _resolve_config_labels(ctx: FreeGroupCtx, config: dict, action: FiniteAction
             raise InputError("a seed is mandatory for randomized commands")
         found = sample_sft_config(
             ctx,
-            zrho_spec(ctx, rho),
+            rho,
             action,
             _as_int(seed, "seed"),
             budget=_as_int(sampler.get("budget", 20000), "budget"),

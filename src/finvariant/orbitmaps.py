@@ -54,34 +54,6 @@ class LocalBijection:
         except KeyError:
             raise WindowError(f"{target} not in the image within the window") from None
 
-    def validate(self, ctx: FreeGroupCtx) -> None:
-        ball = ctx.ball(self.window)
-        if set(self.table) != set(ball):
-            raise InputError("table must cover exactly the window ball")
-        if self.table[IDENTITY] != IDENTITY:
-            raise InputError("orbit-change maps must fix the identity")
-        if len(set(self.table.values())) != len(self.table):
-            raise InputError("table is not injective on its window")
-        for g in ball:
-            for letter in ctx.letters:
-                h = mul(g, (letter,))
-                if h in self.table:
-                    step = mul(inv(self.table[g]), self.table[h])
-                    if len(step) > self.rho:
-                        raise InputError(
-                            f"displacement {len(step)} at ({g}, {h}) exceeds rho={self.rho}"
-                        )
-        inverse = self.inverse_table()
-        for g in inverse:
-            for letter in ctx.letters:
-                h = mul(g, (letter,))
-                if h in inverse:
-                    step = mul(inv(inverse[g]), inverse[h])
-                    if len(step) > self.rho:
-                        raise InputError(
-                            f"inverse displacement {len(step)} at ({g}, {h}) exceeds rho={self.rho}"
-                        )
-
     def __eq__(self, other):
         return (
             isinstance(other, LocalBijection)
@@ -91,23 +63,6 @@ class LocalBijection:
 
     def __repr__(self):
         return f"LocalBijection(window={self.window}, rho={self.rho}, {len(self.table)} entries)"
-
-    def to_json(self, ctx: FreeGroupCtx) -> dict:
-        return {
-            "window": self.window,
-            "rho": self.rho,
-            "map": {ctx.format(g): ctx.format(v) for g, v in sorted(self.table.items())},
-        }
-
-    @classmethod
-    def from_json(cls, ctx: FreeGroupCtx, data: dict) -> "LocalBijection":
-        try:
-            table = {ctx.parse(k): ctx.parse(v) for k, v in data["map"].items()}
-            out = cls(int(data["window"]), int(data["rho"]), table)
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed orbit-map json: {exc}") from exc
-        out.validate(ctx)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Constraint systems on shift spaces: forbidden-pattern checks over finite
 actions, the axiom verifier for bounded orbit-change configurations, and a
-budgeted backtracking sampler for constrained labelings.
+budgeted backtracking sampler for admissible ones.
 
 The orbit-change alphabet assigns to every signed generator a word of length
 at most rho.  A configuration is admissible when every pullback pattern on
@@ -12,8 +12,8 @@ the radius rho^2+1 ball satisfies:
             z_e(s_1) z_{s_1}(s_2) ... equals h, and that witness satisfies
             the geodesic bound n <= rho |h|.
 
-Membership is predicate-backed: the forbidden-pattern set is the complement
-of the axiom-satisfying patterns and is never materialized.
+Admissibility is decided by checking the axioms on each pattern; its
+forbidden-pattern set is never materialized.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Callable
 
 from .actions import FiniteAction, derive_seed
 from .errors import InputError
 from .freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul
-from .shift import Pattern, pullback_name
+from .shift import Pattern, window_columns
 
 
 def symbol_entry(symbol: tuple, letter: int) -> Word:
@@ -37,24 +36,14 @@ def symbol_entry(symbol: tuple, letter: int) -> Word:
 
 @dataclass(frozen=True)
 class SftSpec:
-    """Forbidden-pattern description of a constraint system.
-
-    Either an explicit list of forbidden patterns (``nearest_neighbor`` when
-    every domain is an {e, s_i} pair) or a predicate over patterns on the
-    radius ``predicate_radius`` ball.  ``edge_filter`` is an optional sound
-    but incomplete pairwise condition used by the sampler for early pruning.
-    """
+    """Forbidden-pattern description of a constraint system:
+    ``nearest_neighbor`` when every forbidden domain is an {e, s_i} pair."""
 
     alphabet: tuple | None = None
     forbidden: tuple = ()
     nearest_neighbor: bool = False
-    predicate: Callable[[Pattern], bool] | None = None
-    predicate_radius: int | None = None
-    edge_filter: Callable | None = None
 
     def __post_init__(self):
-        if self.predicate is not None and self.predicate_radius is None:
-            raise InputError("predicate specs need a window radius")
         if self.nearest_neighbor:
             for w in self.forbidden:
                 if len(w.domain) != 2 or w.domain[0] != IDENTITY or len(w.domain[1]) != 1 or w.domain[1][0] < 0:
@@ -70,15 +59,6 @@ class SftSpec:
             i = w.domain[1][0]
             pairs.add((w[IDENTITY], w[w.domain[1]], i))
         return frozenset(pairs)
-
-    def to_json(self, ctx: FreeGroupCtx) -> dict:
-        return {
-            "alphabet": list(self.alphabet or ()),
-            "forbidden": [
-                {ctx.format(g): w[g] for g in w.domain} for w in self.forbidden
-            ],
-            "nearest_neighbor": self.nearest_neighbor,
-        }
 
     @classmethod
     def from_json(cls, ctx: FreeGroupCtx, data: dict) -> "SftSpec":
@@ -147,8 +127,9 @@ def axioms_check(ctx: FreeGroupCtx, rho: int, pattern: Pattern) -> AxiomsReport:
     if rho < 1:
         raise InputError("rho must be >= 1")
     depth = rho * rho + 1
-    needed = set(ctx.ball(depth))
-    if not needed.issubset(set(pattern.domain)):
+    ball = ctx.ball(depth)
+    # domains are shortlex-sorted, so one covering the ball starts with it
+    if pattern.domain[: len(ball)] != ball:
         raise InputError(f"pattern must cover the radius-{depth} ball")
     base_sym = pattern[IDENTITY]
     for letter in ctx.letters:
@@ -205,30 +186,9 @@ def _zrho_edge_filter(ctx: FreeGroupCtx, rho: int):
         # necessary pair condition from axiom 1 along the edge u = sigma(letter)^-1 v:
         # z_v(s) z_u(s^-1) = e
         i, j = where[letter]
-        out = sym_v[i]
-        expected = inverse.get(out)
-        return sym_u[j] == (inv(out) if expected is None else expected)
+        return sym_u[j] == inverse[sym_v[i]]
 
     return ok
-
-
-def zrho_spec(ctx: FreeGroupCtx, rho: int) -> SftSpec:
-    """The constraint system whose admissible configurations encode
-    displacement-rho orbit-change maps.  Membership is predicate-backed; the
-    forbidden set is astronomically large and never materialized.  A symbol
-    is a tuple of words, one per signed generator, each of length at most
-    rho."""
-    alphabet = tuple(iter_product(ctx.ball(rho), repeat=2 * ctx.rank))
-
-    def predicate(pattern: Pattern) -> bool:
-        return axioms_check(ctx, rho, pattern).ok
-
-    return SftSpec(
-        alphabet=alphabet,
-        predicate=predicate,
-        predicate_radius=rho * rho + 1,
-        edge_filter=_zrho_edge_filter(ctx, rho),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +196,8 @@ def zrho_spec(ctx: FreeGroupCtx, rho: int) -> SftSpec:
 # ---------------------------------------------------------------------------
 
 
-def _check_local(ctx: FreeGroupCtx, spec: SftSpec, action: FiniteAction, labels, v: int) -> bool:
-    """No forbidden pattern (or predicate failure) at vertex v itself."""
-    if spec.predicate is not None:
-        return spec.predicate(pullback_name(ctx, action, labels, v, spec.predicate_radius))
+def _check_local(spec: SftSpec, action: FiniteAction, labels, v: int) -> bool:
+    """No forbidden pattern at vertex v itself."""
     for w in spec.forbidden:
         if all(labels[action.apply(inv(f), v)] == w[f] for f in w.domain):
             return False
@@ -254,7 +212,7 @@ def sft_check_all(ctx: FreeGroupCtx, spec: SftSpec, action: FiniteAction, labels
     suite.
     """
     n = action.n
-    if spec.predicate is None and spec.nearest_neighbor:
+    if spec.nearest_neighbor:
         pairs = spec.forbidden_pairs
         if not pairs:
             return True
@@ -267,7 +225,7 @@ def sft_check_all(ctx: FreeGroupCtx, spec: SftSpec, action: FiniteAction, labels
                 if (labels[v], labels[perm_inv[v]]) in bad:
                     return False
         return True
-    return all(_check_local(ctx, spec, action, labels, v) for v in range(n))
+    return all(_check_local(spec, action, labels, v) for v in range(n))
 
 
 def _bfs(action: FiniteAction, start: int, seen: set) -> list[int]:
@@ -304,74 +262,59 @@ def _bfs_vertex_order(action: FiniteAction) -> list[int]:
 
 def sample_sft_config(
     ctx: FreeGroupCtx,
-    spec: SftSpec,
+    rho: int,
     action: FiniteAction,
     seed: int,
     budget: int = 20000,
     restarts: int = 4,
-    hint: tuple | None = None,
 ) -> tuple | None:
-    """Backtracking search for a labeling passing the constraint system.
+    """Backtracking search for an admissible z_rho configuration.
 
-    Vertices are assigned in BFS order from vertex 0; symbol order is the
-    hint's symbol first, then a seed-shuffled pass over the alphabet.  Each
-    restart derives a fresh seed.  The search is budgeted rather than
-    exhaustive, so ``None`` means "not found", which is not an error.
-    Deterministic given (seed, action, hint).
+    Symbols are tuples of words of ``ctx.ball(rho)``, one per signed
+    generator.  Vertices are assigned in BFS order from vertex 0, each trying
+    a seed-shuffled pass over the alphabet; a candidate is checked against
+    axiom 1 along every Schreier edge whose ends are both assigned, and
+    against both axioms at every vertex whose radius rho^2+1 pullback it
+    completes.  Each candidate costs one unit of the budget, and each restart
+    derives a fresh seed.  The search is budgeted rather than exhaustive, so
+    ``None`` means "not found", which is not an error.  Deterministic given
+    (seed, action).
     """
-    if spec.alphabet is None:
-        raise InputError("sampling needs an explicit alphabet")
     n = action.n
     order = _bfs_vertex_order(action)
     pos = {v: k for k, v in enumerate(order)}
-    symbols = list(spec.alphabet)
+    symbols = list(iter_product(ctx.ball(rho), repeat=2 * ctx.rank))
+    edge_ok = _zrho_edge_filter(ctx, rho)
+    radius = rho * rho + 1
 
-    # constraints indexed by the BFS position at which they become decidable
-    checks_at: list[list] = [[] for _ in range(n)]
+    # constraints indexed by the BFS position at which they become decidable:
+    # Schreier edges (v, u, s) with u = sigma(s)^-1 v, and the pullback
+    # vertices of each vertex's radius rho^2+1 ball
+    edges_at: list[list] = [[] for _ in range(n)]
+    pullbacks_at: list[list] = [[] for _ in range(n)]
+    seen_pairs = set()
+    for v in range(n):
+        for letter in ctx.letters:
+            u = action.letter_perm(-letter)[v]
+            # (v, u, s) and (u, v, s^-1) express the same pair condition
+            key = (v, u, letter) if letter > 0 else (u, v, -letter)
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+            edges_at[max(pos[v], pos[u])].append((v, u, letter))
+    cols = window_columns(ctx, action, ctx.ball(radius))
+    for v in range(n):
+        verts = tuple(col[v] for col in cols)
+        pullbacks_at[max(pos[u] for u in verts)].append(verts)
 
-    if spec.edge_filter is not None:
-        seen_pairs = set()
-        for v in range(n):
-            for letter in ctx.letters:
-                u = action.letter_perm(-letter)[v]
-                # (v, u, s) and (u, v, s^-1) express the same pair condition
-                key = (v, u, letter) if letter > 0 else (u, v, -letter)
-                if key in seen_pairs:
-                    continue
-                seen_pairs.add(key)
-                checks_at[max(pos[v], pos[u])].append(("edge", v, u, letter))
-
-    if spec.predicate is not None:
-        window = ctx.ball(spec.predicate_radius)
-        for v in range(n):
-            verts = tuple(action.apply(inv(g), v) for g in window)
-            checks_at[max(pos[u] for u in verts)].append(("predicate", v))
-    else:
-        for w in spec.forbidden:
-            cols = [tuple(action.apply(inv(f), v) for v in range(n)) for f in w.domain]
-            for v in range(n):
-                verts = tuple(col[v] for col in cols)
-                checks_at[max(pos[u] for u in verts)].append(
-                    ("pattern", verts, w.values)
-                )
-
-    def run_checks(assign: list, k: int) -> bool:
-        for check in checks_at[k]:
-            kind = check[0]
-            if kind == "edge":
-                _, v, u, letter = check
-                if not spec.edge_filter(assign[v], assign[u], letter):
-                    return False
-            elif kind == "pattern":
-                _, verts, values = check
-                if all(assign[u] == val for u, val in zip(verts, values)):
-                    return False
-            else:
-                _, v = check
-                if not spec.predicate(
-                    pullback_name(ctx, action, assign, v, spec.predicate_radius)
-                ):
-                    return False
+    def admissible_so_far(assign: list, k: int) -> bool:
+        for v, u, letter in edges_at[k]:
+            if not edge_ok(assign[v], assign[u], letter):
+                return False
+        for verts in pullbacks_at[k]:
+            pattern = Pattern._on_ball(ctx, radius, [assign[u] for u in verts])
+            if not axioms_check(ctx, rho, pattern).ok:
+                return False
         return True
 
     for restart in range(restarts):
@@ -380,9 +323,6 @@ def sample_sft_config(
         for v in range(n):
             shuffled = symbols[:]
             rng.shuffle(shuffled)
-            if hint is not None:
-                h = hint[v]
-                shuffled = [h] + [s for s in shuffled if s != h]
             per_vertex_symbols.append(shuffled)
         assign: list = [None] * n
         left = budget
@@ -397,7 +337,7 @@ def sample_sft_config(
                 if left < 0:
                     raise _BudgetExhausted
                 assign[v] = sym
-                if run_checks(assign, k) and backtrack(k + 1):
+                if admissible_so_far(assign, k) and backtrack(k + 1):
                     return True
             assign[v] = None
             return False

@@ -14,7 +14,6 @@ from finvariant import (
     FreeGroupCtx,
     sample_action,
     sample_sft_config,
-    zrho_spec,
 )
 
 
@@ -118,31 +117,25 @@ def build_instances(ctx: FreeGroupCtx, min_count: int = 50) -> list[Instance]:
             )
         )
 
-    # sampler-found instances: hinted on transitive actions (the hint is the
-    # only solution family there) and unhinted on small multi-orbit actions,
-    # where backtracking discovers non-constant solutions on its own
-    spec = zrho_spec(ctx, 1)
-    hint = autos["swap"].constant_config(6)
+    # on a transitive action at displacement 1 the constant automorphism
+    # configurations are the only solution family, so these take the swap's;
+    # the sampler finds non-constant solutions on small multi-orbit actions
     for k in range(3):
-        action = sample_action(6, ctx.rank, seed=4000 + k)
-        found = sample_sft_config(ctx, spec, action, seed=k, budget=4000, hint=hint)
-        if found is not None:
-            instances.append(
-                Instance(
-                    name=f"sampled-{k}",
-                    rho=1,
-                    action=action,
-                    labels=found,
-                    ylabels=ylabels_for(6),
-                    source="sampler",
-                )
+        instances.append(
+            Instance(
+                name=f"transitive-swap-{k}",
+                rho=1,
+                action=sample_action(6, ctx.rank, seed=4000 + k),
+                labels=autos["swap"].constant_config(6),
+                ylabels=ylabels_for(6),
             )
+        )
     for k in range(4):
         action = _block_action(
             sample_action(2, ctx.rank, seed=5000 + k),
             sample_action(3, ctx.rank, seed=6000 + k),
         )
-        found = sample_sft_config(ctx, spec, action, seed=50 + k, budget=60000, restarts=2)
+        found = sample_sft_config(ctx, 1, action, seed=50 + k, budget=60000, restarts=2)
         if found is not None:
             instances.append(
                 Instance(

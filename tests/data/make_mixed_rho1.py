@@ -14,7 +14,7 @@ import json
 import os
 import random
 
-from finvariant import FiniteAction, FreeGroupCtx, sample_sft_config, zrho_spec
+from finvariant import FiniteAction, FreeGroupCtx, sample_sft_config
 
 RANK = 2
 COMPONENTS = 50
@@ -34,14 +34,13 @@ def block_action(rng: random.Random, sizes) -> list[list[int]]:
 
 def main() -> None:
     ctx = FreeGroupCtx(RANK)
-    spec = zrho_spec(ctx, 1)
     rng = random.Random(20261018)
     perms = [[] for _ in range(RANK)]
     labels = []
     while len(labels) < 4 * COMPONENTS:
         block = block_action(rng, (2, 2))
         found = sample_sft_config(
-            ctx, spec, FiniteAction(4, tuple(map(tuple, block))), rng.randrange(10**9),
+            ctx, 1, FiniteAction(4, tuple(map(tuple, block))), rng.randrange(10**9),
             budget=60000, restarts=2,
         )
         if found is None:

@@ -9,7 +9,9 @@ uses, Bernoulli product weights, tree-factorized pattern probabilities,
 nearest-neighbor constraint systems, the depth-first telescope walk, past
 windows, automorphism tables and the collision-scan automorphism check,
 pattern restriction, label transport through an orbit map and the orbit-map
-diagnostics.
+diagnostics.  Also the JSON writers of actions, constraint systems and orbit
+maps, the orbit-map reader with its validation, and a boolean z_rho
+admissibility check.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from finvariant.actions import FiniteAction
 from finvariant.errors import ConstructionError, InputError, WeightError, WindowError
 from finvariant.freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul, sort_words
-from finvariant.orbitmaps import Automorphism, LocalBijection
+from finvariant.orbitmaps import Automorphism, LocalBijection, zrho_pullbacks
 from finvariant.sft import SftSpec, _bfs, _check_local, symbol_entry
 from finvariant.shift import Pattern, PatternDistribution, window_columns
 from finvariant.weights import BALANCE_TOL, Weight, _window_structure
@@ -31,6 +33,11 @@ from finvariant.weights import BALANCE_TOL, Weight, _window_structure
 # ---------------------------------------------------------------------------
 # free group
 # ---------------------------------------------------------------------------
+
+
+def action_to_json(action: FiniteAction) -> dict:
+    """The wire form that ``FiniteAction.from_json`` reads."""
+    return {"n": action.n, "rank": action.rank, "perms": [list(p) for p in action.perms]}
 
 
 def past_window(ctx: FreeGroupCtx, g1: Word, g2: Word, m: int) -> tuple[Word, ...]:
@@ -240,6 +247,22 @@ def nn_spec(alphabet: Sequence, forbidden_pairs: Sequence[tuple]) -> SftSpec:
     return SftSpec(alphabet=tuple(alphabet), forbidden=patterns, nearest_neighbor=True)
 
 
+def sft_spec_to_json(ctx: FreeGroupCtx, spec: SftSpec) -> dict:
+    """The wire form that ``SftSpec.from_json`` reads."""
+    return {
+        "alphabet": list(spec.alphabet or ()),
+        "forbidden": [
+            {ctx.format(g): w[g] for g in w.domain} for w in spec.forbidden
+        ],
+        "nearest_neighbor": spec.nearest_neighbor,
+    }
+
+
+def zrho_admissible(ctx: FreeGroupCtx, rho: int, action: FiniteAction, labels) -> bool:
+    """Whether every pullback pattern of the configuration passes both axioms."""
+    return all(report.ok for report in zrho_pullbacks(ctx, rho, action, labels).reports)
+
+
 def orbit_of(action: FiniteAction, v: int) -> tuple[int, ...]:
     """Vertices reachable from v under all generators and inverses."""
     return tuple(sorted(_bfs(action, v, set())))
@@ -253,7 +276,7 @@ def sft_check_vertex(
     Shifts of the pullback name realize every vertex in the orbit of v, so
     this inspects the whole orbit, not just v.
     """
-    return all(_check_local(ctx, spec, action, labels, u) for u in orbit_of(action, v))
+    return all(_check_local(spec, action, labels, u) for u in orbit_of(action, v))
 
 
 def identity_symbol(ctx: FreeGroupCtx) -> tuple:
@@ -296,6 +319,47 @@ def telescope_walk(
 
 def defined(phi: LocalBijection, g: Word) -> bool:
     return g in phi.table
+
+
+def validate_bijection(ctx: FreeGroupCtx, phi: LocalBijection) -> None:
+    """Raise ``InputError`` unless phi's table covers exactly its window
+    ball, fixes the identity, is injective and moves each Cayley edge, in
+    both directions, by at most rho."""
+    ball = ctx.ball(phi.window)
+    if set(phi.table) != set(ball):
+        raise InputError("table must cover exactly the window ball")
+    if phi.table[IDENTITY] != IDENTITY:
+        raise InputError("orbit-change maps must fix the identity")
+    if len(set(phi.table.values())) != len(phi.table):
+        raise InputError("table is not injective on its window")
+    for name, table in (("displacement", phi.table), ("inverse displacement", phi.inverse_table())):
+        for g in table:
+            for letter in ctx.letters:
+                h = mul(g, (letter,))
+                if h in table:
+                    step = mul(inv(table[g]), table[h])
+                    if len(step) > phi.rho:
+                        raise InputError(
+                            f"{name} {len(step)} at ({g}, {h}) exceeds rho={phi.rho}"
+                        )
+
+
+def bijection_to_json(ctx: FreeGroupCtx, phi: LocalBijection) -> dict:
+    return {
+        "window": phi.window,
+        "rho": phi.rho,
+        "map": {ctx.format(g): ctx.format(v) for g, v in sorted(phi.table.items())},
+    }
+
+
+def bijection_from_json(ctx: FreeGroupCtx, data: dict) -> LocalBijection:
+    try:
+        table = {ctx.parse(k): ctx.parse(v) for k, v in data["map"].items()}
+        out = LocalBijection(int(data["window"]), int(data["rho"]), table)
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed orbit-map json: {exc}") from exc
+    validate_bijection(ctx, out)
+    return out
 
 
 def bijection(auto: Automorphism, window: int) -> LocalBijection:

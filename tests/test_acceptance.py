@@ -31,11 +31,9 @@ from finvariant import (
     pullback_name,
     reconstruct_sigma,
     sample_action,
-    sft_check_all,
     shannon_entropy,
     tau_construct,
     verify_zrho,
-    zrho_spec,
 )
 from finvariant.cli import main
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
@@ -58,6 +56,7 @@ from paper_objects import (
     shift_pattern,
     theta_action,
     upsilon_action,
+    zrho_admissible,
 )
 from test_weights import (
     entropy_rate_oracle,
@@ -214,7 +213,7 @@ def test_criterion_06_orbit_encoding_constraints(accepted_instances):
         ok &= rho == expected_rho[name]
         labels = auto.constant_config(9)
         for check_rho in range(rho, 3):
-            ok &= sft_check_all(CTX, zrho_spec(CTX, check_rho), action, labels)
+            ok &= zrho_admissible(CTX, check_rho, action, labels)
 
     ok &= len(accepted_instances) >= 50
     ok &= all(inst.action.n <= 12 for inst in accepted_instances)
@@ -234,7 +233,6 @@ def test_criterion_06_orbit_encoding_constraints(accepted_instances):
             seen[key] = phi
 
         # every single-coordinate corruption of a symbol violates axiom 1
-        spec = zrho_spec(CTX, rho)
         base = list(inst.labels)
         ball_rho = CTX.ball(rho)
         for pos in range(2 * CTX.rank):
@@ -242,7 +240,7 @@ def test_criterion_06_orbit_encoding_constraints(accepted_instances):
             replacement = next(wd for wd in ball_rho if wd != sym[pos])
             sym[pos] = replacement
             mutated = [tuple(sym)] + base[1:]
-            ok &= not sft_check_all(CTX, spec, inst.action, tuple(mutated))
+            ok &= not zrho_admissible(CTX, rho, inst.action, tuple(mutated))
     assert report(6, "orbit-encoding constraint system", ok, t0, 300.0)
 
 

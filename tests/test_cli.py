@@ -333,6 +333,15 @@ class TestRearrange:
         path.write_text(json.dumps(cfg))
         assert main(["rearrange", "--config", str(path)]) == 1
 
+    def test_sampler_without_a_configuration_exits_1(self, tmp_path, capsys):
+        # sample_action(4, 2, seed=0) is transitive, and the default budget
+        # does not reach its constant automorphism configurations
+        cfg = {"rank": 2, "rho": 1, "sigma": {"n": 4, "seed": 0}, "x": {"sampler": {"seed": 0}}}
+        path = tmp_path / "sampler.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["rearrange", "--config", str(path)]) == 1
+        assert "sampler found no admissible configuration" in capsys.readouterr().err
+
     # reports generated before the per-vertex checks were merged into one
     # pass; they pin the tau lines, the line order and the transport verdicts
     GOLDEN = {

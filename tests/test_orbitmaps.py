@@ -33,10 +33,9 @@ from finvariant import (
     sample_action,
     tau_construct,
     verify_zrho,
-    zrho_spec,
 )
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
-from finvariant.sft import sft_check_all, symbol_entry, telescope
+from finvariant.sft import symbol_entry, telescope
 
 from paper_objects import (
     agree_on_common_window,
@@ -53,6 +52,7 @@ from paper_objects import (
     telescope_walk,
     theta_action,
     upsilon_action,
+    validate_bijection,
 )
 
 CTX = FreeGroupCtx(2)
@@ -467,8 +467,7 @@ class TestAutomorphismFactory:
         auto = AUTOS["nielsen"]
         assert auto.displacement == 2
         action = sample_action(8, 2, seed=19)
-        spec = zrho_spec(CTX, 2)
-        assert sft_check_all(CTX, spec, action, auto.constant_config(8))
+        verify_zrho(CTX, 2, action, auto.constant_config(8))
 
     def test_non_bijective_images_rejected(self):
         with pytest.raises(ConstructionError):
@@ -507,7 +506,7 @@ class TestAutomorphismFactory:
 
     def test_bijection_validates(self):
         for auto in AUTOS.values():
-            bijection(auto, 4).validate(CTX)
+            validate_bijection(CTX, bijection(auto, 4))
 
 
 class TestInclusions:
@@ -517,7 +516,7 @@ class TestInclusions:
         # includes a genuinely non-automorphism element: the tree transposition
         t = transposition(CTX, 7, CTX.parse("a"), CTX.parse("aa"))
         assert t.rho == 2
-        t.validate(CTX)
+        validate_bijection(CTX, t)
         cases = [
             (bijection(AUTOS["swap"], 7), 1),
             (bijection(AUTOS["nielsen"], 7), 2),

@@ -180,7 +180,8 @@ def cmd_f_estimate(args) -> int:
     config = _load_json(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    for key in ("window", "epsilon", "n_list"):
+    # the window of a marginals file is its own window_radius
+    for key in ("epsilon", "n_list") + (("window",) if "weight" in config else ()):
         if key not in config:
             raise InputError(f"f-estimate config missing {key!r}")
     if "weight" not in config and "marginals" not in config:
@@ -198,11 +199,15 @@ def cmd_f_estimate(args) -> int:
     if "weight" in config:
         weight = _load_weight(config["weight"])
         ctx = _ctx_for_rank(weight.rank)
+        window = _as_int(config["window"], "window")
     else:
         data = _load_json(config["marginals"])
         ctx = _ctx_for_rank(_as_int(data.get("rank", 2), "rank"))
         target = PatternDistribution.from_json(ctx, data)
         alphabet = tuple(sorted({sym for key in target.probs for sym in key}, key=str))
+        window = len(target.window[-1])
+        if "window" in config and _as_int(config["window"], "window") != window:
+            raise InputError(f"window {config['window']!r} differs from the marginals' window_radius {window}")
     caps = Caps(
         exact_actions=args.cap_exact or Caps.exact_actions,
         labelings=args.cap_labels or Caps.labelings,
@@ -214,7 +219,7 @@ def cmd_f_estimate(args) -> int:
     result = f_estimate(
         ctx,
         weight,
-        _as_int(config["window"], "window"),
+        window,
         _parse_epsilon(config["epsilon"]),
         [_as_int(n, "an n_list entry") for n in config["n_list"]],
         mode=mode,

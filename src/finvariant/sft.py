@@ -19,7 +19,7 @@ forbidden-pattern set is never materialized.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 from .actions import FiniteAction, derive_seed
@@ -36,29 +36,25 @@ def symbol_entry(symbol: tuple, letter: int) -> Word:
 
 @dataclass(frozen=True)
 class SftSpec:
-    """Forbidden-pattern description of a constraint system:
-    ``nearest_neighbor`` when every forbidden domain is an {e, s_i} pair."""
+    """Forbidden-pattern description of a constraint system.
+
+    When every forbidden domain is an {e, s_i} pair the system is
+    nearest-neighbor, and ``forbidden_pairs`` holds the (a, b, i) triples it
+    excludes along generator edges; otherwise ``forbidden_pairs`` is None.
+    """
 
     alphabet: tuple | None = None
     forbidden: tuple = ()
-    nearest_neighbor: bool = False
+    forbidden_pairs: frozenset | None = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.nearest_neighbor:
-            for w in self.forbidden:
-                if len(w.domain) != 2 or w.domain[0] != IDENTITY or len(w.domain[1]) != 1 or w.domain[1][0] < 0:
-                    raise InputError("nearest-neighbor patterns live on {e, s_i} domains")
-
-    @property
-    def forbidden_pairs(self) -> frozenset:
-        """(a, b, i) triples excluded along generator edges; nearest-neighbor only."""
-        if not self.nearest_neighbor:
-            raise InputError("forbidden pairs only defined for nearest-neighbor specs")
         pairs = set()
         for w in self.forbidden:
-            i = w.domain[1][0]
-            pairs.add((w[IDENTITY], w[w.domain[1]], i))
-        return frozenset(pairs)
+            if len(w.domain) != 2 or w.domain[0] != IDENTITY or len(w.domain[1]) != 1 or w.domain[1][0] < 0:
+                pairs = None
+                break
+            pairs.add((w.values[0], w.values[1], w.domain[1][0]))
+        object.__setattr__(self, "forbidden_pairs", None if pairs is None else frozenset(pairs))
 
     @classmethod
     def from_json(cls, ctx: FreeGroupCtx, data: dict) -> "SftSpec":
@@ -75,7 +71,11 @@ class SftSpec:
             # symbols are compared and hashed, so a list or object cannot be one
             if isinstance(sym, (list, dict)):
                 raise InputError(f"malformed sft json: a symbol must be a string or number, got {sym!r}")
-        return cls(alphabet=alphabet, forbidden=forbidden, nearest_neighbor=nearest_neighbor)
+        spec = cls(alphabet=alphabet, forbidden=forbidden)
+        # the key is optional; the domains decide, and a true key must agree
+        if nearest_neighbor and spec.forbidden_pairs is None:
+            raise InputError("nearest-neighbor patterns live on {e, s_i} domains")
+        return spec
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +196,17 @@ def _zrho_edge_filter(ctx: FreeGroupCtx, rho: int):
 # ---------------------------------------------------------------------------
 
 
-def _check_local(spec: SftSpec, action: FiniteAction, labels, v: int) -> bool:
-    """No forbidden pattern at vertex v itself."""
-    for w in spec.forbidden:
-        if all(labels[action.apply(inv(f), v)] == w[f] for f in w.domain):
-            return False
-    return True
-
-
 def sft_check_all(ctx: FreeGroupCtx, spec: SftSpec, action: FiniteAction, labels) -> bool:
     """Every pullback name avoids the forbidden set.
 
-    For nearest-neighbor specs this walks each Schreier edge once; the
-    equivalence of that fast path with the general check is part of the test
+    A nearest-neighbor spec walks each Schreier edge once; any other reads
+    each forbidden pattern's domain through ``window_columns`` at every
+    vertex.  Both paths are checked against a per-vertex oracle in the test
     suite.
     """
     n = action.n
-    if spec.nearest_neighbor:
-        pairs = spec.forbidden_pairs
-        if not pairs:
-            return True
+    pairs = spec.forbidden_pairs
+    if pairs is not None:
         by_gen: dict[int, set] = {}
         for a, b, i in pairs:
             by_gen.setdefault(i, set()).add((a, b))
@@ -225,7 +216,12 @@ def sft_check_all(ctx: FreeGroupCtx, spec: SftSpec, action: FiniteAction, labels
                 if (labels[v], labels[perm_inv[v]]) in bad:
                     return False
         return True
-    return all(_check_local(spec, action, labels, v) for v in range(n))
+    for w in spec.forbidden:
+        cols = window_columns(ctx, action, w.domain)
+        for v in range(n):
+            if all(labels[col[v]] == x for col, x in zip(cols, w.values)):
+                return False
+    return True
 
 
 def _bfs(action: FiniteAction, start: int, seen: set) -> list[int]:

@@ -15,7 +15,8 @@ from .actions import FiniteAction
 from .errors import InputError
 from .freegroup import FreeGroupCtx, Word, inv, sort_words, word_sort_key
 
-# slack on a distribution's total mass and on its negative entries
+# slack on a float probability: a distribution's total and negative entries,
+# a weight's balance and range; rational ones are compared exactly
 PROB_TOL = 1e-12
 
 
@@ -82,7 +83,8 @@ class PatternDistribution:
     """Probabilities of patterns on a fixed window.
 
     ``probs`` maps symbol tuples (aligned to the window order) to weights;
-    weights may be floats or Fractions and must sum to 1.
+    weights may be floats or Fractions and must sum to 1, exactly when
+    every weight is rational and within ``PROB_TOL`` otherwise.
     """
 
     __slots__ = ("window", "probs")
@@ -95,9 +97,12 @@ class PatternDistribution:
             if len(key) != len(win):
                 raise InputError("distribution key does not match window size")
         total = sum(probs.values())
-        if abs(float(total) - 1.0) > PROB_TOL:
+        # a sum of rationals stays rational; one float entry makes it a float
+        slack = 0 if isinstance(total, (int, Fraction)) else PROB_TOL
+        # a NaN entry makes the total NaN, which fails this test
+        if not abs(total - 1) <= slack:
             raise InputError(f"probabilities sum to {float(total)}, not 1")
-        if any(float(p) < -PROB_TOL for p in probs.values()):
+        if any(p < -slack for p in probs.values()):
             raise InputError("negative probability")
         self.window = win
         self.probs = dict(probs)

@@ -33,11 +33,8 @@ from typing import Mapping, Sequence
 from .errors import ConstructionError, InputError, ResourceCapError, WeightError
 from .freegroup import FreeGroupCtx, Word, mul, sort_words
 from .sft import SftSpec
-from .shift import PatternDistribution
+from .shift import PROB_TOL, PatternDistribution
 
-BALANCE_TOL = 1e-12
-# markovize accepts marginals whose projections agree up to this slack
-MARGINAL_TOL = 1e-9
 # a constancy table row passes when its delta is at most this
 CONSTANCY_TOL = 1e-9
 # patterns marginal_distribution may enumerate, and cells F_value may read
@@ -261,7 +258,10 @@ class Weight:
     """Vertex and edge probabilities defining a Markov measure.
 
     ``edge`` is keyed by (from_symbol, to_symbol, generator_index) with the
-    generator index 1-based; missing keys mean probability zero.
+    generator index 1-based; missing keys mean probability zero.  A weight is
+    checked when it is built: entries in [0, 1], balanced and normalized,
+    with no positive edge at a zero-weight symbol.  Rational weights must
+    satisfy this exactly, weights with a float entry within ``PROB_TOL``.
     """
 
     rank: int
@@ -277,6 +277,38 @@ class Weight:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "vertex", dict(self.vertex))
         object.__setattr__(self, "edge", dict(self.edge))
+        alphabet = self.alphabet
+        slack = 0 if self.is_exact else PROB_TOL
+        for a in self.vertex:
+            if a not in alphabet:
+                raise WeightError(f"vertex symbol {a!r} not in alphabet")
+        for a, b, i in self.edge:
+            if a not in alphabet or b not in alphabet:
+                raise WeightError(f"edge symbols ({a!r},{b!r}) not in alphabet")
+            if not 1 <= i <= self.rank:
+                raise WeightError(f"edge generator index {i} out of range")
+        for x in list(self.vertex.values()) + list(self.edge.values()):
+            # written so that a NaN entry fails; the sums below are tested with >
+            if not -slack <= x <= 1 + slack:
+                raise WeightError(f"weight entry {float(x)} outside [0, 1]")
+        total = sum(self.vertex_prob(a) for a in alphabet)
+        if abs(total - 1) > slack:
+            raise WeightError(f"vertex weights sum to {float(total)}, not 1")
+        for i in range(1, self.rank + 1):
+            for a in alphabet:
+                row = sum(self.edge_prob(a, b, i) for b in alphabet)
+                col = sum(self.edge_prob(b, a, i) for b in alphabet)
+                va = self.vertex_prob(a)
+                if abs(row - va) > slack or abs(col - va) > slack:
+                    raise WeightError(
+                        f"balance fails at symbol {a!r}, generator {i}: "
+                        f"row {float(row)}, col {float(col)}, vertex {float(va)}"
+                    )
+        for (a, b, i), p in self.edge.items():
+            if p:
+                for c in (a, b):
+                    if not self.vertex_prob(c):
+                        raise WeightError(f"symbol {c!r} has zero vertex weight but a positive edge")
 
     @property
     def is_exact(self) -> bool:
@@ -299,41 +331,6 @@ class Weight:
             pairs = {(a, b): self.edge_prob(a, b, i) for a in alpha for b in alpha}
             out.append(shannon_entropy(pairs))
         return tuple(out)
-
-    def validate(self, tol: float = BALANCE_TOL) -> None:
-        for a in self.vertex:
-            if a not in self.alphabet:
-                raise WeightError(f"vertex symbol {a!r} not in alphabet")
-        for a, b, i in self.edge:
-            if a not in self.alphabet or b not in self.alphabet:
-                raise WeightError(f"edge symbols ({a!r},{b!r}) not in alphabet")
-            if not 1 <= i <= self.rank:
-                raise WeightError(f"edge generator index {i} out of range")
-        for x in list(self.vertex.values()) + list(self.edge.values()):
-            v = float(x)
-            if v < -tol or v > 1 + tol:
-                raise WeightError(f"weight entry {v} outside [0, 1]")
-        total = sum(self.vertex_prob(a) for a in self.alphabet)
-        if abs(float(total) - 1.0) > tol:
-            raise WeightError(f"vertex weights sum to {float(total)}, not 1")
-        for i in range(1, self.rank + 1):
-            for a in self.alphabet:
-                row = sum(self.edge_prob(a, b, i) for b in self.alphabet)
-                col = sum(self.edge_prob(b, a, i) for b in self.alphabet)
-                va = self.vertex_prob(a)
-                if abs(float(row - va)) > tol or abs(float(col - va)) > tol:
-                    raise WeightError(
-                        f"balance fails at symbol {a!r}, generator {i}: "
-                        f"row {float(row)}, col {float(col)}, vertex {float(va)}"
-                    )
-        for a in self.alphabet:
-            if float(self.vertex_prob(a)) == 0.0:
-                for b in self.alphabet:
-                    for i in range(1, self.rank + 1):
-                        if float(self.edge_prob(a, b, i)) != 0.0 or float(self.edge_prob(b, a, i)) != 0.0:
-                            raise WeightError(
-                                f"symbol {a!r} has zero vertex weight but a positive edge"
-                            )
 
     def to_json(self) -> dict:
         def enc(x):
@@ -367,11 +364,9 @@ class Weight:
             edge = {
                 (e["from"], e["to"], int(e["gen"])): dec(e["p"]) for e in data["edge"]
             }
-            w = cls(rank, alphabet, vertex, edge)
+            return cls(rank, alphabet, vertex, edge)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"malformed weight json: {exc}") from exc
-        w.validate()
-        return w
 
 
 def weight_distance(w1: Weight, w2: Weight):
@@ -589,12 +584,10 @@ def markovize(ctx: FreeGroupCtx, dist: PatternDistribution) -> Weight:
             cprime = names[tuple(key[k] for k in shift_cols[i - 1])]
             edge_key = (c, cprime, i)
             edge[edge_key] = edge.get(edge_key, 0) + p
-    w = Weight(ctx.rank, alphabet, vertex, edge)
     try:
-        w.validate(tol=MARGINAL_TOL)
+        return Weight(ctx.rank, alphabet, vertex, edge)
     except WeightError as exc:
         raise InputError(f"marginals are not projection-consistent: {exc}") from exc
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +600,7 @@ def _as_fraction_checked(x, q: int):
         f = Fraction(x)
         return f if f.denominator <= q else None
     f = Fraction(x).limit_denominator(q)
-    return f if abs(float(f) - float(x)) <= 1e-12 else None
+    return f if abs(float(f) - float(x)) <= PROB_TOL else None
 
 
 def _try_exact_passthrough(w: Weight, q: int) -> Weight | None:
@@ -623,12 +616,10 @@ def _try_exact_passthrough(w: Weight, q: int) -> Weight | None:
         if f is None:
             return None
         edge[key] = f
-    out = Weight(w.rank, w.alphabet, vertex, edge)
     try:
-        out.validate(tol=0.0)
+        return Weight(w.rank, w.alphabet, vertex, edge)
     except WeightError:
         return None
-    return out
 
 
 def _round_vertex(w: Weight, n_total: int) -> dict:
@@ -742,8 +733,9 @@ def rationalize_weight(w: Weight, q: int, support: SftSpec | None = None) -> Wei
     """
     if q < 1:
         raise InputError("denominator bound must be >= 1")
-    w.validate()
     if support is not None:
+        if support.forbidden_pairs is None:
+            raise InputError("a support must be a nearest-neighbor constraint system")
         for a, b, i in support.forbidden_pairs:
             if float(w.edge_prob(a, b, i)) != 0.0:
                 raise InputError(
@@ -776,9 +768,7 @@ def rationalize_weight(w: Weight, q: int, support: SftSpec | None = None) -> Wei
             for (a, b), k in mat.items():
                 if k:
                     edge[(a, b, i)] = Fraction(k, n_total)
-        out = Weight(w.rank, w.alphabet, vertex, edge)
-        out.validate(tol=0.0)
-        return out
+        return Weight(w.rank, w.alphabet, vertex, edge)
     raise ConstructionError(
         "no balanced rational rounding exists at denominators "
         f"{max(1, q - n_tries + 1)}..{q}; certificates: " + "; ".join(certificates)

@@ -6,7 +6,8 @@ theta/upsilon actions with the edge-label encoding E (criterion 08), block
 codes and the join observable (criterion 09), empirical distributions and
 the l1 and pair-marginal distances that the brute-force counting oracle
 uses, Bernoulli product weights, tree-factorized pattern probabilities,
-nearest-neighbor constraint systems, the depth-first telescope walk, past
+nearest-neighbor constraint systems with the per-vertex forbidden-pattern
+oracle, the depth-first telescope walk, past
 windows, automorphism tables and the collision-scan automorphism check,
 pattern restriction, label transport through an orbit map and the orbit-map
 diagnostics.  Also the JSON writers of actions, constraint systems and orbit
@@ -25,9 +26,9 @@ from finvariant.actions import FiniteAction
 from finvariant.errors import ConstructionError, InputError, WeightError, WindowError
 from finvariant.freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul, sort_words
 from finvariant.orbitmaps import Automorphism, LocalBijection, zrho_pullbacks
-from finvariant.sft import SftSpec, _bfs, _check_local, symbol_entry
-from finvariant.shift import Pattern, PatternDistribution, window_columns
-from finvariant.weights import BALANCE_TOL, Weight, _window_structure
+from finvariant.sft import SftSpec, _bfs, symbol_entry
+from finvariant.shift import PROB_TOL, Pattern, PatternDistribution, window_columns
+from finvariant.weights import Weight, _window_structure
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +197,7 @@ def bernoulli_weight(base: Mapping, rank: int) -> Weight:
         if float(p) < 0:
             raise WeightError("base probabilities must be nonnegative")
     total = sum(base.values())
-    if abs(float(total) - 1.0) > BALANCE_TOL:
+    if abs(float(total) - 1.0) > PROB_TOL:
         raise WeightError("base must sum to 1")
     alphabet = tuple(base)
     edge = {
@@ -205,9 +206,7 @@ def bernoulli_weight(base: Mapping, rank: int) -> Weight:
         for b in alphabet
         for i in range(1, rank + 1)
     }
-    w = Weight(rank, alphabet, dict(base), edge)
-    w.validate()
-    return w
+    return Weight(rank, alphabet, dict(base), edge)
 
 
 def pattern_probability(w: Weight, pattern: Pattern):
@@ -244,7 +243,7 @@ def nn_spec(alphabet: Sequence, forbidden_pairs: Sequence[tuple]) -> SftSpec:
     patterns = tuple(
         Pattern([IDENTITY, (i,)], [a, b]) for (a, b, i) in forbidden_pairs
     )
-    return SftSpec(alphabet=tuple(alphabet), forbidden=patterns, nearest_neighbor=True)
+    return SftSpec(alphabet=tuple(alphabet), forbidden=patterns)
 
 
 def sft_spec_to_json(ctx: FreeGroupCtx, spec: SftSpec) -> dict:
@@ -254,7 +253,6 @@ def sft_spec_to_json(ctx: FreeGroupCtx, spec: SftSpec) -> dict:
         "forbidden": [
             {ctx.format(g): w[g] for g in w.domain} for w in spec.forbidden
         ],
-        "nearest_neighbor": spec.nearest_neighbor,
     }
 
 
@@ -268,6 +266,15 @@ def orbit_of(action: FiniteAction, v: int) -> tuple[int, ...]:
     return tuple(sorted(_bfs(action, v, set())))
 
 
+def check_local(spec: SftSpec, action: FiniteAction, labels, v: int) -> bool:
+    """No forbidden pattern at vertex v itself, read one word at a time:
+    the oracle of both paths of ``sft_check_all``."""
+    for w in spec.forbidden:
+        if all(labels[action.apply(inv(f), v)] == w[f] for f in w.domain):
+            return False
+    return True
+
+
 def sft_check_vertex(
     ctx: FreeGroupCtx, spec: SftSpec, action: FiniteAction, labels, v: int
 ) -> bool:
@@ -276,7 +283,7 @@ def sft_check_vertex(
     Shifts of the pullback name realize every vertex in the orbit of v, so
     this inspects the whole orbit, not just v.
     """
-    return all(_check_local(spec, action, labels, u) for u in orbit_of(action, v))
+    return all(check_local(spec, action, labels, u) for u in orbit_of(action, v))
 
 
 def identity_symbol(ctx: FreeGroupCtx) -> tuple:

@@ -129,6 +129,31 @@ class TestFExact:
         path.write_text(json.dumps({"rank": 2, "alphabet": ["0"], "vertex": {"0": 0.5}, "edge": []}))
         assert main(["f-exact", "--weight", str(path)]) == 2
 
+    # a diagonal rank-1 weight {0: p, 1: 1/2}, balanced along the generator
+    # whatever p is.  p = 1/2 + 10^-14 makes the vertex weights sum to
+    # 1 + 10^-14, which a rational weight may not miss by; json reads NaN,
+    # which once passed every test and f-exact printed a value for it.
+    OFF_WEIGHTS = {
+        "rational_off_by_1e-14": ({"num": 5 * 10**13 + 1, "den": 10**14}, "vertex weights sum to"),
+        "nan": (float("nan"), "outside [0, 1]"),
+    }
+
+    @pytest.mark.parametrize("command", [["f-exact"], ["weight-tools", "validate"]])
+    @pytest.mark.parametrize("case", sorted(OFF_WEIGHTS))
+    def test_off_weight_exits_2(self, tmp_path, capsys, command, case):
+        p, message = self.OFF_WEIGHTS[case]
+        half = {"num": 1, "den": 2}
+        data = {
+            "rank": 1,
+            "alphabet": ["0", "1"],
+            "vertex": {"0": p, "1": half},
+            "edge": [{"from": "0", "to": "0", "gen": 1, "p": p}, {"from": "1", "to": "1", "gen": 1, "p": half}],
+        }
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(data))
+        assert main(command + ["--weight", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("path", [0, True, ["half.json"]], ids=["zero", "true", "list"])
     def test_non_string_path_exits_2_without_reading(self, tmp_path, path):
         # open() takes an integer as a file descriptor: 0 is standard input.
@@ -540,6 +565,30 @@ class TestEstimateFromMarginals:
         strip = lambda b: b.split(b"\n", 1)[1]
         assert strip(out_w.read_bytes()) == strip(out_m.read_bytes())
 
+    def test_window_is_the_marginals_radius(self, tmp_path, monkeypatch, capsys):
+        # a radius-1 marginal: "window" may be left out, and any other value
+        # than 1 exits 2 instead of being ignored
+        from finvariant import marginal_distribution
+
+        monkeypatch.chdir(tmp_path)
+        half = bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2)
+        data = marginal_distribution(half, CTX.ball(1)).to_json(CTX)
+        (tmp_path / "marg.json").write_text(json.dumps({**data, "rank": 2}))
+        base = {"marginals": "marg.json", "epsilon": 1.5, "n_list": [2, 3], "mode": "exact"}
+        rows = {}
+        for window in (None, 0, 1, 7):
+            cfg = base if window is None else {**base, "window": window}
+            (tmp_path / "est.json").write_text(json.dumps(cfg))
+            code = main(["f-estimate", "--config", "est.json"])
+            captured = capsys.readouterr()
+            if window in (0, 7):
+                assert code == 2
+                assert f"window {window} differs from the marginals' window_radius 1" in captured.err
+            else:
+                assert code == 0
+                rows[window] = captured.out.split("\n", 1)[1]
+        assert rows[None] == rows[1]
+
     def test_tiny_float_marginal_counts(self, tmp_path, monkeypatch, capsys):
         # p = 1e-300 is a dyadic rational with a denominator near 2^1049;
         # stdout generated before float targets were scaled exactly
@@ -606,6 +655,48 @@ class TestWeightTools:
         assert "distance:" in capsys.readouterr().out
         data = json.loads(out.read_text())
         assert all(isinstance(v, dict) for v in data["vertex"].values())
+
+    def test_rationalize_reads_nearest_neighbor_from_the_domains(self, tmp_path, capsys):
+        # a float golden-mean weight: "1" never sits next to "1"
+        a = 1 / math.sqrt(5)
+        edge = []
+        for gen in (1, 2):
+            for frm, to, p in (("0", "0", 1 - 2 * a), ("0", "1", a), ("1", "0", a)):
+                edge.append({"from": frm, "to": to, "gen": gen, "p": p})
+        weight = {"rank": 2, "alphabet": ["0", "1"], "vertex": {"0": 1 - a, "1": a}, "edge": edge}
+        (tmp_path / "w.json").write_text(json.dumps(weight))
+        argv = ["weight-tools", "rationalize", "--weight", str(tmp_path / "w.json"), "--q", "100"]
+        argv += ["--out", str(tmp_path / "out.json"), "--sft", str(tmp_path / "sft.json")]
+        nn = [{"": "1", "a": "1"}, {"": "1", "b": "1"}]
+        for forbidden in (nn, []):
+            # neither file has the "nearest_neighbor" key
+            (tmp_path / "sft.json").write_text(json.dumps({"alphabet": ["0", "1"], "forbidden": forbidden}))
+            assert main(argv) == 0
+            out = json.loads((tmp_path / "out.json").read_text())
+            assert not any(e["from"] == e["to"] == "1" and e["p"]["num"] for e in out["edge"])
+        capsys.readouterr()
+        (tmp_path / "sft.json").write_text(json.dumps({"alphabet": ["0", "1"], "forbidden": [{"": "1", "A": "1"}]}))
+        assert main(argv) == 2
+        assert "nearest-neighbor" in capsys.readouterr().err
+
+    def test_markovize_exact_marginal_off_by_1e_10_exits_2(self, tmp_path, capsys):
+        # move 10^-10 of mass between two patterns that differ only at a:
+        # the total stays exactly 1, but the law at a no longer matches the
+        # law at e, so the super-weight does not balance exactly
+        from finvariant import PatternDistribution, marginal_distribution
+
+        half = bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2)
+        probs = dict(marginal_distribution(half, CTX.ball(1)).probs)
+        a_col = CTX.ball(1).index(CTX.parse("a"))
+        key = next(k for k in probs if k[a_col] == "0")
+        moved = key[:a_col] + ("1",) + key[a_col + 1:]
+        probs[key] -= Fraction(1, 10**10)
+        probs[moved] += Fraction(1, 10**10)
+        data = PatternDistribution(CTX.ball(1), probs).to_json(CTX)
+        marg = tmp_path / "marg.json"
+        marg.write_text(json.dumps({**data, "rank": 2}))
+        assert main(["weight-tools", "markovize", "--marginals", str(marg)]) == 2
+        assert "marginals are not projection-consistent" in capsys.readouterr().err
 
     def test_markovize_reports_f_match(self, half_weight_file, tmp_path, capsys):
         from finvariant import marginal_distribution

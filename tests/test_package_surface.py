@@ -6,7 +6,9 @@ by other code in the package (its own body and the ``__init__`` re-export
 do not count) or by ``perfbench/``, which drives the package through the CLI
 and hooks some functions by name.  A definition that only tests use belongs
 in ``tests/paper_objects.py``.  A member is matched by name alone, so one
-that shares its name with a used member passes.
+that shares its name with a used member passes.  The same holds for every
+module-level constant (a name in capitals bound at the top of a module), so
+that a merged or retired tolerance cannot linger.
 
 Every name a module imports must also be read in that module, so that a
 deletion leaves no import behind.
@@ -40,17 +42,22 @@ def _modules(package: pathlib.Path) -> dict:
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, node) of each top-level definition and of each
-    non-dunder member of a top-level class."""
+    """(qualified name, name, node) of each top-level definition, of each
+    non-dunder member of a top-level class and of each module-level
+    constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not (
                     member.name.startswith("__") and member.name.endswith("__")
                 ):
-                    yield f"{node.name}.{member.name}", member
+                    yield f"{node.name}.{member.name}", member.name, member
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield target.id, target.id, node
 
 
 def zero_caller_definitions(package: pathlib.Path = PACKAGE) -> list:
@@ -59,10 +66,11 @@ def zero_caller_definitions(package: pathlib.Path = PACKAGE) -> list:
     bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py")))
     unused = []
     for name, tree in modules.items():
-        for qualified, node in _definitions(tree):
-            if reads[node.name] > _names_read(node)[node.name]:
+        for qualified, defined, node in _definitions(tree):
+            # a definition's own body, or a constant's binding, does not count
+            if reads[defined] > _names_read(node)[defined]:
                 continue
-            if not re.search(rf"\b{re.escape(node.name)}\b", bench):
+            if not re.search(rf"\b{re.escape(defined)}\b", bench):
                 unused.append(f"{name}:{qualified}")
     return unused
 
@@ -113,6 +121,12 @@ def test_the_check_sees_a_zero_caller_method(tmp_path):
         "\n    def orphan_method(self, x):\n        return self.orphan_method(x - 1) if x else 0\n",
     )
     assert zero_caller_definitions(tmp_path) == ["shift.py:Pattern.orphan_method"]
+
+
+def test_the_check_sees_an_unread_constant(tmp_path):
+    _copy_package(tmp_path)
+    _plant(tmp_path / "shift.py", "PROB_TOL = 1e-12\n", "ORPHAN_TOL = PROB_TOL * 1000\n")
+    assert zero_caller_definitions(tmp_path) == ["shift.py:ORPHAN_TOL"]
 
 
 def test_every_import_is_read():

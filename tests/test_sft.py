@@ -25,6 +25,7 @@ from finvariant import sft
 from finvariant.sft import _zrho_edge_filter, symbol_entry
 
 from paper_objects import (
+    check_local,
     identity_symbol,
     nn_spec,
     orbit_of,
@@ -74,23 +75,55 @@ class TestCheckers:
         assert sft_check_vertex(CTX2, spec, action, labels, 2)
         assert not sft_check_all(CTX2, spec, action, labels)
 
-    def test_nn_fast_path_equals_general(self):
+    def test_nn_fast_path_equals_oracle(self):
         rng = random.Random(2)
-        cases = 0
-        while cases < 1000:
+        verdicts = set()
+        for _ in range(1000):
             n = rng.randint(2, 5)
             action = sample_action(n, 2, seed=rng.randint(0, 10**6))
             pairs = [
                 (rng.randint(0, 1), rng.randint(0, 1), rng.randint(1, 2))
                 for _ in range(rng.randint(1, 3))
             ]
-            fast = nn_spec((0, 1), pairs)
-            slow = SftSpec(alphabet=(0, 1), forbidden=fast.forbidden, nearest_neighbor=False)
+            spec = nn_spec((0, 1), pairs)
+            assert spec.forbidden_pairs == frozenset(pairs)
             labels = tuple(rng.randint(0, 1) for _ in range(n))
-            assert sft_check_all(CTX2, fast, action, labels) == sft_check_all(
-                CTX2, slow, action, labels
+            verdict = sft_check_all(CTX2, spec, action, labels)
+            assert verdict == all(check_local(spec, action, labels, v) for v in range(n))
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_general_path_equals_oracle(self):
+        # domains other than {e, s_i}: an inverse letter, two letters, a
+        # length-two word, or a pattern away from the identity
+        domains = [("", "A"), ("", "a", "b"), ("", "ab"), ("a", "b"), ("", "B", "bb")]
+        rng = random.Random(3)
+        verdicts = set()
+        for _ in range(500):
+            n = rng.randint(2, 5)
+            action = sample_action(n, 2, seed=rng.randint(0, 10**6))
+            forbidden = tuple(
+                Pattern([CTX2.parse(f) for f in dom], [rng.randint(0, 1) for _ in dom])
+                for dom in rng.sample(domains, rng.randint(1, 2))
             )
-            cases += 1
+            spec = SftSpec(alphabet=(0, 1), forbidden=forbidden)
+            assert spec.forbidden_pairs is None
+            labels = tuple(rng.randint(0, 1) for _ in range(n))
+            verdict = sft_check_all(CTX2, spec, action, labels)
+            assert verdict == all(check_local(spec, action, labels, v) for v in range(n))
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_nearest_neighbor_is_read_from_the_domains(self):
+        # the JSON key is optional; a true key must agree with the domains
+        nn = {"alphabet": ["0", "1"], "forbidden": [{"": "1", "a": "1"}]}
+        assert SftSpec.from_json(CTX2, nn).forbidden_pairs == {("1", "1", 1)}
+        assert SftSpec.from_json(CTX2, {**nn, "nearest_neighbor": True}).forbidden_pairs == {("1", "1", 1)}
+        assert SftSpec.from_json(CTX2, {"alphabet": ["0"], "forbidden": []}).forbidden_pairs == frozenset()
+        other = {"alphabet": ["0", "1"], "forbidden": [{"": "1", "A": "1"}]}
+        assert SftSpec.from_json(CTX2, other).forbidden_pairs is None
+        with pytest.raises(InputError):
+            SftSpec.from_json(CTX2, {**other, "nearest_neighbor": True})
 
     def test_odd_cycle_has_no_proper_two_coloring(self):
         action = FiniteAction(3, ((1, 2, 0),))

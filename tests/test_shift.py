@@ -317,6 +317,17 @@ class TestDistributionJson:
         with pytest.raises(InputError):
             PatternDistribution(ctx.ball(0), {(0,): 0.7})
 
+    def test_exact_total_must_be_exactly_one(self, ctx):
+        off = Fraction(1, 10**14)
+        with pytest.raises(InputError, match="probabilities sum to"):
+            PatternDistribution(ctx.ball(0), {(0,): Fraction(1, 2) + off, (1,): Fraction(1, 2)})
+        with pytest.raises(InputError, match="negative probability"):
+            PatternDistribution(ctx.ball(0), {(0,): Fraction(1) + off, (1,): -off})
+        # a float total keeps its rounding slack, and a NaN fails it
+        PatternDistribution(ctx.ball(0), {(0,): 0.5 + 1e-14, (1,): 0.5})
+        with pytest.raises(InputError, match="probabilities sum to"):
+            PatternDistribution(ctx.ball(0), {(0,): float("nan"), (1,): 0.5})
+
     def _ball_dist(self, ctx):
         from finvariant import marginal_distribution
 

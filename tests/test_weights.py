@@ -69,9 +69,7 @@ def reversible_weight(rank, symbols, rng, pi=None):
             for b in range(a + 1, k):
                 edge[(symbols[a], symbols[b], i)] = off[(a, b)]
                 edge[(symbols[b], symbols[a], i)] = off[(a, b)]
-    w = Weight(rank, tuple(symbols), dict(zip(symbols, pi)), edge)
-    w.validate()
-    return w
+    return Weight(rank, tuple(symbols), dict(zip(symbols, pi)), edge)
 
 
 def solve_stationary_exact(P, symbols):
@@ -108,9 +106,7 @@ def random_exact_chain_weight(symbols, rng):
     pi = solve_stationary_exact(P, symbols)
     vertex = dict(pi)
     edge = {(a, b, 1): pi[a] * P[(a, b)] for a in symbols for b in symbols}
-    w = Weight(1, tuple(symbols), vertex, edge)
-    w.validate(tol=0.0)
-    return w
+    return Weight(1, tuple(symbols), vertex, edge)
 
 
 def entropy_rate_oracle(w: Weight) -> float:
@@ -174,9 +170,18 @@ class TestWeightValidation:
         w = reversible_weight(2, ("0", "1"), rng)
         edge = dict(w.edge)
         edge[("0", "1", 1)] += 1e-6
-        bad = Weight(2, w.alphabet, w.vertex, edge)
         with pytest.raises(WeightError):
-            bad.validate()
+            Weight(2, w.alphabet, w.vertex, edge)
+
+    def test_float_slack_is_prob_tol(self):
+        # a float weight may miss balance by 1e-13, not by 1e-11
+        def diagonal(offset):
+            vertex = {"0": 0.5 + offset, "1": 0.5}
+            return Weight(1, ("0", "1"), vertex, {("0", "0", 1): 0.5 + offset, ("1", "1", 1): 0.5})
+
+        assert not diagonal(1e-13).is_exact
+        with pytest.raises(WeightError, match="vertex weights sum to"):
+            diagonal(1e-11)
 
     def test_zero_vertex_with_edge_rejected(self):
         with pytest.raises(WeightError):
@@ -185,7 +190,7 @@ class TestWeightValidation:
                 ("0", "1"),
                 {"0": 1.0, "1": 0.0},
                 {("0", "0", 1): 0.9, ("0", "1", 1): 0.1, ("1", "0", 1): 0.1},
-            ).validate()
+            )
 
     def test_json_round_trip(self):
         w = bernoulli_weight({"0": Fraction(1, 3), "1": Fraction(2, 3)}, 2)
@@ -464,7 +469,7 @@ class TestFValue:
                 for i in (1, 2)
             },
         )
-        w.validate(tol=0.0)
+        assert w.is_exact
         closed_form = 3 * math.log(2) - 1.5 * math.log(3)
         assert float(F_value(CTX2, w, 0)) == pytest.approx(closed_form, abs=1e-12)
 
@@ -607,7 +612,6 @@ class TestMarkovize:
             labels = tuple(rng.choice("01") for _ in range(n))
             dist = empirical_distribution(CTX2, action, labels, 1)
             w = markovize(CTX2, dist)
-            w.validate(tol=0.0)
             assert w.is_exact
             value = F_value(CTX2, w, 0)
             assert float(value) == float(value)  # finite, never NaN
@@ -629,7 +633,6 @@ class TestRationalize:
         w = bernoulli_weight({"0": a, "1": 1 - a}, 1)
         out = rationalize_weight(w, 100)
         assert out.is_exact
-        out.validate(tol=0.0)
         assert float(weight_distance(w, out)) <= 0.08
 
     def test_generic_bound(self):
@@ -652,7 +655,6 @@ class TestRationalize:
             ("1", "1", 2): (1 - a) * (1 - a),
         }
         w = Weight(2, ("0", "1"), vertex, edge)
-        w.validate()
         out = rationalize_weight(w, 500)
         assert out.edge_prob("0", "1", 1) == 0
         assert out.edge_prob("1", "0", 1) == 0
@@ -668,14 +670,12 @@ class TestRationalize:
             for b in range(7):
                 bump = eps if (b - a) % 7 == 1 else (-eps if (b - a) % 7 == 2 else 0.0)
                 edge[(symbols[a], symbols[b], 2)] = 1 / 49 + bump
-        w = Weight(2, symbols, vertex, edge)
-        w.validate(tol=1e-9)
-        return w
+        return Weight(2, symbols, vertex, edge)
 
     def test_cyclic_support_needs_divisible_denominator(self):
         w = self._seven_cycle_weight()
         out = rationalize_weight(w, 59)  # retry window reaches 56 = 8 * 7
-        out.validate(tol=0.0)
+        assert out.is_exact
         denominators = {Fraction(v).denominator for v in out.vertex.values()}
         assert all(d <= 59 for d in denominators)
 

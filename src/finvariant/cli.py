@@ -46,7 +46,7 @@ from .orbitmaps import (
     zrho_pullbacks,
 )
 from .sft import SftSpec, sample_sft_config
-from .shift import PatternDistribution, pullback_name
+from .shift import PatternDistribution, pullback_name, read_prob
 from .weights import (
     F_value,
     Weight,
@@ -93,10 +93,10 @@ def _load_json(path: str) -> dict:
 
 
 def _as_int(raw, what: str) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"{what} must be an integer, got {raw!r}") from None
+    # int() would truncate 3.7 and read "3" or true; only a JSON integer passes
+    if type(raw) is not int:
+        raise InputError(f"{what} must be an integer, got {raw!r}")
+    return raw
 
 
 def _ctx_for_rank(rank: int) -> FreeGroupCtx:
@@ -161,15 +161,15 @@ def cmd_f_exact(args) -> int:
 
 def _parse_epsilon(raw) -> Fraction:
     """Epsilon as an exact rational: a JSON number is the decimal it spells,
-    a string is "p/q" or a decimal, an object is {"num":, "den":}."""
+    a string is "p/q" or a decimal, an object is read by ``read_prob``."""
     try:
         if isinstance(raw, dict):
-            return Fraction(int(raw["num"]), int(raw["den"]))
+            return read_prob(raw)
         if isinstance(raw, str):
             return Fraction(raw)
         if isinstance(raw, (int, float)) and not isinstance(raw, bool):
             return Fraction(repr(raw))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (InputError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed epsilon {raw!r}: {exc}") from None
     raise InputError(f"malformed epsilon {raw!r}: not a number, a rational string or {{num, den}}")
 
@@ -184,8 +184,8 @@ def cmd_f_estimate(args) -> int:
     for key in ("epsilon", "n_list") + (("window",) if "weight" in config else ()):
         if key not in config:
             raise InputError(f"f-estimate config missing {key!r}")
-    if "weight" not in config and "marginals" not in config:
-        raise InputError("f-estimate config needs 'weight' or 'marginals'")
+    if ("weight" in config) == ("marginals" in config):
+        raise InputError("f-estimate config needs exactly one of 'weight' and 'marginals'")
     mode = config.get("mode", "monte_carlo")
     if mode == "monte_carlo" and "seed" not in config:
         raise InputError("a seed is mandatory for randomized commands")
@@ -208,10 +208,7 @@ def cmd_f_estimate(args) -> int:
         window = len(target.window[-1])
         if "window" in config and _as_int(config["window"], "window") != window:
             raise InputError(f"window {config['window']!r} differs from the marginals' window_radius {window}")
-    caps = Caps(
-        exact_actions=args.cap_exact or Caps.exact_actions,
-        labelings=args.cap_labels or Caps.labelings,
-    )
+    caps = Caps(exact_actions=args.cap_exact, labelings=args.cap_labels)
     sft = None
     if config.get("sft"):
         raw = config["sft"]
@@ -557,8 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="json experiment config")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--cap-exact", type=int, default=None, dest="cap_exact")
-        p.add_argument("--cap-labels", type=int, default=None, dest="cap_labels")
+        # only an absent flag means the default: 0 is a cap of 0
+        p.add_argument("--cap-exact", type=int, default=Caps.exact_actions, dest="cap_exact")
+        p.add_argument("--cap-labels", type=int, default=Caps.labelings, dest="cap_labels")
         p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("f-exact", help="exact invariant of a weight")

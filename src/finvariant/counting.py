@@ -18,7 +18,7 @@ from typing import Sequence
 from .actions import FiniteAction, derive_seed, enumerate_actions, hom_count, sample_action
 from .errors import InputError, ResourceCapError
 from .freegroup import FreeGroupCtx
-from .shift import PatternDistribution, window_columns
+from .shift import PROB_TOL, PatternDistribution, window_columns
 from .sft import SftSpec, sft_check_all
 from .weights import Weight, marginal_distribution
 
@@ -52,9 +52,9 @@ class Neighborhood:
     def __post_init__(self):
         if self.mode not in ("window", "edge_star"):
             raise InputError(f"unknown distance mode {self.mode!r}")
-        if float(self.epsilon) < 0:
+        if self.epsilon < 0:
             raise InputError("epsilon must be >= 0")
-        if float(self.epsilon) == 0 and not self.target.is_exact():
+        if self.epsilon == 0 and not self.target.is_exact:
             raise InputError("exact-statistics counting needs an exact rational target")
 
 
@@ -86,13 +86,13 @@ def _kernel_setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborh
     targets = _statistic_targets(ctx, nbhd)
     d = _denominator_lcm(targets)
     eps = nbhd.epsilon
-    if not alphabet or (float(eps) == 0 and n % d):
+    if not alphabet or (eps == 0 and n % d):
         return None
-    if nbhd.target.is_exact() and isinstance(eps, (int, Fraction)):
+    if nbhd.target.is_exact and isinstance(eps, (int, Fraction)):
         limit = math.floor(eps * n * d)
     else:
         # in integers: n d outgrows a float for a tiny float target
-        limit = math.floor(Fraction(float(eps) + 1e-12) * n * d)
+        limit = math.floor(Fraction(float(eps) + PROB_TOL) * n * d)
     q = len(alphabet)
     index = {a: k for k, a in enumerate(alphabet)}
     groups, gap, unseen, offset = [], {}, 0, 0
@@ -282,7 +282,7 @@ def f_estimate(
         raise InputError("the counted alphabet is not contained in the constraint system's alphabet")
     nbhd = Neighborhood(target=target, epsilon=epsilon, mode=distance_mode, sft=sft)
     warnings = []
-    if float(epsilon) == 0:
+    if epsilon == 0:
         # the statistics count_omega compares, so the warning matches its early 0
         lcm = _denominator_lcm(_statistic_targets(ctx, nbhd))
         for n in n_list:

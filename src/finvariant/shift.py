@@ -20,6 +20,24 @@ from .freegroup import FreeGroupCtx, Word, inv, sort_words, word_sort_key
 PROB_TOL = 1e-12
 
 
+def read_prob(raw) -> Fraction | float:
+    """A probability from JSON: ``{"num": int, "den": int}`` with a nonzero
+    ``den`` is that exact rational, any other JSON number a float."""
+    # type(), not isinstance: a boolean is an int to Python, not to JSON
+    if isinstance(raw, dict):
+        num, den = raw.get("num"), raw.get("den")
+        if type(num) is int and type(den) is int and den:
+            return Fraction(num, den)
+    elif type(raw) is float or (type(raw) is int and raw.bit_length() <= 1023):
+        return float(raw)
+    raise InputError(f"a probability is a JSON number in float range or integers {{num, den != 0}}, got {raw!r}")
+
+
+def write_prob(p) -> dict | float:
+    """The JSON form ``read_prob`` reads back: a rational as {num, den}."""
+    return {"num": p.numerator, "den": p.denominator} if isinstance(p, (int, Fraction)) else float(p)
+
+
 class Pattern:
     """A total assignment window -> symbols, domain canonically shortlex-sorted."""
 
@@ -84,10 +102,10 @@ class PatternDistribution:
 
     ``probs`` maps symbol tuples (aligned to the window order) to weights;
     weights may be floats or Fractions and must sum to 1, exactly when
-    every weight is rational and within ``PROB_TOL`` otherwise.
+    every weight is rational (``is_exact``) and within ``PROB_TOL`` otherwise.
     """
 
-    __slots__ = ("window", "probs")
+    __slots__ = ("window", "probs", "is_exact")
 
     def __init__(self, window: Sequence[Word], probs: Mapping[tuple, object]):
         win = sort_words(window)
@@ -98,7 +116,8 @@ class PatternDistribution:
                 raise InputError("distribution key does not match window size")
         total = sum(probs.values())
         # a sum of rationals stays rational; one float entry makes it a float
-        slack = 0 if isinstance(total, (int, Fraction)) else PROB_TOL
+        self.is_exact = isinstance(total, (int, Fraction))
+        slack = 0 if self.is_exact else PROB_TOL
         # a NaN entry makes the total NaN, which fails this test
         if not abs(total - 1) <= slack:
             raise InputError(f"probabilities sum to {float(total)}, not 1")
@@ -106,9 +125,6 @@ class PatternDistribution:
             raise InputError("negative probability")
         self.window = win
         self.probs = dict(probs)
-
-    def is_exact(self) -> bool:
-        return all(isinstance(p, (Fraction, int)) for p in self.probs.values())
 
     def project(self, subwindow: Sequence[Word]) -> "PatternDistribution":
         sub = sort_words(subwindow)
@@ -130,12 +146,7 @@ class PatternDistribution:
         words = [ctx.format(w) for w in self.window]
         entries = []
         for key in sorted(self.probs, key=repr):
-            p = self.probs[key]
-            pattern = dict(zip(words, key))
-            if isinstance(p, Fraction):
-                entries.append({"pattern": pattern, "p": {"num": p.numerator, "den": p.denominator}})
-            else:
-                entries.append({"pattern": pattern, "p": float(p)})
+            entries.append({"pattern": dict(zip(words, key)), "p": write_prob(self.probs[key])})
         return {"window_radius": radius, "entries": entries}
 
     @classmethod
@@ -153,10 +164,9 @@ class PatternDistribution:
         probs: dict[tuple, object] = {}
         for entry in entries:
             try:
-                pattern, p = entry["pattern"], entry["p"]
+                pattern, prob = entry["pattern"], read_prob(entry["p"])
                 spellings, values = tuple(pattern), tuple(pattern.values())
-                prob = Fraction(p["num"], p["den"]) if isinstance(p, dict) else float(p)
-            except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+            except (KeyError, TypeError, AttributeError, InputError) as exc:
                 raise InputError(f"malformed distribution entry {entry!r}: {exc!r}") from None
             order = layouts.get(spellings)
             if order is None:

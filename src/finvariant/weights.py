@@ -24,7 +24,7 @@ within float tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iter_product
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 from .errors import ConstructionError, InputError, ResourceCapError, WeightError
 from .freegroup import FreeGroupCtx, Word, mul, sort_words
 from .sft import SftSpec
-from .shift import PROB_TOL, PatternDistribution
+from .shift import PROB_TOL, PatternDistribution, read_prob, write_prob
 
 # a constancy table row passes when its delta is at most this
 CONSTANCY_TOL = 1e-9
@@ -219,19 +219,15 @@ class EntropyValue:
 
 
 def shannon_entropy(probs) -> EntropyValue:
-    """Shannon entropy in nats of a distribution given as a mapping or an
-    iterable of probabilities; 0 log 0 = 0.  Exact rational inputs produce an
-    exact symbolic value."""
-    if isinstance(probs, PatternDistribution):
-        values = list(probs.probs.values())
-    elif isinstance(probs, Mapping):
-        values = list(probs.values())
-    else:
-        values = list(probs)
+    """Shannon entropy in nats of an iterable of probabilities; 0 log 0 = 0.
+    They must sum to 1, exactly when every one is rational, which gives an
+    exact symbolic value, and within ``PROB_TOL`` otherwise."""
+    values = list(probs)
     total = sum(values)
-    if abs(float(total) - 1.0) > 1e-9:
+    exact = isinstance(total, (int, Fraction))
+    if not abs(total - 1) <= (0 if exact else PROB_TOL):
         raise InputError(f"entropy input sums to {float(total)}, not 1")
-    if all(isinstance(p, (int, Fraction)) for p in values):
+    if exact:
         combo: dict[int, Fraction] = {}
         for p in values:
             p = Fraction(p)
@@ -260,14 +256,16 @@ class Weight:
     ``edge`` is keyed by (from_symbol, to_symbol, generator_index) with the
     generator index 1-based; missing keys mean probability zero.  A weight is
     checked when it is built: entries in [0, 1], balanced and normalized,
-    with no positive edge at a zero-weight symbol.  Rational weights must
-    satisfy this exactly, weights with a float entry within ``PROB_TOL``.
+    with no positive edge at a zero-weight symbol.  Rational weights
+    (``is_exact``) must satisfy this exactly, weights with a float entry
+    within ``PROB_TOL``.
     """
 
     rank: int
     alphabet: tuple
     vertex: Mapping
     edge: Mapping
+    is_exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -278,6 +276,8 @@ class Weight:
         object.__setattr__(self, "vertex", dict(self.vertex))
         object.__setattr__(self, "edge", dict(self.edge))
         alphabet = self.alphabet
+        entries = list(self.vertex.values()) + list(self.edge.values())
+        object.__setattr__(self, "is_exact", all(isinstance(x, (int, Fraction)) for x in entries))
         slack = 0 if self.is_exact else PROB_TOL
         for a in self.vertex:
             if a not in alphabet:
@@ -287,7 +287,7 @@ class Weight:
                 raise WeightError(f"edge symbols ({a!r},{b!r}) not in alphabet")
             if not 1 <= i <= self.rank:
                 raise WeightError(f"edge generator index {i} out of range")
-        for x in list(self.vertex.values()) + list(self.edge.values()):
+        for x in entries:
             # written so that a NaN entry fails; the sums below are tested with >
             if not -slack <= x <= 1 + slack:
                 raise WeightError(f"weight entry {float(x)} outside [0, 1]")
@@ -304,16 +304,15 @@ class Weight:
                         f"balance fails at symbol {a!r}, generator {i}: "
                         f"row {float(row)}, col {float(col)}, vertex {float(va)}"
                     )
+            # float rows may each miss by PROB_TOL; the edge law's entropy needs its total
+            total = sum(self.edge_prob(a, b, i) for a in alphabet for b in alphabet)
+            if abs(total - 1) > slack:
+                raise WeightError(f"generator {i} edge weights sum to {float(total)}, not 1")
         for (a, b, i), p in self.edge.items():
             if p:
                 for c in (a, b):
                     if not self.vertex_prob(c):
                         raise WeightError(f"symbol {c!r} has zero vertex weight but a positive edge")
-
-    @property
-    def is_exact(self) -> bool:
-        entries = list(self.vertex.values()) + list(self.edge.values())
-        return all(isinstance(x, (int, Fraction)) for x in entries)
 
     def vertex_prob(self, a):
         return self.vertex.get(a, 0)
@@ -326,43 +325,31 @@ class Weight:
         """(H(vertex), H(edge_1), ..., H(edge_r)): entry i is the entropy of
         the generator-i pair law, so the tuple indexes by generator."""
         alpha = self.alphabet
-        out = [shannon_entropy({a: self.vertex_prob(a) for a in alpha})]
+        out = [shannon_entropy(self.vertex_prob(a) for a in alpha)]
         for i in range(1, self.rank + 1):
-            pairs = {(a, b): self.edge_prob(a, b, i) for a in alpha for b in alpha}
-            out.append(shannon_entropy(pairs))
+            out.append(shannon_entropy(self.edge_prob(a, b, i) for a in alpha for b in alpha))
         return tuple(out)
 
     def to_json(self) -> dict:
-        def enc(x):
-            if isinstance(x, (int, Fraction)):
-                f = Fraction(x)
-                return {"num": f.numerator, "den": f.denominator}
-            return float(x)
-
         edges = [
-            {"from": a, "to": b, "gen": i, "p": enc(p)}
+            {"from": a, "to": b, "gen": i, "p": write_prob(p)}
             for (a, b, i), p in sorted(self.edge.items(), key=lambda kv: (kv[0][2], str(kv[0][0]), str(kv[0][1])))
         ]
         return {
             "rank": self.rank,
             "alphabet": list(self.alphabet),
-            "vertex": {str(a): enc(self.vertex_prob(a)) for a in self.alphabet},
+            "vertex": {str(a): write_prob(self.vertex_prob(a)) for a in self.alphabet},
             "edge": edges,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Weight":
-        def dec(x):
-            if isinstance(x, dict):
-                return Fraction(int(x["num"]), int(x["den"]))
-            return float(x)
-
         try:
             rank = int(data["rank"])
             alphabet = tuple(data["alphabet"])
-            vertex = {a: dec(p) for a, p in data["vertex"].items()}
+            vertex = {a: read_prob(p) for a, p in data["vertex"].items()}
             edge = {
-                (e["from"], e["to"], int(e["gen"])): dec(e["p"]) for e in data["edge"]
+                (e["from"], e["to"], int(e["gen"])): read_prob(e["p"]) for e in data["edge"]
             }
             return cls(rank, alphabet, vertex, edge)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -446,7 +433,7 @@ def marginal_distribution(w: Weight, window: Sequence[Word]) -> PatternDistribut
                 if forward
                 else w.edge_prob(sym, values[parent], i)
             )
-            if float(pair) == 0.0:
+            if not pair:
                 continue
             values[child] = sym
             extend(step + 1, prob * pair / vp)
@@ -454,7 +441,7 @@ def marginal_distribution(w: Weight, window: Sequence[Word]) -> PatternDistribut
 
     for sym in w.alphabet:
         v = w.vertex_prob(sym)
-        if float(v) == 0.0:
+        if not v:
             continue
         values[order[0]] = sym
         extend(0, v)
@@ -600,7 +587,7 @@ def _as_fraction_checked(x, q: int):
         f = Fraction(x)
         return f if f.denominator <= q else None
     f = Fraction(x).limit_denominator(q)
-    return f if abs(float(f) - float(x)) <= PROB_TOL else None
+    return f if abs(f - x) <= PROB_TOL else None
 
 
 def _try_exact_passthrough(w: Weight, q: int) -> Weight | None:
@@ -636,7 +623,7 @@ def _round_vertex(w: Weight, n_total: int) -> dict:
     k = 0
     while assigned < n_total:
         a = remainders[k % len(remainders)]
-        if float(w.vertex_prob(a)) > 0:
+        if raw[a] > 0:
             out[a] += 1
             assigned += 1
         k += 1
@@ -654,7 +641,7 @@ def _integer_transport(w: Weight, i: int, counts: dict, n_total: int):
     """
     alpha = list(w.alphabet)
     support = {
-        (a, b) for a in alpha for b in alpha if float(w.edge_prob(a, b, i)) > 0
+        (a, b) for a in alpha for b in alpha if w.edge_prob(a, b, i) > 0
     }
     mat = {}
     for a, b in support:
@@ -737,7 +724,7 @@ def rationalize_weight(w: Weight, q: int, support: SftSpec | None = None) -> Wei
         if support.forbidden_pairs is None:
             raise InputError("a support must be a nearest-neighbor constraint system")
         for a, b, i in support.forbidden_pairs:
-            if float(w.edge_prob(a, b, i)) != 0.0:
+            if w.edge_prob(a, b, i):
                 raise InputError(
                     f"weight is not supported on the constraint system: edge ({a!r},{b!r};{i}) positive"
                 )

@@ -99,7 +99,7 @@ def test_criterion_01_bernoulli_invariant(tmp_path):
         base = {f"s{k}": Fraction(x, total) for k, x in enumerate(raw)}
         wb = bernoulli_weight(base, 2)
         value = F_value(CTX, wb, 0)
-        ok &= value.is_exact and value == shannon_entropy(base)
+        ok &= value.is_exact and value == shannon_entropy(base.values())
     assert report(1, "bernoulli invariant", ok, t0, 1.0)
 
 

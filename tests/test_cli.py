@@ -310,6 +310,54 @@ class TestFEstimate:
         cfg = self._config(tmp_path, half_weight_file, mode="exact", n_list=[6])
         assert main(["f-estimate", "--config", cfg, "--cap-exact", "100"]) == 3
 
+    @pytest.mark.parametrize("flag", ["--cap-exact", "--cap-labels"])
+    def test_a_cap_of_zero_is_a_cap(self, half_weight_file, tmp_path, capsys, flag):
+        # n = 3 needs 36 actions of 8 labelings; a 0 flag once meant the default
+        cfg = self._config(tmp_path, half_weight_file, mode="exact", n_list=[3])
+        assert main(["f-estimate", "--config", cfg, flag, "0"]) == 3
+        assert capsys.readouterr().err.startswith("resource cap: ")
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"n_list": [3.7]}, "n_list"),
+            ({"window": 0.9}, "window"),
+            ({"samples": True}, "samples"),
+            ({"seed": "9"}, "seed"),
+        ],
+        ids=["n_list_float", "window_float", "samples_bool", "seed_string"],
+    )
+    def test_config_integers_must_be_json_integers(self, half_weight_file, tmp_path, capsys, overrides, key):
+        # int() once truncated 3.7 to 3 and read "9" and true as integers
+        cfg = self._config(tmp_path, half_weight_file, **overrides)
+        assert main(["f-estimate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and key in err
+
+    def test_weight_and_marginals_together_exit_2(self, half_weight_file, tmp_path, capsys):
+        # the marginals file was never opened, and the weight alone was counted
+        cfg = self._config(tmp_path, half_weight_file, marginals="does-not-exist.json", mode="exact", n_list=[2])
+        assert main(["f-estimate", "--config", cfg]) == 2
+        assert "exactly one of 'weight' and 'marginals'" in capsys.readouterr().err
+
+    def test_epsilon_object_needs_integers(self, half_weight_file, tmp_path, capsys):
+        # {"num": 3.9, "den": 10} once ran as 3/10
+        cfg = self._config(tmp_path, half_weight_file, epsilon={"num": 3.9, "den": 10}, mode="exact", n_list=[3])
+        assert main(["f-estimate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("input error: malformed epsilon")
+
+    def test_a_tiny_exact_entry_keeps_its_patterns(self, tmp_path, capsys):
+        # the marginal once dropped every pattern whose probability is 0.0
+        # as a float, so its total missed 1 and the run exited 2
+        tiny = Fraction(1, 10**400)
+        w = bernoulli_weight({"0": 1 - tiny, "1": tiny}, 2)
+        (tmp_path / "tiny.json").write_text(json.dumps(w.to_json()))
+        cfg = self._config(
+            tmp_path, str(tmp_path / "tiny.json"), window=1, epsilon="1/2", n_list=[3], mode="exact"
+        )
+        assert main(["f-estimate", "--config", cfg]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "3,36,1,0,0"
+
 
 class TestRearrange:
     def _config(self, tmp_path, images, rho, n=8, seed=5):
@@ -456,6 +504,12 @@ class TestRearrange:
         golden = os.path.join(data, f"mixed_rho1_{command.replace('-', '_')}.txt")
         with open(golden, "rb") as fh:
             assert out.read_bytes() == fh.read()
+
+    def test_rho_must_be_a_json_integer(self, tmp_path, capsys):
+        # true once read as rho 1
+        cfg = self._config(tmp_path, {"a": "a", "b": "b"}, True)
+        assert main(["rearrange", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "input error: rho must be an integer, got True\n"
 
     def test_deterministic_reports(self, tmp_path):
         cfg = self._config(tmp_path, {"a": "b", "b": "a"}, 1)
@@ -630,6 +684,53 @@ class TestWeightTools:
     def test_validate(self, half_weight_file, capsys):
         assert main(["weight-tools", "validate", "--weight", half_weight_file]) == 0
         assert "valid" in capsys.readouterr().out
+
+    # each once read as a valid weight (1/2 or 1/4 where the half weight has
+    # it), except the zero denominator, which crashed with exit 1
+    @pytest.mark.parametrize(
+        "where, p",
+        [
+            ("vertex", {"num": 1.9, "den": 2}),
+            ("vertex", {"num": "1", "den": 2}),
+            ("edge", {"num": True, "den": 4}),
+            ("edge", {"num": 1, "den": 0}),
+            ("vertex", "0.5"),
+        ],
+        ids=["num_float", "num_string", "num_bool", "den_zero", "p_string"],
+    )
+    def test_validate_rejects_a_malformed_probability(self, half_weight_file, tmp_path, capsys, where, p):
+        data = json.loads(open(half_weight_file).read())
+        if where == "vertex":
+            data["vertex"]["0"] = p
+        else:
+            data["edge"][0]["p"] = p
+        (tmp_path / "bad.json").write_text(json.dumps(data))
+        assert main(["weight-tools", "validate", "--weight", str(tmp_path / "bad.json")]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    def test_validate_rejects_a_boolean_probability(self, tmp_path, capsys):
+        # a one-symbol weight of true entries once read as the point mass
+        edge = [{"from": "0", "to": "0", "gen": i, "p": True} for i in (1, 2)]
+        data = {"rank": 2, "alphabet": ["0"], "vertex": {"0": True}, "edge": edge}
+        (tmp_path / "bad.json").write_text(json.dumps(data))
+        assert main(["weight-tools", "validate", "--weight", str(tmp_path / "bad.json")]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [{"pattern": {"": "0"}, "p": "0.5"}, {"pattern": {"": "1"}, "p": 0.5}],
+            [{"pattern": {"": "0"}, "p": True}],
+        ],
+        ids=["p_string", "p_bool"],
+    )
+    def test_marginals_reject_a_string_or_boolean_p(self, tmp_path, monkeypatch, capsys, entries):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "marg.json").write_text(json.dumps({"rank": 2, "window_radius": 0, "entries": entries}))
+        cfg = {"marginals": "marg.json", "epsilon": "1/2", "n_list": [2], "mode": "exact"}
+        (tmp_path / "est.json").write_text(json.dumps(cfg))
+        assert main(["f-estimate", "--config", "est.json"]) == 2
+        assert capsys.readouterr().err.startswith("input error: malformed distribution entry")
 
     def test_distance(self, half_weight_file, tmp_path, capsys):
         w2 = bernoulli_weight({"0": Fraction(1, 3), "1": Fraction(2, 3)}, 2)

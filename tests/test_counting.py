@@ -181,7 +181,7 @@ def brute_count(ctx, action, alphabet, nbhd):
     compared exactly; a float epsilon or a float target carries the
     documented 1e-12 slack, the float sum epsilon + 1e-12."""
     eps = nbhd.epsilon
-    if isinstance(eps, float) or not nbhd.target.is_exact():
+    if isinstance(eps, float) or not nbhd.target.is_exact:
         bound = Fraction(float(eps) + 1e-12)
     else:
         bound = eps
@@ -280,7 +280,7 @@ class TestBruteForceOracle:
     def test_counts_equal_brute_force(self, mode, target, alphabet, eps, restricted):
         spec = nn_spec(alphabet, [("0", "1", 1)]) if restricted else None
         target = ORACLE_TARGETS[target]
-        if float(eps) == 0 and not target.is_exact():
+        if float(eps) == 0 and not target.is_exact:
             with pytest.raises(InputError):
                 Neighborhood(target=target, epsilon=eps, mode=mode, sft=spec)
             return

@@ -11,7 +11,9 @@ module-level constant (a name in capitals bound at the top of a module), so
 that a merged or retired tolerance cannot linger.
 
 Every name a module imports must also be read in that module, so that a
-deletion leaves no import behind.
+deletion leaves no import behind.  The JSON keys ``"num"`` and ``"den"`` of
+an exact probability appear in one module only, the one that holds its
+reader and writer.
 """
 
 import ast
@@ -90,6 +92,15 @@ def unused_imports(package: pathlib.Path = PACKAGE) -> list:
     return unused
 
 
+def modules_naming_rational_keys(package: pathlib.Path = PACKAGE) -> list:
+    """The modules holding the string constant "num" or "den"."""
+    return [
+        name
+        for name, tree in _modules(package).items()
+        if any(isinstance(node, ast.Constant) and node.value in ("num", "den") for node in ast.walk(tree))
+    ]
+
+
 def _copy_package(tmp_path: pathlib.Path) -> None:
     for path in PACKAGE.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
@@ -137,3 +148,14 @@ def test_the_check_sees_an_unused_import(tmp_path):
     _copy_package(tmp_path)
     _plant(tmp_path / "shift.py", "from __future__ import annotations\n", "\nimport os\n")
     assert unused_imports(tmp_path) == ["shift.py:os"]
+
+
+def test_one_module_reads_and_writes_rationals():
+    assert modules_naming_rational_keys() == ["shift.py"]
+
+
+def test_the_check_sees_a_second_rational_reader(tmp_path):
+    _copy_package(tmp_path)
+    with open(tmp_path / "weights.py", "a", encoding="utf-8") as fh:
+        fh.write('\n\ndef orphan(p):\n    return p["num"]\n')
+    assert modules_naming_rational_keys(tmp_path) == ["shift.py", "weights.py"]

@@ -1,6 +1,7 @@
 """Shift action on patterns, pullback names, empirical distributions, block
 codes, and the l1 machinery."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from finvariant import (
     sample_action,
 )
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
+from finvariant.shift import read_prob, write_prob
 
 from paper_objects import (
     Alphabet,
@@ -312,6 +314,16 @@ class TestDistributionJson:
         data = dist.to_json(ctx)
         back = PatternDistribution.from_json(ctx, data)
         assert l1_distance(dist, back) == 0
+
+    @given(st.one_of(st.fractions(), st.floats(allow_nan=False)))
+    @settings(max_examples=200)
+    def test_prob_codec_round_trip(self, x):
+        # st.floats draws subnormals; the JSON text must carry them too
+        for back in (read_prob(write_prob(x)), read_prob(json.loads(json.dumps(write_prob(x))))):
+            assert back == x and type(back) is type(x)
+
+    def test_prob_codec_round_trips_the_smallest_subnormal(self):
+        assert read_prob(write_prob(5e-324)) == 5e-324
 
     def test_rejects_bad_sum(self, ctx):
         with pytest.raises(InputError):

@@ -135,10 +135,10 @@ def enumerated_F_value(ctx: FreeGroupCtx, w: Weight, radius: int) -> float:
     chain rule: (1 - 2r) H(marginal on the ball) + sum_i H(marginal on
     ball union s_i ball)."""
     ball = ctx.ball(radius)
-    total = shannon_entropy(marginal_distribution(w, ball)).scaled(1 - 2 * ctx.rank)
+    total = shannon_entropy(marginal_distribution(w, ball).probs.values()).scaled(1 - 2 * ctx.rank)
     for i in range(1, ctx.rank + 1):
         union = set(ball) | {mul((i,), g) for g in ball}
-        total = total + shannon_entropy(marginal_distribution(w, union))
+        total = total + shannon_entropy(marginal_distribution(w, union).probs.values())
     return float(total)
 
 
@@ -182,6 +182,18 @@ class TestWeightValidation:
         assert not diagonal(1e-13).is_exact
         with pytest.raises(WeightError, match="vertex weights sum to"):
             diagonal(1e-11)
+
+    def test_float_edge_total_is_checked(self):
+        # each row and column misses its vertex weight by 0.9e-12, within
+        # the slack, but the generator's edge law misses 1 by 2.7e-12, which
+        # the entropy of that law rejects: the weight must fail when built
+        vertex = {"0": 0.25, "1": 0.25, "2": 0.5}
+        edge = {(a, a, 1): p + 0.9e-12 for a, p in vertex.items()}
+        with pytest.raises(WeightError, match="generator 1 edge weights sum to"):
+            Weight(1, tuple(vertex), vertex, edge)
+        edge = {(a, a, 1): p + 0.2e-12 for a, p in vertex.items()}
+        h_vertex, h_edge = Weight(1, tuple(vertex), vertex, edge).entropies
+        assert float(h_edge) == pytest.approx(float(h_vertex))
 
     def test_zero_vertex_with_edge_rejected(self):
         with pytest.raises(WeightError):
@@ -319,6 +331,16 @@ class TestShannonEntropy:
     def test_quarter_three_quarter(self):
         h = float(shannon_entropy([0.25, 0.75]))
         assert h == pytest.approx(0.25 * math.log(4) + 0.75 * math.log(4 / 3))
+
+    def test_exact_total_must_be_exactly_one(self):
+        # the float test |total - 1| <= 1e-9 once took this for exact input
+        with pytest.raises(InputError, match="entropy input sums to"):
+            shannon_entropy([Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**10)])
+
+    def test_float_total_keeps_its_slack(self):
+        assert float(shannon_entropy([0.5, 0.5 + 1e-13])) == pytest.approx(math.log(2))
+        with pytest.raises(InputError, match="entropy input sums to"):
+            shannon_entropy([0.5, 0.5 + 1e-10])
 
     def test_exact_equality_semantics(self):
         a = shannon_entropy([Fraction(1, 2), Fraction(1, 2)])
@@ -486,7 +508,7 @@ class TestFValue:
             p = star_prob(*combo)
             if p > 0:
                 h_star -= p * math.log(p)
-        enumerated_star = float(shannon_entropy(marginal_distribution(w, CTX2.ball(1))))
+        enumerated_star = float(shannon_entropy(marginal_distribution(w, CTX2.ball(1)).probs.values()))
         assert enumerated_star == pytest.approx(h_star, abs=1e-12)
         assert float(window_entropy(w, CTX2.ball(1))) == pytest.approx(h_star, abs=1e-12)
         assert enumerated_F_value(CTX2, w, 1) == pytest.approx(closed_form, abs=1e-9)
@@ -507,7 +529,7 @@ class TestFValue:
             total = sum(raw)
             base = {s: Fraction(x, total) for s, x in zip("abc", raw)}
             w = bernoulli_weight(base, 2)
-            assert F_value(CTX2, w, 0) == shannon_entropy(base)
+            assert F_value(CTX2, w, 0) == shannon_entropy(base.values())
 
 
 class TestFValueCaps:

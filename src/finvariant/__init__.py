@@ -43,7 +43,6 @@ from .weights import (
     rationalize_weight,
     shannon_entropy,
     weight_distance,
-    window_entropy,
 )
 
 __version__ = "0.1.0"

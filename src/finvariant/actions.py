@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import InputError, ResourceCapError
+from .errors import InputError, ResourceCapError, as_int
 from .freegroup import Word
 
 
@@ -70,9 +70,9 @@ class FiniteAction:
     @classmethod
     def from_json(cls, data: dict) -> "FiniteAction":
         try:
-            n = int(data["n"])
-            perms = tuple(tuple(int(v) for v in p) for p in data["perms"])
-        except (KeyError, TypeError, ValueError) as exc:
+            n = as_int(data["n"], "the action's n")
+            perms = tuple(tuple(as_int(v, "a perms entry") for v in p) for p in data["perms"])
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed action json: {exc}") from exc
         return cls(n, perms)
 

@@ -33,6 +33,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
     WindowError,
+    as_int,
 )
 from .freegroup import FreeGroupCtx, inv
 from .orbitmaps import (
@@ -92,13 +93,6 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _as_int(raw, what: str) -> int:
-    # int() would truncate 3.7 and read "3" or true; only a JSON integer passes
-    if type(raw) is not int:
-        raise InputError(f"{what} must be an integer, got {raw!r}")
-    return raw
-
-
 def _ctx_for_rank(rank: int) -> FreeGroupCtx:
     if not 1 <= rank <= MAX_CLI_RANK:
         raise InputError(f"cli supports ranks 1..{MAX_CLI_RANK}, got {rank}")
@@ -131,7 +125,7 @@ def cmd_f_exact(args) -> int:
     config.setdefault("rho_max", MAX_CLI_RHO)
     weight = _load_weight(config["weight"])
     ctx = _ctx_for_rank(weight.rank)
-    rho_max = _as_int(config["rho_max"], "rho_max")
+    rho_max = as_int(config["rho_max"], "rho_max")
     if rho_max > MAX_CLI_RHO:
         raise ResourceCapError(f"cli caps the join radius at {MAX_CLI_RHO}")
 
@@ -199,14 +193,14 @@ def cmd_f_estimate(args) -> int:
     if "weight" in config:
         weight = _load_weight(config["weight"])
         ctx = _ctx_for_rank(weight.rank)
-        window = _as_int(config["window"], "window")
+        window = as_int(config["window"], "window")
     else:
         data = _load_json(config["marginals"])
-        ctx = _ctx_for_rank(_as_int(data.get("rank", 2), "rank"))
+        ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
         target = PatternDistribution.from_json(ctx, data)
         alphabet = tuple(sorted({sym for key in target.probs for sym in key}, key=str))
         window = len(target.window[-1])
-        if "window" in config and _as_int(config["window"], "window") != window:
+        if "window" in config and as_int(config["window"], "window") != window:
             raise InputError(f"window {config['window']!r} differs from the marginals' window_radius {window}")
     caps = Caps(exact_actions=args.cap_exact, labelings=args.cap_labels)
     sft = None
@@ -218,10 +212,10 @@ def cmd_f_estimate(args) -> int:
         weight,
         window,
         _parse_epsilon(config["epsilon"]),
-        [_as_int(n, "an n_list entry") for n in config["n_list"]],
+        [as_int(n, "an n_list entry") for n in config["n_list"]],
         mode=mode,
-        samples=_as_int(config["samples"], "samples"),
-        seed=_as_int(config["seed"], "seed"),
+        samples=as_int(config["samples"], "samples"),
+        seed=as_int(config["seed"], "seed"),
         sft=sft,
         distance_mode=config["distance_mode"],
         caps=caps,
@@ -255,13 +249,13 @@ def _resolve_action(ctx: FreeGroupCtx, config: dict) -> FiniteAction:
         if action.rank != ctx.rank:
             raise InputError(f"the action has {action.rank} generators for rank {ctx.rank}")
         return action
-    n = _as_int(spec.get("n", config.get("n", 0)), "the action's n")
+    n = as_int(spec.get("n", config.get("n", 0)), "the action's n")
     if n < 1:
         raise InputError("action needs n >= 1")
     seed = spec.get("seed", config.get("seed"))
     if seed is None:
         raise InputError("a seed is mandatory for randomized commands")
-    return sample_action(n, ctx.rank, _as_int(seed, "seed"))
+    return sample_action(n, ctx.rank, as_int(seed, "seed"))
 
 
 def _decode_symbol(ctx: FreeGroupCtx, raw) -> tuple:
@@ -311,14 +305,9 @@ def _resolve_config_labels(ctx: FreeGroupCtx, config: dict, action: FiniteAction
         seed = sampler.get("seed", config.get("seed"))
         if seed is None:
             raise InputError("a seed is mandatory for randomized commands")
-        found = sample_sft_config(
-            ctx,
-            rho,
-            action,
-            _as_int(seed, "seed"),
-            budget=_as_int(sampler.get("budget", 20000), "budget"),
-            restarts=_as_int(sampler.get("restarts", 4), "restarts"),
-        )
+        # an absent key keeps the sampler's own default
+        limits = {key: as_int(sampler[key], key) for key in ("budget", "restarts") if key in sampler}
+        found = sample_sft_config(ctx, rho, action, as_int(seed, "seed"), **limits)
         if found is None:
             raise VerificationError("sampler found no admissible configuration")
         return found
@@ -333,10 +322,10 @@ def _orbit_inputs(args, command: str):
     config = _load_json(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    rho = _as_int(config.get("rho", 1), "rho")
+    rho = as_int(config.get("rho", 1), "rho")
     if rho > MAX_CLI_RHO:
         raise ResourceCapError(f"cli caps rho at {MAX_CLI_RHO}")
-    ctx = _ctx_for_rank(_as_int(config.get("rank", 2), "rank"))
+    ctx = _ctx_for_rank(as_int(config.get("rank", 2), "rank"))
     action = _resolve_action(ctx, config)
     labels = _resolve_config_labels(ctx, config, action, rho)
     return config, ctx, rho, action, labels
@@ -381,7 +370,7 @@ def cmd_rearrange(args) -> int:
         seed = config.get("y_seed", config.get("seed"))
         if seed is None:
             raise InputError("a seed is mandatory for randomized commands")
-        rng = random.Random(_as_int(seed, "y_seed"))
+        rng = random.Random(as_int(seed, "y_seed"))
         ylabels = tuple(rng.choice(y_alphabet) for _ in range(action.n))
 
     # phi_v depends only on v's pullback pattern, so each distinct pattern is
@@ -509,7 +498,7 @@ def cmd_weight_tools(args) -> int:
         return 0
     if action == "markovize":
         data = _load_json(args.marginals)
-        ctx = _ctx_for_rank(_as_int(data.get("rank", 2), "rank"))
+        ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
         dist = PatternDistribution.from_json(ctx, data)
         weight = markovize(ctx, dist)
         value = F_value(ctx, weight, 0)

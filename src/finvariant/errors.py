@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the one reader of a
+JSON integer, which every input file and config goes through.
 
 The CLI maps these onto exit codes: verification failures exit 1, input
 problems exit 2, resource caps exit 3.
@@ -39,3 +40,11 @@ class PreconditionError(VerificationError):
 
 class ResourceCapError(FinvariantError):
     """A configured size cap would be exceeded."""
+
+
+def as_int(raw, what: str) -> int:
+    """A JSON integer read from input; ``what`` names its key."""
+    # int() would truncate 3.7 and read "3" or true; only a JSON integer passes
+    if type(raw) is not int:
+        raise InputError(f"{what} must be an integer, got {raw!r}")
+    return raw

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .actions import FiniteAction
-from .errors import InputError
+from .errors import InputError, as_int
 from .freegroup import FreeGroupCtx, Word, inv, sort_words, word_sort_key
 
 # slack on a float probability: a distribution's total and negative entries,
@@ -120,7 +120,7 @@ class PatternDistribution:
         slack = 0 if self.is_exact else PROB_TOL
         # a NaN entry makes the total NaN, which fails this test
         if not abs(total - 1) <= slack:
-            raise InputError(f"probabilities sum to {float(total)}, not 1")
+            raise InputError(f"probabilities sum to {total}, not 1")
         if any(p < -slack for p in probs.values()):
             raise InputError("negative probability")
         self.window = win
@@ -152,9 +152,9 @@ class PatternDistribution:
     @classmethod
     def from_json(cls, ctx: FreeGroupCtx, data: dict) -> "PatternDistribution":
         try:
-            radius = int(data["window_radius"])
+            radius = as_int(data["window_radius"], "window_radius")
             entries = data["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed distribution json: {exc}") from exc
         if not isinstance(entries, list):
             raise InputError(f"malformed distribution json: entries must be a list, got {entries!r}")

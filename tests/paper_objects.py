@@ -5,10 +5,10 @@ paper but have no caller outside the test suite: the left shift and the
 theta/upsilon actions with the edge-label encoding E (criterion 08), block
 codes and the join observable (criterion 09), empirical distributions and
 the l1 and pair-marginal distances that the brute-force counting oracle
-uses, Bernoulli product weights, tree-factorized pattern probabilities,
-nearest-neighbor constraint systems with the per-vertex forbidden-pattern
-oracle, the depth-first telescope walk, past
-windows, automorphism tables and the collision-scan automorphism check,
+uses, Bernoulli product weights, tree-factorized pattern probabilities
+over a breadth-first spanning tree, nearest-neighbor constraint systems
+with the per-vertex forbidden-pattern oracle, the depth-first telescope
+walk, past windows, automorphism tables and the collision-scan automorphism check,
 pattern restriction, label transport through an orbit map and the orbit-map
 diagnostics.  Also the JSON writers of actions, constraint systems and orbit
 maps, the orbit-map reader with its validation, and a boolean z_rho
@@ -28,7 +28,7 @@ from finvariant.freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul, sort_wo
 from finvariant.orbitmaps import Automorphism, LocalBijection, zrho_pullbacks
 from finvariant.sft import SftSpec, _bfs, symbol_entry
 from finvariant.shift import PROB_TOL, Pattern, PatternDistribution, window_columns
-from finvariant.weights import Weight, _window_structure
+from finvariant.weights import Weight
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +209,43 @@ def bernoulli_weight(base: Mapping, rank: int) -> Weight:
     return Weight(rank, alphabet, dict(base), edge)
 
 
+def window_structure(window: Sequence[Word], rank: int):
+    """Edges and a spanning order for a connected word set, by breadth-first
+    search over the right-Cayley adjacency: the oracle of the prefix-tree
+    walk in ``marginal_distribution``.
+
+    Returns (edges, order) where edges are (parent_pos, child_pos, i, forward)
+    in BFS order from position 0 and order lists positions reached.  Raises if
+    the set is not connected in the right-Cayley tree.
+    """
+    index = {w: k for k, w in enumerate(window)}
+    adj: list[list[tuple[int, int, bool]]] = [[] for _ in window]
+    for k, g in enumerate(window):
+        for i in range(1, rank + 1):
+            h = mul(g, (i,))
+            j = index.get(h)
+            if j is not None:
+                # edge (g, g s_i): forward from k means pair (sym_k, sym_j)
+                adj[k].append((j, i, True))
+                adj[j].append((k, i, False))
+    seen = [False] * len(window)
+    seen[0] = True
+    order = [0]
+    edges: list[tuple[int, int, int, bool]] = []
+    head = 0
+    while head < len(order):
+        k = order[head]
+        head += 1
+        for j, i, forward in adj[k]:
+            if not seen[j]:
+                seen[j] = True
+                order.append(j)
+                edges.append((k, j, i, forward))
+    if not all(seen):
+        raise InputError("word set is not connected in the Cayley tree")
+    return edges, order
+
+
 def pattern_probability(w: Weight, pattern: Pattern):
     """Probability of a pattern on a connected subtree under the weight's
     Markov measure.  Domains not containing the identity are translated
@@ -219,7 +256,7 @@ def pattern_probability(w: Weight, pattern: Pattern):
         base = domain[0]
         shifted = Pattern([mul(tuple(-l for l in reversed(base)), g) for g in domain], values)
         return pattern_probability(w, shifted)
-    edges, order = _window_structure(domain, w.rank)
+    edges, order = window_structure(domain, w.rank)
     prob = w.vertex_prob(values[order[0]])
     for parent, child, i, forward in edges:
         vp = w.vertex_prob(values[parent])

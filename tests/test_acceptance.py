@@ -113,7 +113,7 @@ def test_criterion_02_markov_entropy_rate():
         w = random_exact_chain_weight(("0", "1", "2"), rng)
         oracle = entropy_rate_oracle(w)
         ok &= abs(float(F_value(CTX1, w, 0)) - oracle) <= 1e-10
-        ok &= abs(enumerated_F_value(CTX1, w, 0) - oracle) <= 1e-10
+        ok &= abs(float(enumerated_F_value(CTX1, w, 0)) - oracle) <= 1e-10
     assert report(2, "markov entropy rate", ok, t0, 1.0)
 
 
@@ -128,7 +128,7 @@ def test_criterion_03_join_radius_constancy():
         for rho in (1, 2):
             ok &= abs(float(F_value(CTX, w, rho)) - base) <= 1e-9
         # the chain rule agrees with the enumerated marginals' entropies
-        ok &= abs(enumerated_F_value(CTX, w, 1) - float(F_value(CTX, w, 1))) <= 1e-9
+        ok &= abs(float(enumerated_F_value(CTX, w, 1)) - float(F_value(CTX, w, 1))) <= 1e-9
     assert report(3, "join-radius constancy", ok, t0, 60.0)
 
 

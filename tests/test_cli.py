@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from finvariant import FreeGroupCtx, sample_action
+from finvariant import FiniteAction, FreeGroupCtx, cli, sample_action
 from finvariant.cli import main
+from finvariant.freegroup import mul
 
 from paper_objects import bernoulli_weight
 from test_weights import reversible_weight
@@ -99,9 +100,8 @@ class TestFExact:
         assert all(row.split()[2] == "0" for row in rows)
 
     def test_float_weight_golden(self, tmp_path, monkeypatch, capsys):
-        # generated once both entropy routes became the chain rule; the hash
-        # and the entropy lines match the output of the enumeration route,
-        # whose constancy rows read 7.99e-15 and -1.78e-15
+        # every join radius has the same integer coefficient vector, so the
+        # constancy rows repeat f_nats with delta 0
         monkeypatch.chdir(tmp_path)
         w = reversible_weight(2, ("0", "1", "2"), random.Random(5))
         (tmp_path / "float.json").write_text(json.dumps(w.to_json()))
@@ -119,8 +119,8 @@ class TestFExact:
             "constancy_table:\n"
             "rho F delta\n"
             "0 0.677239870200543 0\n"
-            "1 0.677239870200545 1.33226762955019e-15\n"
-            "2 0.677239870200541 -2.22044604925031e-15\n"
+            "1 0.677239870200543 0\n"
+            "2 0.677239870200543 0\n"
             "constancy_ok: yes\n"
         )
 
@@ -511,6 +511,77 @@ class TestRearrange:
         assert main(["rearrange", "--config", cfg]) == 2
         assert capsys.readouterr().err == "input error: rho must be an integer, got True\n"
 
+    @staticmethod
+    def _failing_report(cfg, tmp_path):
+        out = tmp_path / "report.txt"
+        assert main(["rearrange", "--config", cfg, "--out", str(out)]) == 1
+        return out.read_text().splitlines()
+
+    def test_perturbed_tau_fails_every_check(self, tmp_path, monkeypatch):
+        real = cli.tau_construct
+
+        def perturbed(*args):
+            # swap two images of generator a: still a permutation, no longer tau
+            tau = real(*args)
+            first = list(tau.perms[0])
+            first[0], first[1] = first[1], first[0]
+            return FiniteAction(tau.n, (tuple(first),) + tau.perms[1:])
+
+        monkeypatch.setattr(cli, "tau_construct", perturbed)
+        # labels that are not constant, so tau's pullback names depend on tau
+        cfg = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "mixed_rho1.json")
+        lines = self._failing_report(cfg, tmp_path)
+        for check in ("homomorphism_property", "pullback_identity", "sigma_reconstruction", "empirical_transport"):
+            assert f"{check}: FAIL" in lines
+        assert lines[lines.index("overall: FAIL") + 1 :][-2:] == [
+            "failure: sigma reconstruction mismatch",
+            "failure: empirical transport mismatch",
+        ]
+        failures = [line for line in lines if line.startswith("failure: ")]
+        assert any(line.startswith("failure: multiplicativity fails at word ") for line in failures)
+        assert any(line.startswith("failure: pullback identity fails at vertex ") for line in failures)
+
+    def test_perturbed_inverse_evaluation_fails_multiplicativity_alone(self, tmp_path, monkeypatch):
+        real = cli.pattern_inverse_eval
+        monkeypatch.setattr(cli, "pattern_inverse_eval", lambda *args: mul(real(*args), (1,)))
+        lines = self._failing_report(self._config(tmp_path, {"a": "b", "b": "a"}, 1), tmp_path)
+        assert "homomorphism_property: FAIL" in lines
+        for check in ("pullback_identity", "sigma_reconstruction", "empirical_transport"):
+            assert f"{check}: PASS" in lines
+        assert "overall: FAIL" in lines
+        failures = [line for line in lines if line.startswith("failure: ")]
+        assert failures and all(line.startswith("failure: multiplicativity fails at word ") for line in failures)
+
+    # each once ran as the n = 2 identity action (exit 0)
+    @pytest.mark.parametrize(
+        "action, message",
+        [
+            ({"n": 2.5, "perms": [[0, 1], [0, 1]]}, "the action's n must be an integer, got 2.5"),
+            ({"n": 2, "perms": [[1.0, 0.0], [0, 1]]}, "a perms entry must be an integer, got 1.0"),
+        ],
+        ids=["n", "perms"],
+    )
+    def test_action_file_integers_must_be_json_integers(self, tmp_path, monkeypatch, capsys, action, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "action.json").write_text(json.dumps(action))
+        cfg = {"rank": 2, "rho": 1, "sigma": {"file": "action.json"}, "x": [self.GOOD_SYMBOL] * 2}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["rearrange", "--config", "cfg.json"]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_sampler_limits_default_to_the_samplers_own(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording(ctx, rho, action, seed, **limits):
+            seen.append(limits)
+
+        monkeypatch.setattr(cli, "sample_sft_config", recording)
+        for sampler in ({"seed": 0}, {"seed": 0, "budget": 5, "restarts": 1}):
+            cfg = {"rank": 2, "rho": 1, "sigma": {"n": 4, "seed": 0}, "x": {"sampler": sampler}}
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            assert main(["rearrange", "--config", str(tmp_path / "cfg.json")]) == 1
+        assert seen == [{}, {"budget": 5, "restarts": 1}]
+
     def test_deterministic_reports(self, tmp_path):
         cfg = self._config(tmp_path, {"a": "b", "b": "a"}, 1)
         blobs = []
@@ -731,6 +802,45 @@ class TestWeightTools:
         (tmp_path / "est.json").write_text(json.dumps(cfg))
         assert main(["f-estimate", "--config", "est.json"]) == 2
         assert capsys.readouterr().err.startswith("input error: malformed distribution entry")
+
+    def test_validate_an_entry_beyond_float_range_exits_2(self, half_weight_file, tmp_path, capsys):
+        # crashed with OverflowError (exit 1) while the message formatted the
+        # entry through float()
+        data = json.loads(open(half_weight_file).read())
+        data["vertex"]["0"] = {"num": 10**400, "den": 1}
+        (tmp_path / "huge.json").write_text(json.dumps(data))
+        assert main(["weight-tools", "validate", "--weight", str(tmp_path / "huge.json")]) == 2
+        assert capsys.readouterr().err == f"input error: weight entry {10**400} outside [0, 1]\n"
+
+    def test_markovize_an_entry_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # crashed the same way while the message formatted the total
+        entries = [{"pattern": {"": "0"}, "p": {"num": 10**400, "den": 1}}]
+        (tmp_path / "marg.json").write_text(json.dumps({"rank": 2, "window_radius": 0, "entries": entries}))
+        assert main(["weight-tools", "markovize", "--marginals", str(tmp_path / "marg.json")]) == 2
+        assert capsys.readouterr().err == f"input error: probabilities sum to {10**400}, not 1\n"
+
+    # each once read through int(), as rank 2 and generator 1 (exit 0)
+    @pytest.mark.parametrize(
+        "key, message",
+        [("rank", "rank must be an integer, got 2.7"), ("gen", "an edge's gen must be an integer, got 1.9")],
+    )
+    def test_validate_rejects_a_non_integer(self, half_weight_file, tmp_path, capsys, key, message):
+        data = json.loads(open(half_weight_file).read())
+        if key == "rank":
+            data["rank"] = 2.7
+        for edge in data["edge"]:
+            if key == "gen" and edge["gen"] == 1:
+                edge["gen"] = 1.9
+        (tmp_path / "bad.json").write_text(json.dumps(data))
+        assert main(["weight-tools", "validate", "--weight", str(tmp_path / "bad.json")]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_markovize_rejects_a_non_integer_window_radius(self, tmp_path, capsys):
+        # 0.9 once read as radius 0
+        entries = [{"pattern": {"": "0"}, "p": 1}]
+        (tmp_path / "marg.json").write_text(json.dumps({"rank": 2, "window_radius": 0.9, "entries": entries}))
+        assert main(["weight-tools", "markovize", "--marginals", str(tmp_path / "marg.json")]) == 2
+        assert capsys.readouterr().err == "input error: window_radius must be an integer, got 0.9\n"
 
     def test_distance(self, half_weight_file, tmp_path, capsys):
         w2 = bernoulli_weight({"0": Fraction(1, 3), "1": Fraction(2, 3)}, 2)

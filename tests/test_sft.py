@@ -168,6 +168,21 @@ class TestAxioms:
         report = axioms_check(CTX2, 1, pattern)
         assert not report.ok and "axiom 2" in report.reason
 
+    def test_witness_beyond_the_geodesic_bound_rejected(self):
+        # a rank-1, rho = 2 pattern on ball(5) found by random search: the
+        # only witness for a has length 4 > rho * |a| = 2
+        entries = [
+            ("aa", "AA"), ("aa", "AA"), ("aa", ""), ("A", "a"), ("A", ""), ("AA", "aa"),
+            ("AA", "A"), ("AA", "aa"), ("a", "A"), ("", "A"), ("A", "A"),
+        ]
+        symbols = [tuple(CTX1.parse(word) for word in entry) for entry in entries]
+        pattern = Pattern(CTX1.ball(5), symbols)
+        report = axioms_check(CTX1, 2, pattern)
+        assert not report.ok
+        assert report.reason == "axiom 2 fails: witness for a has length 4, beyond the geodesic bound 2"
+        witnesses = [u for u, prod in telescope_walk(CTX1, pattern, IDENTITY, 5) if prod == (1,)]
+        assert [len(u) for u in witnesses] == [4]
+
     def test_uniqueness_never_violated_on_accepted(self):
         # accepted patterns have exactly one witness per target by definition;
         # spot-check by re-walking an accepted nielsen configuration

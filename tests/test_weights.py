@@ -7,18 +7,22 @@ probabilities, the entropy functional from enumerated window marginals, and
 brute-force sums.
 """
 
+import importlib.util
 import json
 import math
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finvariant import (
     ConstructionError,
+    EntropyValue,
     F_value,
     FreeGroupCtx,
     InputError,
@@ -32,13 +36,13 @@ from finvariant import (
     rationalize_weight,
     shannon_entropy,
     weight_distance,
-    window_entropy,
 )
 from finvariant.cli import main
 from finvariant.freegroup import mul
-from finvariant.weights import _factor, pattern_symbol_name
+from finvariant.weights import _F_coefficients, _factor, _window_coefficients, pattern_symbol_name
 
 from paper_objects import bernoulli_weight, empirical_distribution, pattern_probability
+from test_package_surface import PACKAGE
 
 CTX2 = FreeGroupCtx(2)
 CTX1 = FreeGroupCtx(1)
@@ -130,16 +134,37 @@ def entropy_rate_oracle(w: Weight) -> float:
     return h
 
 
-def enumerated_F_value(ctx: FreeGroupCtx, w: Weight, radius: int) -> float:
+def linear_combination(terms) -> EntropyValue:
+    """sum c h over (integer c, EntropyValue h): a prime-log combination
+    when every h is exact, a float otherwise."""
+    if all(h.is_exact for _, h in terms):
+        combo = Counter()
+        for c, h in terms:
+            for p, x in h.combo.items():
+                combo[p] += c * x
+        return EntropyValue.exact(combo)
+    return EntropyValue(sum(c * float(h) for c, h in terms))
+
+
+def enumerated_entropy(w: Weight, window) -> EntropyValue:
+    return shannon_entropy(marginal_distribution(w, window).probs.values())
+
+
+def chain_rule_entropy(w: Weight, window) -> EntropyValue:
+    """The window entropy from the package's chain-rule coefficients."""
+    return linear_combination(list(zip(_window_coefficients(window, w.rank), w.entropies)))
+
+
+def enumerated_F_value(ctx: FreeGroupCtx, w: Weight, radius: int) -> EntropyValue:
     """The functional from enumerated window marginals, the oracle for the
     chain rule: (1 - 2r) H(marginal on the ball) + sum_i H(marginal on
-    ball union s_i ball)."""
+    ball union s_i ball).  Exact for an exact weight."""
     ball = ctx.ball(radius)
-    total = shannon_entropy(marginal_distribution(w, ball).probs.values()).scaled(1 - 2 * ctx.rank)
+    terms = [(1 - 2 * ctx.rank, enumerated_entropy(w, ball))]
     for i in range(1, ctx.rank + 1):
         union = set(ball) | {mul((i,), g) for g in ball}
-        total = total + shannon_entropy(marginal_distribution(w, union).probs.values())
-    return float(total)
+        terms.append((1, enumerated_entropy(w, union)))
+    return linear_combination(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +535,16 @@ class TestFValue:
                 h_star -= p * math.log(p)
         enumerated_star = float(shannon_entropy(marginal_distribution(w, CTX2.ball(1)).probs.values()))
         assert enumerated_star == pytest.approx(h_star, abs=1e-12)
-        assert float(window_entropy(w, CTX2.ball(1))) == pytest.approx(h_star, abs=1e-12)
-        assert enumerated_F_value(CTX2, w, 1) == pytest.approx(closed_form, abs=1e-9)
+        assert float(chain_rule_entropy(w, CTX2.ball(1))) == pytest.approx(h_star, abs=1e-12)
+        assert enumerated_F_value(CTX2, w, 1) == F_value(CTX2, w, 0)
+        assert float(enumerated_F_value(CTX2, w, 1)) == pytest.approx(closed_form, abs=1e-12)
 
     def test_enumerate_matches_chain(self):
         rng = random.Random(8)
         for _ in range(5):
             w = reversible_weight(2, ("0", "1"), rng)
             for rho in (0, 1):
-                a = enumerated_F_value(CTX2, w, rho)
+                a = float(enumerated_F_value(CTX2, w, rho))
                 b = float(F_value(CTX2, w, rho))
                 assert a == pytest.approx(b, abs=1e-10)
 
@@ -558,15 +584,182 @@ class TestConstancy:
             report = constancy_check(CTX2, w, 2)
             assert report.ok, report.rows
 
-    def test_float_weight_deltas_stay_at_rounding_level(self):
-        # the chain rule takes one exact count of edges per window, so the
-        # functional drifts across join radii only by float rounding
+    def test_float_weight_deltas_are_zero(self):
+        # every join radius gives the same integer coefficient vector, so a
+        # float weight's functional is the same dot product at every radius
         rng = random.Random(12)
         for _ in range(20):
             symbols = tuple(str(k) for k in range(rng.randint(2, 4)))
             w = reversible_weight(2, symbols, rng)
             report = constancy_check(CTX2, w, 2)
-            assert max(abs(d) for *_, d in report.rows) <= 1e-13, report.rows
+            assert report.ok and all(delta == 0 for *_, delta in report.rows), report.rows
+
+
+class TestFCoefficients:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_every_join_radius_gives_the_markov_invariant(self, rank):
+        # (1 - 2r) H(vertex) + sum_i H(edge_i), whatever the join radius
+        for radius in range(3):
+            assert _F_coefficients(FreeGroupCtx(rank), radius) == (1 - 2 * rank,) + (1,) * rank
+
+
+# ---------------------------------------------------------------------------
+# the prefix-tree walk and the chain rule
+# ---------------------------------------------------------------------------
+
+
+def circulation_weight(rank, symbols, rng) -> Weight:
+    """Exact weight whose edge matrices are in general not symmetric.  Each
+    generator starts from the diagonal of one integer vertex vector and moves
+    unit mass around random directed cycles, which keeps every row and
+    column sum, so the weight is balanced by construction."""
+    m = {a: rng.randint(1, 4) for a in symbols}
+    total = sum(m.values())
+    edge = {}
+    for i in range(1, rank + 1):
+        mat = Counter({(a, a): m[a] for a in symbols})
+        for _ in range(rng.randint(0, 2 * len(symbols))):
+            cycle = rng.sample(symbols, rng.randint(2, len(symbols)))
+            if all(mat[(a, a)] for a in cycle):
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    mat[(a, a)] -= 1
+                    mat[(a, b)] += 1
+        edge.update({(a, b, i): Fraction(k, total) for (a, b), k in mat.items() if k})
+    return Weight(rank, tuple(symbols), {a: Fraction(k, total) for a, k in m.items()}, edge)
+
+
+def random_subtree(rng, rank: int, size: int) -> list:
+    """A prefix-closed set of at most ``size`` words inside ball(3), grown
+    from the identity one child at a time, in random order."""
+    letters = FreeGroupCtx(rank).letters
+    words = [()]
+    for _ in range(size - 1):
+        g = rng.choice([g for g in words if len(g) < 3])
+        child = g + (rng.choice([l for l in letters if not g or l != -g[-1]]),)
+        if child not in words:
+            words.append(child)
+    rng.shuffle(words)
+    return words
+
+
+# both generators push mass around the cycle x -> y -> z, the first one
+# more strongly, so no edge matrix is symmetric
+CYCLIC = Weight(
+    2,
+    ("x", "y", "z"),
+    {a: Fraction(1, 3) for a in "xyz"},
+    {
+        **{(a, a, i): Fraction(1, 9) if i == 1 else Fraction(1, 6) for a in "xyz" for i in (1, 2)},
+        **{(a, b, 1): Fraction(2, 9) for a, b in ("xy", "yz", "zx")},
+        **{(a, b, 2): Fraction(1, 6) for a, b in ("xy", "yz", "zx")},
+    },
+)
+# a window with edges of every kind: forward and inverse letters of both
+# generators, at depths 1 to 3
+MIXED_WINDOW = [(), (1,), (-1,), (2,), (-2,), (1, 2), (-2, -1), (-2, -1, -1), (1, 2, -1)]
+
+
+class TestPrefixTreeWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(2, 3), st.integers(1, 7))
+    def test_marginal_matches_the_bfs_oracle(self, rng, rank, k, size):
+        w = circulation_weight(rank, ("x", "y", "z")[:k], rng)
+        window = random_subtree(rng, rank, size)
+        dist = marginal_distribution(w, window)
+        for key in iter_product(w.alphabet, repeat=len(dist.window)):
+            assert dist.probs.get(key, 0) == pattern_probability(w, Pattern(dist.window, key))
+        assert chain_rule_entropy(w, window) == enumerated_entropy(w, window)
+
+    def test_mixed_window_matches_the_bfs_oracle(self):
+        dist = marginal_distribution(CYCLIC, MIXED_WINDOW)
+        # three symbols at e, then two for each of the eight edges
+        assert len(dist.probs) == 3 * 2**8
+        for key, p in dist.probs.items():
+            assert p == pattern_probability(CYCLIC, Pattern(dist.window, key))
+        assert chain_rule_entropy(CYCLIC, MIXED_WINDOW) == enumerated_entropy(CYCLIC, MIXED_WINDOW)
+
+    def test_window_with_a_repeated_word_raises(self):
+        # each copy would get its own column with its own edge to e
+        with pytest.raises(InputError, match="repeated word"):
+            marginal_distribution(CYCLIC, [(), (1,), (1,)])
+
+    @pytest.mark.parametrize("window", [[(), (1, 1)], [(), (1,), (2, 1)], [(), (-1,), (-1, -2), (1, 2)]])
+    def test_window_that_is_not_prefix_closed_raises(self, window):
+        with pytest.raises(InputError, match="not prefix-closed"):
+            marginal_distribution(CYCLIC, window)
+        with pytest.raises(InputError, match="not prefix-closed"):
+            _window_coefficients(window, 2)
+
+
+@pytest.fixture()
+def planted_weights(tmp_path):
+    """Loads a copy of the package, under another name, whose weights.py has
+    one text replaced, and returns that copy's weights module."""
+
+    def load(anchor: str, replacement: str):
+        root = tmp_path / "planted_finvariant"
+        root.mkdir()
+        for path in PACKAGE.glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            if path.name == "weights.py":
+                assert text.count(anchor) == 1
+                text = text.replace(anchor, replacement)
+            (root / path.name).write_text(text, encoding="utf-8")
+        spec = importlib.util.spec_from_file_location(
+            "planted_finvariant", root / "__init__.py", submodule_search_locations=[str(root)]
+        )
+        sys.modules["planted_finvariant"] = package = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(package)
+        return package.weights
+
+    yield load
+    for name in [n for n in sys.modules if n.split(".")[0] == "planted_finvariant"]:
+        del sys.modules[name]
+
+
+def faults_seen(weights_module) -> list:
+    """The checks that catch a copy of the weights module: its own constancy
+    verdict, the chain rule against the enumerated marginal's entropy, and
+    the prefix-tree walk against the BFS oracle."""
+    seen = []
+    if not weights_module.constancy_check(CTX2, CYCLIC, 2).ok:
+        seen.append("constancy")
+    coefficients = weights_module._window_coefficients(MIXED_WINDOW, 2)
+    if linear_combination(list(zip(coefficients, CYCLIC.entropies))) != enumerated_entropy(CYCLIC, MIXED_WINDOW):
+        seen.append("chain rule")
+    dist = weights_module.marginal_distribution(CYCLIC, MIXED_WINDOW)
+    if any(p != pattern_probability(CYCLIC, Pattern(dist.window, key)) for key, p in dist.probs.items()):
+        seen.append("bfs oracle")
+    return seen
+
+
+class TestPlantedFaults:
+    # (anchor in weights.py, its replacement, the checks that must catch it)
+    FAULTS = {
+        "unchanged": ("    c = [1] + [0] * rank\n", "    c = [1] + [0] * rank\n", []),
+        "inverse_letter_edges_dropped": (
+            "    for _, letter in _tree_edges(sort_words(window)):\n",
+            "    for _, letter in [e for e in _tree_edges(sort_words(window)) if e[1] > 0]:\n",
+            ["chain rule"],
+        ),
+        # the identity counted as one more edge word, along generator 1
+        "identity_counted_as_an_edge": ("    c = [1] + [0] * rank\n", "    c = [0, 1] + [0] * (rank - 1)\n", ["chain rule"]),
+        "join_weight_off_by_one": (
+            "    total = [(1 - 2 * r) * c for c in _window_coefficients(ball, r)]\n",
+            "    total = [(2 - 2 * r) * c for c in _window_coefficients(ball, r)]\n",
+            ["constancy"],
+        ),
+        "inverse_letter_pair_read_forwards": (
+            "pair = w.edge_prob(a, sym, i) if letter > 0 else w.edge_prob(sym, a, i)",
+            "pair = w.edge_prob(a, sym, i)",
+            ["bfs oracle"],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_fault_is_caught(self, planted_weights, name):
+        anchor, replacement, expected = self.FAULTS[name]
+        assert faults_seen(planted_weights(anchor, replacement)) == expected
 
 
 # ---------------------------------------------------------------------------

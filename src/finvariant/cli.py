@@ -18,6 +18,7 @@ CSVs carry a hash of the resolved config for provenance.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -535,6 +536,7 @@ def cmd_ball(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="finvariant")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,10 +1,12 @@
 """Counting labelings whose empirical statistics sit near a target, averaging
-those counts over random or exhaustively enumerated finite actions, and the
-finite-n growth-rate table for the invariant.
+those counts over random finite actions or over all of them, and the finite-n
+growth-rate table for the invariant.
 
 Counts are exhaustive over the labeling space A^n under a configurable cap.
-Monte Carlo averaging derives one seed per sample index, so results do not
-depend on evaluation order.
+The exact average sums over labeling types and pair tables when the statistic
+reads nothing else (edge_star, window radius 0, nearest-neighbor systems), and
+walks all n!^r actions otherwise.  Monte Carlo averaging derives one seed per
+sample index, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -110,6 +112,17 @@ def _kernel_setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborh
     return groups, defaultdict(int, gap), start, d, limit
 
 
+def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, caps: Caps):
+    """``_kernel_setup``, built once per (rank, n, alphabet), after the |A|^n cap."""
+    total = len(alphabet) ** n
+    if total > caps.labelings:
+        raise ResourceCapError(f"|A|^n = {total} labelings exceed cap {caps.labelings}")
+    key = (ctx.rank, n, tuple(alphabet))
+    if key not in nbhd._setups:
+        nbhd._setups[key] = _kernel_setup(ctx, n, alphabet, nbhd)
+    return nbhd._setups[key]
+
+
 def count_omega(
     ctx: FreeGroupCtx,
     action: FiniteAction,
@@ -131,15 +144,10 @@ def count_omega(
     integer) in O(1).
     """
     n = action.n
-    total = len(alphabet) ** n
-    if total > caps.labelings:
-        raise ResourceCapError(f"|A|^n = {total} labelings exceed cap {caps.labelings}")
-    key = (ctx.rank, n, tuple(alphabet))
-    if key not in nbhd._setups:
-        nbhd._setups[key] = _kernel_setup(ctx, n, alphabet, nbhd)
-    if nbhd._setups[key] is None:
+    setup = _setup(ctx, n, alphabet, nbhd, caps)
+    if setup is None:
         return 0
-    groups, gap, dist, d, limit = nbhd._setups[key]
+    groups, gap, dist, d, limit = setup
     gap = gap.copy()  # c d - T per code
     q = len(alphabet)
     code = []  # per (group, vertex): the code of the vertex's key
@@ -186,6 +194,81 @@ def count_omega(
             dist += d if x >= 0 else (-d if x <= -d else d + x + x)
 
 
+def _splits(total: int, room: Sequence[int], cost, budget: int, j: int = 0):
+    """Every way to write ``total`` as parts p_j <= room[j] whose costs
+    cost(j, p_j) sum to at most ``budget``, as (parts, cost) pairs."""
+    if j == len(room) - 1:
+        if total <= room[j] and (c := cost(j, total)) <= budget:
+            yield (total,), c
+        return
+    for p in range(min(total, room[j]) + 1):
+        if (c := cost(j, p)) <= budget:
+            for rest, more in _splits(total - p, room, cost, budget - c, j + 1):
+                yield (p, *rest), c + more
+
+
+def _pair_law(k: tuple, fact: list[int], cells, d: int, banned: set, budget: int) -> dict:
+    """Excess over the row mismatch floor -> how many permutations show a pair
+    table M with row and column sums k, no mass on a banned cell and distance
+    sum |M_ab d - cells[a][b]| (0 without cells) within budget: ∏ k_a!² / ∏ M_ab! per M."""
+    law, top = defaultdict(int), math.prod(fact[x] for x in k) ** 2
+    floor = 0 if cells is None else sum(abs(x * d - sum(row)) for x, row in zip(k, cells))
+
+    def fill(a, room, spent, den):
+        if a == len(k):
+            law[spent] += top // den
+            return
+        free = [0 if (a, b) in banned else m for b, m in enumerate(room)]
+        cost = (lambda b, m: 0) if cells is None else (lambda b, m: abs(m * d - cells[a][b]))
+        for row, c in _splits(k[a], free, cost, budget - spent):
+            fill(a + 1, [m - x for m, x in zip(room, row)], spent + c, den * math.prod(fact[x] for x in row))
+
+    fill(0, list(k), -floor, 1)
+    return law
+
+
+def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, caps: Caps) -> int | None:
+    """The sum of ``count_omega`` over all n!^r actions, by labeling type k
+    (k_a vertices on a); None for a radius >= 1 window or a non-NN system,
+    which read more than k and the tables M_ab = #{v : x(v) = a,
+    x(sigma(s_i)^-1 v) = b}.  An NN pair (a, b, i) bans cell ab of table i.
+    Given x the generators are independent: each k adds multinomial(n; k)
+    times a convolution of ``_pair_law``s.  Table i is at least its row
+    mismatch sum_a |k_a d - sum_b T_ab| away: these floors prune the types,
+    and the laws run over the excess above them."""
+    pairs = frozenset() if nbhd.sft is None else nbhd.sft.forbidden_pairs
+    if pairs is None or (nbhd.mode == "window" and nbhd.target.window != ((),)):
+        return None
+    setup = _setup(ctx, n, alphabet, nbhd, caps)
+    if setup is None:
+        return 0
+    groups, gap, start, d, limit = setup
+    q, index = len(alphabet), {a: j for j, a in enumerate(alphabet)}
+    # T per code as _kernel_setup scaled it; the unseen mass always counts
+    target = {c: n * d * (c == o) - gap.get(c, 0) for w, o in groups for c in range(o, o + q ** len(w))}
+    limit -= start - sum(map(abs, gap.values()))
+    cells = {w[1][0]: [[target[o + a + q * b] for b in range(q)] for a in range(q)]
+             for w, o in groups if len(w) == 2}
+    # T summed per vertex symbol: the radius-0 statistic (key 0), each table's row sums
+    rows = {i: list(map(sum, t)) for i, t in cells.items()} if cells else {0: [target[a] for a in range(q)]}
+    bans = [{(index.get(a), index.get(b)) for a, b, j in pairs if j == i} for i in range(ctx.rank + 1)]
+    fact = [math.factorial(m) for m in range(n + 1)]
+    acc = 0
+    for k, low in _splits(n, [n] * q, lambda a, m: sum(abs(m * d - t[a]) for t in rows.values()), limit):
+        slack, law = limit - low, {0: fact[n] // math.prod(fact[x] for x in k)}
+        for i in range(1, ctx.rank + 1):
+            # with nothing to read, all n! permutations sit at distance 0: no table is listed
+            step = _pair_law(k, fact, cells.get(i), d, bans[i], slack) if i in cells or bans[i] else {0: fact[n]}
+            out = defaultdict(int)
+            for c, v in step.items():
+                for e, w in law.items():
+                    if e + c <= slack:
+                        out[e + c] += w * v
+            law = out
+        acc += sum(law.values())
+    return acc
+
+
 @dataclass(frozen=True)
 class CountStats:
     mean: float
@@ -213,10 +296,16 @@ def expected_count(
         total = hom_count(n, ctx.rank)
         if total > caps.exact_actions:
             raise ResourceCapError(f"n!^r = {total} exceeds cap {caps.exact_actions}")
-        acc = 0
-        for action in enumerate_actions(n, ctx.rank, cap=caps.exact_actions):
-            acc += count_omega(ctx, action, alphabet, nbhd, caps)
-        return CountStats(acc / total, 0.0, total)
+        acc = _count_by_type(ctx, n, alphabet, nbhd, caps)
+        if acc is None:
+            acc = sum(
+                count_omega(ctx, action, alphabet, nbhd, caps)
+                for action in enumerate_actions(n, ctx.rank, cap=caps.exact_actions)
+            )
+        try:
+            return CountStats(acc / total, 0.0, total)
+        except OverflowError:
+            raise ResourceCapError(f"the exact mean count at n={n} exceeds float range") from None
     if mode != "monte_carlo":
         raise InputError(f"unknown mode {mode!r}")
     if samples < 1:

@@ -17,6 +17,7 @@ import pytest
 from finvariant import (
     WindowError,
     Automorphism,
+    Caps,
     F_value,
     FreeGroupCtx,
     Neighborhood,
@@ -179,6 +180,15 @@ def test_criterion_04_estimator_consistency():
         "edge-star estimate error |est - ln 2| must strictly decrease over "
         f"n = 4, 8, 12 and end at most 0.35; got {errs}"
     )
+
+    # the exact companion: the same averages over all n!^2 actions, summed by
+    # labeling type, which also places each Monte Carlo mean
+    caps = Caps(exact_actions=math.factorial(12) ** 2, labelings=2**12)
+    exact = f_estimate(CTX, w, 1, 0.1, [4, 8, 12], mode="exact", distance_mode="edge_star", caps=caps)
+    exact_errs = {row.n: abs(row.log_mean_over_n - LN2) for row in exact.rows}
+    assert exact_errs[4] > exact_errs[8] > exact_errs[12] and exact_errs[12] <= 0.35, exact_errs
+    for mc, ex in zip(result.rows, exact.rows):
+        assert abs(mc.mean_count - ex.mean_count) <= 4 * mc.stderr, (mc, ex)
 
 
 def test_criterion_05_exact_vs_monte_carlo():

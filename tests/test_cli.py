@@ -317,6 +317,24 @@ class TestFEstimate:
         assert main(["f-estimate", "--config", cfg, flag, "0"]) == 3
         assert capsys.readouterr().err.startswith("resource cap: ")
 
+    def test_the_shared_parser_keeps_no_arguments(self, half_weight_file, tmp_path, capsys):
+        # one parser serves every call in a process; a flag given once must
+        # not outlive its call
+        assert cli.build_parser() is cli.build_parser()
+        cfg = self._config(tmp_path, half_weight_file, mode="exact", n_list=[3])
+        assert main(["f-estimate", "--config", cfg, "--cap-exact", "0"]) == 3
+        assert main(["f-estimate", "--config", cfg]) == 0
+        assert capsys.readouterr().out.splitlines()[2].startswith("3,36,")
+
+    def test_a_mean_beyond_float_range_exits_3(self, chain_weight_file, tmp_path, capsys):
+        # radius 0 at epsilon 2 counts all 2^1100 labelings of every action:
+        # the mean is 2^1100, past the largest float
+        cfg = self._config(tmp_path, chain_weight_file, mode="exact", n_list=[1100], epsilon=2)
+        caps = ["--cap-exact", str(math.factorial(1100)), "--cap-labels", str(2**1100)]
+        assert main(["f-estimate", "--config", cfg, *caps]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap: ") and "n=1100" in err
+
     @pytest.mark.parametrize(
         "overrides, key",
         [

@@ -3,6 +3,8 @@ growth-rate table."""
 
 import functools
 import math
+import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -10,13 +12,17 @@ import pytest
 
 from finvariant import (
     Caps,
+    F_value,
     FiniteAction,
     FreeGroupCtx,
     InputError,
     Neighborhood,
+    Pattern,
     PatternDistribution,
     ResourceCapError,
+    SftSpec,
     Weight,
+    counting,
     count_omega,
     enumerate_actions,
     expected_count,
@@ -27,6 +33,7 @@ from finvariant import (
 )
 
 from paper_objects import bernoulli_weight, empirical_distribution, nn_spec
+from test_weights import reversible_weight
 
 CTX2 = FreeGroupCtx(2)
 CTX1 = FreeGroupCtx(1)
@@ -467,3 +474,186 @@ class TestFEstimate:
         errs = [abs(row.log_mean_over_n - math.log(2)) for row in result.rows]
         assert errs == sorted(errs, reverse=True)
         assert errs[-1] <= 0.35
+
+
+def integer_markov_weight(rank, symbols, rng, points):
+    """An exact Markov weight over ``points``: a random type m of that many
+    points (every m_a >= 1) and, per generator, the pair table of m under a
+    random permutation, so each table's row and column sums are m.  Its
+    vertex and edge masses are multiples of 1/points, some edges 0."""
+    cuts = sorted(rng.sample(range(1, points), len(symbols) - 1))
+    m = [b - a for a, b in zip([0, *cuts], [*cuts, points])]
+    labels = [a for a, c in zip(symbols, m) for _ in range(c)]
+    edge = {(a, b, i): Fraction(0) for a in symbols for b in symbols for i in range(1, rank + 1)}
+    for i in range(1, rank + 1):
+        perm = rng.sample(range(points), points)
+        for v in range(points):
+            edge[(labels[v], labels[perm[v]], i)] += Fraction(1, points)
+    return Weight(rank, tuple(symbols), {a: Fraction(c, points) for a, c in zip(symbols, m)}, edge)
+
+
+def random_by_type_case(seed):
+    """A seeded exact-mode case the labeling-type sum covers: window radius 0
+    or edge_star, exact or float target, epsilon 0 included, n that the
+    target's denominators often do not divide, optionally an NN system whose
+    pairs may name a symbol outside the counted alphabet."""
+    rng = random.Random(seed)
+    rank, q = rng.choice([1, 2]), rng.choice([2, 3])
+    ctx = FreeGroupCtx(rank)
+    symbols = TERNARY[:q]
+    if rng.random() < 0.25:
+        weight = reversible_weight(rank, symbols, rng)
+    else:
+        weight = integer_markov_weight(rank, symbols, rng, rng.randint(q, 6))
+    mode = rng.choice(["window", "edge_star"])
+    target = marginal_distribution(weight, ctx.ball(0 if mode == "window" else 1))
+    # counting over a smaller alphabet leaves target mass no labeling shows
+    alphabet = symbols[:2] if q == 3 and rng.random() < 0.2 else symbols
+    if target.is_exact and rng.random() < 0.3:
+        eps = Fraction(0)
+    else:
+        eps = rng.choice([Fraction(rng.randint(1, 8), 4), round(rng.uniform(0.05, 2), 2)])
+    spec = None
+    if rng.random() < 0.5:
+        names = TERNARY if rng.random() < 0.2 else alphabet
+        forbidden = [(rng.choice(names), rng.choice(names), rng.randint(1, rank)) for _ in range(rng.randint(1, 2))]
+        spec = nn_spec(TERNARY, forbidden)
+    n = rng.randint(1, 5 if rank == 1 else (4 if len(alphabet) == 2 else 3))
+    return ctx, n, alphabet, Neighborhood(target=target, epsilon=eps, mode=mode, sft=spec)
+
+
+class TestExactByType:
+    @pytest.mark.parametrize("seed", range(240))
+    def test_matches_enumeration(self, seed):
+        ctx, n, alphabet, nbhd = random_by_type_case(seed)
+        total = math.factorial(n) ** ctx.rank
+        walked = sum(count_omega(ctx, a, alphabet, nbhd) for a in enumerate_actions(n, ctx.rank))
+        stats = expected_count(ctx, n, alphabet, nbhd, mode="exact")
+        assert (stats.mean, stats.stderr, stats.samples) == (walked / total, 0.0, total)
+
+    def test_cases_cover_exact_statistics_and_misses(self):
+        cases = [random_by_type_case(seed) for seed in range(240)]
+        lcms = [(n, _statistic_lcm(ctx, nbhd)) for ctx, n, _, nbhd in cases if nbhd.epsilon == 0]
+        assert len(lcms) >= 30
+        # exact statistics both attainable and out of reach of n
+        assert any(n % d for n, d in lcms) and any(n % d == 0 and d > 1 for n, d in lcms)
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("exact mode walked the actions")
+
+    @pytest.mark.parametrize("radius,mode,forbidden", [
+        (1, "edge_star", None),
+        (0, "window", None),
+        (1, "edge_star", [("1", "1", 2)]),
+        (0, "window", [("0", "0", 2)]),
+    ], ids=["edge_star", "radius_0", "edge_star_nn", "radius_0_nn"])
+    def test_pair_statistics_do_not_walk_actions(self, monkeypatch, radius, mode, forbidden):
+        monkeypatch.setattr(counting, "enumerate_actions", self._refuse)
+        monkeypatch.setattr(counting, "count_omega", self._refuse)
+        spec = None if forbidden is None else nn_spec(BINARY, forbidden)
+        target = marginal_distribution(HALF, CTX2.ball(radius))
+        nbhd = Neighborhood(target=target, epsilon=Fraction(1), mode=mode, sft=spec)
+        stats = expected_count(CTX2, 6, BINARY, nbhd, mode="exact")
+        assert stats.mean > 0 and stats.samples == math.factorial(6) ** 2
+
+    @pytest.mark.parametrize("radius,mode,forbidden", [
+        (1, "window", None),
+        # a forbidden domain {e, s_1 s_2} is not nearest-neighbor
+        (1, "edge_star", [Pattern([(), (1, 2)], ["0", "1"])]),
+    ], ids=["window_radius_1", "non_nn_system"])
+    def test_wider_statistics_still_walk_actions(self, monkeypatch, radius, mode, forbidden):
+        walked = []
+        monkeypatch.setattr(counting, "count_omega", lambda *args: walked.append(args) or 1)
+        spec = None if forbidden is None else SftSpec(alphabet=BINARY, forbidden=tuple(forbidden))
+        target = marginal_distribution(HALF, CTX2.ball(radius))
+        nbhd = Neighborhood(target=target, epsilon=Fraction(1, 2), mode=mode, sft=spec)
+        assert expected_count(CTX2, 3, BINARY, nbhd, mode="exact").mean == 1.0
+        assert len(walked) == 36
+
+    def test_a_mean_beyond_float_range_is_a_cap(self):
+        # radius 0 at epsilon 2 counts all 2^1100 labelings of every action;
+        # no generator reads a table, so no table is listed
+        nbhd = Neighborhood(target=TARGET_B0, epsilon=Fraction(2))
+        caps = Caps(exact_actions=math.factorial(1100) ** 2, labelings=2**1100)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="n=1100"):
+            expected_count(CTX2, 1100, BINARY, nbhd, mode="exact", caps=caps)
+        assert time.perf_counter() - t0 < 1.0
+
+
+def _statistic_lcm(ctx, nbhd):
+    """The lcm of the denominators of the statistics' targets: the n that
+    exact statistics can reach are its multiples."""
+    windows = [nbhd.target.window] if nbhd.mode == "window" else [((), (i,)) for i in range(1, ctx.rank + 1)]
+    return math.lcm(*(Fraction(p).denominator for w in windows for p in nbhd.target.project(w).probs.values()))
+
+
+def robbins_log_factorial_bounds(m):
+    """Two-sided bounds on ln m! (Robbins, Amer. Math. Monthly 62, 1955):
+    ln m! = m ln m - m + ln(2 pi m)/2 + r_m with 1/(12m+1) < r_m < 1/(12m);
+    ln 0! = 0 exactly."""
+    if m == 0:
+        return 0.0, 0.0
+    base = m * math.log(m) - m + math.log(2 * math.pi * m) / 2
+    return base + 1 / (12 * m + 1), base + 1 / (12 * m)
+
+
+class TestCountingMeetsFValue:
+    """At epsilon 0 the edge-star count of a Markov weight W with vertex
+    vector pi has one labeling type, n pi, and one table per generator,
+    n W^i, so E = multinomial(n; n pi) prod_i prod_a (n pi_a)!^2 /
+    (n! prod_ab (n W^i_ab)!) exactly, and (1/n) ln E - F(W) is a sum of
+    Stirling remainders."""
+
+    @staticmethod
+    def _factorials(w, n):
+        """The signed factorial arguments of ln E: (m, coefficient) pairs."""
+        pi = [n * w.vertex_prob(a) for a in w.alphabet]
+        terms = [(n, 1)] + [(x, -1) for x in pi]
+        for i in range(1, w.rank + 1):
+            terms += [(x, 2) for x in pi] + [(n, -1)]
+            terms += [(n * w.edge_prob(a, b, i), -1) for a in w.alphabet for b in w.alphabet]
+        assert all(Fraction(m).denominator == 1 for m, _ in terms)
+        return [(int(m), c) for m, c in terms]
+
+    def _estimate(self, w, n_list):
+        ctx = FreeGroupCtx(w.rank)
+        caps = Caps(exact_actions=math.factorial(max(n_list)) ** w.rank, labelings=len(w.alphabet) ** max(n_list))
+        result = f_estimate(ctx, w, 1, Fraction(0), n_list, mode="exact", distance_mode="edge_star", caps=caps)
+        assert result.warnings == ()
+        return ctx, result.rows
+
+    # each rank 1-3 with each of |A| = 2, 3, twice
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mean_count_is_the_closed_form(self, seed):
+        rng = random.Random(seed)
+        points = rng.randint(3, 7)
+        w = integer_markov_weight(1 + seed % 3, TERNARY[: 2 + seed // 3 % 2], rng, points)
+        n_list = list(range(points, 61, points))
+        for n, row in zip(n_list, self._estimate(w, n_list)[1]):
+            assert row.mean_count > 0
+            closed = Fraction(1)
+            for m, c in self._factorials(w, n):
+                closed *= Fraction(math.factorial(m)) ** c
+            assert row.mean_count == float(closed), n
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_growth_rate_gap_is_within_stirling_bounds(self, seed):
+        rng = random.Random(1000 + seed)
+        q, points = 2 + seed // 3 % 2, rng.randint(3, 8)
+        w = integer_markov_weight(1 + seed % 3, TERNARY[:q], rng, points)
+        f = float(F_value(FreeGroupCtx(w.rank), w, 0))
+        # the mean must be a normal float: it is at most |A|^n, and ln E is
+        # n F up to O(ln n), with F < 0 for strongly correlated edges
+        top = int(min(699 / math.log(q), 600 / max(-f, 1e-9))) // points * points
+        n_list = sorted({points, 4 * points, top // 2 // points * points, top})
+        ctx, rows = self._estimate(w, n_list)
+        for n, row in zip(n_list, rows):
+            lo = hi = -n * f
+            for m, c in self._factorials(w, n):
+                below, above = robbins_log_factorial_bounds(m)
+                lo += c * (below if c > 0 else above)
+                hi += c * (above if c > 0 else below)
+            # 1e-12: float rounding in ln E, F and the bounds, far inside the width
+            assert lo / n - 1e-12 <= row.log_mean_over_n - f <= hi / n + 1e-12, n

@@ -199,7 +199,7 @@ def cmd_f_estimate(args) -> int:
         data = _load_json(config["marginals"])
         ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
         target = PatternDistribution.from_json(ctx, data)
-        alphabet = tuple(sorted({sym for key in target.probs for sym in key}, key=str))
+        alphabet = tuple(sorted(set().union(*target.masses), key=str))
         window = len(target.window[-1])
         if "window" in config and as_int(config["window"], "window") != window:
             raise InputError(f"window {config['window']!r} differs from the marginals' window_radius {window}")

@@ -69,7 +69,8 @@ def _statistic_targets(ctx: FreeGroupCtx, nbhd: Neighborhood) -> list[PatternDis
 
 
 def _denominator_lcm(targets: Sequence[PatternDistribution]) -> int:
-    return math.lcm(*(Fraction(p).denominator for t in targets for p in t.probs.values()))
+    # an exact target's masses share its least denominator, a float is the dyadic rational it is
+    return math.lcm(*(t.total * m.as_integer_ratio()[1] for t in targets for m in t.masses.values()))
 
 
 def _kernel_setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood):
@@ -99,8 +100,9 @@ def _kernel_setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborh
     index = {a: k for k, a in enumerate(alphabet)}
     groups, gap, unseen, offset = [], {}, 0, 0
     for t in targets:
-        for key, p in t.probs.items():
-            scaled = int(Fraction(p) * n * d)
+        for key, m in t.masses.items():
+            num, den = m.as_integer_ratio()
+            scaled = num * (n * d // (den * t.total))
             if all(a in index for a in key):
                 gap[offset + sum(index[a] * q**j for j, a in enumerate(key))] = -scaled
             else:
@@ -303,9 +305,12 @@ def expected_count(
                 for action in enumerate_actions(n, ctx.rank, cap=caps.exact_actions)
             )
         try:
-            return CountStats(acc / total, 0.0, total)
+            mean = acc / total
         except OverflowError:
             raise ResourceCapError(f"the exact mean count at n={n} exceeds float range") from None
+        if acc and not mean:
+            raise ResourceCapError(f"the exact mean count at n={n} is positive but below float range")
+        return CountStats(mean, 0.0, total)
     if mode != "monte_carlo":
         raise InputError(f"unknown mode {mode!r}")
     if samples < 1:

@@ -8,8 +8,10 @@ carry a domain with its values for the single-pattern operations.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from .actions import FiniteAction
 from .errors import InputError, as_int
@@ -20,22 +22,42 @@ from .freegroup import FreeGroupCtx, Word, inv, sort_words, word_sort_key
 PROB_TOL = 1e-12
 
 
-def read_prob(raw) -> Fraction | float:
+def read_ratio(raw) -> tuple[int, int] | float:
     """A probability from JSON: ``{"num": int, "den": int}`` with a nonzero
-    ``den`` is that exact rational, any other JSON number a float."""
+    ``den`` is that exact rational as the pair (num, den), any other JSON
+    number a float."""
     # type(), not isinstance: a boolean is an int to Python, not to JSON
     if isinstance(raw, dict):
         num, den = raw.get("num"), raw.get("den")
         if type(num) is int and type(den) is int and den:
-            return Fraction(num, den)
+            return num, den
     elif type(raw) is float or (type(raw) is int and raw.bit_length() <= 1023):
         return float(raw)
     raise InputError(f"a probability is a JSON number in float range or integers {{num, den != 0}}, got {raw!r}")
 
 
+def read_prob(raw) -> Fraction | float:
+    """``read_ratio``'s probability, a rational as a Fraction."""
+    p = read_ratio(raw)
+    return p if type(p) is float else Fraction(*p)
+
+
 def write_prob(p) -> dict | float:
     """The JSON form ``read_prob`` reads back: a rational as {num, den}."""
     return {"num": p.numerator, "den": p.denominator} if isinstance(p, (int, Fraction)) else float(p)
+
+
+def items_at(keys: Sequence) -> Callable:
+    """The function from a sequence or mapping to the tuple of its items at ``keys``."""
+    return itemgetter(*keys) if len(keys) > 1 else lambda seq: tuple(seq[k] for k in keys)
+
+
+def over_lcm(ratios: Mapping[tuple, tuple[int, int]]) -> tuple[dict, int]:
+    """(num, den) pairs as integer masses over the lcm of the dens, and that lcm."""
+    dens = {den for _, den in ratios.values()}
+    total = math.lcm(*dens)
+    scale = {den: total // den for den in dens}
+    return {k: num * scale[den] for k, (num, den) in ratios.items()}, total
 
 
 class Pattern:
@@ -100,31 +122,51 @@ class Pattern:
 class PatternDistribution:
     """Probabilities of patterns on a fixed window.
 
-    ``probs`` maps symbol tuples (aligned to the window order) to weights;
-    weights may be floats or Fractions and must sum to 1, exactly when
-    every weight is rational (``is_exact``) and within ``PROB_TOL`` otherwise.
+    ``masses`` maps symbol tuples (aligned to the window order) to masses
+    that add up to ``total``: exactly, as integers over the least common
+    denominator of the probabilities, when every mass is rational
+    (``is_exact``); else within ``PROB_TOL``, as given over a total of 1.
     """
 
-    __slots__ = ("window", "probs", "is_exact")
+    __slots__ = ("window", "masses", "total", "is_exact", "_probs")
 
-    def __init__(self, window: Sequence[Word], probs: Mapping[tuple, object]):
+    def __init__(self, window: Sequence[Word], masses: Mapping[tuple, object], total: int = 1):
         win = sort_words(window)
         if win != tuple(window):
             raise InputError("window must be shortlex-sorted")
-        for key in probs:
+        for key in masses:
             if len(key) != len(win):
                 raise InputError("distribution key does not match window size")
-        total = sum(probs.values())
-        # a sum of rationals stays rational; one float entry makes it a float
-        self.is_exact = isinstance(total, (int, Fraction))
+        self.is_exact = all(isinstance(m, (int, Fraction)) for m in masses.values())
+        if self.is_exact:
+            # integers over one denominator, reduced until it is the least
+            if any(type(m) is not int for m in masses.values()):
+                masses, scale = over_lcm({k: m.as_integer_ratio() for k, m in masses.items()})
+                total *= scale
+            common = math.gcd(total, *masses.values())
+            if common > 1:
+                masses = {k: m // common for k, m in masses.items()}
+                total //= common
         slack = 0 if self.is_exact else PROB_TOL
-        # a NaN entry makes the total NaN, which fails this test
-        if not abs(total - 1) <= slack:
-            raise InputError(f"probabilities sum to {total}, not 1")
-        if any(p < -slack for p in probs.values()):
+        mass = sum(masses.values())
+        # a NaN entry makes the sum NaN, which fails this test
+        if not abs(mass - total) <= slack:
+            raise InputError(f"probabilities sum to {Fraction(mass, total) if self.is_exact else mass}, not 1")
+        if any(m < -slack for m in masses.values()):
             raise InputError("negative probability")
         self.window = win
-        self.probs = dict(probs)
+        self.masses = dict(masses)
+        self.total = total
+        self._probs = None
+
+    @property
+    def probs(self) -> dict:
+        """Pattern -> probability, a Fraction when exact, else as given;
+        built on first use."""
+        if self._probs is None:
+            total = self.total
+            self._probs = {k: Fraction(m, total) for k, m in self.masses.items()} if self.is_exact else self.masses
+        return self._probs
 
     def project(self, subwindow: Sequence[Word]) -> "PatternDistribution":
         sub = sort_words(subwindow)
@@ -133,20 +175,20 @@ class PatternDistribution:
             cols = [index[w] for w in sub]
         except KeyError as exc:
             raise InputError(f"projection window not contained: {exc}") from None
+        small_of = items_at(cols)
         out: dict[tuple, object] = {}
-        for key, p in self.probs.items():
-            small = tuple(key[c] for c in cols)
-            out[small] = out.get(small, 0) + p
-        return PatternDistribution(sub, out)
+        for key, m in self.masses.items():
+            small = small_of(key)
+            out[small] = out.get(small, 0) + m
+        return PatternDistribution(sub, out, self.total)
 
     def to_json(self, ctx: FreeGroupCtx) -> dict:
         radius = max((len(w) for w in self.window), default=0)
         if self.window != ctx.ball(radius):
             raise InputError("json serialization requires a ball window")
         words = [ctx.format(w) for w in self.window]
-        entries = []
-        for key in sorted(self.probs, key=repr):
-            entries.append({"pattern": dict(zip(words, key)), "p": write_prob(self.probs[key])})
+        probs = self.probs
+        entries = [{"pattern": dict(zip(words, key)), "p": write_prob(probs[key])} for key in sorted(probs, key=repr)]
         return {"window_radius": radius, "entries": entries}
 
     @classmethod
@@ -159,23 +201,25 @@ class PatternDistribution:
         if not isinstance(entries, list):
             raise InputError(f"malformed distribution json: entries must be a list, got {entries!r}")
         window = ctx.ball(radius)
-        # entry column of each window word, per spelling of the entry's words
-        layouts: dict[tuple, list[int]] = {}
+        # an entry's key, its symbols in window order, per spelling of its words
+        layouts: dict[tuple, Callable] = {}
         probs: dict[tuple, object] = {}
         for entry in entries:
             try:
-                pattern, prob = entry["pattern"], read_prob(entry["p"])
-                spellings, values = tuple(pattern), tuple(pattern.values())
+                pattern, prob = entry["pattern"], read_ratio(entry["p"])
+                spellings = tuple(pattern.keys())
             except (KeyError, TypeError, AttributeError, InputError) as exc:
                 raise InputError(f"malformed distribution entry {entry!r}: {exc!r}") from None
-            order = layouts.get(spellings)
-            if order is None:
-                at = {ctx.parse(k): col for col, k in enumerate(spellings)}
+            key_of = layouts.get(spellings)
+            if key_of is None:
+                at = {ctx.parse(k): k for k in spellings}
                 if len(at) != len(spellings) or set(at) != set(window):
                     raise InputError("distribution entry does not cover the window")
-                order = layouts[spellings] = [at[w] for w in window]
-            probs[tuple(values[col] for col in order)] = prob
-        return cls(window, probs)
+                key_of = layouts[spellings] = items_at([at[w] for w in window])
+            probs[key_of(pattern)] = prob
+        if all(type(p) is tuple for p in probs.values()):
+            return cls(window, *over_lcm(probs))
+        return cls(window, {k: p if type(p) is float else Fraction(*p) for k, p in probs.items()})
 
 
 def window_columns(ctx: FreeGroupCtx, action: FiniteAction, window: Sequence[Word]) -> list[tuple[int, ...]]:

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 from .errors import ConstructionError, InputError, ResourceCapError, WeightError, as_int
 from .freegroup import FreeGroupCtx, Word, mul, sort_words
 from .sft import SftSpec
-from .shift import PROB_TOL, PatternDistribution, read_prob, write_prob
+from .shift import PROB_TOL, PatternDistribution, items_at, over_lcm, read_prob, write_prob
 
 # patterns marginal_distribution may enumerate, and cells F_value may read
 PATTERN_CAP = 1 << 22
@@ -372,7 +372,8 @@ def marginal_distribution(w: Weight, window: Sequence[Word]) -> PatternDistribut
     Enumerates only patterns of positive probability, walking the window in
     shortlex order: the edge from g to its parent g[:-1] along generator i
     reads the pair (x(g[:-1]), x(g)) for a last letter +i and (x(g), x(g[:-1]))
-    for -i, and contributes the conditional factor pair / W(x(g[:-1])).
+    for -i, and contributes the conditional factor pair / W(x(g[:-1])).  An
+    exact weight's walk multiplies integer numerators and denominators.
     """
     window = sort_words(window)
     if () not in window:
@@ -382,13 +383,14 @@ def marginal_distribution(w: Weight, window: Sequence[Word]) -> PatternDistribut
             f"{len(w.alphabet)}^{len(window)} window patterns exceed cap {PATTERN_CAP}"
         )
     edges = _tree_edges(window)
-    probs: dict[tuple, object] = {}
+    exact = w.is_exact
+    probs: dict[tuple, tuple] = {}
     values: list = [None] * len(window)
 
-    def extend(k: int, prob):
+    def extend(k: int, num, den):
         # k is the next window position to fill
         if k == len(window):
-            probs[tuple(values)] = prob
+            probs[tuple(values)] = (num, den)
             return
         parent, letter = edges[k - 1]
         a = values[parent]
@@ -398,14 +400,19 @@ def marginal_distribution(w: Weight, window: Sequence[Word]) -> PatternDistribut
             pair = w.edge_prob(a, sym, i) if letter > 0 else w.edge_prob(sym, a, i)
             if pair:
                 values[k] = sym
-                extend(k + 1, prob * pair / vp)
+                if exact:
+                    extend(k + 1, num * pair.numerator * vp.denominator, den * pair.denominator * vp.numerator)
+                else:  # left to right: a float marginal rounds as (prob * pair) / W(a)
+                    extend(k + 1, num * pair / vp, 1)
 
     for sym in w.alphabet:
         v = w.vertex_prob(sym)
         if v:
             values[0] = sym
-            extend(1, v)
-    return PatternDistribution(window, probs)
+            extend(1, *(v.as_integer_ratio() if exact else (v, 1)))
+    if exact:
+        return PatternDistribution(window, *over_lcm(probs))
+    return PatternDistribution(window, {key: p for key, (p, _) in probs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +516,8 @@ def markovize(ctx: FreeGroupCtx, dist: PatternDistribution) -> Weight:
     m = radius - 1
     inner = ctx.ball(m)
     big_index = {g: k for k, g in enumerate(dist.window)}
-    inner_cols = [big_index[g] for g in inner]
-    shift_cols = []
+    inner_of = items_at([big_index[g] for g in inner])
+    shifted_of = []
     for i in range(1, ctx.rank + 1):
         cols = []
         for g in inner:
@@ -518,9 +525,9 @@ def markovize(ctx: FreeGroupCtx, dist: PatternDistribution) -> Weight:
             if h not in big_index:
                 raise InputError("window too small to glue across a generator edge")
             cols.append(big_index[h])
-        shift_cols.append(cols)
+        shifted_of.append((i, items_at(cols)))
 
-    base_symbols = sorted({k for key in dist.probs for k in key}, key=repr)
+    base_symbols = sorted(set().union(*dist.masses), key=repr)
     names = {
         key: pattern_symbol_name(ctx, inner, key)
         for key in iter_product(base_symbols, repeat=len(inner))
@@ -528,13 +535,16 @@ def markovize(ctx: FreeGroupCtx, dist: PatternDistribution) -> Weight:
     alphabet = tuple(names.values())
     vertex: dict[str, object] = {}
     edge: dict[tuple, object] = {}
-    for key, p in dist.probs.items():
-        c = names[tuple(key[k] for k in inner_cols)]
+    for key, p in dist.masses.items():
+        c = names[inner_of(key)]
         vertex[c] = vertex.get(c, 0) + p
-        for i in range(1, ctx.rank + 1):
-            cprime = names[tuple(key[k] for k in shift_cols[i - 1])]
-            edge_key = (c, cprime, i)
+        for i, of in shifted_of:
+            edge_key = (c, names[of(key)], i)
             edge[edge_key] = edge.get(edge_key, 0) + p
+    if dist.is_exact:
+        # integer sums over the one denominator, divided once per entry
+        vertex = {c: Fraction(m, dist.total) for c, m in vertex.items()}
+        edge = {e: Fraction(m, dist.total) for e, m in edge.items()}
     try:
         return Weight(ctx.rank, alphabet, vertex, edge)
     except WeightError as exc:

@@ -99,8 +99,8 @@ def l1_distance(d1: PatternDistribution, d2: PatternDistribution):
     """l1 distance of two distributions on the same window; range [0, 2]."""
     if d1.window != d2.window:
         raise InputError("l1 distance needs matching windows")
-    keys = set(d1.probs) | set(d2.probs)
-    return sum(abs(d1.probs.get(k, 0) - d2.probs.get(k, 0)) for k in keys)
+    p1, p2 = d1.probs, d2.probs
+    return sum(abs(p1.get(k, 0) - p2.get(k, 0)) for k in set(p1) | set(p2))
 
 
 def _pullback_keys(ctx, action, labels, window):
@@ -120,7 +120,7 @@ def empirical_distribution(
     counts: dict[tuple, int] = {}
     for key in _pullback_keys(ctx, action, labels, window):
         counts[key] = counts.get(key, 0) + 1
-    return PatternDistribution(window, {k: Fraction(c, n) for k, c in counts.items()})
+    return PatternDistribution(window, counts, n)
 
 
 def d_star(ctx: FreeGroupCtx, d1: PatternDistribution, d2: PatternDistribution):

@@ -12,6 +12,7 @@ import pytest
 
 from finvariant import (
     Caps,
+    EntropyValue,
     F_value,
     FiniteAction,
     FreeGroupCtx,
@@ -580,6 +581,26 @@ class TestExactByType:
         with pytest.raises(ResourceCapError, match="n=1100"):
             expected_count(CTX2, 1100, BINARY, nbhd, mode="exact", caps=caps)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_a_mean_below_float_range_is_a_cap(self):
+        # rank 3, pi uniform on three symbols, each edge table a permutation
+        # matrix over 3: F = -2 ln 3, and at epsilon 0 the edge-star mean is
+        # 1 / multinomial(n; n/3, n/3, n/3)^2, positive but below the
+        # smallest float at n = 636; it once read as a count of 0
+        symbols = ("0", "1", "2")
+        perms = [(0, 1, 2), (1, 2, 0), (1, 0, 2)]
+        edge = {(symbols[a], symbols[p[a]], i): Fraction(1, 3) for i, p in enumerate(perms, 1) for a in range(3)}
+        w = Weight(3, symbols, {a: Fraction(1, 3) for a in symbols}, edge)
+        ctx = FreeGroupCtx(3)
+        assert F_value(ctx, w, 0) == EntropyValue.exact({3: -2})
+        caps = Caps(exact_actions=math.factorial(636) ** 3, labelings=3**636)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="n=636"):
+            f_estimate(ctx, w, 1, Fraction(0), [636], mode="exact", distance_mode="edge_star", caps=caps)
+        assert time.perf_counter() - t0 < 5.0
+        # inside float range the same weight reads its closed form, 1/multinomial^2
+        row = f_estimate(ctx, w, 1, Fraction(0), [6], mode="exact", distance_mode="edge_star", caps=caps).rows[0]
+        assert row.mean_count == 1 / 90**2
 
 
 def _statistic_lcm(ctx, nbhd):

@@ -13,13 +13,17 @@ that a merged or retired tolerance cannot linger.
 Every name a module imports must also be read in that module, so that a
 deletion leaves no import behind.  The JSON keys ``"num"`` and ``"den"`` of
 an exact probability appear in one module only, the one that holds its
-reader and writer.
+reader and writer.  The functions ``perfbench/spans.py`` wraps by name
+must stay where it looks for them.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 import re
 from collections import Counter
+from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "finvariant"
@@ -159,3 +163,42 @@ def test_the_check_sees_a_second_rational_reader(tmp_path):
     with open(tmp_path / "weights.py", "a", encoding="utf-8") as fh:
         fh.write('\n\ndef orphan(p):\n    return p["num"]\n')
     assert modules_naming_rational_keys(tmp_path) == ["shift.py", "weights.py"]
+
+
+def test_the_benchmark_hooks_find_what_they_wrap():
+    # spans.py wraps its TRACED names in place and reads len(result.probs)
+    # of marginal_distribution as the pattern count: a name moved, a
+    # classmethod made a function or a probs gone would zero a per-layer metric
+    import finvariant
+    from finvariant import FreeGroupCtx, Weight
+
+    spec = importlib.util.spec_from_file_location("perfbench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, attr, kind, _ in spans.TRACED:
+        home = importlib.import_module(f"finvariant.{module_name}")
+        if kind in ("method", "classmethod"):
+            cls_name, name = attr.split(".")
+            assert isinstance(vars(getattr(home, cls_name))[name], classmethod) == (kind == "classmethod"), attr
+        else:
+            assert callable(getattr(home, attr)), attr
+
+    # an exact golden-mean weight: no "1" next to "1" along either generator
+    edge = {(a, b, i): Fraction(p, 5) for i in (1, 2) for a, b, p in (("0", "0", 1), ("0", "1", 2), ("1", "0", 2))}
+    w = Weight(2, ("0", "1"), {"0": Fraction(3, 5), "1": Fraction(2, 5)}, edge)
+    ctx = FreeGroupCtx(2)
+    tracer = spans.Tracer()
+    undo = spans.install(tracer, finvariant)
+    try:
+        dist = finvariant.weights.marginal_distribution(w, ctx.ball(1))
+        back = finvariant.shift.PatternDistribution.from_json(ctx, dist.to_json(ctx))
+        finvariant.weights.markovize(ctx, back)
+    finally:
+        spans.uninstall(undo)
+    # "1" at e leaves one pattern, "0" at e sixteen
+    assert len(dist.probs) == len(dist.masses) == 17
+    assert tracer.counts["weights.patterns"] == 17
+    metrics = spans.layer_metrics(tracer)
+    for name in ("shift.PatternDistribution.from_json.s", "shift.PatternDistribution.to_json.s",
+                 "weights.marginal_distribution.patterns_per_s", "weights.markovize.s"):
+        assert metrics[name] > 0, name

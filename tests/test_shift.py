@@ -348,9 +348,9 @@ class TestDistributionJson:
 
     def test_to_json_matches_per_entry_formatting(self, ctx):
         dist = self._ball_dist(ctx)
-        entries = []
-        for key in sorted(dist.probs, key=repr):
-            p = dist.probs[key]
+        entries, probs = [], dist.probs
+        for key in sorted(probs, key=repr):
+            p = probs[key]
             pattern = {ctx.format(w): key[k] for k, w in enumerate(dist.window)}
             entries.append({"pattern": pattern, "p": {"num": p.numerator, "den": p.denominator}})
         data = dist.to_json(ctx)

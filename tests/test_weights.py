@@ -27,6 +27,7 @@ from finvariant import (
     FreeGroupCtx,
     InputError,
     Pattern,
+    PatternDistribution,
     ResourceCapError,
     Weight,
     WeightError,
@@ -38,7 +39,7 @@ from finvariant import (
     weight_distance,
 )
 from finvariant.cli import main
-from finvariant.freegroup import mul
+from finvariant.freegroup import mul, sort_words
 from finvariant.weights import _F_coefficients, _factor, _window_coefficients, pattern_symbol_name
 
 from paper_objects import bernoulli_weight, empirical_distribution, pattern_probability
@@ -165,6 +166,57 @@ def enumerated_F_value(ctx: FreeGroupCtx, w: Weight, radius: int) -> EntropyValu
         union = set(ball) | {mul((i,), g) for g in ball}
         terms.append((1, enumerated_entropy(w, union)))
     return linear_combination(terms)
+
+
+def fraction_marginal(w: Weight, window) -> dict:
+    """The window marginal by the prefix-tree walk in the weight's own
+    numbers, one Fraction (or float) product per pattern: the oracle for
+    the integer walk.  A float weight's factor is (prob * pair) / W(a)."""
+    window = sort_words(window)
+    index = {g: k for k, g in enumerate(window)}
+    edges = [(index[g[:-1]], g[-1]) for g in window[1:]]
+    probs, values = {}, [None] * len(window)
+
+    def extend(k, prob):
+        if k == len(window):
+            probs[tuple(values)] = prob
+            return
+        parent, letter = edges[k - 1]
+        a, i = values[parent], abs(letter)
+        for sym in w.alphabet:
+            pair = w.edge_prob(a, sym, i) if letter > 0 else w.edge_prob(sym, a, i)
+            if pair:
+                values[k] = sym
+                extend(k + 1, prob * pair / w.vertex_prob(a))
+
+    for sym in w.alphabet:
+        if w.vertex_prob(sym):
+            values[0] = sym
+            extend(1, w.vertex_prob(sym))
+    return probs
+
+
+def fraction_markovize(ctx: FreeGroupCtx, window, probs: dict) -> Weight:
+    """``markovize`` summing the probabilities as given, one Fraction (or
+    float) add per pattern and edge: the oracle for the integer sums, in
+    the same order, so a float sum has the same rounding."""
+    inner = ctx.ball(len(window[-1]) - 1)
+    col = {g: k for k, g in enumerate(window)}
+    base = sorted({k for key in probs for k in key}, key=repr)
+    names = {key: pattern_symbol_name(ctx, inner, key) for key in iter_product(base, repeat=len(inner))}
+    vertex, edge = {}, {}
+    for key, p in probs.items():
+        c = names[tuple(key[col[g]] for g in inner)]
+        vertex[c] = vertex.get(c, 0) + p
+        for i in range(1, ctx.rank + 1):
+            e = (c, names[tuple(key[col[mul((i,), g)]] for g in inner)], i)
+            edge[e] = edge.get(e, 0) + p
+    return Weight(ctx.rank, tuple(names.values()), vertex, edge)
+
+
+def bits(mapping) -> dict:
+    """A mapping's values with their types, floats by their bits."""
+    return {k: (type(v), v.hex() if isinstance(v, float) else v) for k, v in mapping.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +718,9 @@ class TestPrefixTreeWalk:
         w = circulation_weight(rank, ("x", "y", "z")[:k], rng)
         window = random_subtree(rng, rank, size)
         dist = marginal_distribution(w, window)
+        probs = dist.probs
         for key in iter_product(w.alphabet, repeat=len(dist.window)):
-            assert dist.probs.get(key, 0) == pattern_probability(w, Pattern(dist.window, key))
+            assert probs.get(key, 0) == pattern_probability(w, Pattern(dist.window, key))
         assert chain_rule_entropy(w, window) == enumerated_entropy(w, window)
 
     def test_mixed_window_matches_the_bfs_oracle(self):
@@ -793,7 +846,8 @@ class TestMarkovize:
         )
         dist = marginal_distribution(w, CTX2.ball(2))
         w2 = markovize(CTX2, dist)
-        assert abs(float(F_value(CTX2, w2, 0)) - float(F_value(CTX2, w, 0))) <= 1e-9
+        # a conjugacy: the same prime-log combination, not a close float
+        assert F_value(CTX2, w2, 0) == F_value(CTX2, w, 0)
 
     def test_inconsistent_gluing_gets_zero(self):
         w = bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2)
@@ -830,6 +884,118 @@ class TestMarkovize:
             assert w.is_exact
             value = F_value(CTX2, w, 0)
             assert float(value) == float(value)  # finite, never NaN
+
+
+def golden_weight(rng) -> Weight:
+    """An exact rank-2 weight on {x, y} that never puts y next to y, whose
+    ball(2) marginal is small enough for the Fraction oracle."""
+    q = Fraction(rng.randint(1, 9), rng.randint(20, 40))
+    edge = {(a, b, i): p for i in (1, 2) for (a, b), p in {"xx": 1 - 2 * q, "xy": q, "yx": q}.items()}
+    return Weight(2, ("x", "y"), {"x": 1 - q, "y": q}, edge)
+
+
+# (rank, |A|, radius, seed): rank 2, |A| 3 at radius 2 exceeds PATTERN_CAP,
+# and rank 2, |A| 2 there takes the sparse golden-mean weight
+MASS_CASES = [
+    (rank, q, radius, seed)
+    for rank in (1, 2)
+    for q in (2, 3)
+    for radius in (1, 2)
+    for seed in range(3)
+    if (rank, q, radius) != (2, 3, 2)
+]
+
+
+def mass_case(rank, q, radius, seed):
+    rng = random.Random(f"{rank}:{q}:{radius}:{seed}")
+    w = golden_weight(rng) if (rank, radius) == (2, 2) else circulation_weight(rank, ("x", "y", "z")[:q], rng)
+    return FreeGroupCtx(rank), w, FreeGroupCtx(rank).ball(radius)
+
+
+class TestIntegerMasses:
+    """Integer masses over the least common denominator against the
+    Fraction arithmetic they replace, kept above as oracles."""
+
+    @pytest.mark.parametrize("rank, q, radius, seed", MASS_CASES)
+    def test_walk_and_sums_match_the_fraction_oracles(self, rank, q, radius, seed):
+        ctx, w, window = mass_case(rank, q, radius, seed)
+        dist = marginal_distribution(w, window)
+        oracle = fraction_marginal(w, window)
+        assert dist.is_exact and bits(dist.probs) == bits(oracle)
+        assert math.gcd(dist.total, *dist.masses.values()) == 1
+        super_weight, expected = markovize(ctx, dist), fraction_markovize(ctx, dist.window, oracle)
+        assert bits(super_weight.vertex) == bits(expected.vertex) and bits(super_weight.edge) == bits(expected.edge)
+        assert super_weight.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("rank, q, radius, seed", MASS_CASES[::3])
+    def test_json_spellings_of_a_rational_read_alike(self, rank, q, radius, seed):
+        ctx, w, window = mass_case(rank, q, radius, seed)
+        dist = marginal_distribution(w, window)
+        data = dist.to_json(ctx)
+        for k, entry in enumerate(data["entries"]):
+            num, den = entry["p"]["num"], entry["p"]["den"]
+            # unreduced by a factor that varies, or with the sign on den
+            entry["p"] = {"num": num * (k % 5 + 1), "den": den * (k % 5 + 1)} if k % 2 else {"num": -num, "den": -den}
+        back = PatternDistribution.from_json(ctx, data)
+        assert back.is_exact and back.probs == dist.probs
+        assert (back.masses, back.total) == (dist.masses, dist.total)
+        assert markovize(ctx, back).to_json() == markovize(ctx, dist).to_json()
+
+    @pytest.mark.parametrize("rank, q, radius, seed", MASS_CASES[::3])
+    def test_float_marginals_are_bitwise_as_before(self, rank, q, radius, seed):
+        ctx, exact, window = mass_case(rank, q, radius, seed)
+        w = Weight(rank, exact.alphabet, {a: float(p) for a, p in exact.vertex.items()},
+                   {e: float(p) for e, p in exact.edge.items()})
+        dist = marginal_distribution(w, window)
+        oracle = fraction_marginal(w, window)
+        assert not dist.is_exact and bits(dist.probs) == bits(oracle)
+        back = PatternDistribution.from_json(ctx, json.loads(json.dumps(dist.to_json(ctx))))
+        expected = fraction_markovize(ctx, back.window, back.probs)
+        super_weight = markovize(ctx, back)
+        assert bits(super_weight.vertex) == bits(expected.vertex) and bits(super_weight.edge) == bits(expected.edge)
+
+    @pytest.mark.parametrize("rank, q, radius, seed", MASS_CASES[::3])
+    def test_mixed_marginals_are_bitwise_as_before(self, rank, q, radius, seed):
+        ctx, w, window = mass_case(rank, q, radius, seed)
+        exact = marginal_distribution(w, window)
+        data, probs = exact.to_json(ctx), exact.probs
+        given = {}
+        for k, (key, entry) in enumerate(zip(sorted(probs, key=repr), data["entries"])):
+            given[key] = float(probs[key]) if k % 2 else probs[key]
+            entry["p"] = given[key] if k % 2 else entry["p"]
+        mixed = PatternDistribution.from_json(ctx, data)
+        assert not mixed.is_exact and bits(mixed.probs) == bits(given)
+        super_weight, expected = markovize(ctx, mixed), fraction_markovize(ctx, mixed.window, given)
+        assert bits(super_weight.vertex) == bits(expected.vertex) and bits(super_weight.edge) == bits(expected.edge)
+
+    def test_projection_keeps_the_denominator_least(self):
+        # the radius-1 Bernoulli(1/2) marginal is over 32, each pair projection over 4
+        dist = marginal_distribution(bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2), CTX2.ball(1))
+        assert dist.total == 32
+        for i in (1, 2):
+            pair = dist.project(((), (i,)))
+            assert pair.total == 4 and math.gcd(pair.total, *pair.masses.values()) == 1
+            assert pair.probs == {key: Fraction(1, 4) for key in iter_product("01", repeat=2)}
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([{"num": 1, "den": 0}, {"num": 1, "den": 2}], "malformed distribution entry"),
+            ([{"num": True, "den": 2}, {"num": 1, "den": 2}], "malformed distribution entry"),
+            ([{"num": 1, "den": 2}, {"num": 499999, "den": 1000000}], "probabilities sum to 999999/1000000, not 1"),
+            ([{"num": -1, "den": 2}, {"num": 3, "den": 2}], "negative probability"),
+            ([{"num": 10**400, "den": 1}, {"num": 1, "den": 2}], f"probabilities sum to {2 * 10**400 + 1}/2, not 1"),
+            ([10**400, {"num": 1, "den": 2}], "malformed distribution entry"),
+        ],
+        ids=["den_zero", "num_bool", "total_off_by_one_over_den", "negative", "num_beyond_float", "p_beyond_float"],
+    )
+    def test_malformed_marginals_exit_2(self, tmp_path, capsys, entries, message):
+        data = {"rank": 2, "window_radius": 1, "entries": []}
+        keys = iter_product("01", repeat=5)
+        data["entries"] = [{"pattern": dict(zip(["", "a", "A", "b", "B"], next(keys))), "p": p} for p in entries]
+        (tmp_path / "marg.json").write_text(json.dumps(data))
+        assert main(["weight-tools", "markovize", "--marginals", str(tmp_path / "marg.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {message}")
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,8 @@ def cmd_f_exact(args) -> int:
     weight = _load_weight(config["weight"])
     ctx = _ctx_for_rank(weight.rank)
     rho_max = as_int(config["rho_max"], "rho_max")
+    if rho_max < 0:
+        raise InputError(f"rho_max must be >= 0, got {rho_max}")
     if rho_max > MAX_CLI_RHO:
         raise ResourceCapError(f"cli caps the join radius at {MAX_CLI_RHO}")
 
@@ -541,47 +543,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="finvariant")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="json experiment config")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        # only an absent flag means the default: 0 is a cap of 0
-        p.add_argument("--cap-exact", type=int, default=Caps.exact_actions, dest="cap_exact")
-        p.add_argument("--cap-labels", type=int, default=Caps.labelings, dest="cap_labels")
+    def command(name, text, func, *flags):
+        """A subcommand with --config and --seed where it reads them, and --out."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if "config" in flags:
+            p.add_argument("--config", help="json experiment config")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output path (default stdout)")
+        return p
 
-    p = sub.add_parser("f-exact", help="exact invariant of a weight")
-    common(p)
+    p = command("f-exact", "exact invariant of a weight", cmd_f_exact, "config")
     p.add_argument("--weight", help="weight json file")
-    p.set_defaults(func=cmd_f_exact)
-
-    p = sub.add_parser("f-estimate", help="finite-n growth-rate table")
-    common(p)
-    p.set_defaults(func=cmd_f_estimate)
-
-    p = sub.add_parser("rearrange", help="rearranged action and transport checks")
-    common(p)
-    p.set_defaults(func=cmd_rearrange)
-
-    p = sub.add_parser("sft-verify", help="verify an orbit-change configuration")
-    common(p)
-    p.set_defaults(func=cmd_sft_verify)
-
-    p = sub.add_parser("ball", help="emit a word-metric ball, one word per line")
-    common(p)
+    p = command("f-estimate", "finite-n growth-rate table", cmd_f_estimate, "config", "seed")
+    p.add_argument("--threads", type=int, default=None)
+    # only an absent flag means the default: 0 is a cap of 0
+    p.add_argument("--cap-exact", type=int, default=Caps.exact_actions, dest="cap_exact")
+    p.add_argument("--cap-labels", type=int, default=Caps.labelings, dest="cap_labels")
+    command("rearrange", "rearranged action and transport checks", cmd_rearrange, "config", "seed")
+    command("sft-verify", "verify an orbit-change configuration", cmd_sft_verify, "config", "seed")
+    p = command("ball", "emit a word-metric ball, one word per line", cmd_ball)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--radius", type=int, required=True)
-    p.set_defaults(func=cmd_ball)
-
-    p = sub.add_parser("weight-tools", help="weight utilities")
-    common(p)
+    p = command("weight-tools", "weight utilities", cmd_weight_tools)
     p.add_argument("action", choices=["validate", "rationalize", "markovize", "distance"])
     p.add_argument("--weight", help="weight json file")
     p.add_argument("--weight2", help="second weight json file (distance)")
     p.add_argument("--q", type=int, default=1000, help="denominator bound (rationalize)")
     p.add_argument("--sft", help="nearest-neighbor support spec json (rationalize)")
     p.add_argument("--marginals", help="pattern distribution json (markovize)")
-    p.set_defaults(func=cmd_weight_tools)
     return parser
 
 

@@ -17,8 +17,8 @@ from .actions import FiniteAction
 from .errors import InputError, as_int
 from .freegroup import FreeGroupCtx, Word, inv, sort_words, word_sort_key
 
-# slack on a float probability: a distribution's total and negative entries,
-# a weight's balance and range; rational ones are compared exactly
+# slack on a float probability: a distribution's total and its entries'
+# range, and a weight's balance; rational ones are compared exactly
 PROB_TOL = 1e-12
 
 
@@ -42,9 +42,14 @@ def read_prob(raw) -> Fraction | float:
     return p if type(p) is float else Fraction(*p)
 
 
-def write_prob(p) -> dict | float:
-    """The JSON form ``read_prob`` reads back: a rational as {num, den}."""
-    return {"num": p.numerator, "den": p.denominator} if isinstance(p, (int, Fraction)) else float(p)
+def write_prob(mass, total: int = 1) -> dict | float:
+    """The JSON form ``read_prob`` reads back of mass / total: a rational as
+    {num, den} in lowest terms, with no Fraction built."""
+    if not isinstance(mass, (int, Fraction)):
+        return float(mass)
+    num, den = mass.as_integer_ratio()
+    common = math.gcd(num, den * total)
+    return {"num": num // common, "den": den * total // common}
 
 
 def items_at(keys: Sequence) -> Callable:
@@ -125,7 +130,8 @@ class PatternDistribution:
     ``masses`` maps symbol tuples (aligned to the window order) to masses
     that add up to ``total``: exactly, as integers over the least common
     denominator of the probabilities, when every mass is rational
-    (``is_exact``); else within ``PROB_TOL``, as given over a total of 1.
+    (``is_exact``); else within ``PROB_TOL``, as given over a total of 1,
+    with no entry below 0 or above 1 by more than that slack.
     """
 
     __slots__ = ("window", "masses", "total", "is_exact", "_probs")
@@ -154,6 +160,9 @@ class PatternDistribution:
             raise InputError(f"probabilities sum to {Fraction(mass, total) if self.is_exact else mass}, not 1")
         if any(m < -slack for m in masses.values()):
             raise InputError("negative probability")
+        # exact masses summing to the total with none negative lie within it
+        if not self.is_exact and any(m > 1 + slack for m in masses.values()):
+            raise InputError("a probability above 1")
         self.window = win
         self.masses = dict(masses)
         self.total = total
@@ -187,8 +196,9 @@ class PatternDistribution:
         if self.window != ctx.ball(radius):
             raise InputError("json serialization requires a ball window")
         words = [ctx.format(w) for w in self.window]
-        probs = self.probs
-        entries = [{"pattern": dict(zip(words, key)), "p": write_prob(probs[key])} for key in sorted(probs, key=repr)]
+        masses, total = self.masses, self.total
+        keys = sorted(masses, key=repr)
+        entries = [{"pattern": dict(zip(words, k)), "p": write_prob(masses[k], total)} for k in keys]
         return {"window_radius": radius, "entries": entries}
 
     @classmethod

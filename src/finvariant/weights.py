@@ -1,8 +1,8 @@
 """Weights, Markov measures on the free-group tree, Shannon entropy, and the
 exact free-group entropy functional.
 
-A weight assigns a probability to every symbol (vertex weight) and to every
-ordered symbol pair along each generator (edge weight), subject to
+A weight is a law of one symbol (the vertex law W(a)) and, per generator i,
+a law of the ordered symbol pair along it (the pair law W(a,b;i)), subject to
 
   Balanced:    sum_b W(a,b;i) = W(a) = sum_b W(b,a;i)   for every i, a
   Normalized:  sum_a W(a) = 1.
@@ -146,13 +146,11 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def _log_combo(x: Fraction) -> dict[int, Fraction]:
-    """ln(x) as a rational combination of logs of primes."""
-    combo: dict[int, Fraction] = {}
-    for p, e in _factor(x.numerator):
-        combo[p] = combo.get(p, Fraction(0)) + e
-    for p, e in _factor(x.denominator):
-        combo[p] = combo.get(p, Fraction(0)) - e
+def _log_combo(num: int, den: int) -> dict[int, int]:
+    """ln(num / den) as an integer combination of logs of primes."""
+    combo = dict(_factor(num))
+    for p, e in _factor(den):
+        combo[p] = combo.get(p, 0) - e
     return {p: c for p, c in combo.items() if c}
 
 
@@ -197,26 +195,23 @@ class EntropyValue:
         return f"EntropyValue({self.value!r}{tag})"
 
 
-def shannon_entropy(probs) -> EntropyValue:
-    """Shannon entropy in nats of an iterable of probabilities; 0 log 0 = 0.
-    They must sum to 1, exactly when every one is rational, which gives an
-    exact symbolic value, and within ``PROB_TOL`` otherwise."""
-    values = list(probs)
-    total = sum(values)
-    exact = isinstance(total, (int, Fraction))
-    if not abs(total - 1) <= (0 if exact else PROB_TOL):
-        raise InputError(f"entropy input sums to {total}, not 1")
-    if exact:
-        combo: dict[int, Fraction] = {}
-        for p in values:
-            p = Fraction(p)
-            if p == 0:
-                continue
-            for q, c in _log_combo(p).items():
-                combo[q] = combo.get(q, Fraction(0)) - p * c
-        return EntropyValue.exact(combo)
+def shannon_entropy(dist: PatternDistribution) -> EntropyValue:
+    """Shannon entropy in nats of a distribution; 0 log 0 = 0.
+
+    An exact distribution, masses m over the total T, has the exact value
+    -sum (m/T) ln(m/T): each m/T is factored in lowest terms, and the
+    coefficient of each prime is summed as an integer over T."""
+    if dist.is_exact:
+        total = dist.total
+        sums: dict[int, int] = {}
+        for m in dist.masses.values():
+            if m:
+                common = math.gcd(m, total)
+                for p, c in _log_combo(m // common, total // common).items():
+                    sums[p] = sums.get(p, 0) + m * c
+        return EntropyValue.exact({p: Fraction(-s, total) for p, s in sums.items()})
     acc = 0.0
-    for p in values:
+    for p in dist.masses.values():
         p = float(p)
         if p > 0.0:
             acc -= p * math.log(p)
@@ -228,23 +223,25 @@ def shannon_entropy(probs) -> EntropyValue:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weight:
-    """Vertex and edge probabilities defining a Markov measure.
+    """The vertex law and one pair law per generator of a Markov measure.
 
-    ``edge`` is keyed by (from_symbol, to_symbol, generator_index) with the
-    generator index 1-based; missing keys mean probability zero.  A weight is
-    checked when it is built: entries in [0, 1], balanced and normalized,
-    with no positive edge at a zero-weight symbol.  Rational weights
-    (``is_exact``) must satisfy this exactly, weights with a float entry
-    within ``PROB_TOL``.
+    ``laws[0]`` is the law of x(e) on the window ((),), keyed (a,), and
+    ``laws[i]`` the law of (x(e), x(s_i)) on ((), (i,)), keyed (a, b);
+    missing keys mean probability zero.  Each law checks its own total, and
+    the weight checks what ties them together when it is built: every symbol
+    is in the alphabet, both one-site projections of each pair law equal the
+    vertex law, exactly when both laws are rational and within ``PROB_TOL``
+    otherwise, and no positive pair touches a symbol of zero vertex weight.
+    A weight is exact (``is_exact``) when every law is.  Weights compare by
+    identity.
     """
 
     rank: int
     alphabet: tuple
-    vertex: Mapping
-    edge: Mapping
-    is_exact: bool = field(init=False, repr=False, compare=False)
+    laws: tuple[PatternDistribution, ...]
+    is_exact: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -252,72 +249,76 @@ class Weight:
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise WeightError("alphabet must be nonempty with distinct symbols")
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "vertex", dict(self.vertex))
-        object.__setattr__(self, "edge", dict(self.edge))
-        alphabet = self.alphabet
-        entries = list(self.vertex.values()) + list(self.edge.values())
-        object.__setattr__(self, "is_exact", all(isinstance(x, (int, Fraction)) for x in entries))
-        slack = 0 if self.is_exact else PROB_TOL
-        for a in self.vertex:
-            if a not in alphabet:
-                raise WeightError(f"vertex symbol {a!r} not in alphabet")
-        for a, b, i in self.edge:
-            if a not in alphabet or b not in alphabet:
-                raise WeightError(f"edge symbols ({a!r},{b!r}) not in alphabet")
-            if not 1 <= i <= self.rank:
+        object.__setattr__(self, "laws", tuple(self.laws))
+        windows = (((), (i,)) if i else ((),) for i in range(self.rank + 1))
+        if len(self.laws) != self.rank + 1 or any(law.window != win for law, win in zip(self.laws, windows)):
+            raise WeightError("a weight's laws are the vertex law and one pair law per generator")
+        unknown = {a for law in self.laws for key in law.masses for a in key}.difference(self.alphabet)
+        if unknown:
+            raise WeightError(f"symbols {', '.join(sorted(map(repr, unknown)))} not in alphabet")
+        object.__setattr__(self, "is_exact", all(law.is_exact for law in self.laws))
+        vertex = self.laws[0]
+        for i, pair in enumerate(self.laws[1:], 1):
+            exact = vertex.is_exact and pair.is_exact
+            for margin in (pair.project(((),)), pair.project(((i,),))):
+                for a in self.alphabet:
+                    m, v = margin.masses.get((a,), 0), vertex.masses.get((a,), 0)
+                    gap = m * vertex.total - v * margin.total if exact else m / margin.total - v / vertex.total
+                    if not abs(gap) <= (0 if exact else PROB_TOL):  # written so that a NaN fails
+                        raise WeightError(f"balance fails at symbol {a!r}, generator {i}")
+            for (a, b), m in pair.masses.items():
+                if m and not (vertex.masses.get((a,)) and vertex.masses.get((b,))):
+                    raise WeightError(f"positive pair ({a!r}, {b!r}) of generator {i} at a zero-weight symbol")
+
+    @classmethod
+    def from_tables(cls, rank: int, alphabet, vertex: Mapping, edge: Mapping, total: int = 1) -> "Weight":
+        """The weight of a vertex table {a: mass} and an edge table
+        {(a, b, i): mass}, the masses over ``total``, with i 1-based.
+
+        Each law keeps the keys given, in alphabet-major order, so a float
+        law sums in that order; symbols outside the alphabet go last, for
+        the weight's check to name.
+        """
+        alphabet = tuple(alphabet)
+        position = {a: k for k, a in enumerate(alphabet)}
+        tables = {0: {(a,): m for a, m in vertex.items()}}
+        for (a, b, i), m in edge.items():
+            if not 1 <= i <= rank:
                 raise WeightError(f"edge generator index {i} out of range")
-        for x in entries:
-            # written so that a NaN entry fails; the sums below are tested with >
-            if not -slack <= x <= 1 + slack:
-                raise WeightError(f"weight entry {x} outside [0, 1]")
-        total = sum(self.vertex_prob(a) for a in alphabet)
-        if abs(total - 1) > slack:
-            raise WeightError(f"vertex weights sum to {total}, not 1")
-        for i in range(1, self.rank + 1):
-            for a in alphabet:
-                row = sum(self.edge_prob(a, b, i) for b in alphabet)
-                col = sum(self.edge_prob(b, a, i) for b in alphabet)
-                va = self.vertex_prob(a)
-                if abs(row - va) > slack or abs(col - va) > slack:
-                    raise WeightError(
-                        f"balance fails at symbol {a!r}, generator {i}: "
-                        f"row {row}, col {col}, vertex {va}"
-                    )
-            # float rows may each miss by PROB_TOL; the edge law's entropy needs its total
-            total = sum(self.edge_prob(a, b, i) for a in alphabet for b in alphabet)
-            if abs(total - 1) > slack:
-                raise WeightError(f"generator {i} edge weights sum to {total}, not 1")
-        for (a, b, i), p in self.edge.items():
-            if p:
-                for c in (a, b):
-                    if not self.vertex_prob(c):
-                        raise WeightError(f"symbol {c!r} has zero vertex weight but a positive edge")
+            tables.setdefault(i, {})[a, b] = m
+        laws = []
+        for i in range(rank + 1):
+            table = tables.get(i, {})
+            order = sorted(table, key=lambda key: [position.get(a, len(position)) for a in key])
+            try:
+                laws.append(PatternDistribution(((), (i,)) if i else ((),), {key: table[key] for key in order}, total))
+            except InputError as exc:
+                raise WeightError(f"{f'generator {i} pair law' if i else 'vertex law'}: {exc}") from None
+        return cls(rank, alphabet, tuple(laws))
 
     def vertex_prob(self, a):
-        return self.vertex.get(a, 0)
+        return self.laws[0].probs.get((a,), 0)
 
     def edge_prob(self, a, b, i):
-        return self.edge.get((a, b, i), 0)
+        return self.laws[i].probs.get((a, b), 0)
 
     @cached_property
     def entropies(self) -> tuple[EntropyValue, ...]:
         """(H(vertex), H(edge_1), ..., H(edge_r)): entry i is the entropy of
         the generator-i pair law, so the tuple indexes by generator."""
-        alpha = self.alphabet
-        out = [shannon_entropy(self.vertex_prob(a) for a in alpha)]
-        for i in range(1, self.rank + 1):
-            out.append(shannon_entropy(self.edge_prob(a, b, i) for a in alpha for b in alpha))
-        return tuple(out)
+        return tuple(shannon_entropy(law) for law in self.laws)
 
     def to_json(self) -> dict:
+        vertex = self.laws[0]
         edges = [
-            {"from": a, "to": b, "gen": i, "p": write_prob(p)}
-            for (a, b, i), p in sorted(self.edge.items(), key=lambda kv: (kv[0][2], str(kv[0][0]), str(kv[0][1])))
+            {"from": a, "to": b, "gen": i, "p": write_prob(m, law.total)}
+            for i, law in enumerate(self.laws[1:], 1)
+            for (a, b), m in sorted(law.masses.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
         ]
         return {
             "rank": self.rank,
             "alphabet": list(self.alphabet),
-            "vertex": {str(a): write_prob(self.vertex_prob(a)) for a in self.alphabet},
+            "vertex": {str(a): write_prob(vertex.masses.get((a,), 0), vertex.total) for a in self.alphabet},
             "edge": edges,
         }
 
@@ -331,17 +332,24 @@ class Weight:
                 (e["from"], e["to"], as_int(e["gen"], "an edge's gen")): read_prob(e["p"])
                 for e in data["edge"]
             }
-            return cls(rank, alphabet, vertex, edge)
+            return cls.from_tables(rank, alphabet, vertex, edge)
         except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed weight json: {exc}") from exc
 
 
 def weight_distance(w1: Weight, w2: Weight):
-    """l1 distance over all edge entries (a, b, i)."""
+    """l1 distance over all edge entries (a, b, i), summed generator by
+    generator in alphabet-major order, so a float sum rounds alike in every
+    run."""
     if w1.alphabet != w2.alphabet or w1.rank != w2.rank:
         raise InputError("weight distance needs matching alphabet and rank")
-    keys = set(w1.edge) | set(w2.edge)
-    return sum(abs(w1.edge_prob(a, b, i) - w2.edge_prob(a, b, i)) for (a, b, i) in keys)
+    alpha = w1.alphabet
+    return sum(
+        abs(w1.edge_prob(a, b, i) - w2.edge_prob(a, b, i))
+        for i in range(1, w1.rank + 1)
+        for a in alpha
+        for b in alpha
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +381,7 @@ def marginal_distribution(w: Weight, window: Sequence[Word]) -> PatternDistribut
     shortlex order: the edge from g to its parent g[:-1] along generator i
     reads the pair (x(g[:-1]), x(g)) for a last letter +i and (x(g), x(g[:-1]))
     for -i, and contributes the conditional factor pair / W(x(g[:-1])).  An
-    exact weight's walk multiplies integer numerators and denominators.
+    exact weight's walk multiplies the laws' integer masses and totals.
     """
     window = sort_words(window)
     if () not in window:
@@ -384,6 +392,9 @@ def marginal_distribution(w: Weight, window: Sequence[Word]) -> PatternDistribut
         )
     edges = _tree_edges(window)
     exact = w.is_exact
+    tables = [law.masses if exact else law.probs for law in w.laws]
+    totals = [law.total for law in w.laws]
+    vertex = tables[0]
     probs: dict[tuple, tuple] = {}
     values: list = [None] * len(window)
 
@@ -394,22 +405,22 @@ def marginal_distribution(w: Weight, window: Sequence[Word]) -> PatternDistribut
             return
         parent, letter = edges[k - 1]
         a = values[parent]
-        vp = w.vertex_prob(a)
-        i = abs(letter)
+        vp, i = vertex[(a,)], abs(letter)
+        pairs = tables[i]
         for sym in w.alphabet:
-            pair = w.edge_prob(a, sym, i) if letter > 0 else w.edge_prob(sym, a, i)
+            pair = pairs.get((a, sym) if letter > 0 else (sym, a))
             if pair:
                 values[k] = sym
-                if exact:
-                    extend(k + 1, num * pair.numerator * vp.denominator, den * pair.denominator * vp.numerator)
+                if exact:  # pair / W(a) = (pair / T_i) / (W(a) / T_0) over the laws' totals T
+                    extend(k + 1, num * pair * totals[0], den * totals[i] * vp)
                 else:  # left to right: a float marginal rounds as (prob * pair) / W(a)
                     extend(k + 1, num * pair / vp, 1)
 
     for sym in w.alphabet:
-        v = w.vertex_prob(sym)
+        v = vertex.get((sym,))
         if v:
             values[0] = sym
-            extend(1, *(v.as_integer_ratio() if exact else (v, 1)))
+            extend(1, v, totals[0])
     if exact:
         return PatternDistribution(window, *over_lcm(probs))
     return PatternDistribution(window, {key: p for key, (p, _) in probs.items()})
@@ -541,12 +552,9 @@ def markovize(ctx: FreeGroupCtx, dist: PatternDistribution) -> Weight:
         for i, of in shifted_of:
             edge_key = (c, names[of(key)], i)
             edge[edge_key] = edge.get(edge_key, 0) + p
-    if dist.is_exact:
-        # integer sums over the one denominator, divided once per entry
-        vertex = {c: Fraction(m, dist.total) for c, m in vertex.items()}
-        edge = {e: Fraction(m, dist.total) for e, m in edge.items()}
     try:
-        return Weight(ctx.rank, alphabet, vertex, edge)
+        # an exact marginal's sums are integers over its one denominator
+        return Weight.from_tables(ctx.rank, alphabet, vertex, edge, dist.total)
     except WeightError as exc:
         raise InputError(f"marginals are not projection-consistent: {exc}") from exc
 
@@ -565,20 +573,16 @@ def _as_fraction_checked(x, q: int):
 
 
 def _try_exact_passthrough(w: Weight, q: int) -> Weight | None:
-    vertex = {}
-    edge = {}
-    for a in w.alphabet:
-        f = _as_fraction_checked(w.vertex_prob(a), q)
-        if f is None:
-            return None
-        vertex[a] = f
-    for key, p in w.edge.items():
-        f = _as_fraction_checked(p, q)
-        if f is None:
-            return None
-        edge[key] = f
+    vertex = {a: _as_fraction_checked(p, q) for (a,), p in w.laws[0].probs.items()}
+    edge = {
+        (a, b, i): _as_fraction_checked(p, q)
+        for i in range(1, w.rank + 1)
+        for (a, b), p in w.laws[i].probs.items()
+    }
+    if None in vertex.values() or None in edge.values():
+        return None
     try:
-        return Weight(w.rank, w.alphabet, vertex, edge)
+        return Weight.from_tables(w.rank, w.alphabet, vertex, edge)
     except WeightError:
         return None
 
@@ -589,10 +593,7 @@ def _round_vertex(w: Weight, n_total: int) -> dict:
     raw = {a: Fraction(w.vertex_prob(a)) for a in w.alphabet}
     floors = {a: int(raw[a] * n_total) for a in w.alphabet}
     assigned = sum(floors.values())
-    remainders = sorted(
-        w.alphabet,
-        key=lambda a: (-(raw[a] * n_total - floors[a]), str(a)),
-    )
+    remainders = sorted(w.alphabet, key=lambda a: (-(raw[a] * n_total - floors[a]), str(a)))
     out = dict(floors)
     k = 0
     while assigned < n_total:
@@ -614,13 +615,8 @@ def _integer_transport(w: Weight, i: int, counts: dict, n_total: int):
     paths; returns None with a certificate string when no such matrix exists.
     """
     alpha = list(w.alphabet)
-    support = {
-        (a, b) for a in alpha for b in alpha if w.edge_prob(a, b, i) > 0
-    }
-    mat = {}
-    for a, b in support:
-        frac = Fraction(w.edge_prob(a, b, i))
-        mat[(a, b)] = min(int(frac * n_total), counts[a], counts[b])
+    support = {(a, b): p for (a, b), p in w.laws[i].probs.items() if p > 0}
+    mat = {(a, b): min(int(Fraction(p) * n_total), counts[a], counts[b]) for (a, b), p in support.items()}
     # trim rows/columns that overflow their target (floors can exceed after min-clamps interplay)
     def row_sum(a):
         return sum(mat.get((a, b), 0) for b in alpha)
@@ -723,13 +719,8 @@ def rationalize_weight(w: Weight, q: int, support: SftSpec | None = None) -> Wei
         if failed:
             certificates.append(failed)
             continue
-        vertex = {a: Fraction(counts[a], n_total) for a in w.alphabet}
-        edge = {}
-        for i, mat in mats.items():
-            for (a, b), k in mat.items():
-                if k:
-                    edge[(a, b, i)] = Fraction(k, n_total)
-        return Weight(w.rank, w.alphabet, vertex, edge)
+        edge = {(a, b, i): k for i, mat in mats.items() for (a, b), k in mat.items() if k}
+        return Weight.from_tables(w.rank, w.alphabet, counts, edge, n_total)
     raise ConstructionError(
         "no balanced rational rounding exists at denominators "
         f"{max(1, q - n_tries + 1)}..{q}; certificates: " + "; ".join(certificates)

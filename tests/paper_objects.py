@@ -191,6 +191,12 @@ def apply_block_code(
 # ---------------------------------------------------------------------------
 
 
+def one_site_law(probs: Iterable) -> PatternDistribution:
+    """The law on the one-word window ((),) giving the k-th probability to
+    the k-th symbol, as ``shannon_entropy`` takes it."""
+    return PatternDistribution(((),), {(k,): p for k, p in enumerate(probs)})
+
+
 def bernoulli_weight(base: Mapping, rank: int) -> Weight:
     """Product weight: vertex = base, edge(a,b;i) = base(a) * base(b)."""
     for p in base.values():
@@ -206,7 +212,7 @@ def bernoulli_weight(base: Mapping, rank: int) -> Weight:
         for b in alphabet
         for i in range(1, rank + 1)
     }
-    return Weight(rank, alphabet, dict(base), edge)
+    return Weight.from_tables(rank, alphabet, dict(base), edge)
 
 
 def window_structure(window: Sequence[Word], rank: int):

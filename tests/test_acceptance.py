@@ -52,6 +52,7 @@ from paper_objects import (
     encode_E,
     join_code,
     nn_spec,
+    one_site_law,
     realized_displacement,
     restrict,
     shift_pattern,
@@ -100,7 +101,7 @@ def test_criterion_01_bernoulli_invariant(tmp_path):
         base = {f"s{k}": Fraction(x, total) for k, x in enumerate(raw)}
         wb = bernoulli_weight(base, 2)
         value = F_value(CTX, wb, 0)
-        ok &= value.is_exact and value == shannon_entropy(base.values())
+        ok &= value.is_exact and value == shannon_entropy(one_site_law(base.values()))
     assert report(1, "bernoulli invariant", ok, t0, 1.0)
 
 
@@ -421,7 +422,7 @@ def test_criterion_09_restricted_count_coherence():
 
     w = bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2)
     target1 = marginal_distribution(w, CTX.ball(1))
-    diag = Weight(
+    diag = Weight.from_tables(
         2,
         ("0", "1"),
         {"0": Fraction(1, 2), "1": Fraction(1, 2)},

@@ -134,8 +134,8 @@ class TestFExact:
     # 1 + 10^-14, which a rational weight may not miss by; json reads NaN,
     # which once passed every test and f-exact printed a value for it.
     OFF_WEIGHTS = {
-        "rational_off_by_1e-14": ({"num": 5 * 10**13 + 1, "den": 10**14}, "vertex weights sum to"),
-        "nan": (float("nan"), "outside [0, 1]"),
+        "rational_off_by_1e-14": ({"num": 5 * 10**13 + 1, "den": 10**14}, "vertex law: probabilities sum to"),
+        "nan": (float("nan"), "vertex law: probabilities sum to nan"),
     }
 
     @pytest.mark.parametrize("command", [["f-exact"], ["weight-tools", "validate"]])
@@ -173,6 +173,14 @@ class TestFExact:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"weight": half_weight_file, "rho_max": 9}))
         assert main(["f-exact", "--config", str(cfg)]) == 3
+
+    def test_negative_rho_max_exits_2(self, half_weight_file, tmp_path, capsys):
+        # once printed an empty constancy table and exited 1, the code of a
+        # verification failure
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weight": half_weight_file, "rho_max": -1}))
+        assert main(["f-exact", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", "input error: rho_max must be >= 0, got -1\n")
 
 
 class TestFEstimate:
@@ -218,14 +226,11 @@ class TestFEstimate:
     def test_thread_count_does_not_change_bytes(self, half_weight_file, tmp_path):
         cfg = self._config(tmp_path, half_weight_file)
         outs = []
-        for threads, name in ((1, "a.csv"), (4, "b.csv")):
-            out = tmp_path / name
-            assert (
-                main(["f-estimate", "--config", cfg, "--threads", str(threads), "--out", str(out)])
-                == 0
-            )
+        for threads in ([], ["--threads", "1"], ["--threads", "2"], ["--threads", "4"]):
+            out = tmp_path / "out.csv"
+            assert main(["f-estimate", "--config", cfg, *threads, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert len(set(outs)) == 1
 
     def test_trivial_sft_restriction_identical_csv(self, half_weight_file, tmp_path):
         plain = self._config(tmp_path, half_weight_file)
@@ -851,7 +856,8 @@ class TestWeightTools:
         data["vertex"]["0"] = {"num": 10**400, "den": 1}
         (tmp_path / "huge.json").write_text(json.dumps(data))
         assert main(["weight-tools", "validate", "--weight", str(tmp_path / "huge.json")]) == 2
-        assert capsys.readouterr().err == f"input error: weight entry {10**400} outside [0, 1]\n"
+        total = f"{2 * 10**400 + 1}/2"
+        assert capsys.readouterr().err == f"input error: vertex law: probabilities sum to {total}, not 1\n"
 
     def test_markovize_an_entry_beyond_float_range_exits_2(self, tmp_path, capsys):
         # crashed the same way while the message formatted the total
@@ -893,6 +899,29 @@ class TestWeightTools:
         )
         out = capsys.readouterr().out
         assert out.startswith("distance: ")
+
+    def test_distance_lines_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # string hashes are salted per process; the l1 sum once ran in the
+        # order of a set of keys, and this weight's distance read
+        # 1.23121702973811 under PYTHONHASHSEED 0 and ...812 under 1 and 2
+        w = reversible_weight(2, tuple(str(k) for k in range(8)), random.Random(4))
+        (tmp_path / "w.json").write_text(json.dumps(w.to_json()))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        commands = [
+            ["weight-tools", "rationalize", "--weight", "w.json", "--q", "50", "--out", "r.json"],
+            ["weight-tools", "distance", "--weight", "w.json", "--weight2", "r.json"],
+        ]
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            runs = [
+                subprocess.run([sys.executable, "-m", "finvariant.cli", *argv], cwd=tmp_path, env=env,
+                               capture_output=True, text=True, timeout=60)
+                for argv in commands
+            ]
+            assert [run.returncode for run in runs] == [0, 0]
+            outputs.add(tuple(run.stdout for run in runs) + ((tmp_path / "r.json").read_text(),))
+        assert len(outputs) == 1
 
     def test_rationalize(self, tmp_path, capsys):
         a = 1 / math.sqrt(2)
@@ -987,7 +1016,7 @@ class TestWeightTools:
         edge = {}
         for i in (1, 2):
             edge.update({("0", "0", i): third, ("0", "1", i): third, ("1", "0", i): third})
-        w = Weight(2, ("0", "1"), {"0": 2 * third, "1": third}, edge)
+        w = Weight.from_tables(2, ("0", "1"), {"0": 2 * third, "1": third}, edge)
         weight_path = tmp_path / "golden.json"
         weight_path.write_text(json.dumps(w.to_json()))
         data = marginal_distribution(w, CTX.ball(2)).to_json(CTX)
@@ -1005,6 +1034,43 @@ class TestWeightTools:
             "reference_f_nats: 0.287682072451781\n"
             "f_delta: 0\n"
         )
+
+
+class TestFlags:
+    """Each subcommand takes only the flags it reads."""
+
+    FLAGS = {
+        "f-exact": {"--config", "--weight", "--out"},
+        "f-estimate": {"--config", "--seed", "--threads", "--cap-exact", "--cap-labels", "--out"},
+        "rearrange": {"--config", "--seed", "--out"},
+        "sft-verify": {"--config", "--seed", "--out"},
+        "ball": {"--rank", "--radius", "--out"},
+        "weight-tools": {"action", "--weight", "--weight2", "--q", "--sft", "--marginals", "--out"},
+    }
+    # a complete command line for each, which parses before any file is read
+    ARGV = {
+        "f-exact": ["f-exact", "--weight", "w.json"],
+        "rearrange": ["rearrange", "--config", "c.json"],
+        "sft-verify": ["sft-verify", "--config", "c.json"],
+        "ball": ["ball", "--radius", "1"],
+        "weight-tools": ["weight-tools", "validate", "--weight", "w.json"],
+    }
+    SHARED = {"--config", "--seed", "--threads", "--cap-exact", "--cap-labels", "--out"}
+
+    def test_each_command_has_its_flags(self):
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+        for name, parser in commands.items():
+            names = {a.option_strings[0] if a.option_strings else a.dest for a in parser._actions}
+            assert names - {"-h"} == self.FLAGS[name], name
+        assert sum(len(flags) for flags in self.FLAGS.values()) == 25
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_a_flag_the_command_does_not_read_exits_2(self, capsys, command):
+        for flag in sorted(self.SHARED - self.FLAGS[command]):
+            with pytest.raises(SystemExit) as exc:
+                main(self.ARGV[command] + [flag, "1"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestMalformedJsonShapes:

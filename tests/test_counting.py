@@ -202,7 +202,7 @@ def brute_count(ctx, action, alphabet, nbhd):
 
 SKEWED = marginal_distribution(
     # a Markov weight with correlated generator-1 edges: uneven target masses
-    Weight(
+    Weight.from_tables(
         2,
         ("0", "1"),
         {"0": Fraction(1, 2), "1": Fraction(1, 2)},
@@ -309,7 +309,7 @@ class TestExactStatistics:
     def test_y_restriction_never_changes_exact_counts(self):
         # a weight vanishing off the gen-1 diagonal: labelings with exact edge
         # statistics automatically satisfy the support constraints
-        w = Weight(
+        w = Weight.from_tables(
             2,
             ("0", "1"),
             {"0": Fraction(1, 2), "1": Fraction(1, 2)},
@@ -338,7 +338,7 @@ class TestExactStatistics:
         assert hits > 0  # the check must not be vacuous
 
     def test_window_mode_exact_also_invariant(self):
-        w = Weight(
+        w = Weight.from_tables(
             2,
             ("0", "1"),
             {"0": Fraction(1, 2), "1": Fraction(1, 2)},
@@ -490,7 +490,7 @@ def integer_markov_weight(rank, symbols, rng, points):
         perm = rng.sample(range(points), points)
         for v in range(points):
             edge[(labels[v], labels[perm[v]], i)] += Fraction(1, points)
-    return Weight(rank, tuple(symbols), {a: Fraction(c, points) for a, c in zip(symbols, m)}, edge)
+    return Weight.from_tables(rank, tuple(symbols), {a: Fraction(c, points) for a, c in zip(symbols, m)}, edge)
 
 
 def random_by_type_case(seed):
@@ -590,7 +590,7 @@ class TestExactByType:
         symbols = ("0", "1", "2")
         perms = [(0, 1, 2), (1, 2, 0), (1, 0, 2)]
         edge = {(symbols[a], symbols[p[a]], i): Fraction(1, 3) for i, p in enumerate(perms, 1) for a in range(3)}
-        w = Weight(3, symbols, {a: Fraction(1, 3) for a in symbols}, edge)
+        w = Weight.from_tables(3, symbols, {a: Fraction(1, 3) for a in symbols}, edge)
         ctx = FreeGroupCtx(3)
         assert F_value(ctx, w, 0) == EntropyValue.exact({3: -2})
         caps = Caps(exact_actions=math.factorial(636) ** 3, labelings=3**636)

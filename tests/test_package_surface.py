@@ -185,7 +185,7 @@ def test_the_benchmark_hooks_find_what_they_wrap():
 
     # an exact golden-mean weight: no "1" next to "1" along either generator
     edge = {(a, b, i): Fraction(p, 5) for i in (1, 2) for a, b, p in (("0", "0", 1), ("0", "1", 2), ("1", "0", 2))}
-    w = Weight(2, ("0", "1"), {"0": Fraction(3, 5), "1": Fraction(2, 5)}, edge)
+    w = Weight.from_tables(2, ("0", "1"), {"0": Fraction(3, 5), "1": Fraction(2, 5)}, edge)
     ctx = FreeGroupCtx(2)
     tracer = spans.Tracer()
     undo = spans.install(tracer, finvariant)

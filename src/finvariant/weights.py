@@ -35,9 +35,8 @@ from .freegroup import FreeGroupCtx, Word, mul, sort_words
 from .sft import SftSpec
 from .shift import PROB_TOL, PatternDistribution, items_at, over_lcm, read_prob, write_prob
 
-# patterns marginal_distribution may enumerate, and cells F_value may read
+# patterns marginal_distribution may enumerate
 PATTERN_CAP = 1 << 22
-CELL_CAP = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +247,11 @@ class Weight:
             raise WeightError("weight rank must be >= 1")
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise WeightError("alphabet must be nonempty with distinct symbols")
+        # to_json keys the vertex law by str(a), so two symbols may not share it
+        names: dict[str, object] = {}
+        for a in self.alphabet:
+            if names.setdefault(str(a), a) is not a:
+                raise WeightError(f"symbols {names[str(a)]!r} and {a!r} both write as {str(a)!r}")
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "laws", tuple(self.laws))
         windows = (((), (i,)) if i else ((),) for i in range(self.rank + 1))
@@ -326,8 +330,12 @@ class Weight:
     def from_json(cls, data: dict) -> "Weight":
         try:
             rank = as_int(data["rank"], "rank")
+            if not isinstance(data["alphabet"], list):
+                raise InputError(f"a weight's alphabet must be a json list, got {data['alphabet']!r}")
             alphabet = tuple(data["alphabet"])
-            vertex = {a: read_prob(p) for a, p in data["vertex"].items()}
+            # vertex keys are json strings: each names the symbol it is the str of
+            symbol = {str(a): a for a in alphabet}
+            vertex = {symbol.get(a, a): read_prob(p) for a, p in data["vertex"].items()}
             edge = {
                 (e["from"], e["to"], as_int(e["gen"], "an edge's gen")): read_prob(e["p"])
                 for e in data["edge"]
@@ -431,50 +439,18 @@ def marginal_distribution(w: Weight, window: Sequence[Word]) -> PatternDistribut
 # ---------------------------------------------------------------------------
 
 
-def _window_coefficients(window: Sequence[Word], rank: int) -> list[int]:
-    """Integers c with H(marginal on the window) = sum_j c_j entropies[j],
-    over ``Weight.entropies`` = (H(vertex), H(edge_1), ..., H(edge_r)).
+def F_value(w: Weight) -> EntropyValue:
+    """The invariant of the weight's Markov measure,
+    (1 - 2r) H(vertex) + sum_i H(edge_i).
 
-    The marginal is a tree-indexed chain: the identity contributes
-    H(vertex), and each further word g contributes the entropy of its
-    one-step conditional, H(edge_i) - H(vertex) with i = |last letter of g|.
-    This is an exact identity for the weight's measure, which the test suite
-    checks against the entropy of the enumerated marginal.
+    This is the functional (1 - 2r) H(B_k) + sum_i H(B_k union s_i B_k) at
+    every join radius k: by the tree chain rule each window entropy is
+    H(vertex) plus H(edge_i) - H(vertex) per word whose last letter is
+    +-s_i, and the ball counts cancel.  The coefficients are combined once
+    with ``Weight.entropies``: a prime-log combination for an exact weight,
+    a float dot product otherwise.
     """
-    c = [1] + [0] * rank
-    for _, letter in _tree_edges(sort_words(window)):
-        c[0] -= 1
-        c[abs(letter)] += 1
-    return c
-
-
-def _F_coefficients(ctx: FreeGroupCtx, join_radius: int) -> tuple[int, ...]:
-    """(1 - 2r) c(B) + sum_i c(B union s_i B) for the ball B of the join
-    radius, with c as in ``_window_coefficients``; it depends on the group
-    alone."""
-    ball = ctx.ball(join_radius)
-    if len(ball) > CELL_CAP:
-        raise ResourceCapError(f"ball of radius {join_radius} has {len(ball)} cells, cap {CELL_CAP}")
-    r = ctx.rank
-    total = [(1 - 2 * r) * c for c in _window_coefficients(ball, r)]
-    for i in range(1, r + 1):
-        union = set(ball)
-        union.update(mul((i,), g) for g in ball)
-        total = [t + c for t, c in zip(total, _window_coefficients(union, r))]
-    return tuple(total)
-
-
-def F_value(ctx: FreeGroupCtx, w: Weight, join_radius: int) -> EntropyValue:
-    """(1 - 2r) H(ball marginal) + sum_i H(marginal on ball, union s_i ball).
-
-    ``join_radius`` 0 evaluates the functional on the single-site observable,
-    which is the invariant of the weight's Markov measure.  Its coefficient
-    vector is combined once with the weight's entropies: a prime-log
-    combination for an exact weight, a float dot product otherwise.
-    """
-    if ctx.rank != w.rank:
-        raise InputError("context and weight rank differ")
-    terms = list(zip(_F_coefficients(ctx, join_radius), w.entropies))
+    terms = list(zip((1 - 2 * w.rank,) + (1,) * w.rank, w.entropies))
     if not w.is_exact:
         return EntropyValue(sum(c * h.value for c, h in terms))
     combo: dict[int, Fraction] = {}
@@ -482,25 +458,6 @@ def F_value(ctx: FreeGroupCtx, w: Weight, join_radius: int) -> EntropyValue:
         for p, x in h.combo.items():
             combo[p] = combo.get(p, 0) + c * x
     return EntropyValue.exact(combo)
-
-
-@dataclass(frozen=True)
-class ConstancyReport:
-    rows: tuple[tuple[int, float, float], ...]  # (radius, value, delta vs radius 0)
-    ok: bool  # every radius's coefficient vector equals radius 0's
-
-
-def constancy_check(ctx: FreeGroupCtx, w: Weight, rho_max: int) -> ConstancyReport:
-    """The functional of a Markov weight does not depend on the join radius,
-    because its integer coefficient vector does not; a vector that differs
-    from radius 0's signals a wrong count of window edges."""
-    base = float(F_value(ctx, w, 0))
-    rows = []
-    for rho in range(rho_max + 1):
-        value = float(F_value(ctx, w, rho))
-        rows.append((rho, value, value - base))
-    vectors = {_F_coefficients(ctx, rho) for rho in range(rho_max + 1)}
-    return ConstancyReport(tuple(rows), len(vectors) == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ theta/upsilon actions with the edge-label encoding E (criterion 08), block
 codes and the join observable (criterion 09), empirical distributions and
 the l1 and pair-marginal distances that the brute-force counting oracle
 uses, Bernoulli product weights, tree-factorized pattern probabilities
-over a breadth-first spanning tree, nearest-neighbor constraint systems
+over a breadth-first spanning tree, the tree chain rule's integer
+coefficients of a window entropy and of the functional, the functional of
+a Markov field twisted by an automorphism, nearest-neighbor constraint systems
 with the per-vertex forbidden-pattern oracle, the depth-first telescope
 walk, past windows, automorphism tables and the collision-scan automorphism check,
 pattern restriction, label transport through an orbit map and the orbit-map
@@ -28,7 +30,7 @@ from finvariant.freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul, sort_wo
 from finvariant.orbitmaps import Automorphism, LocalBijection, zrho_pullbacks
 from finvariant.sft import SftSpec, _bfs, symbol_entry
 from finvariant.shift import PROB_TOL, Pattern, PatternDistribution, window_columns
-from finvariant.weights import Weight
+from finvariant.weights import EntropyValue, Weight, _tree_edges, marginal_distribution, shannon_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +276,69 @@ def pattern_probability(w: Weight, pattern: Pattern):
             pair = w.edge_prob(values[child], values[parent], i)
         prob = prob * pair / vp
     return prob
+
+
+def linear_combination(terms) -> EntropyValue:
+    """sum c h over (integer c, EntropyValue h): a prime-log combination
+    when every h is exact, a float otherwise."""
+    if all(h.is_exact for _, h in terms):
+        combo: dict[int, Fraction] = {}
+        for c, h in terms:
+            for p, x in h.combo.items():
+                combo[p] = combo.get(p, 0) + c * x
+        return EntropyValue.exact(combo)
+    return EntropyValue(sum(c * float(h) for c, h in terms))
+
+
+def window_coefficients(window: Sequence[Word], rank: int) -> list[int]:
+    """Integers c with H(marginal on the window) = sum_j c_j entropies[j],
+    over ``Weight.entropies`` = (H(vertex), H(edge_1), ..., H(edge_r)).
+
+    The marginal is a tree-indexed chain: the identity contributes
+    H(vertex), and each further word g contributes the entropy of its
+    one-step conditional, H(edge_i) - H(vertex) with i = |last letter of g|.
+    """
+    c = [1] + [0] * rank
+    for _, letter in _tree_edges(sort_words(window)):
+        c[0] -= 1
+        c[abs(letter)] += 1
+    return c
+
+
+def F_coefficients(ctx: FreeGroupCtx, k: int) -> tuple[int, ...]:
+    """(1 - 2r) c(B_k) + sum_i c(B_k union s_i B_k) for the ball B_k of the
+    join radius k, with c as in ``window_coefficients``: the chain rule's
+    account of the functional, which ``F_value`` takes to be (1 - 2r, 1, ..., 1)."""
+    ball = ctx.ball(k)
+    r = ctx.rank
+    total = [(1 - 2 * r) * c for c in window_coefficients(ball, r)]
+    for i in range(1, r + 1):
+        union = set(ball) | {mul((i,), g) for g in ball}
+        total = [t + c for t, c in zip(total, window_coefficients(union, r))]
+    return tuple(total)
+
+
+def twisted_F(ctx: FreeGroupCtx, w: Weight, auto: Automorphism, k: int) -> EntropyValue:
+    """F_k of the field y(g) = x(phi(g)), with x drawn from the weight's
+    Markov measure and phi the automorphism: (1 - 2r) H(y on B_k) +
+    sum_i H(y on B_k union s_i B_k).  Exact for an exact weight.
+
+    The field y is x seen through an orbit change of bounded displacement,
+    so its invariant is the weight's.  The law of y on a window W is that of
+    x on phi(W): the marginal on the prefix hull of phi(W), the least
+    connected window holding it, projected onto phi(W).
+    """
+
+    def entropy(window) -> EntropyValue:
+        image = [auto.apply(g) for g in window]
+        hull = {g[:j] for g in image for j in range(len(g) + 1)}
+        return shannon_entropy(marginal_distribution(w, hull).project(image))
+
+    ball = ctx.ball(k)
+    terms = [(1 - 2 * ctx.rank, entropy(ball))]
+    for i in range(1, ctx.rank + 1):
+        terms.append((1, entropy(set(ball) | {mul((i,), g) for g in ball})))
+    return linear_combination(terms)
 
 
 # ---------------------------------------------------------------------------

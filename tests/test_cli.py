@@ -183,6 +183,32 @@ class TestFExact:
         assert capsys.readouterr() == ("", "input error: rho_max must be >= 0, got -1\n")
 
 
+class TestSymbolAlphabets:
+    """A weight's vertex keys are the str forms of its symbols."""
+
+    def test_integer_symbols_read_back(self, tmp_path, capsys):
+        # the vertex keys "0" and "1" once named no symbol of [0, 1]
+        w = bernoulli_weight({0: Fraction(1, 2), 1: Fraction(1, 2)}, 2)
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(w.to_json()))
+        assert main(["weight-tools", "validate", "--weight", str(path)]) == 0
+        assert "weight: valid (2 symbols, rank 2, exact=yes)" in capsys.readouterr().out
+        assert main(["f-exact", "--weight", str(path)]) == 0
+        assert "f_nats: 0.693147180559945" in capsys.readouterr().out.splitlines()
+
+    def test_symbols_that_write_alike_exit_2(self, tmp_path, capsys):
+        data = {
+            "rank": 1,
+            "alphabet": [0, "0"],
+            "vertex": {"0": 1},
+            "edge": [{"from": "0", "to": "0", "gen": 1, "p": 1}],
+        }
+        path = tmp_path / "alike.json"
+        path.write_text(json.dumps(data))
+        assert main(["weight-tools", "validate", "--weight", str(path)]) == 2
+        assert capsys.readouterr().err == "input error: symbols 0 and '0' both write as '0'\n"
+
+
 class TestFEstimate:
     def _config(self, tmp_path, weight_file, **overrides):
         cfg = {
@@ -1086,6 +1112,8 @@ class TestMalformedJsonShapes:
     CASES = {
         "weight_vertex_list": (VALIDATE, {"w.json": {"vertex": []}}),
         "weight_alphabet_holds_a_list": (VALIDATE, {"w.json": {"alphabet": [["0"], "1"]}}),
+        # a string once read as the list of its characters
+        "weight_alphabet_a_string": (VALIDATE, {"w.json": {"alphabet": "01"}}),
         "marginals_rank_not_an_integer": (MARKOVIZE, {"m.json": {**MARGINALS, "rank": "x"}}),
         "marginals_radius_not_an_integer": (MARKOVIZE, {"m.json": {**MARGINALS, "window_radius": "x"}}),
         "marginals_array_markovize": (MARKOVIZE, {"m.json": []}),
@@ -1101,6 +1129,10 @@ class TestMalformedJsonShapes:
         "sft_alphabet_holds_a_list": (
             ["f-estimate", "--config", "c.json"],
             {"c.json": {**ESTIMATE, "weight": "w.json", "sft": {"alphabet": [["0"], "1"], "forbidden": []}}},
+        ),
+        "sft_alphabet_a_string": (
+            ["f-estimate", "--config", "c.json"],
+            {"c.json": {**ESTIMATE, "weight": "w.json", "sft": {"alphabet": "01", "forbidden": []}}},
         ),
         "sft_forbidden_value_a_list": (
             ["f-estimate", "--config", "c.json"],

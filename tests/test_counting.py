@@ -592,7 +592,7 @@ class TestExactByType:
         edge = {(symbols[a], symbols[p[a]], i): Fraction(1, 3) for i, p in enumerate(perms, 1) for a in range(3)}
         w = Weight.from_tables(3, symbols, {a: Fraction(1, 3) for a in symbols}, edge)
         ctx = FreeGroupCtx(3)
-        assert F_value(ctx, w, 0) == EntropyValue.exact({3: -2})
+        assert F_value(w) == EntropyValue.exact({3: -2})
         caps = Caps(exact_actions=math.factorial(636) ** 3, labelings=3**636)
         t0 = time.perf_counter()
         with pytest.raises(ResourceCapError, match="n=636"):
@@ -664,7 +664,7 @@ class TestCountingMeetsFValue:
         rng = random.Random(1000 + seed)
         q, points = 2 + seed // 3 % 2, rng.randint(3, 8)
         w = integer_markov_weight(1 + seed % 3, TERNARY[:q], rng, points)
-        f = float(F_value(FreeGroupCtx(w.rank), w, 0))
+        f = float(F_value(w))
         # the mean must be a normal float: it is at most |A|^n, and ln E is
         # n F up to O(ln n), with F < 0 for strongly correlated edges
         top = int(min(699 / math.log(q), 600 / max(-f, 1e-9))) // points * points

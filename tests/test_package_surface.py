@@ -14,7 +14,8 @@ Every name a module imports must also be read in that module, so that a
 deletion leaves no import behind.  The JSON keys ``"num"`` and ``"den"`` of
 an exact probability appear in one module only, the one that holds its
 reader and writer.  The functions ``perfbench/spans.py`` wraps by name
-must stay where it looks for them.
+must stay where it looks for them, and README's library table may name only
+modules and attributes that exist.
 """
 
 import ast
@@ -28,6 +29,7 @@ from fractions import Fraction
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "finvariant"
 BENCH = ROOT / "perfbench"
+README = ROOT / "README.md"
 
 
 def _names_read(tree: ast.AST) -> Counter:
@@ -103,6 +105,27 @@ def modules_naming_rational_keys(package: pathlib.Path = PACKAGE) -> list:
         for name, tree in _modules(package).items()
         if any(isinstance(node, ast.Constant) and node.value in ("num", "den") for node in ast.walk(tree))
     ]
+
+
+def stale_readme_names(text: str) -> list:
+    """The backticked names in the "Library layout" table of a README text
+    that name nothing: a ``finvariant`` or ``finvariant.x`` token must be the
+    package or one of its modules, and any other Python identifier an
+    attribute of one of them.  Tokens that are not identifiers pass."""
+    table = text[text.index("## Library layout") :].split("\n## ")[0]
+    names = {"finvariant": importlib.import_module("finvariant")}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            names[f"finvariant.{path.stem}"] = importlib.import_module(f"finvariant.{path.stem}")
+    stale = []
+    for line in table.splitlines():
+        for token in re.findall(r"`([^`]+)`", line) if line.startswith("|") else ():
+            if token.split(".")[0] == "finvariant":
+                if token not in names:
+                    stale.append(token)
+            elif token.isidentifier() and not any(hasattr(module, token) for module in names.values()):
+                stale.append(token)
+    return stale
 
 
 def _copy_package(tmp_path: pathlib.Path) -> None:
@@ -202,3 +225,15 @@ def test_the_benchmark_hooks_find_what_they_wrap():
     for name in ("shift.PatternDistribution.from_json.s", "shift.PatternDistribution.to_json.s",
                  "weights.marginal_distribution.patterns_per_s", "weights.markovize.s"):
         assert metrics[name] > 0, name
+
+
+def test_the_readme_table_names_what_exists():
+    assert stale_readme_names(README.read_text(encoding="utf-8")) == []
+
+
+def test_the_readme_check_sees_a_stale_name():
+    text = README.read_text(encoding="utf-8")
+    row = "| `finvariant.cli`         | the `finvariant` command |"
+    assert text.count(row) == 1
+    planted = text.replace(row, "| `finvariant.clu` | the `finvariant` command and `constancy_check` |")
+    assert stale_readme_names(planted) == ["finvariant.clu", "constancy_check"]

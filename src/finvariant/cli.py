@@ -62,8 +62,6 @@ MAX_CLI_RHO = 2
 
 
 def _fmt(x) -> str:
-    if x == float("-inf"):
-        return "-inf"
     return f"{float(x):.15g}"
 
 

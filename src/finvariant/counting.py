@@ -73,56 +73,51 @@ def _denominator_lcm(targets: Sequence[PatternDistribution]) -> int:
     return math.lcm(*(t.total * m.as_integer_ratio()[1] for t in targets for m in t.masses.values()))
 
 
-def _kernel_setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood):
-    """What ``count_omega`` needs beyond the action, fixed by (rank, n,
-    alphabet), or None when no labeling can count (an empty alphabet, or
+def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, caps: Caps):
+    """The neighborhood in integers at (rank, n, alphabet), built once after
+    the |A|^n cap, or None when no labeling can count (an empty alphabet, or
     exact statistics some n t misses).
 
     Every statistic's target is scaled by d, the lcm of its denominators (a
     float is read as the exact dyadic rational it is), so T = n d t is an
     integer.  Returns each statistic's window and offset into one flat code
-    space, c d - T per code for the first labeling (all n keys on code 0),
-    that labeling's distance, d and the integer membership limit.  The code
-    space is a dict of the codes labelings reach: the target lists only some
-    of them, and a wide window has too many to list.
+    space, T per code of a key inside the alphabet, the T summed over the keys
+    outside it (no labeling shows them, so they always count in full), d and
+    the integer membership limit.  T is a dict of the codes the target lists:
+    a wide window has too many codes to list them all.
     """
-    targets = _statistic_targets(ctx, nbhd)
-    d = _denominator_lcm(targets)
-    eps = nbhd.epsilon
-    if not alphabet or (eps == 0 and n % d):
-        return None
-    if nbhd.target.is_exact and isinstance(eps, (int, Fraction)):
-        limit = math.floor(eps * n * d)
-    else:
-        # in integers: n d outgrows a float for a tiny float target
-        limit = math.floor(Fraction(float(eps) + PROB_TOL) * n * d)
-    q = len(alphabet)
-    index = {a: k for k, a in enumerate(alphabet)}
-    groups, gap, unseen, offset = [], {}, 0, 0
-    for t in targets:
-        for key, m in t.masses.items():
-            num, den = m.as_integer_ratio()
-            scaled = num * (n * d // (den * t.total))
-            if all(a in index for a in key):
-                gap[offset + sum(index[a] * q**j for j, a in enumerate(key))] = -scaled
-            else:
-                unseen += scaled  # no labeling shows this key: always a distance T
-        gap[offset] = gap.get(offset, 0) + n * d
-        groups.append((t.window, offset))
-        offset += q ** len(t.window)
-    start = unseen + sum(map(abs, gap.values()))
-    return groups, defaultdict(int, gap), start, d, limit
-
-
-def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, caps: Caps):
-    """``_kernel_setup``, built once per (rank, n, alphabet), after the |A|^n cap."""
     total = len(alphabet) ** n
     if total > caps.labelings:
         raise ResourceCapError(f"|A|^n = {total} labelings exceed cap {caps.labelings}")
-    key = (ctx.rank, n, tuple(alphabet))
-    if key not in nbhd._setups:
-        nbhd._setups[key] = _kernel_setup(ctx, n, alphabet, nbhd)
-    return nbhd._setups[key]
+    at = (ctx.rank, n, tuple(alphabet))
+    if at in nbhd._setups:
+        return nbhd._setups[at]
+    targets = _statistic_targets(ctx, nbhd)
+    d = _denominator_lcm(targets)
+    eps = nbhd.epsilon
+    setup = None
+    if alphabet and not (eps == 0 and n % d):
+        if nbhd.target.is_exact and isinstance(eps, (int, Fraction)):
+            limit = math.floor(eps * n * d)
+        else:
+            # in integers: n d outgrows a float for a tiny float target
+            limit = math.floor(Fraction(float(eps) + PROB_TOL) * n * d)
+        q = len(alphabet)
+        index = {a: k for k, a in enumerate(alphabet)}
+        groups, target, unseen, offset = [], {}, 0, 0
+        for t in targets:
+            for key, m in t.masses.items():
+                num, den = m.as_integer_ratio()
+                scaled = num * (n * d // (den * t.total))
+                if all(a in index for a in key):
+                    target[offset + sum(index[a] * q**j for j, a in enumerate(key))] = scaled
+                else:
+                    unseen += scaled
+            groups.append((t.window, offset))
+            offset += q ** len(t.window)
+        setup = groups, target, unseen, d, limit
+    nbhd._setups[at] = setup
+    return setup
 
 
 def count_omega(
@@ -149,15 +144,19 @@ def count_omega(
     setup = _setup(ctx, n, alphabet, nbhd, caps)
     if setup is None:
         return 0
-    groups, gap, dist, d, limit = setup
-    gap = gap.copy()  # c d - T per code
+    groups, target, unseen, d, limit = setup
+    # c d - T per code, for the first labeling: all n keys on each statistic's code 0
+    gap = defaultdict(int, {c: -t for c, t in target.items()})
+    for _, offset in groups:
+        gap[offset] += n * d
+    dist = unseen + sum(map(abs, gap.values()))
     q = len(alphabet)
     code = []  # per (group, vertex): the code of the vertex's key
     # per vertex u: (key index, digit weight) for each column holding u
     moves = [[] for _ in range(n)]
     for g, (window, offset) in enumerate(groups):
         code.extend([offset] * n)
-        for j, col in enumerate(window_columns(ctx, action, window)):
+        for j, col in enumerate(window_columns(action, window)):
             for v, u in enumerate(col):
                 moves[u].append((g * n + v, q**j))
 
@@ -170,7 +169,7 @@ def count_omega(
     spec = nbhd.sft
     count = 0
     while True:
-        if dist <= limit and (spec is None or sft_check_all(ctx, spec, action, labels)):
+        if dist <= limit and (spec is None or sft_check_all(spec, action, labels)):
             count += 1
         u = focus[0]
         focus[0] = 0
@@ -244,15 +243,13 @@ def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighbor
     setup = _setup(ctx, n, alphabet, nbhd, caps)
     if setup is None:
         return 0
-    groups, gap, start, d, limit = setup
+    groups, target, unseen, d, limit = setup
+    limit -= unseen  # the keys outside the alphabet always count in full
     q, index = len(alphabet), {a: j for j, a in enumerate(alphabet)}
-    # T per code as _kernel_setup scaled it; the unseen mass always counts
-    target = {c: n * d * (c == o) - gap.get(c, 0) for w, o in groups for c in range(o, o + q ** len(w))}
-    limit -= start - sum(map(abs, gap.values()))
-    cells = {w[1][0]: [[target[o + a + q * b] for b in range(q)] for a in range(q)]
+    cells = {w[1][0]: [[target.get(o + a + q * b, 0) for b in range(q)] for a in range(q)]
              for w, o in groups if len(w) == 2}
     # T summed per vertex symbol: the radius-0 statistic (key 0), each table's row sums
-    rows = {i: list(map(sum, t)) for i, t in cells.items()} if cells else {0: [target[a] for a in range(q)]}
+    rows = {i: list(map(sum, t)) for i, t in cells.items()} if cells else {0: [target.get(a, 0) for a in range(q)]}
     bans = [{(index.get(a), index.get(b)) for a, b, j in pairs if j == i} for i in range(ctx.rank + 1)]
     fact = [math.factorial(m) for m in range(n + 1)]
     acc = 0
@@ -272,10 +269,12 @@ def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighbor
 
 
 @dataclass(frozen=True)
-class CountStats:
-    mean: float
-    stderr: float
+class EstimateRow:
+    n: int
     samples: int
+    mean_count: float
+    log_mean_over_n: float
+    stderr: float
 
 
 def expected_count(
@@ -287,17 +286,17 @@ def expected_count(
     samples: int = 0,
     seed: int = 0,
     caps: Caps = Caps(),
-) -> CountStats:
-    """Mean neighborhood count over finite actions.
+) -> EstimateRow:
+    """Mean neighborhood count over finite actions, as ``f_estimate``'s row at n.
 
     ``exact`` averages over all n!^r homomorphisms (stderr 0); ``monte_carlo``
     averages over ``samples`` uniform draws with per-index derived seeds and
     reports the standard error of the mean.
     """
     if mode == "exact":
-        total = hom_count(n, ctx.rank)
-        if total > caps.exact_actions:
-            raise ResourceCapError(f"n!^r = {total} exceeds cap {caps.exact_actions}")
+        samples = hom_count(n, ctx.rank)
+        if samples > caps.exact_actions:
+            raise ResourceCapError(f"n!^r = {samples} exceeds cap {caps.exact_actions}")
         acc = _count_by_type(ctx, n, alphabet, nbhd, caps)
         if acc is None:
             acc = sum(
@@ -305,37 +304,25 @@ def expected_count(
                 for action in enumerate_actions(n, ctx.rank, cap=caps.exact_actions)
             )
         try:
-            mean = acc / total
+            mean = acc / samples
         except OverflowError:
             raise ResourceCapError(f"the exact mean count at n={n} exceeds float range") from None
         if acc and not mean:
             raise ResourceCapError(f"the exact mean count at n={n} is positive but below float range")
-        return CountStats(mean, 0.0, total)
-    if mode != "monte_carlo":
-        raise InputError(f"unknown mode {mode!r}")
-    if samples < 1:
-        raise InputError("monte carlo needs at least one sample")
-
-    counts = [
-        count_omega(ctx, sample_action(n, ctx.rank, derive_seed(seed, idx)), alphabet, nbhd, caps)
-        for idx in range(samples)
-    ]
-    mean = sum(counts) / samples
-    if samples > 1:
-        var = sum((c - mean) ** 2 for c in counts) / (samples - 1)
-        stderr = math.sqrt(var / samples)
-    else:
         stderr = 0.0
-    return CountStats(mean, stderr, samples)
-
-
-@dataclass(frozen=True)
-class EstimateRow:
-    n: int
-    samples: int
-    mean_count: float
-    log_mean_over_n: float
-    stderr: float
+    elif mode != "monte_carlo":
+        raise InputError(f"unknown mode {mode!r}")
+    elif samples < 1:
+        raise InputError("monte carlo needs at least one sample")
+    else:
+        counts = [
+            count_omega(ctx, sample_action(n, ctx.rank, derive_seed(seed, idx)), alphabet, nbhd, caps)
+            for idx in range(samples)
+        ]
+        mean = sum(counts) / samples
+        var = sum((c - mean) ** 2 for c in counts) / (samples - 1) if samples > 1 else 0.0
+        stderr = math.sqrt(var / samples)
+    return EstimateRow(n, samples, mean, math.log(mean) / n if mean > 0 else float("-inf"), stderr)
 
 
 @dataclass(frozen=True)
@@ -385,18 +372,10 @@ def f_estimate(
                     f"n={n} is not a multiple of the target denominator lcm {lcm}; "
                     "exact statistics are unattainable and counts will be 0"
                 )
-    rows = []
-    for n in n_list:
-        stats = expected_count(
-            ctx,
-            n,
-            alphabet,
-            nbhd,
-            mode=mode,
-            samples=samples,
-            seed=derive_seed(seed, n),
-            caps=caps,
+    rows = [
+        expected_count(
+            ctx, n, alphabet, nbhd, mode=mode, samples=samples, seed=derive_seed(seed, n), caps=caps
         )
-        log_over_n = math.log(stats.mean) / n if stats.mean > 0 else float("-inf")
-        rows.append(EstimateRow(n, stats.samples, stats.mean, log_over_n, stats.stderr))
+        for n in n_list
+    ]
     return EstimateResult(tuple(rows), tuple(warnings))

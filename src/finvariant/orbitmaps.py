@@ -54,16 +54,6 @@ class LocalBijection:
         except KeyError:
             raise WindowError(f"{target} not in the image within the window") from None
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LocalBijection)
-            and self.window == other.window
-            and self.table == other.table
-        )
-
-    def __repr__(self):
-        return f"LocalBijection(window={self.window}, rho={self.rho}, {len(self.table)} entries)"
-
 
 # ---------------------------------------------------------------------------
 # decoding and encodings
@@ -179,6 +169,19 @@ def verify_zrho(ctx: FreeGroupCtx, rho: int, action: FiniteAction, labels) -> Pu
     return pullbacks
 
 
+def _stepped_action(base: FiniteAction, steps, failure: str) -> FiniteAction:
+    """The action whose generator i sends v to base(w) v, w = steps[i - 1][v];
+    raises ``failure`` formatted with i when one of these images is not a
+    bijection."""
+    perms = []
+    for i, words in enumerate(steps, 1):
+        images = tuple(base.apply(w, v) for v, w in enumerate(words))
+        if sorted(images) != list(range(base.n)):
+            raise VerificationError(failure.format(i))
+        perms.append(images)
+    return FiniteAction(base.n, tuple(perms))
+
+
 def tau_construct(ctx: FreeGroupCtx, action: FiniteAction, pullbacks: Pullbacks) -> FiniteAction:
     """The rearranged action: tau(g) v = sigma(phi_v^-1(g^-1)^-1) v.
 
@@ -189,33 +192,18 @@ def tau_construct(ctx: FreeGroupCtx, action: FiniteAction, pullbacks: Pullbacks)
     admissible patterns, the returned generator images are bijections and the
     defining formula is multiplicative in g.
     """
-    n = action.n
-    perms = []
+    steps = []
     for i in range(1, ctx.rank + 1):
-        steps = [inv(report.witnesses[(-i,)]) for report in pullbacks.reports]
-        images = [action.apply(steps[k], v) for v, k in enumerate(pullbacks.of_vertex)]
-        if sorted(images) != list(range(n)):
-            raise VerificationError(
-                f"rearranged generator {i} is not a bijection; admissibility was vacuous"
-            )
-        perms.append(tuple(images))
-    return FiniteAction(n, tuple(perms))
+        step = [inv(report.witnesses[(-i,)]) for report in pullbacks.reports]
+        steps.append([step[k] for k in pullbacks.of_vertex])
+    return _stepped_action(action, steps, "rearranged generator {} is not a bijection; admissibility was vacuous")
 
 
 def reconstruct_sigma(ctx: FreeGroupCtx, tau: FiniteAction, labels) -> FiniteAction:
     """Invert the rearrangement from (tau, x): sigma(h) v = tau(x(v)(h^-1)^-1) v
     for each signed generator h."""
-    n = tau.n
-    perms = []
-    for i in range(1, ctx.rank + 1):
-        images = []
-        for v in range(n):
-            w = symbol_entry(labels[v], -i)
-            images.append(tau.apply(inv(w), v))
-        if sorted(images) != list(range(n)):
-            raise VerificationError(f"reconstructed generator {i} is not a bijection")
-        perms.append(tuple(images))
-    return FiniteAction(n, tuple(perms))
+    steps = [[inv(symbol_entry(sym, -i)) for sym in labels] for i in range(1, ctx.rank + 1)]
+    return _stepped_action(tau, steps, "reconstructed generator {} is not a bijection")
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def _zrho_edge_filter(ctx: FreeGroupCtx, rho: int):
 # ---------------------------------------------------------------------------
 
 
-def sft_check_all(ctx: FreeGroupCtx, spec: SftSpec, action: FiniteAction, labels) -> bool:
+def sft_check_all(spec: SftSpec, action: FiniteAction, labels) -> bool:
     """Every pullback name avoids the forbidden set.
 
     A nearest-neighbor spec walks each Schreier edge once; any other reads
@@ -219,7 +219,7 @@ def sft_check_all(ctx: FreeGroupCtx, spec: SftSpec, action: FiniteAction, labels
                     return False
         return True
     for w in spec.forbidden:
-        cols = window_columns(ctx, action, w.domain)
+        cols = window_columns(action, w.domain)
         for v in range(n):
             if all(labels[col[v]] == x for col, x in zip(cols, w.values)):
                 return False
@@ -290,17 +290,13 @@ def sample_sft_config(
     # vertices of each vertex's radius rho^2+1 ball
     edges_at: list[list] = [[] for _ in range(n)]
     pullbacks_at: list[list] = [[] for _ in range(n)]
-    seen_pairs = set()
     for v in range(n):
-        for letter in ctx.letters:
-            u = action.letter_perm(-letter)[v]
-            # (v, u, s) and (u, v, s^-1) express the same pair condition
-            key = (v, u, letter) if letter > 0 else (u, v, -letter)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            edges_at[max(pos[v], pos[u])].append((v, u, letter))
-    cols = window_columns(ctx, action, ctx.ball(radius))
+        # (v, u, s) and (u, v, s^-1) express the same pair condition, so each
+        # edge is listed once, along a positive generator
+        for i in range(1, ctx.rank + 1):
+            u = action.letter_perm(-i)[v]
+            edges_at[max(pos[v], pos[u])].append((v, u, i))
+    cols = window_columns(action, ctx.ball(radius))
     for v in range(n):
         verts = tuple(col[v] for col in cols)
         pullbacks_at[max(pos[u] for u in verts)].append(verts)

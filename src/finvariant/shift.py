@@ -232,7 +232,7 @@ class PatternDistribution:
         return cls(window, {k: p if type(p) is float else Fraction(*p) for k, p in probs.items()})
 
 
-def window_columns(ctx: FreeGroupCtx, action: FiniteAction, window: Sequence[Word]) -> list[tuple[int, ...]]:
+def window_columns(action: FiniteAction, window: Sequence[Word]) -> list[tuple[int, ...]]:
     """Per-window-word vertex lookup tables: entry g gives sigma(g)^-1 v."""
     return [action.word_perm(inv(g)) for g in window]
 

@@ -546,21 +546,21 @@ def _try_exact_passthrough(w: Weight, q: int) -> Weight | None:
 
 def _round_vertex(w: Weight, n_total: int) -> dict:
     """Largest-remainder rounding of vertex weights to integers summing to
-    n_total, preserving zeros."""
+    n_total, preserving zeros.
+
+    The floors miss n_total by a deficit, or by a surplus when a float law
+    sums above 1.  It is spread evenly over the symbols of positive mass, and
+    what does not divide goes one each to the largest remainders (a surplus
+    is taken from the smallest).
+    """
     raw = {a: Fraction(w.vertex_prob(a)) for a in w.alphabet}
-    floors = {a: int(raw[a] * n_total) for a in w.alphabet}
-    assigned = sum(floors.values())
-    remainders = sorted(w.alphabet, key=lambda a: (-(raw[a] * n_total - floors[a]), str(a)))
-    out = dict(floors)
-    k = 0
-    while assigned < n_total:
-        a = remainders[k % len(remainders)]
-        if raw[a] > 0:
-            out[a] += 1
-            assigned += 1
-        k += 1
-        if k > 10 * len(remainders) and assigned < n_total:
-            raise ConstructionError("cannot round vertex weights: no positive mass")
+    out = {a: int(raw[a] * n_total) for a in w.alphabet}
+    order = sorted((a for a in w.alphabet if raw[a] > 0), key=lambda a: (-(raw[a] * n_total - out[a]), str(a)))
+    share, extra = divmod(n_total - sum(out.values()), len(order))
+    for k, a in enumerate(order):
+        out[a] += share + (k < extra)
+        if out[a] < 0:
+            raise ConstructionError(f"cannot round vertex weights to {n_total}: symbol {a!r} falls below 0")
     return out
 
 
@@ -574,13 +574,15 @@ def _integer_transport(w: Weight, i: int, counts: dict, n_total: int):
     alpha = list(w.alphabet)
     support = {(a, b): p for (a, b), p in w.laws[i].probs.items() if p > 0}
     mat = {(a, b): min(int(Fraction(p) * n_total), counts[a], counts[b]) for (a, b), p in support.items()}
-    # trim rows/columns that overflow their target (floors can exceed after min-clamps interplay)
+
     def row_sum(a):
         return sum(mat.get((a, b), 0) for b in alpha)
 
     def col_sum(b):
         return sum(mat.get((a, b), 0) for a in alpha)
 
+    # a float pair law balances only within PROB_TOL, so its floors may
+    # overflow a row or column count: trim them
     for a in alpha:
         while row_sum(a) > counts[a]:
             b = max((x for x in alpha if mat.get((a, x), 0) > 0), key=lambda x: mat[(a, x)])
@@ -590,14 +592,11 @@ def _integer_transport(w: Weight, i: int, counts: dict, n_total: int):
             a = max((x for x in alpha if mat.get((x, b), 0) > 0), key=lambda x: mat[(x, b)])
             mat[(a, b)] -= 1
 
-    guard = 0
+    # each augmentation adds one to the matrix total, which n_total bounds
     while True:
         deficit_rows = [a for a in alpha if row_sum(a) < counts[a]]
         if not deficit_rows:
             break
-        guard += 1
-        if guard > 4 * n_total + 4 * len(alpha) ** 2 + 16:
-            return None, "augmentation budget exhausted"
         # BFS over alternating row/col states from any deficit row
         start = deficit_rows[0]
         parent: dict[tuple, tuple | None] = {("r", start): None}
@@ -662,8 +661,6 @@ def rationalize_weight(w: Weight, q: int, support: SftSpec | None = None) -> Wei
     certificates = []
     n_tries = min(q, 2 * len(w.alphabet) + 2)
     for n_total in range(q, q - n_tries, -1):
-        if n_total < 1:
-            break
         counts = _round_vertex(w, n_total)
         mats = {}
         failed = None
@@ -680,5 +677,5 @@ def rationalize_weight(w: Weight, q: int, support: SftSpec | None = None) -> Wei
         return Weight.from_tables(w.rank, w.alphabet, counts, edge, n_total)
     raise ConstructionError(
         "no balanced rational rounding exists at denominators "
-        f"{max(1, q - n_tries + 1)}..{q}; certificates: " + "; ".join(certificates)
+        f"{q - n_tries + 1}..{q}; certificates: " + "; ".join(certificates)
     )

@@ -105,8 +105,8 @@ def l1_distance(d1: PatternDistribution, d2: PatternDistribution):
     return sum(abs(p1.get(k, 0) - p2.get(k, 0)) for k in set(p1) | set(p2))
 
 
-def _pullback_keys(ctx, action, labels, window):
-    cols = window_columns(ctx, action, window)
+def _pullback_keys(action, labels, window):
+    cols = window_columns(action, window)
     return [tuple(labels[col[v]] for col in cols) for v in range(action.n)]
 
 
@@ -120,7 +120,7 @@ def empirical_distribution(
     window = ctx.ball(m)
     n = action.n
     counts: dict[tuple, int] = {}
-    for key in _pullback_keys(ctx, action, labels, window):
+    for key in _pullback_keys(action, labels, window):
         counts[key] = counts.get(key, 0) + 1
     return PatternDistribution(window, counts, n)
 
@@ -180,7 +180,7 @@ def apply_block_code(
     if any(len(k) != len(window) for k in code.table):
         raise InputError("block code table does not match the window ball")
     out = []
-    for key in _pullback_keys(ctx, action, labels, window):
+    for key in _pullback_keys(action, labels, window):
         try:
             out.append(code.table[key])
         except KeyError:

@@ -207,7 +207,7 @@ def test_criterion_05_exact_vs_monte_carlo():
     mc = expected_count(
         CTX, 3, ("0", "1"), nbhd, mode="monte_carlo", samples=10_000, seed=505
     )
-    ok &= abs(mc.mean - exact.mean) <= 3 * mc.stderr
+    ok &= abs(mc.mean_count - exact.mean_count) <= 3 * mc.stderr
     assert report(5, "exact vs monte carlo", ok, t0, 60.0)
 
 

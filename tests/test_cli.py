@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from finvariant import FiniteAction, FreeGroupCtx, cli, sample_action
+from finvariant import FiniteAction, FreeGroupCtx, Weight, cli, sample_action
 from finvariant.cli import main
 from finvariant.freegroup import mul
 
@@ -257,6 +257,20 @@ class TestFEstimate:
             assert main(["f-estimate", "--config", cfg, *threads, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert len(set(outs)) == 1
+
+    def test_seed_flag_overrides_the_config_seed(self, half_weight_file, tmp_path, capsys):
+        # --seed 7 on a seed-9 config prints what the seed-7 config prints, hash line included
+        assert main(["f-estimate", "--config", self._config(tmp_path, half_weight_file), "--seed", "7"]) == 0
+        flagged = capsys.readouterr().out
+        assert main(["f-estimate", "--config", self._config(tmp_path, half_weight_file, seed=7)]) == 0
+        assert capsys.readouterr().out == flagged
+        assert main(["f-estimate", "--config", self._config(tmp_path, half_weight_file)]) == 0
+        assert capsys.readouterr().out != flagged
+
+    def test_one_sample_has_stderr_0(self, half_weight_file, tmp_path, capsys):
+        assert main(["f-estimate", "--config", self._config(tmp_path, half_weight_file, samples=1)]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[2:]]
+        assert [(row[1], row[4]) for row in rows] == [("1", "0"), ("1", "0")]
 
     def test_trivial_sft_restriction_identical_csv(self, half_weight_file, tmp_path):
         plain = self._config(tmp_path, half_weight_file)
@@ -962,6 +976,27 @@ class TestWeightTools:
         assert "distance:" in capsys.readouterr().out
         data = json.loads(out.read_text())
         assert all(isinstance(v, dict) for v in data["vertex"].values())
+
+    @pytest.mark.parametrize(
+        "half, quarter", [(0.4999999999999, 0.2499999999999), (0.5000000000001, 0.2500000000001)],
+        ids=["floors_short", "floors_over"],
+    )
+    def test_rationalize_at_q_1e15(self, tmp_path, capsys, half, quarter):
+        # balanced within PROB_TOL, so the floors of W * 10^15 miss 10^15 by
+        # 100 either way, and the fractions the floats spell do not balance
+        edge = [
+            {"from": a, "to": b, "gen": 1, "p": p}
+            for a, b, p in (("0", "0", 0.25), ("0", "1", 0.25), ("1", "0", 0.25), ("1", "1", quarter))
+        ]
+        weight = {"rank": 1, "alphabet": ["0", "1"], "vertex": {"0": 0.5, "1": half}, "edge": edge}
+        (tmp_path / "w.json").write_text(json.dumps(weight))
+        out = tmp_path / "r.json"
+        argv = ["weight-tools", "rationalize", "--weight", str(tmp_path / "w.json"), "--q", str(10**15)]
+        assert main(argv + ["--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert all(p["den"] <= 10**15 for p in [*data["vertex"].values(), *(e["p"] for e in data["edge"])])
+        # an exact weight is built only when exactly balanced
+        assert Weight.from_json(data).is_exact
 
     def test_rationalize_reads_nearest_neighbor_from_the_domains(self, tmp_path, capsys):
         # a float golden-mean weight: "1" never sits next to "1"

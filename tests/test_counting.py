@@ -196,7 +196,7 @@ def brute_count(ctx, action, alphabet, nbhd):
     return sum(
         1
         for labels, dist in _brute_distances(ctx, action, tuple(alphabet), nbhd.target, nbhd.mode)
-        if dist <= bound and (nbhd.sft is None or sft_check_all(ctx, nbhd.sft, action, labels))
+        if dist <= bound and (nbhd.sft is None or sft_check_all(nbhd.sft, action, labels))
     )
 
 
@@ -369,7 +369,7 @@ class TestExpectedCount:
     def test_epsilon_two_exact(self):
         nbhd = Neighborhood(target=TARGET_B1, epsilon=2.0)
         stats = expected_count(CTX2, 2, ("0", "1"), nbhd, mode="exact")
-        assert stats.mean == 4.0 and stats.samples == 4
+        assert stats.mean_count == 4.0 and stats.samples == 4
 
     def test_exact_is_plain_average(self):
         nbhd = Neighborhood(target=TARGET_B1, epsilon=1.85)
@@ -377,7 +377,7 @@ class TestExpectedCount:
             count_omega(CTX2, a, ("0", "1"), nbhd) for a in enumerate_actions(2, 2)
         )
         stats = expected_count(CTX2, 2, ("0", "1"), nbhd, mode="exact")
-        assert stats.mean == total / 4
+        assert stats.mean_count == total / 4
 
     def test_mc_matches_exact_within_three_stderr(self):
         nbhd = Neighborhood(target=TARGET_B1, epsilon=1.85)
@@ -386,7 +386,7 @@ class TestExpectedCount:
             mc = expected_count(
                 CTX2, n, ("0", "1"), nbhd, mode="monte_carlo", samples=1500, seed=7
             )
-            assert abs(mc.mean - exact.mean) <= 3 * mc.stderr + 1e-9
+            assert abs(mc.mean_count - exact.mean_count) <= 3 * mc.stderr + 1e-9
 
     def test_mc_deterministic_and_thread_independent(self):
         nbhd = Neighborhood(target=TARGET_B1, epsilon=1.5)
@@ -412,7 +412,7 @@ class TestExpectedCount:
         nbhd = Neighborhood(target=TARGET_B1, epsilon=Fraction(1), mode="edge_star")
         stats = expected_count(CTX2, 3, ("0", "1"), nbhd, mode="exact")
         assert len(calls) == CTX2.rank
-        assert stats.mean == 8 / 3
+        assert stats.mean_count == 8 / 3
 
     def test_exact_cap(self):
         nbhd = Neighborhood(target=TARGET_B0, epsilon=1.0)
@@ -530,7 +530,7 @@ class TestExactByType:
         total = math.factorial(n) ** ctx.rank
         walked = sum(count_omega(ctx, a, alphabet, nbhd) for a in enumerate_actions(n, ctx.rank))
         stats = expected_count(ctx, n, alphabet, nbhd, mode="exact")
-        assert (stats.mean, stats.stderr, stats.samples) == (walked / total, 0.0, total)
+        assert (stats.mean_count, stats.stderr, stats.samples) == (walked / total, 0.0, total)
 
     def test_cases_cover_exact_statistics_and_misses(self):
         cases = [random_by_type_case(seed) for seed in range(240)]
@@ -556,7 +556,7 @@ class TestExactByType:
         target = marginal_distribution(HALF, CTX2.ball(radius))
         nbhd = Neighborhood(target=target, epsilon=Fraction(1), mode=mode, sft=spec)
         stats = expected_count(CTX2, 6, BINARY, nbhd, mode="exact")
-        assert stats.mean > 0 and stats.samples == math.factorial(6) ** 2
+        assert stats.mean_count > 0 and stats.samples == math.factorial(6) ** 2
 
     @pytest.mark.parametrize("radius,mode,forbidden", [
         (1, "window", None),
@@ -569,7 +569,7 @@ class TestExactByType:
         spec = None if forbidden is None else SftSpec(alphabet=BINARY, forbidden=tuple(forbidden))
         target = marginal_distribution(HALF, CTX2.ball(radius))
         nbhd = Neighborhood(target=target, epsilon=Fraction(1, 2), mode=mode, sft=spec)
-        assert expected_count(CTX2, 3, BINARY, nbhd, mode="exact").mean == 1.0
+        assert expected_count(CTX2, 3, BINARY, nbhd, mode="exact").mean_count == 1.0
         assert len(walked) == 36
 
     def test_a_mean_beyond_float_range_is_a_cap(self):

@@ -23,6 +23,7 @@ from finvariant import (
     LocalBijection,
     Pattern,
     PreconditionError,
+    VerificationError,
     WindowError,
     axioms_check,
     decode_E,
@@ -35,7 +36,8 @@ from finvariant import (
     verify_zrho,
 )
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
-from finvariant.sft import symbol_entry, telescope
+from finvariant.orbitmaps import Pullbacks
+from finvariant.sft import AxiomsReport, symbol_entry, telescope
 
 from paper_objects import (
     agree_on_common_window,
@@ -454,6 +456,19 @@ class TestTau:
             rho = auto.displacement
             tau = tau_construct(CTX, action, verify_zrho(CTX, rho, action, labels))
             assert reconstruct_sigma(CTX, tau, labels) == action
+
+    def test_steps_that_are_not_a_bijection_are_refused(self):
+        # a swaps 0 and 1; vertex 0 steps by a and vertex 1 stays, so both
+        # land on 1.  No admissible configuration gets here.  tau steps by
+        # the inverse of each witness of a^-1, sigma by the inverse of each
+        # label's a^-1 entry
+        action = FiniteAction(2, ((1, 0), (0, 1)))
+        reports = tuple(AxiomsReport(True, witnesses={(-1,): w, (-2,): ()}) for w in ((-1,), ()))
+        with pytest.raises(VerificationError, match="rearranged generator 1 is not a bijection"):
+            tau_construct(CTX, action, Pullbacks((), reports, (0, 1)))
+        labels = (((), (-1,), (), ()), ((), (), (), ()))
+        with pytest.raises(VerificationError, match="reconstructed generator 1 is not a bijection"):
+            reconstruct_sigma(CTX, action, labels)
 
 
 class TestAutomorphismFactory:

@@ -11,11 +11,12 @@ module-level constant (a name in capitals bound at the top of a module), so
 that a merged or retired tolerance cannot linger.
 
 Every name a module imports must also be read in that module, so that a
-deletion leaves no import behind.  The JSON keys ``"num"`` and ``"den"`` of
-an exact probability appear in one module only, the one that holds its
-reader and writer.  The functions ``perfbench/spans.py`` wraps by name
-must stay where it looks for them, and README's library table may name only
-modules and attributes that exist.
+deletion leaves no import behind, and every parameter of a package function
+must be read in its body, so that a caller never passes what nothing uses.
+The JSON keys ``"num"`` and ``"den"`` of an exact probability appear in one
+module only, the one that holds its reader and writer.  The functions
+``perfbench/spans.py`` wraps by name must stay where it looks for them, and
+README's library table may name only modules and attributes that exist.
 """
 
 import ast
@@ -98,6 +99,27 @@ def unused_imports(package: pathlib.Path = PACKAGE) -> list:
     return unused
 
 
+def unread_parameters(package: pathlib.Path = PACKAGE) -> list:
+    """``module:function:parameter`` for each parameter its function's body
+    never reads.  ``self`` and ``cls`` are exempt, and so are the parameters
+    of a dunder, whose signature its protocol fixes."""
+    unread = []
+    for name, tree in _modules(package).items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [f"{name}:{node.name}:{p}" for p in params if p not in read and p not in ("self", "cls")]
+    return unread
+
+
 def modules_naming_rational_keys(package: pathlib.Path = PACKAGE) -> list:
     """The modules holding the string constant "num" or "den"."""
     return [
@@ -175,6 +197,21 @@ def test_the_check_sees_an_unused_import(tmp_path):
     _copy_package(tmp_path)
     _plant(tmp_path / "shift.py", "from __future__ import annotations\n", "\nimport os\n")
     assert unused_imports(tmp_path) == ["shift.py:os"]
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_the_check_sees_an_unread_parameter(tmp_path):
+    # a parameter only written to is not read, nor one named only by a default
+    _copy_package(tmp_path)
+    _plant(
+        tmp_path / "shift.py",
+        "PROB_TOL = 1e-12\n",
+        "\n\ndef orphan(x, y, *rest, z=PROB_TOL):\n    y = x\n    return x, rest\n",
+    )
+    assert unread_parameters(tmp_path) == ["shift.py:orphan:y", "shift.py:orphan:z"]
 
 
 def test_one_module_reads_and_writes_rationals():

@@ -49,21 +49,21 @@ class TestCheckers:
         spec = SftSpec(alphabet=(0, 1))
         action = sample_action(5, 2, seed=0)
         for labels in itertools.product((0, 1), repeat=5):
-            assert sft_check_all(CTX2, spec, action, labels)
+            assert sft_check_all(spec, action, labels)
 
     def test_nn_constant_avoids_off_diagonal(self):
         spec = nn_spec((0, 1), [(0, 1, 1)])
         action = sample_action(4, 2, seed=1)
-        assert sft_check_all(CTX2, spec, action, (0, 0, 0, 0))
+        assert sft_check_all(spec, action, (0, 0, 0, 0))
 
     def test_r1_hand_example(self):
         # forbid the pattern e -> 0, a -> 1 over the swap action on two points
         action = FiniteAction(2, ((1, 0),))
         spec = nn_spec((0, 1), [(0, 1, 1)])
         # pullback at v=0: e -> x0, a -> x1
-        assert not sft_check_all(CTX1, spec, action, (0, 1))
-        assert sft_check_all(CTX1, spec, action, (1, 1))
-        assert not sft_check_all(CTX1, spec, action, (1, 0))  # violated at v=1
+        assert not sft_check_all(spec, action, (0, 1))
+        assert sft_check_all(spec, action, (1, 1))
+        assert not sft_check_all(spec, action, (1, 0))  # violated at v=1
 
     def test_vertex_check_covers_orbit(self):
         # two orbits: violation in one orbit is invisible from the other
@@ -73,7 +73,7 @@ class TestCheckers:
         assert not sft_check_vertex(CTX2, spec, action, labels, 0)
         assert not sft_check_vertex(CTX2, spec, action, labels, 1)
         assert sft_check_vertex(CTX2, spec, action, labels, 2)
-        assert not sft_check_all(CTX2, spec, action, labels)
+        assert not sft_check_all(spec, action, labels)
 
     def test_nn_fast_path_equals_oracle(self):
         rng = random.Random(2)
@@ -88,7 +88,7 @@ class TestCheckers:
             spec = nn_spec((0, 1), pairs)
             assert spec.forbidden_pairs == frozenset(pairs)
             labels = tuple(rng.randint(0, 1) for _ in range(n))
-            verdict = sft_check_all(CTX2, spec, action, labels)
+            verdict = sft_check_all(spec, action, labels)
             assert verdict == all(check_local(spec, action, labels, v) for v in range(n))
             verdicts.add(verdict)
         assert verdicts == {True, False}
@@ -109,7 +109,7 @@ class TestCheckers:
             spec = SftSpec(alphabet=(0, 1), forbidden=forbidden)
             assert spec.forbidden_pairs is None
             labels = tuple(rng.randint(0, 1) for _ in range(n))
-            verdict = sft_check_all(CTX2, spec, action, labels)
+            verdict = sft_check_all(spec, action, labels)
             assert verdict == all(check_local(spec, action, labels, v) for v in range(n))
             verdicts.add(verdict)
         assert verdicts == {True, False}
@@ -129,10 +129,10 @@ class TestCheckers:
         action = FiniteAction(3, ((1, 2, 0),))
         spec = nn_spec((0, 1), [(0, 0, 1), (1, 1, 1)])
         assert not any(
-            sft_check_all(CTX1, spec, action, labels)
+            sft_check_all(spec, action, labels)
             for labels in itertools.product((0, 1), repeat=3)
         )
-        assert sft_check_all(CTX1, nn_spec((0, 1), [(0, 0, 1)]), action, (1, 1, 1))
+        assert sft_check_all(nn_spec((0, 1), [(0, 0, 1)]), action, (1, 1, 1))
 
 
 class TestAxioms:

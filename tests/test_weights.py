@@ -41,7 +41,7 @@ from finvariant import (
 from finvariant.cli import main
 from finvariant.freegroup import mul, sort_words
 from finvariant.shift import PROB_TOL
-from finvariant.weights import _factor, pattern_symbol_name
+from finvariant.weights import _factor, _round_vertex, pattern_symbol_name
 
 from paper_objects import (
     F_coefficients,
@@ -636,6 +636,11 @@ class TestShannonEntropy:
         b = shannon_entropy(one_site_law([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]))
         assert a != b
         assert a == shannon_entropy(one_site_law([Fraction(1, 2), Fraction(1, 2)]))
+
+    def test_an_exact_and_a_float_value_compare_by_value(self):
+        exact = shannon_entropy(one_site_law([Fraction(1, 2), Fraction(1, 2)]))
+        assert exact == EntropyValue(math.log(2)) and EntropyValue(math.log(2)) == exact
+        assert exact != EntropyValue(math.nextafter(math.log(2), 1))
 
 
 def trial_division_factor(n: int) -> tuple:
@@ -1329,3 +1334,57 @@ class TestRationalize:
         w = self._seven_cycle_weight()
         with pytest.raises(ConstructionError):
             rationalize_weight(w, 5)
+
+    @staticmethod
+    def _near_half_weight(half: float, quarter: float) -> Weight:
+        # balanced within PROB_TOL, so at q = 10^15 the floors of W * q miss q by 100
+        edge = {("0", "0", 1): 0.25, ("0", "1", 1): 0.25, ("1", "0", 1): 0.25, ("1", "1", 1): quarter}
+        return Weight.from_tables(1, ("0", "1"), {"0": 0.5, "1": half}, edge)
+
+    def test_vertex_rounding_is_the_round_robin(self):
+        # the closed form hands out a deficit as the round robin it replaced
+        # did: one unit per step to the symbols of positive mass in remainder
+        # order, cycling, zeros skipped
+        rng = random.Random(5)
+        for trial in range(30):
+            pi = [rng.uniform(0.2, 1.0) for _ in range(rng.randint(2, 4))]
+            pi[0] *= trial % 2  # half the weights have a symbol of zero mass
+            pi = [x / sum(pi) for x in pi]
+            w = reversible_weight(rng.randint(1, 2), "0123"[: len(pi)], rng, pi)
+            for n_total in (1, 7, 100, 10**15):
+                raw = {a: Fraction(w.vertex_prob(a)) for a in w.alphabet}
+                out = {a: int(raw[a] * n_total) for a in w.alphabet}
+                order = sorted((a for a in w.alphabet if raw[a]), key=lambda a: (out[a] - raw[a] * n_total, str(a)))
+                for k in range(n_total - sum(out.values())):
+                    out[order[k % len(order)]] += 1
+                assert _round_vertex(w, n_total) == out, (trial, n_total)
+
+    def test_vertex_rounding_spreads_a_large_deficit(self):
+        # the floors fall 100 short: more than ten passes over the alphabet
+        w = self._near_half_weight(0.4999999999999, 0.2499999999999)
+        assert _round_vertex(w, 10**15) == {"0": 500000000000050, "1": 499999999999950}
+
+    def test_vertex_rounding_takes_back_a_surplus(self):
+        # the floors run 100 over, and then the pair law's floors overflow
+        # row "0" and column "0", so the transport trims both
+        w = self._near_half_weight(0.5000000000001, 0.2500000000001)
+        counts = _round_vertex(w, 10**15)
+        assert counts == {"0": 499999999999950, "1": 500000000000050}
+        floors = {key: int(Fraction(p) * 10**15) for key, p in w.laws[1].probs.items()}
+        assert floors["0", "0"] + floors["0", "1"] > counts["0"] < floors["0", "0"] + floors["1", "0"]
+        out = rationalize_weight(w, 10**15)
+        assert out.is_exact and all(law.total <= 10**15 for law in out.laws)
+
+    def test_a_surplus_leaves_the_largest_remainders_most(self):
+        # the floors at 10^15 run 298 over: each symbol gives back 100 but
+        # "1" and "2", the largest remainders (.989 and .982), one less each
+        vertex = {"0": 0.2, "1": 0.3, "2": 0.5000000000003}
+        w = Weight.from_tables(1, ("0", "1", "2"), vertex, {(a, a, 1): p for a, p in vertex.items()})
+        assert _round_vertex(w, 10**15) == {"0": 199999999999900, "1": 299999999999900, "2": 500000000000200}
+
+    def test_vertex_rounding_refuses_a_surplus_beyond_a_symbol(self):
+        # symbol "0" has one unit at q = 10^15, and a third of the surplus is 167
+        vertex = {"0": 1e-15, "1": 0.5, "2": 0.5000000000005}
+        w = Weight.from_tables(1, ("0", "1", "2"), vertex, {(a, a, 1): p for a, p in vertex.items()})
+        with pytest.raises(ConstructionError, match="to 1000000000000000: symbol '0' falls below 0"):
+            rationalize_weight(w, 10**15)

@@ -213,20 +213,37 @@ class PatternDistribution:
         window = ctx.ball(radius)
         # an entry's key, its symbols in window order, per spelling of its words
         layouts: dict[tuple, Callable] = {}
+        key_of = None
         probs: dict[tuple, object] = {}
-        for entry in entries:
+        for count, entry in enumerate(entries, 1):
             try:
                 pattern, prob = entry["pattern"], read_ratio(entry["p"])
-                spellings = tuple(pattern.keys())
-            except (KeyError, TypeError, AttributeError, InputError) as exc:
+            except (KeyError, TypeError, InputError) as exc:
                 raise InputError(f"malformed distribution entry {entry!r}: {exc!r}") from None
-            key_of = layouts.get(spellings)
-            if key_of is None:
-                at = {ctx.parse(k): k for k in spellings}
-                if len(at) != len(spellings) or set(at) != set(window):
-                    raise InputError("distribution entry does not cover the window")
-                key_of = layouts[spellings] = items_at([at[w] for w in window])
-            probs[key_of(pattern)] = prob
+            # a pattern of the window's size that holds every spelling of the
+            # last layout holds exactly those, so that layout reads its key
+            try:
+                if len(pattern) != len(window):
+                    raise KeyError
+                key = key_of(pattern)
+            except (KeyError, TypeError):
+                try:
+                    spellings = tuple(pattern.keys())
+                except AttributeError as exc:
+                    raise InputError(f"malformed distribution entry {entry!r}: {exc!r}") from None
+                key_of = layouts.get(spellings)
+                if key_of is None:
+                    at = {ctx.parse(k): k for k in spellings}
+                    if len(at) != len(spellings) or set(at) != set(window):
+                        raise InputError("distribution entry does not cover the window")
+                    key_of = layouts[spellings] = items_at([at[w] for w in window])
+                key = key_of(pattern)
+            try:
+                probs[key] = prob
+            except TypeError:
+                raise InputError(f"malformed distribution entry {entry!r}: a symbol must be a json scalar") from None
+            if len(probs) < count:
+                raise InputError(f"pattern {pattern!r} appears twice in the distribution")
         if all(type(p) is tuple for p in probs.values()):
             return cls(window, *over_lcm(probs))
         return cls(window, {k: p if type(p) is float else Fraction(*p) for k, p in probs.items()})

@@ -481,21 +481,15 @@ def markovize(ctx: FreeGroupCtx, dist: PatternDistribution) -> Weight:
     radius = max((len(g) for g in dist.window), default=0)
     if dist.window != ctx.ball(radius) or radius < 1:
         raise InputError("markovize needs a ball window of radius >= 1")
-    m = radius - 1
-    inner = ctx.ball(m)
-    big_index = {g: k for k, g in enumerate(dist.window)}
-    inner_of = items_at([big_index[g] for g in inner])
-    shifted_of = []
-    for i in range(1, ctx.rank + 1):
-        cols = []
-        for g in inner:
-            h = mul((i,), g)
-            if h not in big_index:
-                raise InputError("window too small to glue across a generator edge")
-            cols.append(big_index[h])
-        shifted_of.append((i, items_at(cols)))
-
+    inner = ctx.ball(radius - 1)
+    glued = [inner] + [[mul((i,), g) for g in inner] for i in range(1, ctx.rank + 1)]
     base_symbols = sorted(set().union(*dist.masses), key=repr)
+    # an exact marginal is summed over the words read first: its integer
+    # sums do not depend on order.  A float one keeps its entry order.
+    if dist.is_exact:
+        dist = dist.project(set().union(*glued))
+    col = {g: k for k, g in enumerate(dist.window)}
+    inner_of, *shifted_of = (items_at([col[h] for h in words]) for words in glued)
     names = {
         key: pattern_symbol_name(ctx, inner, key)
         for key in iter_product(base_symbols, repeat=len(inner))
@@ -506,7 +500,7 @@ def markovize(ctx: FreeGroupCtx, dist: PatternDistribution) -> Weight:
     for key, p in dist.masses.items():
         c = names[inner_of(key)]
         vertex[c] = vertex.get(c, 0) + p
-        for i, of in shifted_of:
+        for i, of in enumerate(shifted_of, 1):
             edge_key = (c, names[of(key)], i)
             edge[edge_key] = edge.get(edge_key, 0) + p
     try:
@@ -551,17 +545,20 @@ def _round_vertex(w: Weight, n_total: int) -> dict:
     The floors miss n_total by a deficit, or by a surplus when a float law
     sums above 1.  It is spread evenly over the symbols of positive mass, and
     what does not divide goes one each to the largest remainders (a surplus
-    is taken from the smallest).
+    is taken from the smallest).  A symbol that cannot give its share of a
+    surplus keeps its floor, and the others share the surplus again.
     """
     raw = {a: Fraction(w.vertex_prob(a)) for a in w.alphabet}
     out = {a: int(raw[a] * n_total) for a in w.alphabet}
     order = sorted((a for a in w.alphabet if raw[a] > 0), key=lambda a: (-(raw[a] * n_total - out[a]), str(a)))
-    share, extra = divmod(n_total - sum(out.values()), len(order))
-    for k, a in enumerate(order):
-        out[a] += share + (k < extra)
-        if out[a] < 0:
-            raise ConstructionError(f"cannot round vertex weights to {n_total}: symbol {a!r} falls below 0")
-    return out
+    gap = n_total - sum(out.values())
+    while order:
+        share, extra = divmod(gap, len(order))
+        dealt = {a: out[a] + share + (k < extra) for k, a in enumerate(order)}
+        if min(dealt.values()) >= 0:
+            return out | dealt
+        order = [a for a in order if dealt[a] >= 0]
+    raise ConstructionError(f"cannot round vertex weights to {n_total}: no symbols can give back {-gap}")
 
 
 def _integer_transport(w: Weight, i: int, counts: dict, n_total: int):
@@ -575,26 +572,32 @@ def _integer_transport(w: Weight, i: int, counts: dict, n_total: int):
     support = {(a, b): p for (a, b), p in w.laws[i].probs.items() if p > 0}
     mat = {(a, b): min(int(Fraction(p) * n_total), counts[a], counts[b]) for (a, b), p in support.items()}
 
-    def row_sum(a):
-        return sum(mat.get((a, b), 0) for b in alpha)
+    # running row and column sums, moved with every entry that changes
+    row_sum = dict.fromkeys(alpha, 0)
+    col_sum = dict.fromkeys(alpha, 0)
+    for (a, b), k in mat.items():
+        row_sum[a] += k
+        col_sum[b] += k
 
-    def col_sum(b):
-        return sum(mat.get((a, b), 0) for a in alpha)
+    def move(a, b, step):
+        mat[(a, b)] = mat.get((a, b), 0) + step
+        row_sum[a] += step
+        col_sum[b] += step
 
     # a float pair law balances only within PROB_TOL, so its floors may
     # overflow a row or column count: trim them
     for a in alpha:
-        while row_sum(a) > counts[a]:
+        while row_sum[a] > counts[a]:
             b = max((x for x in alpha if mat.get((a, x), 0) > 0), key=lambda x: mat[(a, x)])
-            mat[(a, b)] -= 1
+            move(a, b, -1)
     for b in alpha:
-        while col_sum(b) > counts[b]:
+        while col_sum[b] > counts[b]:
             a = max((x for x in alpha if mat.get((x, b), 0) > 0), key=lambda x: mat[(x, b)])
-            mat[(a, b)] -= 1
+            move(a, b, -1)
 
     # each augmentation adds one to the matrix total, which n_total bounds
     while True:
-        deficit_rows = [a for a in alpha if row_sum(a) < counts[a]]
+        deficit_rows = [a for a in alpha if row_sum[a] < counts[a]]
         if not deficit_rows:
             break
         # BFS over alternating row/col states from any deficit row
@@ -608,7 +611,7 @@ def _integer_transport(w: Weight, i: int, counts: dict, n_total: int):
                 for b in alpha:
                     if (node, b) in support and ("c", b) not in parent:
                         parent[("c", b)] = ("r", node)
-                        if col_sum(b) < counts[b]:
+                        if col_sum[b] < counts[b]:
                             end = ("c", b)
                             break
                         queue.append(("c", b))
@@ -629,9 +632,9 @@ def _integer_transport(w: Weight, i: int, counts: dict, n_total: int):
         while parent[node] is not None:
             prev = parent[node]
             if node[0] == "c":
-                mat[(prev[1], node[1])] = mat.get((prev[1], node[1]), 0) + 1
+                move(prev[1], node[1], 1)
             else:
-                mat[(node[1], prev[1])] -= 1
+                move(node[1], prev[1], -1)
             node = prev
     return mat, None
 

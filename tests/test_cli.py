@@ -823,8 +823,14 @@ class TestEstimateFromMarginals:
 class TestWeightTools:
     @pytest.mark.parametrize(
         "entry",
-        [{"pattern": {"": "0"}}, {"p": 1.0}, {"pattern": {"": "0"}, "p": {"num": 1}}],
-        ids=["no_p", "no_pattern", "p_without_den"],
+        [
+            {"pattern": {"": "0"}},
+            {"p": 1.0},
+            {"pattern": {"": "0"}, "p": {"num": 1}},
+            {"pattern": {"": ["0"]}, "p": 1},
+            {"pattern": {"": {"s": "0"}}, "p": 1},
+        ],
+        ids=["no_p", "no_pattern", "p_without_den", "list_symbol", "object_symbol"],
     )
     def test_malformed_marginal_entry_exits_2(self, half_weight_file, tmp_path, capsys, entry):
         marg = tmp_path / "marg.json"
@@ -832,6 +838,18 @@ class TestWeightTools:
         argv = ["weight-tools", "markovize", "--marginals", str(marg), "--weight", half_weight_file]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("input error: malformed distribution entry")
+
+    def test_repeated_pattern_exits_2(self, tmp_path, capsys):
+        # three entries of 1/2, two of them one pattern: the repeat was once
+        # written over the first, and the file markovized to f_nats 0, exit 0
+        words = ("", "a", "A")
+        entries = [{"pattern": dict(zip(words, key)), "p": 0.5} for key in ("000", "111", "000")]
+        marg = tmp_path / "marg.json"
+        marg.write_text(json.dumps({"rank": 1, "window_radius": 1, "entries": entries}))
+        assert main(["weight-tools", "markovize", "--marginals", str(marg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: pattern {'': '0', 'a': '0', 'A': '0'} appears twice")
 
     @pytest.mark.parametrize("action", ["markovize", "distance"])
     def test_missing_file_flag_exits_2(self, half_weight_file, capsys, action):

@@ -36,6 +36,30 @@ from paper_objects import (
 )
 
 
+def parse_and_cover(ctx, data) -> PatternDistribution:
+    """``PatternDistribution.from_json`` parsing every entry's spellings:
+    they must cover the window, and its key is read through them.  The
+    oracle for reading an entry with the last layout's spellings."""
+    window = ctx.ball(data["window_radius"])
+    probs = {}
+    for entry in data["entries"]:
+        pattern = entry["pattern"]
+        at = {ctx.parse(k): k for k in pattern}
+        if len(at) != len(pattern) or set(at) != set(window):
+            raise InputError("distribution entry does not cover the window")
+        probs[tuple(pattern[at[w]] for w in window)] = read_prob(entry["p"])
+    return PatternDistribution(window, probs)
+
+
+def outcome(read) -> tuple:
+    """The masses and total ``read()`` gives, or the message it raises."""
+    try:
+        dist = read()
+    except InputError as exc:
+        return "error", str(exc)
+    return list(dist.masses.items()), dist.total
+
+
 @pytest.fixture(scope="module")
 def ctx():
     return FreeGroupCtx(2)
@@ -385,3 +409,32 @@ class TestDistributionJson:
         }
         with pytest.raises(InputError, match="does not cover"):
             PatternDistribution.from_json(ctx, data)
+
+    @pytest.mark.parametrize("change", ["rotated", "spelled", "extra_word", "swapped_word"])
+    def test_from_json_follows_a_layout_that_changes_part_way(self, ctx, change):
+        data = self._ball_dist(ctx).to_json(ctx)
+        half = len(data["entries"]) // 2
+        for k, entry in enumerate(data["entries"][half:], half):
+            items = list(entry["pattern"].items())
+            if change == "rotated":
+                entry["pattern"] = dict(items[k % 3:] + items[: k % 3])
+            elif change == "spelled":
+                # "aA" for "" from the middle on, and back on every third entry
+                entry["pattern"] = {("aA" if w == "" and k % 3 else w): x for w, x in items}
+            elif k == half + 1:
+                extra = {"extra_word": items + [("ab", "0")], "swapped_word": items[:-1] + [("ab", "0")]}
+                entry["pattern"] = dict(extra[change])
+        expected = outcome(lambda: parse_and_cover(ctx, data))
+        assert outcome(lambda: PatternDistribution.from_json(ctx, data)) == expected
+        assert (expected[0] == "error") == (change in ("extra_word", "swapped_word"))
+
+    def test_from_json_rejects_a_repeated_pattern(self, ctx):
+        # the three entries sum to 1.5; the last one was once read over the first
+        def entry(identity_word):
+            return {"pattern": {identity_word: "0", "a": "0", "A": "0", "b": "0", "B": "0"}, "p": 0.5}
+
+        other = {"pattern": {"": "1", "a": "1", "A": "1", "b": "1", "B": "1"}, "p": 0.5}
+        for repeat in (entry(""), entry("aA")):
+            data = {"window_radius": 1, "entries": [entry(""), other, repeat]}
+            with pytest.raises(InputError, match="pattern .* appears twice in the distribution"):
+                PatternDistribution.from_json(ctx, data)

@@ -41,7 +41,7 @@ from finvariant import (
 from finvariant.cli import main
 from finvariant.freegroup import mul, sort_words
 from finvariant.shift import PROB_TOL
-from finvariant.weights import _factor, _round_vertex, pattern_symbol_name
+from finvariant.weights import _factor, _integer_transport, _round_vertex, pattern_symbol_name
 
 from paper_objects import (
     F_coefficients,
@@ -210,6 +210,71 @@ def fraction_markovize(ctx: FreeGroupCtx, window, probs: dict) -> Weight:
             e = (c, names[tuple(key[col[mul((i,), g)]] for g in inner)], i)
             edge[e] = edge.get(e, 0) + p
     return Weight.from_tables(ctx.rank, tuple(names.values()), vertex, edge)
+
+
+def recomputing_transport(w: Weight, i: int, counts: dict, n_total: int):
+    """``_integer_transport`` re-adding a row or column at every test, as it
+    did before it kept running sums: the oracle for those sums.  Returns
+    (matrix, certificate, row trims, column trims)."""
+    alpha = list(w.alphabet)
+    support = {(a, b): p for (a, b), p in w.laws[i].probs.items() if p > 0}
+    mat = {(a, b): min(int(Fraction(p) * n_total), counts[a], counts[b]) for (a, b), p in support.items()}
+
+    def row_sum(a):
+        return sum(mat.get((a, b), 0) for b in alpha)
+
+    def col_sum(b):
+        return sum(mat.get((a, b), 0) for a in alpha)
+
+    row_trims = col_trims = 0
+    for a in alpha:
+        while row_sum(a) > counts[a]:
+            b = max((x for x in alpha if mat.get((a, x), 0) > 0), key=lambda x: mat[(a, x)])
+            mat[(a, b)] -= 1
+            row_trims += 1
+    for b in alpha:
+        while col_sum(b) > counts[b]:
+            a = max((x for x in alpha if mat.get((x, b), 0) > 0), key=lambda x: mat[(x, b)])
+            mat[(a, b)] -= 1
+            col_trims += 1
+    while True:
+        deficit_rows = [a for a in alpha if row_sum(a) < counts[a]]
+        if not deficit_rows:
+            return mat, None, row_trims, col_trims
+        parent = {("r", deficit_rows[0]): None}
+        queue = [("r", deficit_rows[0])]
+        end = None
+        while queue and end is None:
+            kind, node = queue.pop(0)
+            if kind == "r":
+                for b in alpha:
+                    if (node, b) in support and ("c", b) not in parent:
+                        parent[("c", b)] = ("r", node)
+                        if col_sum(b) < counts[b]:
+                            end = ("c", b)
+                            break
+                        queue.append(("c", b))
+            else:
+                for a in alpha:
+                    if mat.get((a, node), 0) > 0 and ("r", a) not in parent:
+                        parent[("r", a)] = ("c", node)
+                        queue.append(("r", a))
+        if end is None:
+            rows = sorted(str(n) for k, n in parent if k == "r")
+            cols = sorted(str(n) for k, n in parent if k == "c")
+            certificate = (
+                f"generator {i}: rows {{{', '.join(rows)}}} can only reach "
+                f"columns {{{', '.join(cols)}}} whose targets are saturated"
+            )
+            return None, certificate, row_trims, col_trims
+        node = end
+        while parent[node] is not None:
+            prev = parent[node]
+            if node[0] == "c":
+                mat[(prev[1], node[1])] = mat.get((prev[1], node[1]), 0) + 1
+            else:
+                mat[(node[1], prev[1])] -= 1
+            node = prev
 
 
 def bits(mapping) -> dict:
@@ -1176,6 +1241,28 @@ def mass_case(rank, q, radius, seed):
     return FreeGroupCtx(rank), w, FreeGroupCtx(rank).ball(radius)
 
 
+def shuffled_marginal(ctx: FreeGroupCtx, radius: int, rng) -> PatternDistribution:
+    """A random rational mixture of the empirical radius-``radius`` marginals
+    of random labelings of random finite actions, with its entries in random
+    order.  Every part is shift-consistent, so the mixture markovizes."""
+    from finvariant import sample_action
+
+    symbols = "xyz"[: rng.randint(2, 3)]
+    shares = [rng.randint(1, 9) for _ in range(rng.randint(1, 3))]
+    probs: dict[tuple, Fraction] = {}
+    for share in shares:
+        n = rng.randint(4, 16)
+        action = sample_action(n, ctx.rank, seed=rng.randrange(10**6))
+        # mostly "x", so that patterns often differ only far from e, in the
+        # words markovize does not read
+        labels = rng.choices(symbols, weights=(6, 1, 1)[: len(symbols)], k=n)
+        for key, p in empirical_distribution(ctx, action, labels, radius).probs.items():
+            probs[key] = probs.get(key, 0) + Fraction(share, sum(shares)) * p
+    entries = list(probs.items())
+    rng.shuffle(entries)
+    return PatternDistribution(ctx.ball(radius), dict(entries))
+
+
 class TestIntegerMasses:
     """Integer masses over the least common denominator against the
     Fraction arithmetic they replace, kept above as oracles."""
@@ -1232,6 +1319,32 @@ class TestIntegerMasses:
         assert not mixed.is_exact and bits(mixed.probs) == bits(given)
         super_weight, expected = markovize(ctx, mixed), fraction_markovize(ctx, mixed.window, given)
         assert law_bits(super_weight) == law_bits(expected)
+
+    @pytest.mark.parametrize("rank, radius, seed", [(r, m, k) for r in (1, 2, 3) for m in (1, 2) for k in range(3)])
+    def test_exact_markovize_matches_the_per_entry_oracle(self, rank, radius, seed):
+        # markovize sums an exact marginal over the words it reads before it
+        # names them; the oracle adds every entry in the order given
+        ctx = FreeGroupCtx(rank)
+        dist = shuffled_marginal(ctx, radius, random.Random(f"{rank}:{radius}:{seed}"))
+        assert dist.is_exact and len(dist.masses) > 1
+        super_weight, expected = markovize(ctx, dist), fraction_markovize(ctx, dist.window, dist.probs)
+        assert law_bits(super_weight) == law_bits(expected)
+        assert super_weight.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_a_symbol_only_in_unread_words_still_names_super_symbols(self, rank):
+        # "w" shows only at s_1^-1, a word markovize does not read, yet the
+        # super-alphabet is named over every symbol of the marginal
+        ctx = FreeGroupCtx(rank)
+        dist = shuffled_marginal(ctx, 1, random.Random(rank))
+        probs = dict(dist.probs)
+        key = next(iter(probs))
+        col = dist.window.index((-1,))
+        probs[key[:col] + ("w",) + key[col + 1:]] = probs.pop(key)
+        marginal = PatternDistribution(dist.window, probs)
+        super_weight, expected = markovize(ctx, marginal), fraction_markovize(ctx, marginal.window, marginal.probs)
+        assert super_weight.to_json() == expected.to_json()
+        assert any("w" in name for name in super_weight.alphabet)
 
     def test_projection_keeps_the_denominator_least(self):
         # the radius-1 Bernoulli(1/2) marginal is over 32, each pair projection over 4
@@ -1382,9 +1495,39 @@ class TestRationalize:
         w = Weight.from_tables(1, ("0", "1", "2"), vertex, {(a, a, 1): p for a, p in vertex.items()})
         assert _round_vertex(w, 10**15) == {"0": 199999999999900, "1": 299999999999900, "2": 500000000000200}
 
-    def test_vertex_rounding_refuses_a_surplus_beyond_a_symbol(self):
-        # symbol "0" has one unit at q = 10^15, and a third of the surplus is 167
+    def test_a_surplus_passes_over_a_symbol_that_cannot_give_it(self):
+        # symbol "0" has one unit at q = 10^15 and a third of the surplus of
+        # 501 is 167, so it keeps its unit and "1" and "2" give 251 and 250
         vertex = {"0": 1e-15, "1": 0.5, "2": 0.5000000000005}
         w = Weight.from_tables(1, ("0", "1", "2"), vertex, {(a, a, 1): p for a, p in vertex.items()})
-        with pytest.raises(ConstructionError, match="to 1000000000000000: symbol '0' falls below 0"):
-            rationalize_weight(w, 10**15)
+        counts = {"0": 1, "1": 499999999999749, "2": 500000000000250}
+        assert _round_vertex(w, 10**15) == counts
+        out = rationalize_weight(w, 10**15)
+        assert out.is_exact and [law.total for law in out.laws] == [10**15, 10**15]
+        assert out.laws[0].masses == {(a,): k for a, k in counts.items()}
+        assert out.laws[1].masses == {(a, a): k for a, k in counts.items()}
+
+    def test_running_sums_match_the_recomputing_transport(self):
+        # random float weights, every other one with an edge nudged within
+        # PROB_TOL, so that at 10^15 its floors overflow a row or a column
+        rng = random.Random(23)
+        weights = [self._seven_cycle_weight(), self._near_half_weight(0.5000000000001, 0.2500000000001)]
+        for trial in range(40):
+            w = reversible_weight(rng.randint(1, 2), "0123"[: rng.randint(2, 4)], rng)
+            if trial % 2:
+                vertex, edge = tables(w)
+                nudged = rng.choice(sorted(edge))
+                edge[nudged] += rng.choice((-3e-13, 3e-13))
+                w = Weight.from_tables(w.rank, w.alphabet, vertex, edge)
+            weights.append(w)
+        trims = Counter()
+        for w in weights:
+            for n_total in (3, 5, 7, 100, 10**6, 10**15):
+                counts = _round_vertex(w, n_total)
+                for i in range(1, w.rank + 1):
+                    mat, certificate, row_trims, col_trims = recomputing_transport(w, i, counts, n_total)
+                    got, got_certificate = _integer_transport(w, i, counts, n_total)
+                    assert (got and list(got.items()), got_certificate) == (mat and list(mat.items()), certificate)
+                    trims.update(rows=row_trims, cols=col_trims, failed=mat is None)
+        # the trims and a failed transport are exercised, not only clean floors
+        assert trims["rows"] and trims["cols"] and trims["failed"]

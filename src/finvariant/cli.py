@@ -52,6 +52,7 @@ from .shift import PatternDistribution, pullback_name, read_prob
 from .weights import (
     F_value,
     Weight,
+    marginal_distribution,
     markovize,
     rationalize_weight,
     weight_distance,
@@ -188,11 +189,12 @@ def cmd_f_estimate(args) -> int:
 
     if not isinstance(config["n_list"], list):
         raise InputError(f"n_list must be a list of integers, got {config['n_list']!r}")
-    weight = target = alphabet = None
     if "weight" in config:
         weight = _load_weight(config["weight"])
         ctx = _ctx_for_rank(weight.rank)
         window = as_int(config["window"], "window")
+        target = marginal_distribution(weight, ctx.ball(window))
+        alphabet = weight.alphabet
     else:
         data = _load_json(config["marginals"])
         ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
@@ -208,8 +210,8 @@ def cmd_f_estimate(args) -> int:
         sft = SftSpec.from_json(ctx, _load_json(raw) if isinstance(raw, str) else raw)
     result = f_estimate(
         ctx,
-        weight,
-        window,
+        target,
+        alphabet,
         _parse_epsilon(config["epsilon"]),
         [as_int(n, "an n_list entry") for n in config["n_list"]],
         mode=mode,
@@ -218,8 +220,6 @@ def cmd_f_estimate(args) -> int:
         sft=sft,
         distance_mode=config["distance_mode"],
         caps=caps,
-        target=target,
-        alphabet=alphabet,
     )
     for warning in result.warnings:
         sys.stderr.write(f"warning: {warning}\n")
@@ -391,8 +391,7 @@ def cmd_rearrange(args) -> int:
         expected_keys.append(encoded.values[: len(window)])
         if y_alphabet:
             # admissibility puts phi^-1 of the window inside the radius rho*m ball
-            inverse = phi.inverse_table()
-            columns.append(tuple(y_ball[inverse[f]] for f in window))
+            columns.append(tuple(y_ball[phi.inverse[f]] for f in window))
 
     # the pullback identity is per vertex; the empirical transport compares
     # the multiset of tau's pullback names (paired with tau's y-names when

@@ -22,7 +22,6 @@ from .errors import InputError, ResourceCapError
 from .freegroup import FreeGroupCtx
 from .shift import PROB_TOL, PatternDistribution, window_columns
 from .sft import SftSpec, sft_check_all
-from .weights import Weight, marginal_distribution
 
 
 @dataclass(frozen=True)
@@ -333,8 +332,8 @@ class EstimateResult:
 
 def f_estimate(
     ctx: FreeGroupCtx,
-    weight: Weight | None,
-    window_radius: int,
+    target: PatternDistribution,
+    alphabet: Sequence,
     epsilon,
     n_list: Sequence[int],
     mode: str = "monte_carlo",
@@ -343,20 +342,11 @@ def f_estimate(
     sft: SftSpec | None = None,
     distance_mode: str = "window",
     caps: Caps = Caps(),
-    target: PatternDistribution | None = None,
-    alphabet: Sequence | None = None,
 ) -> EstimateResult:
-    """Per-n growth-rate table (1/n) log E[count].
-
-    The target marginal comes from the weight at the given window radius, or
-    is supplied directly as ``target`` (with an explicit ``alphabet``).  A
-    zero mean is reported as -inf, not an error.
+    """Per-n growth-rate table (1/n) log E[count] of the labelings over
+    ``alphabet`` near ``target``.  A zero mean is reported as -inf, not an
+    error.
     """
-    if weight is not None:
-        target = marginal_distribution(weight, ctx.ball(window_radius))
-        alphabet = weight.alphabet
-    elif target is None or alphabet is None:
-        raise InputError("estimation needs a weight, or a target with an alphabet")
     if any(n < 1 for n in n_list):
         raise InputError(f"every n must be >= 1, got {list(n_list)}")
     if sft is not None and sft.alphabet is not None and not set(alphabet) <= set(sft.alphabet):

@@ -27,15 +27,16 @@ from .sft import AxiomsReport, axioms_check, symbol_entry, telescope
 
 class LocalBijection:
     """A table phi: ball(window) -> G with phi(e) = e, injective, with
-    displacement bound rho in both directions where evaluable."""
+    displacement bound rho in both directions where evaluable.  ``inverse``
+    maps each image to the first word in the table that has it."""
 
-    __slots__ = ("window", "rho", "table", "_inverse")
+    __slots__ = ("window", "rho", "table", "inverse")
 
     def __init__(self, window: int, rho: int, table: Mapping[Word, Word]):
         self.window = window
         self.rho = rho
         self.table = dict(table)
-        self._inverse: dict | None = None
+        self.inverse = {v: k for k, v in reversed(self.table.items())}
 
     def __call__(self, g: Word) -> Word:
         try:
@@ -43,14 +44,9 @@ class LocalBijection:
         except KeyError:
             raise WindowError(f"word {g} outside the radius-{self.window} window") from None
 
-    def inverse_table(self) -> dict:
-        if self._inverse is None:
-            self._inverse = {v: k for k, v in self.table.items()}
-        return self._inverse
-
     def inverse_word(self, target: Word) -> Word:
         try:
-            return self.inverse_table()[target]
+            return self.inverse[target]
         except KeyError:
             raise WindowError(f"{target} not in the image within the window") from None
 
@@ -70,21 +66,14 @@ def decode_E(ctx: FreeGroupCtx, pattern: Pattern) -> LocalBijection:
     if pattern.domain != ctx.ball(radius):
         raise InputError("decoding needs a pattern on a full ball")
     images = telescope(ctx, pattern, IDENTITY, radius + 1)
-    table = dict(zip(ctx.ball(radius + 1), images))
-    inverse: dict[Word, Word] = {}
-    for g, val in table.items():
-        if val in inverse:
-            raise VerificationError(
-                "decoded map is not injective on its window: "
-                f"{ctx.format(inverse[val])} and {ctx.format(g)} both map to {ctx.format(val)}"
-            )
-        inverse[val] = g
-    rho = max(
-        (len(symbol_entry(sym, letter)) for sym in set(pattern.values) for letter in ctx.letters),
-        default=1,
-    )
-    phi = LocalBijection(radius + 1, max(rho, 1), table)
-    phi._inverse = inverse
+    rho = max(len(symbol_entry(sym, letter)) for sym in set(pattern.values) for letter in ctx.letters)
+    phi = LocalBijection(radius + 1, max(rho, 1), dict(zip(ctx.ball(radius + 1), images)))
+    if len(phi.inverse) < len(phi.table):
+        g = next(g for g, val in phi.table.items() if phi.inverse[val] != g)
+        raise VerificationError(
+            "decoded map is not injective on its window: "
+            f"{ctx.format(phi.inverse[phi(g)])} and {ctx.format(g)} both map to {ctx.format(phi(g))}"
+        )
     return phi
 
 
@@ -213,9 +202,11 @@ def reconstruct_sigma(ctx: FreeGroupCtx, tau: FiniteAction, labels) -> FiniteAct
 
 class Automorphism:
     """A free-group automorphism given by generator images; produces window
-    tables and constant admissible configurations for any finite action."""
+    tables and constant admissible configurations for any finite action.
+    ``inverse_images`` holds the images of the inverse automorphism, and
+    ``displacement`` is the longest image of either."""
 
-    def __init__(self, ctx: FreeGroupCtx, images: Mapping[int, Word], _inverse=None):
+    def __init__(self, ctx: FreeGroupCtx, images: Mapping[int, Word]):
         self.ctx = ctx
         full = {}
         for i in range(1, ctx.rank + 1):
@@ -226,9 +217,25 @@ class Automorphism:
             full[i] = img
             full[-i] = inv(img)
         self.images = full
-        self._inverse = _inverse
-        if _inverse is None:
-            self._check_bijective()
+        # a preimage of every generator makes the map onto, and a free group
+        # of finite rank is Hopfian: a surjective endomorphism is injective
+        # too, so no separate injectivity check is needed
+        radius = 2 * max(map(len, full.values())) + 2
+        found: dict[int, Word] = {}
+        for w in ctx.ball(radius):
+            img = self.apply(w)
+            if len(img) == 1 and img[0] > 0:
+                found[img[0]] = w
+                if len(found) == ctx.rank:
+                    break
+        else:
+            i = min(set(range(1, ctx.rank + 1)).difference(found))
+            raise ConstructionError(
+                "images do not define an automorphism: generator "
+                f"{ctx.letter_name(i)} has no preimage within radius {radius}"
+            )
+        self.inverse_images = found | {-i: inv(w) for i, w in found.items()}
+        self.displacement = max(map(len, [*full.values(), *self.inverse_images.values()]))
 
     @classmethod
     def from_names(cls, ctx: FreeGroupCtx, images: Mapping[str, str]) -> "Automorphism":
@@ -246,46 +253,8 @@ class Automorphism:
             out = mul(out, self.images[letter])
         return out
 
-    @property
-    def forward_displacement(self) -> int:
-        return max(len(img) for img in self.images.values())
-
-    @property
-    def displacement(self) -> int:
-        inv_auto = self.inverse()
-        return max(self.forward_displacement, inv_auto.forward_displacement)
-
-    def _find_preimage(self, target: Word, search_radius: int) -> Word | None:
-        for w in self.ctx.ball(search_radius):
-            if self.apply(w) == target:
-                return w
-        return None
-
-    def _check_bijective(self) -> None:
-        # a preimage of every generator makes the map onto, and a free group
-        # of finite rank is Hopfian: a surjective endomorphism is injective
-        # too, so no separate injectivity check is needed
-        radius = 2 * self.forward_displacement + 2
-        inverse_images = {}
-        for i in range(1, self.ctx.rank + 1):
-            pre = self._find_preimage((i,), radius)
-            if pre is None:
-                raise ConstructionError(
-                    "images do not define an automorphism: generator "
-                    f"{self.ctx.letter_name(i)} has no preimage within radius {radius}"
-                )
-            inverse_images[i] = pre
-        self._inverse = Automorphism(self.ctx, inverse_images, _inverse=self)
-
-    def inverse(self) -> "Automorphism":
-        return self._inverse
-
-    def constant_symbol(self) -> tuple:
-        """One orbit-alphabet symbol: each signed letter maps to the inverse
-        automorphism's image, matching an orbit-change map constantly equal
-        to the inverse."""
-        inv_auto = self.inverse()
-        return tuple(inv_auto.images[letter] for letter in self.ctx.letters)
-
     def constant_config(self, n: int) -> tuple:
-        return (self.constant_symbol(),) * n
+        """n copies of one orbit-alphabet symbol: each signed letter maps to
+        its image under the inverse automorphism, matching an orbit-change
+        map constantly equal to the inverse."""
+        return (tuple(self.inverse_images[letter] for letter in self.ctx.letters),) * n

@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 from .errors import ConstructionError, InputError, ResourceCapError, WeightError, as_int
-from .freegroup import FreeGroupCtx, Word, mul, sort_words
+from .freegroup import IDENTITY, FreeGroupCtx, Word, mul, sort_words
 from .sft import SftSpec
 from .shift import PROB_TOL, PatternDistribution, items_at, over_lcm, read_prob, write_prob
 
@@ -145,14 +145,6 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def _log_combo(num: int, den: int) -> dict[int, int]:
-    """ln(num / den) as an integer combination of logs of primes."""
-    combo = dict(_factor(num))
-    for p, e in _factor(den):
-        combo[p] = combo.get(p, 0) - e
-    return {p: c for p, c in combo.items() if c}
-
-
 def _combo_value(combo: Mapping[int, Fraction]) -> float:
     return sum(float(c) * math.log(p) for p, c in sorted(combo.items()))
 
@@ -198,17 +190,16 @@ def shannon_entropy(dist: PatternDistribution) -> EntropyValue:
     """Shannon entropy in nats of a distribution; 0 log 0 = 0.
 
     An exact distribution, masses m over the total T, has the exact value
-    -sum (m/T) ln(m/T): each m/T is factored in lowest terms, and the
-    coefficient of each prime is summed as an integer over T."""
+    given by T H = T ln T - sum m ln m: the total and each mass are factored
+    once, and the coefficient of each prime is summed as an integer."""
     if dist.is_exact:
         total = dist.total
-        sums: dict[int, int] = {}
+        sums = {p: total * e for p, e in _factor(total)}
         for m in dist.masses.values():
             if m:
-                common = math.gcd(m, total)
-                for p, c in _log_combo(m // common, total // common).items():
-                    sums[p] = sums.get(p, 0) + m * c
-        return EntropyValue.exact({p: Fraction(-s, total) for p, s in sums.items()})
+                for p, e in _factor(m):
+                    sums[p] = sums.get(p, 0) - m * e
+        return EntropyValue.exact({p: Fraction(s, total) for p, s in sums.items()})
     acc = 0.0
     for p in dist.masses.values():
         p = float(p)
@@ -483,13 +474,14 @@ def markovize(ctx: FreeGroupCtx, dist: PatternDistribution) -> Weight:
         raise InputError("markovize needs a ball window of radius >= 1")
     inner = ctx.ball(radius - 1)
     glued = [inner] + [[mul((i,), g) for g in inner] for i in range(1, ctx.rank + 1)]
-    base_symbols = sorted(set().union(*dist.masses), key=repr)
     # an exact marginal is summed over the words read first: its integer
     # sums do not depend on order.  A float one keeps its entry order.
     if dist.is_exact:
         dist = dist.project(set().union(*glued))
     col = {g: k for k, g in enumerate(dist.window)}
-    inner_of, *shifted_of = (items_at([col[h] for h in words]) for words in glued)
+    readers = [items_at([col[h] for h in words]) for words in glued]
+    # a shift-invariant marginal shows at every word the symbols it shows at e
+    base_symbols = sorted({key[col[IDENTITY]] for key, p in dist.masses.items() if p}, key=repr)
     names = {
         key: pattern_symbol_name(ctx, inner, key)
         for key in iter_product(base_symbols, repeat=len(inner))
@@ -498,10 +490,18 @@ def markovize(ctx: FreeGroupCtx, dist: PatternDistribution) -> Weight:
     vertex: dict[str, object] = {}
     edge: dict[tuple, object] = {}
     for key, p in dist.masses.items():
-        c = names[inner_of(key)]
+        try:
+            c, *glued_names = (names[read(key)] for read in readers)
+        except KeyError:
+            if p:
+                raise InputError(
+                    f"marginals are not shift-invariant: {pattern_symbol_name(ctx, dist.window, key)} "
+                    "shows a symbol that no pattern of nonzero mass shows at the identity"
+                ) from None
+            continue  # a pattern of zero mass names nothing
         vertex[c] = vertex.get(c, 0) + p
-        for i, of in enumerate(shifted_of, 1):
-            edge_key = (c, names[of(key)], i)
+        for i, name in enumerate(glued_names, 1):
+            edge_key = (c, name, i)
             edge[edge_key] = edge.get(edge_key, 0) + p
     try:
         # an exact marginal's sums are integers over its one denominator

@@ -25,6 +25,7 @@ from itertools import product as iter_product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from finvariant.actions import FiniteAction
+from finvariant.counting import EstimateResult, f_estimate
 from finvariant.errors import ConstructionError, InputError, WeightError, WindowError
 from finvariant.freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul, sort_words
 from finvariant.orbitmaps import Automorphism, LocalBijection, zrho_pullbacks
@@ -215,6 +216,14 @@ def bernoulli_weight(base: Mapping, rank: int) -> Weight:
         for i in range(1, rank + 1)
     }
     return Weight.from_tables(rank, alphabet, dict(base), edge)
+
+
+def weight_estimate(ctx: FreeGroupCtx, w: Weight, window_radius: int, epsilon, n_list, **options) -> EstimateResult:
+    """``f_estimate`` against the weight's marginal on the radius-``window_radius``
+    ball, counting labelings over its alphabet: the target and alphabet that
+    ``f-estimate`` builds from a weight."""
+    target = marginal_distribution(w, ctx.ball(window_radius))
+    return f_estimate(ctx, target, w.alphabet, epsilon, n_list, **options)
 
 
 def window_structure(window: Sequence[Word], rank: int):
@@ -447,7 +456,7 @@ def validate_bijection(ctx: FreeGroupCtx, phi: LocalBijection) -> None:
         raise InputError("orbit-change maps must fix the identity")
     if len(set(phi.table.values())) != len(phi.table):
         raise InputError("table is not injective on its window")
-    for name, table in (("displacement", phi.table), ("inverse displacement", phi.inverse_table())):
+    for name, table in (("displacement", phi.table), ("inverse displacement", phi.inverse)):
         for g in table:
             for letter in ctx.letters:
                 h = mul(g, (letter,))
@@ -480,7 +489,7 @@ def bijection_from_json(ctx: FreeGroupCtx, data: dict) -> LocalBijection:
 def bijection(auto: Automorphism, window: int) -> LocalBijection:
     """The automorphism's table on the radius-``window`` ball."""
     table = {g: auto.apply(g) for g in auto.ctx.ball(window)}
-    return LocalBijection(window, auto.forward_displacement, table)
+    return LocalBijection(window, max(map(len, auto.images.values())), table)
 
 
 def check_automorphism_by_scan(ctx: FreeGroupCtx, images: Mapping[str, str]) -> None:
@@ -546,7 +555,7 @@ def compose(ctx: FreeGroupCtx, outer: LocalBijection, inner: LocalBijection) -> 
 
 def invert(ctx: FreeGroupCtx, phi: LocalBijection) -> LocalBijection:
     """The inverse table restricted to the largest ball inside the image."""
-    inverse = phi.inverse_table()
+    inverse = phi.inverse
     radius = -1
     for m in range(phi.window + 1):
         if all(g in inverse for g in ctx.ball(m)):
@@ -619,8 +628,8 @@ def sym_distance(
     sum 2^-k over disagreements of the maps and of their inverses.  Positions
     outside either window count as disagreements."""
     total = 0.0
-    phi_inv = phi.inverse_table()
-    psi_inv = psi.inverse_table()
+    phi_inv = phi.inverse
+    psi_inv = psi.inverse
     for k, g in enumerate(ctx.ball(depth), start=1):
         weight = 2.0**-k
         if phi.table.get(g, ("?",)) != psi.table.get(g, ("!",)):

@@ -26,7 +26,6 @@ from finvariant import (
     encode_F,
     enumerate_actions,
     expected_count,
-    f_estimate,
     marginal_distribution,
     pattern_inverse_eval,
     pullback_name,
@@ -59,6 +58,7 @@ from paper_objects import (
     shift_pattern,
     theta_action,
     upsilon_action,
+    weight_estimate,
     zrho_admissible,
 )
 from test_weights import (
@@ -159,7 +159,7 @@ def test_criterion_04_estimator_consistency():
     """
     t0 = time.perf_counter()
     w = bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2)
-    result = f_estimate(
+    result = weight_estimate(
         CTX,
         w,
         1,
@@ -188,7 +188,7 @@ def test_criterion_04_estimator_consistency():
     # the exact companion: the same averages over all n!^2 actions, summed by
     # labeling type, which also places each Monte Carlo mean
     caps = Caps(exact_actions=math.factorial(12) ** 2, labelings=2**12)
-    exact = f_estimate(CTX, w, 1, 0.1, [4, 8, 12], mode="exact", distance_mode="edge_star", caps=caps)
+    exact = weight_estimate(CTX, w, 1, 0.1, [4, 8, 12], mode="exact", distance_mode="edge_star", caps=caps)
     exact_errs = {row.n: abs(row.log_mean_over_n - LN2) for row in exact.rows}
     assert exact_errs[4] > exact_errs[8] > exact_errs[12] and exact_errs[12] <= 0.35, exact_errs
     for mc, ex in zip(result.rows, exact.rows):

@@ -851,6 +851,17 @@ class TestWeightTools:
         assert captured.out == ""
         assert captured.err.startswith("input error: pattern {'': '0', 'a': '0', 'A': '0'} appears twice")
 
+    def test_a_symbol_off_the_identity_exits_2(self, tmp_path, capsys):
+        # "1" shows at a, a word markovize reads, but never at e
+        words = ("", "a", "A")
+        entries = [{"pattern": dict(zip(words, key)), "p": 0.5} for key in ("000", "010")]
+        marg = tmp_path / "marg.json"
+        marg.write_text(json.dumps({"rank": 1, "window_radius": 1, "entries": entries}))
+        assert main(["weight-tools", "markovize", "--marginals", str(marg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: marginals are not shift-invariant: =0,a=1,A=0 shows a symbol")
+
     @pytest.mark.parametrize("action", ["markovize", "distance"])
     def test_missing_file_flag_exits_2(self, half_weight_file, capsys, action):
         assert main(["weight-tools", action, "--weight", half_weight_file]) == 2

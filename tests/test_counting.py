@@ -27,13 +27,12 @@ from finvariant import (
     count_omega,
     enumerate_actions,
     expected_count,
-    f_estimate,
     marginal_distribution,
     sample_action,
     sft_check_all,
 )
 
-from paper_objects import bernoulli_weight, empirical_distribution, nn_spec
+from paper_objects import bernoulli_weight, empirical_distribution, nn_spec, weight_estimate
 from test_weights import reversible_weight
 
 CTX2 = FreeGroupCtx(2)
@@ -425,7 +424,7 @@ class TestExpectedCount:
 class TestFEstimate:
     def test_point_mass_rows_exactly_zero(self):
         pm = bernoulli_weight({"0": Fraction(1), "1": Fraction(0)}, 2)
-        result = f_estimate(
+        result = weight_estimate(
             CTX2, pm, 1, 0.05, [3, 5], mode="monte_carlo", samples=15, seed=1
         )
         for row in result.rows:
@@ -435,13 +434,13 @@ class TestFEstimate:
         # an n-vertex labeling charges at most n of the 32 radius-1 patterns,
         # so its l1 distance to the uniform target is at least 2(1 - n/32):
         # 1.375 at n = 10, far above 0.1, and every count is 0
-        result = f_estimate(
+        result = weight_estimate(
             CTX2, HALF, 1, 0.1, [4, 10], mode="monte_carlo", samples=10, seed=2
         )
         assert [row.log_mean_over_n for row in result.rows] == [float("-inf")] * 2
 
     def test_exact_statistics_divisibility_warning(self):
-        result = f_estimate(
+        result = weight_estimate(
             CTX2,
             HALF,
             0,
@@ -457,19 +456,19 @@ class TestFEstimate:
     def test_divisibility_warning_follows_the_distance_mode(self):
         # edge_star compares the pair projections, whose denominators are 4,
         # so n = 4 is attainable there; the full radius-1 window needs 32 | n
-        edge = f_estimate(
+        edge = weight_estimate(
             CTX2, HALF, 1, Fraction(0), [4], mode="exact", distance_mode="edge_star"
         )
         assert edge.warnings == ()
         assert edge.rows[0].mean_count == pytest.approx(8 / 3)
-        window = f_estimate(CTX2, HALF, 1, Fraction(0), [4], mode="exact")
+        window = weight_estimate(CTX2, HALF, 1, Fraction(0), [4], mode="exact")
         assert len(window.warnings) == 1 and "lcm 32" in window.warnings[0]
         assert window.rows[0].mean_count == 0
 
     def test_window_zero_consistency_toward_base_entropy(self):
         # the desk-scale demonstration: the histogram-window estimate walks
         # toward ln 2 as n grows
-        result = f_estimate(
+        result = weight_estimate(
             CTX2, HALF, 0, 0.1, [4, 6, 8, 10], mode="monte_carlo", samples=40, seed=4
         )
         errs = [abs(row.log_mean_over_n - math.log(2)) for row in result.rows]
@@ -596,10 +595,10 @@ class TestExactByType:
         caps = Caps(exact_actions=math.factorial(636) ** 3, labelings=3**636)
         t0 = time.perf_counter()
         with pytest.raises(ResourceCapError, match="n=636"):
-            f_estimate(ctx, w, 1, Fraction(0), [636], mode="exact", distance_mode="edge_star", caps=caps)
+            weight_estimate(ctx, w, 1, Fraction(0), [636], mode="exact", distance_mode="edge_star", caps=caps)
         assert time.perf_counter() - t0 < 5.0
         # inside float range the same weight reads its closed form, 1/multinomial^2
-        row = f_estimate(ctx, w, 1, Fraction(0), [6], mode="exact", distance_mode="edge_star", caps=caps).rows[0]
+        row = weight_estimate(ctx, w, 1, Fraction(0), [6], mode="exact", distance_mode="edge_star", caps=caps).rows[0]
         assert row.mean_count == 1 / 90**2
 
 
@@ -641,7 +640,7 @@ class TestCountingMeetsFValue:
     def _estimate(self, w, n_list):
         ctx = FreeGroupCtx(w.rank)
         caps = Caps(exact_actions=math.factorial(max(n_list)) ** w.rank, labelings=len(w.alphabet) ** max(n_list))
-        result = f_estimate(ctx, w, 1, Fraction(0), n_list, mode="exact", distance_mode="edge_star", caps=caps)
+        result = weight_estimate(ctx, w, 1, Fraction(0), n_list, mode="exact", distance_mode="edge_star", caps=caps)
         assert result.warnings == ()
         return ctx, result.rows
 

@@ -67,6 +67,14 @@ AUTOS = {
 }
 
 
+def substitute(images, w):
+    """The word w with each letter replaced by its image, reduced."""
+    out = IDENTITY
+    for letter in w:
+        out = mul(out, images[letter])
+    return out
+
+
 def transposition(ctx, window, u, v):
     """Swap two nonidentity group elements, identity elsewhere; a genuinely
     non-automorphism bounded bijection."""
@@ -228,7 +236,7 @@ class TestEncodeDecode:
         pattern = Pattern(ball, [sym] * len(ball))
         from finvariant import VerificationError
 
-        with pytest.raises(VerificationError):
+        with pytest.raises(VerificationError, match="not injective on its window: a and b both map to a$"):
             decode_E(CTX, pattern)
 
     def test_inverse_eval(self):
@@ -492,9 +500,10 @@ class TestAutomorphismFactory:
 
     def test_preimages_decide_like_the_collision_scan(self):
         # a free group of finite rank is Hopfian, so generator preimages alone
-        # decide bijectivity; the scan oracle also looks for collisions
+        # decide bijectivity; the scan oracle also looks for collisions.  An
+        # accepted automorphism's inverse images undo its images, and back
         words = [CTX.format(w) for w in CTX.ball(2)]
-        collisions = 0
+        collisions = accepted = 0
         for a, b in itertools.product(words, repeat=2):
             images = {"a": a, "b": b}
             try:
@@ -503,21 +512,35 @@ class TestAutomorphismFactory:
             except ConstructionError as exc:
                 expected = str(exc)
             try:
-                Automorphism.from_names(CTX, images)
+                auto = Automorphism.from_names(CTX, images)
                 rejected = False
             except ConstructionError:
                 rejected = True
             assert rejected == (expected is not None), images
             collisions += expected is not None and "collide" in expected
-        assert collisions > 0
+            if rejected:
+                continue
+            accepted += 1
+            inverse = auto.inverse_images
+            for letter in CTX.letters:
+                assert auto.apply(inverse[letter]) == (letter,), images
+                assert substitute(inverse, auto.images[letter]) == (letter,), images
+            assert auto.displacement == max(len(w) for table in (auto.images, inverse) for w in table.values())
+        assert collisions > 0 and accepted > 0
 
     def test_inverse_images(self):
         auto = AUTOS["nielsen"]
-        inverse = auto.inverse()
-        assert inverse.apply(CTX.parse("a")) == CTX.parse("aB")
-        for name in ("a", "b"):
-            w = CTX.parse(name)
-            assert auto.apply(inverse.apply(w)) == w
+        assert auto.inverse_images[1] == CTX.parse("aB")
+        for letter in CTX.letters:
+            assert auto.apply(auto.inverse_images[letter]) == (letter,)
+
+    def test_displacement_counts_the_longer_inverse(self):
+        # no rank-2 automorphism with images in ball(3) has a longer inverse;
+        # at rank 3, a -> ab, b -> bc inverts to a -> acB, b -> bC
+        ctx = FreeGroupCtx(3)
+        auto = Automorphism.from_names(ctx, {"a": "ab", "b": "bc", "c": "c"})
+        assert [ctx.format(auto.inverse_images[i]) for i in (1, 2, 3)] == ["acB", "bC", "c"]
+        assert auto.displacement == 3
 
     def test_bijection_validates(self):
         for auto in AUTOS.values():
@@ -645,7 +668,7 @@ class TestBlockCode:
         for name in ("identity", "swap", "nielsen"):
             rho = AUTOS[name].displacement
             ball = CTX.ball(rho * rho + 1)
-            cases.append((rho, Pattern(ball, [AUTOS[name].constant_symbol()] * len(ball))))
+            cases.append((rho, Pattern(ball, list(AUTOS[name].constant_config(len(ball))))))
         assert len(cases) == 40 + 3
         compared = 0
         for rho, pat in cases:

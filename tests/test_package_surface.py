@@ -13,6 +13,9 @@ that a merged or retired tolerance cannot linger.
 Every name a module imports must also be read in that module, so that a
 deletion leaves no import behind, and every parameter of a package function
 must be read in its body, so that a caller never passes what nothing uses.
+No package code assigns an underscore attribute of an object other than
+``self``, and no parameter's name starts with an underscore: a private value
+is set by the object that owns it, not passed in or written from outside.
 The JSON keys ``"num"`` and ``"den"`` of an exact probability appear in one
 module only, the one that holds its reader and writer.  The functions
 ``perfbench/spans.py`` wraps by name must stay where it looks for them, and
@@ -120,6 +123,27 @@ def unread_parameters(package: pathlib.Path = PACKAGE) -> list:
     return unread
 
 
+def private_back_doors(package: pathlib.Path = PACKAGE) -> list:
+    """``module:function:parameter`` for each parameter whose name starts
+    with an underscore, and ``module:target`` for each assignment to an
+    underscore attribute of an object other than ``self``."""
+    found = []
+    for name, tree in _modules(package).items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+                found += [f"{name}:{getattr(node, 'name', 'lambda')}:{p}" for p in params if p.startswith("_")]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and node.attr.startswith("_")
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            ):
+                found.append(f"{name}:{ast.unparse(node)}")
+    return found
+
+
 def modules_naming_rational_keys(package: pathlib.Path = PACKAGE) -> list:
     """The modules holding the string constant "num" or "den"."""
     return [
@@ -212,6 +236,22 @@ def test_the_check_sees_an_unread_parameter(tmp_path):
         "\n\ndef orphan(x, y, *rest, z=PROB_TOL):\n    y = x\n    return x, rest\n",
     )
     assert unread_parameters(tmp_path) == ["shift.py:orphan:y", "shift.py:orphan:z"]
+
+
+def test_no_private_back_door():
+    assert private_back_doors() == []
+
+
+def test_the_check_sees_a_private_back_door(tmp_path):
+    # one function both takes an underscore parameter and writes another
+    # object's underscore attribute; writing its own is fine
+    _copy_package(tmp_path)
+    _plant(
+        tmp_path / "shift.py",
+        "PROB_TOL = 1e-12\n",
+        "\n\ndef orphan(dist, _cache=None):\n    dist._probs = _cache\n    return dist\n",
+    )
+    assert private_back_doors(tmp_path) == ["shift.py:orphan:_cache", "shift.py:dist._probs"]
 
 
 def test_one_module_reads_and_writes_rationals():

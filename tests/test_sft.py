@@ -150,7 +150,7 @@ class TestAxioms:
 
     def test_swap_configuration_accepted_with_witness(self):
         swap = Automorphism.from_names(CTX2, {"a": "b", "b": "a"})
-        pattern = constant_pattern(CTX2, 2, swap.constant_symbol())
+        pattern = constant_pattern(CTX2, 2, swap.constant_config(1)[0])
         assert axioms_check(CTX2, 1, pattern).ok
         # the witness for h = a must be the single letter b
         witnesses = [
@@ -187,7 +187,7 @@ class TestAxioms:
         # accepted patterns have exactly one witness per target by definition;
         # spot-check by re-walking an accepted nielsen configuration
         nielsen = Automorphism.from_names(CTX2, {"a": "ab", "b": "b"})
-        pattern = constant_pattern(CTX2, 5, nielsen.constant_symbol())
+        pattern = constant_pattern(CTX2, 5, nielsen.constant_config(1)[0])
         assert axioms_check(CTX2, 2, pattern).ok
         for h in CTX2.ball(2):
             witnesses = [

@@ -197,17 +197,24 @@ def fraction_marginal(w: Weight, window) -> dict:
 def fraction_markovize(ctx: FreeGroupCtx, window, probs: dict) -> Weight:
     """``markovize`` summing the probabilities as given, one Fraction (or
     float) add per pattern and edge: the oracle for the integer sums, in
-    the same order, so a float sum has the same rounding."""
+    the same order, so a float sum has the same rounding.  The symbols are
+    those the identity shows with nonzero mass; a pattern of nonzero mass
+    that shows another at a read word raises, one of zero mass is left out."""
     inner = ctx.ball(len(window[-1]) - 1)
     col = {g: k for k, g in enumerate(window)}
-    base = sorted({k for key in probs for k in key}, key=repr)
+    base = sorted({key[col[()]] for key, p in probs.items() if p}, key=repr)
     names = {key: pattern_symbol_name(ctx, inner, key) for key in iter_product(base, repeat=len(inner))}
     vertex, edge = {}, {}
     for key, p in probs.items():
-        c = names[tuple(key[col[g]] for g in inner)]
+        read = [tuple(key[col[mul((i,), g) if i else g]] for g in inner) for i in range(ctx.rank + 1)]
+        if not all(r in names for r in read):
+            if p:
+                raise InputError("marginals are not shift-invariant")
+            continue
+        c = names[read[0]]
         vertex[c] = vertex.get(c, 0) + p
         for i in range(1, ctx.rank + 1):
-            e = (c, names[tuple(key[col[mul((i,), g)]] for g in inner)], i)
+            e = (c, names[read[i]], i)
             edge[e] = edge.get(e, 0) + p
     return Weight.from_tables(ctx.rank, tuple(names.values()), vertex, edge)
 
@@ -702,10 +709,47 @@ class TestShannonEntropy:
         assert a != b
         assert a == shannon_entropy(one_site_law([Fraction(1, 2), Fraction(1, 2)]))
 
+    # small totals of shared prime powers, and the semiprime 1000000007 * 1000000009
+    @pytest.mark.parametrize("total", [2**6 * 3**2 * 5, 2 * 3 * 5 * 7 * 11 * 13, 3**9, 1000000007 * 1000000009])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_the_total_factored_once_matches_the_per_mass_quotients(self, total, seed):
+        rng = random.Random(f"{total}:{seed}")
+        masses = random_exact_masses(rng, total)
+        dist = PatternDistribution(((),), {(k,): m for k, m in enumerate(masses)}, total)
+        assert shannon_entropy(dist).combo == quotient_entropy_combo(dist)
+
     def test_an_exact_and_a_float_value_compare_by_value(self):
         exact = shannon_entropy(one_site_law([Fraction(1, 2), Fraction(1, 2)]))
         assert exact == EntropyValue(math.log(2)) and EntropyValue(math.log(2)) == exact
         assert exact != EntropyValue(math.nextafter(math.log(2), 1))
+
+
+def quotient_entropy_combo(dist: PatternDistribution) -> dict:
+    """The exact entropy of an exact distribution summed per mass: each m/T
+    is factored in lowest terms and each prime's coefficient summed as an
+    integer over T.  The route ``shannon_entropy`` took before it factored
+    the total once, kept as its oracle."""
+    total, sums = dist.total, Counter()
+    for m in dist.masses.values():
+        if m:
+            common = math.gcd(m, total)
+            for p, e in _factor(m // common):
+                sums[p] += m * e
+            for p, e in _factor(total // common):
+                sums[p] -= m * e
+    return {p: Fraction(-s, total) for p, s in sums.items() if s}
+
+
+def random_exact_masses(rng, total: int) -> list:
+    """Random nonnegative masses summing to ``total``: most a random multiple
+    of a random divisor of it, so they share factors with it, and some 0."""
+    divisors = [d for d, _ in _factor(total)] + [1]
+    masses = []
+    for _ in range(rng.randint(1, 6)):
+        d = rng.choice(divisors) * rng.choice([1, 1, 2, 3])
+        room = (total - sum(masses)) // d
+        masses.append(d * rng.randint(1, room // 2) if room > 1 and rng.random() < 0.8 else 0)
+    return masses + [total - sum(masses)]
 
 
 def trial_division_factor(n: int) -> tuple:
@@ -1331,20 +1375,56 @@ class TestIntegerMasses:
         assert law_bits(super_weight) == law_bits(expected)
         assert super_weight.to_json() == expected.to_json()
 
+    @staticmethod
+    def _moved(dist, word, symbol):
+        """``dist`` with its first entry moved to show ``symbol`` at ``word``."""
+        probs = dict(dist.probs)
+        key, col = next(iter(probs)), dist.window.index(word)
+        probs[key[:col] + (symbol,) + key[col + 1:]] = probs.pop(key)
+        return PatternDistribution(dist.window, probs)
+
     @pytest.mark.parametrize("rank", [1, 2])
-    def test_a_symbol_only_in_unread_words_still_names_super_symbols(self, rank):
-        # "w" shows only at s_1^-1, a word markovize does not read, yet the
-        # super-alphabet is named over every symbol of the marginal
+    def test_a_symbol_only_in_unread_words_names_no_super_symbol(self, rank):
+        # "w" shows only at s_1^-1, a word markovize does not read, so the
+        # super-alphabet is named over the symbols at e and the weight is
+        # that of the marginal before "w" was written
         ctx = FreeGroupCtx(rank)
         dist = shuffled_marginal(ctx, 1, random.Random(rank))
-        probs = dict(dist.probs)
-        key = next(iter(probs))
-        col = dist.window.index((-1,))
-        probs[key[:col] + ("w",) + key[col + 1:]] = probs.pop(key)
-        marginal = PatternDistribution(dist.window, probs)
+        marginal = self._moved(dist, (-1,), "w")
         super_weight, expected = markovize(ctx, marginal), fraction_markovize(ctx, marginal.window, marginal.probs)
-        assert super_weight.to_json() == expected.to_json()
-        assert any("w" in name for name in super_weight.alphabet)
+        assert super_weight.to_json() == expected.to_json() == markovize(ctx, dist).to_json()
+        assert not any("w" in name for name in super_weight.alphabet)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("rank, word", [(1, (1,)), (2, (1,)), (2, (1, 2))], ids=["r1_a", "r2_a", "r2_ab"])
+    def test_a_read_symbol_absent_at_the_identity_is_not_shift_invariant(self, exact, rank, word):
+        # a radius-1 marginal is read at s_1, a radius-2 one at s_1 s_2 too,
+        # the glued s_1 times the inner word s_2
+        ctx = FreeGroupCtx(rank)
+        dist = shuffled_marginal(ctx, len(word), random.Random(f"{rank}:{word}"))
+        if not exact:
+            dist = PatternDistribution(dist.window, {key: float(p) for key, p in dist.probs.items()})
+        marginal = self._moved(dist, word, "w")
+        with pytest.raises(InputError, match="not shift-invariant"):
+            markovize(ctx, marginal)
+        with pytest.raises(InputError, match="not shift-invariant"):
+            fraction_markovize(ctx, marginal.window, marginal.probs)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_a_zero_mass_entry_names_nothing_and_passes(self, rank):
+        # a zero-mass entry with "z" at e, and one with "w" at s_1, neither
+        # name a super symbol nor fail, and leave the weight as it was
+        ctx = FreeGroupCtx(rank)
+        dist = shuffled_marginal(ctx, 1, random.Random(rank))
+        keys = iter(dist.probs)
+        probs = dict(dist.probs)
+        for word, symbol in (((), "z"), ((1,), "w")):
+            key, col = next(keys), dist.window.index(word)
+            probs[key[:col] + (symbol,) + key[col + 1:]] = Fraction(0)
+        marginal = PatternDistribution(dist.window, probs)
+        assert len(marginal.masses) == len(dist.masses) + 2
+        super_weight, expected = markovize(ctx, marginal), fraction_markovize(ctx, marginal.window, marginal.probs)
+        assert super_weight.to_json() == expected.to_json() == markovize(ctx, dist).to_json()
 
     def test_projection_keeps_the_denominator_least(self):
         # the radius-1 Bernoulli(1/2) marginal is over 32, each pair projection over 4

@@ -193,8 +193,6 @@ def cmd_f_estimate(args) -> int:
         weight = _load_weight(config["weight"])
         ctx = _ctx_for_rank(weight.rank)
         window = as_int(config["window"], "window")
-        target = marginal_distribution(weight, ctx.ball(window))
-        alphabet = weight.alphabet
     else:
         data = _load_json(config["marginals"])
         ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
@@ -208,15 +206,23 @@ def cmd_f_estimate(args) -> int:
     if config.get("sft"):
         raw = config["sft"]
         sft = SftSpec.from_json(ctx, _load_json(raw) if isinstance(raw, str) else raw)
+    epsilon = _parse_epsilon(config["epsilon"])
+    n_list = [as_int(n, "an n_list entry") for n in config["n_list"]]
+    samples = as_int(config["samples"], "samples")
+    seed = as_int(config["seed"], "seed")
+    # a weight's marginal is walked only once the rest of the config parsed
+    if "weight" in config:
+        target = marginal_distribution(weight, ctx.ball(window))
+        alphabet = weight.alphabet
     result = f_estimate(
         ctx,
         target,
         alphabet,
-        _parse_epsilon(config["epsilon"]),
-        [as_int(n, "an n_list entry") for n in config["n_list"]],
+        epsilon,
+        n_list,
         mode=mode,
-        samples=as_int(config["samples"], "samples"),
-        seed=as_int(config["seed"], "seed"),
+        samples=samples,
+        seed=seed,
         sft=sft,
         distance_mode=config["distance_mode"],
         caps=caps,

@@ -44,12 +44,6 @@ class LocalBijection:
         except KeyError:
             raise WindowError(f"word {g} outside the radius-{self.window} window") from None
 
-    def inverse_word(self, target: Word) -> Word:
-        try:
-            return self.inverse[target]
-        except KeyError:
-            raise WindowError(f"{target} not in the image within the window") from None
-
 
 # ---------------------------------------------------------------------------
 # decoding and encodings
@@ -66,8 +60,12 @@ def decode_E(ctx: FreeGroupCtx, pattern: Pattern) -> LocalBijection:
     if pattern.domain != ctx.ball(radius):
         raise InputError("decoding needs a pattern on a full ball")
     images = telescope(ctx, pattern, IDENTITY, radius + 1)
-    rho = max(len(symbol_entry(sym, letter)) for sym in set(pattern.values) for letter in ctx.letters)
-    phi = LocalBijection(radius + 1, max(rho, 1), dict(zip(ctx.ball(radius + 1), images)))
+    table = dict(zip(ctx.ball(radius + 1), images))
+    rho = max(
+        (len(symbol_entry(sym, letter)) for sym in set(pattern.values) for letter in ctx.letters),
+        default=1,
+    )
+    phi = LocalBijection(radius + 1, max(rho, 1), table)
     if len(phi.inverse) < len(phi.table):
         g = next(g for g, val in phi.table.items() if phi.inverse[val] != g)
         raise VerificationError(
@@ -85,7 +83,8 @@ def encode_F(ctx: FreeGroupCtx, phi: LocalBijection) -> Pattern:
         raise WindowError("window too small to encode")
     values = []
     for h in ctx.ball(radius):
-        gh = phi.inverse_word(h)
+        # phi^-1 moves h by at most rho |h| < window, so it is in the table
+        gh = phi.inverse[h]
         h_inv = inv(h)
         sym = tuple(mul(h_inv, phi(mul(gh, (letter,)))) for letter in ctx.letters)
         values.append(sym)
@@ -202,7 +201,7 @@ def reconstruct_sigma(ctx: FreeGroupCtx, tau: FiniteAction, labels) -> FiniteAct
 
 class Automorphism:
     """A free-group automorphism given by generator images; produces window
-    tables and constant admissible configurations for any finite action.
+    constant admissible configurations for any finite action.
     ``inverse_images`` holds the images of the inverse automorphism, and
     ``displacement`` is the longest image of either."""
 

@@ -190,15 +190,18 @@ def shannon_entropy(dist: PatternDistribution) -> EntropyValue:
     """Shannon entropy in nats of a distribution; 0 log 0 = 0.
 
     An exact distribution, masses m over the total T, has the exact value
-    given by T H = T ln T - sum m ln m: the total and each mass are factored
-    once, and the coefficient of each prime is summed as an integer."""
+    sum (m/T) ln(T/m).  Only the lowest terms T/g and m/g, g = gcd(m, T),
+    are factored, so primes that cancel from m/T need not be within reach;
+    the coefficient of each prime is summed as an integer over T."""
     if dist.is_exact:
         total = dist.total
-        sums = {p: total * e for p, e in _factor(total)}
+        sums: dict[int, int] = {}
         for m in dist.masses.values():
             if m:
-                for p, e in _factor(m):
-                    sums[p] = sums.get(p, 0) - m * e
+                common = math.gcd(m, total)
+                for part, sign in ((total // common, m), (m // common, -m)):
+                    for p, e in _factor(part):
+                        sums[p] = sums.get(p, 0) + sign * e
         return EntropyValue.exact({p: Fraction(s, total) for p, s in sums.items()})
     acc = 0.0
     for p in dist.masses.values():

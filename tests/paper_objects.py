@@ -582,7 +582,7 @@ def theta_action(ctx: FreeGroupCtx, h: Word, phi: LocalBijection) -> LocalBiject
 def upsilon_action(ctx: FreeGroupCtx, h: Word, phi: LocalBijection) -> LocalBijection:
     """(h . phi)(g) = h phi(phi^-1(h^-1) g), realized as the theta translate
     by phi^-1(h^-1)^-1; window shrinks by |phi^-1(h^-1)| <= rho |h|."""
-    g0 = phi.inverse_word(inv(h))
+    g0 = phi.inverse[inv(h)]
     return theta_action(ctx, inv(g0), phi)
 
 

@@ -387,7 +387,7 @@ def test_criterion_08_equivariance_suite():
 
         try:
             uphi = upsilon_action(CTX, h, phi)
-            uy = shift_pattern(inv(phi.inverse_word(inv(h))), ypat)
+            uy = shift_pattern(inv(phi.inverse[inv(h)]), ypat)
             lx, ly = encode_F(CTX, uphi), compose_after_inverse(uphi, uy)
             rx, ry = encode_F(CTX, phi), compose_after_inverse(phi, ypat)
             rx, ry = shift_pattern(h, rx), shift_pattern(h, ry)
@@ -400,7 +400,7 @@ def test_criterion_08_equivariance_suite():
             pass
 
         # same orbits, both directions, against the literal formula
-        witness = inv(phi.inverse_word(inv(h)))
+        witness = inv(phi.inverse[inv(h)])
         direct = _direct_upsilon_table(h, phi)
         via_theta = theta_action(CTX, witness, phi)
         common = set(direct) & set(via_theta.table)

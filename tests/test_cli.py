@@ -306,6 +306,16 @@ class TestFEstimate:
         assert main(["f-estimate", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("input error: malformed epsilon")
 
+    # a negative window fails in ctx.ball and window 3 (2^53 patterns) on the
+    # pattern cap, but only once the rest of the config has parsed
+    @pytest.mark.parametrize("window", [-1, 3])
+    def test_malformed_epsilon_is_reported_before_the_window_is_walked(
+        self, half_weight_file, tmp_path, capsys, window
+    ):
+        cfg = self._config(tmp_path, half_weight_file, window=window, epsilon="x")
+        assert main(["f-estimate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("input error: malformed epsilon")
+
     def test_json_number_epsilon_is_the_decimal_it_spells(self, half_weight_file, tmp_path, capsys):
         # n = 2, window 0: "00" and "11" sit at distance exactly 1, so
         # epsilon 1 - 10^-13 keeps only "01" and "10"; a float epsilon with

@@ -164,7 +164,7 @@ class TestActions:
             if not h:
                 continue
             # upsilon-h equals theta at the explicit witness
-            h1 = inv(phi.inverse_word(inv(h)))
+            h1 = inv(phi.inverse[inv(h)])
             lhs = direct_upsilon_table(CTX, h, phi)
             rhs = theta_action(CTX, h1, phi)
             common = set(lhs) & set(rhs.table)
@@ -241,10 +241,9 @@ class TestEncodeDecode:
 
     def test_inverse_eval(self):
         phi = bijection(AUTOS["swap"], 4)
-        assert phi.inverse_word(CTX.parse("a")) == CTX.parse("b")
-        assert bijection(AUTOS["identity"], 3).inverse_word(CTX.parse("ab")) == CTX.parse("ab")
-        with pytest.raises(WindowError):
-            phi.inverse_word(CTX.parse("ababab"))
+        assert phi.inverse[CTX.parse("a")] == CTX.parse("b")
+        assert bijection(AUTOS["identity"], 3).inverse[CTX.parse("ab")] == CTX.parse("ab")
+        assert CTX.parse("ababab") not in phi.inverse
 
 
 POOL = phi_pool(6)
@@ -274,7 +273,7 @@ class TestBallPatternOracles:
         f_ball = list(reversed(CTX.ball((phi.window - 1) // phi.rho)))
         f_oracle = Pattern(
             f_ball,
-            [tuple(mul(inv(h), phi(mul(phi.inverse_word(h), (s,)))) for s in CTX.letters)
+            [tuple(mul(inv(h), phi(mul(phi.inverse[h], (s,)))) for s in CTX.letters)
              for h in f_ball],
         )
         for got, oracle in ((encode_E(CTX, phi), e_oracle), (encode_F(CTX, phi), f_oracle)):
@@ -375,7 +374,7 @@ class TestProductMaps:
                 continue
             try:
                 uphi = upsilon_action(CTX, h, phi)
-                uy = shift_pattern(inv(phi.inverse_word(inv(h))), y)
+                uy = shift_pattern(inv(phi.inverse[inv(h)]), y)
                 lx, ly = encode_F(CTX, uphi), compose_after_inverse(uphi, uy)
             except WindowError:
                 continue
@@ -402,7 +401,7 @@ class TestPatternInverse:
             for _ in range(20):
                 target = random_word(rng, 2)
                 try:
-                    expected = phi.inverse_word(target)
+                    expected = phi.inverse[target]
                 except WindowError:
                     continue
                 if len(expected) > rho * max(len(target), 1):

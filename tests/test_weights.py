@@ -712,11 +712,11 @@ class TestShannonEntropy:
     # small totals of shared prime powers, and the semiprime 1000000007 * 1000000009
     @pytest.mark.parametrize("total", [2**6 * 3**2 * 5, 2 * 3 * 5 * 7 * 11 * 13, 3**9, 1000000007 * 1000000009])
     @pytest.mark.parametrize("seed", range(25))
-    def test_the_total_factored_once_matches_the_per_mass_quotients(self, total, seed):
+    def test_the_per_mass_quotients_match_the_total_factored_once(self, total, seed):
         rng = random.Random(f"{total}:{seed}")
         masses = random_exact_masses(rng, total)
         dist = PatternDistribution(((),), {(k,): m for k, m in enumerate(masses)}, total)
-        assert shannon_entropy(dist).combo == quotient_entropy_combo(dist)
+        assert shannon_entropy(dist).combo == total_entropy_combo(dist)
 
     def test_an_exact_and_a_float_value_compare_by_value(self):
         exact = shannon_entropy(one_site_law([Fraction(1, 2), Fraction(1, 2)]))
@@ -724,20 +724,18 @@ class TestShannonEntropy:
         assert exact != EntropyValue(math.nextafter(math.log(2), 1))
 
 
-def quotient_entropy_combo(dist: PatternDistribution) -> dict:
-    """The exact entropy of an exact distribution summed per mass: each m/T
-    is factored in lowest terms and each prime's coefficient summed as an
-    integer over T.  The route ``shannon_entropy`` took before it factored
-    the total once, kept as its oracle."""
-    total, sums = dist.total, Counter()
+def total_entropy_combo(dist: PatternDistribution) -> dict:
+    """The exact entropy of an exact distribution from T H = T ln T -
+    sum m ln m: the total and each mass factored in full, each prime's
+    coefficient summed as an integer over T.  Valid wherever every mass is
+    within factoring reach, so it checks the per-mass quotient route there."""
+    total = dist.total
+    sums = Counter({p: total * e for p, e in _factor(total)})
     for m in dist.masses.values():
         if m:
-            common = math.gcd(m, total)
-            for p, e in _factor(m // common):
-                sums[p] += m * e
-            for p, e in _factor(total // common):
+            for p, e in _factor(m):
                 sums[p] -= m * e
-    return {p: Fraction(-s, total) for p, s in sums.items() if s}
+    return {p: Fraction(s, total) for p, s in sums.items() if s}
 
 
 def random_exact_masses(rng, total: int) -> list:
@@ -836,6 +834,24 @@ class TestFactor:
         big = 10**30 + 57  # prime, past the exact Miller-Rabin range
         with pytest.raises(ResourceCapError, match="Miller-Rabin"):
             _factor(big)
+
+    def test_only_the_reduced_quotients_are_factored(self, tmp_path, capsys):
+        # rank 1, four constant symbols of masses Q20, Q20 (P20 - 1), P20 and
+        # P20 (Q20 - 1) over 2 P20 Q20: neither the total nor any mass is
+        # within reach, but every reduced m/T is 1/(2 P20), (P20 - 1)/(2 P20),
+        # 1/(2 Q20) or (Q20 - 1)/(2 Q20)
+        d = 2 * P20 * Q20
+        masses = {"0": Q20, "1": Q20 * (P20 - 1), "2": P20, "3": P20 * (Q20 - 1)}
+        data = {
+            "rank": 1,
+            "alphabet": list(masses),
+            "vertex": {a: {"num": m, "den": d} for a, m in masses.items()},
+            "edge": [{"from": a, "to": a, "gen": 1, "p": {"num": m, "den": d}} for a, m in masses.items()],
+        }
+        path = tmp_path / "pq.json"
+        path.write_text(json.dumps(data))
+        assert main(["f-exact", "--weight", str(path)]) == 0
+        assert "\nf_nats: 0\n" in capsys.readouterr().out
 
     def test_f_exact_out_of_reach_exits_3(self, tmp_path, capsys):
         d = P20 * Q20

@@ -269,8 +269,8 @@ def _decode_symbol(ctx: FreeGroupCtx, raw) -> tuple:
     images = {}
     for name, word in raw.items():
         g = ctx.parse(name)
-        if len(g) != 1:
-            raise InputError(f"symbol keys must be single letters, got {name!r}")
+        if len(g) != 1 or g[0] in images:
+            raise InputError(f"symbol keys must be distinct single letters, got {name!r}")
         images[g[0]] = ctx.parse(word)
     missing = [ctx.letter_name(letter) for letter in ctx.letters if letter not in images]
     if missing:

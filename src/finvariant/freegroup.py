@@ -50,22 +50,21 @@ def inv(g: Word) -> Word:
     return tuple(-letter for letter in reversed(g))
 
 
-def letter_sort_key(letter: int) -> tuple[int, int]:
-    # a < A < b < B < ...
-    return (abs(letter), 0 if letter > 0 else 1)
-
-
 def word_sort_key(w: Word) -> tuple:
-    return (len(w), tuple(letter_sort_key(letter) for letter in w))
+    # a < A < b < B < ...
+    return (len(w), tuple((abs(letter), letter < 0) for letter in w))
 
 
 @lru_cache(maxsize=None)
-def _ball_tree(rank: int, radius: int) -> tuple[tuple[Word, int, int], ...]:
-    """Shortlex ball with parent links: entries (word, parent index, letter).
+def _ball_tables(rank: int, radius: int) -> tuple[tuple, tuple[Word, ...], dict[Word, int]]:
+    """The shortlex ball as (tree, words, index), built once per (rank, radius).
 
-    The root is (identity, -1, 0).  Each non-root word extends its parent
-    by one letter on the right, so parents always precede children.
+    Tree entries are (word, parent index, letter), the root (identity, -1, 0).
+    Each non-root word extends its parent by one letter on the right, so
+    parents always precede children.  The index maps word -> position.
     """
+    if radius < 0:
+        raise InputError("radius must be >= 0")
     letters = [sign * i for i in range(1, rank + 1) for sign in (1, -1)]
     entries: list[tuple[Word, int, int]] = [(IDENTITY, -1, 0)]
     frontier = [(IDENTITY, 0)]
@@ -80,17 +79,8 @@ def _ball_tree(rank: int, radius: int) -> tuple[tuple[Word, int, int], ...]:
                 entries.append((child, idx, letter))
                 nxt.append((child, len(entries) - 1))
         frontier = nxt
-    return tuple(entries)
-
-
-@lru_cache(maxsize=None)
-def _ball(rank: int, radius: int) -> tuple[Word, ...]:
-    return tuple(entry[0] for entry in _ball_tree(rank, radius))
-
-
-@lru_cache(maxsize=None)
-def _ball_index(rank: int, radius: int) -> dict[Word, int]:
-    return {w: k for k, w in enumerate(_ball(rank, radius))}
+    words = tuple(entry[0] for entry in entries)
+    return tuple(entries), words, {w: k for k, w in enumerate(words)}
 
 
 @dataclass(frozen=True)
@@ -130,21 +120,15 @@ class FreeGroupCtx:
 
     def ball(self, radius: int) -> tuple[Word, ...]:
         """All reduced words of length <= radius, in shortlex order."""
-        if radius < 0:
-            raise InputError("radius must be >= 0")
-        return _ball(self.rank, radius)
+        return _ball_tables(self.rank, radius)[1]
 
     def ball_index(self, radius: int) -> dict[Word, int]:
         """Word -> position in ``ball(radius)``.  The dict is shared between
         callers and must not be modified."""
-        if radius < 0:
-            raise InputError("radius must be >= 0")
-        return _ball_index(self.rank, radius)
+        return _ball_tables(self.rank, radius)[2]
 
     def ball_tree(self, radius: int) -> tuple[tuple[Word, int, int], ...]:
-        if radius < 0:
-            raise InputError("radius must be >= 0")
-        return _ball_tree(self.rank, radius)
+        return _ball_tables(self.rank, radius)[0]
 
     def ball_size(self, radius: int) -> int:
         """Closed-form count of the shortlex ball."""

@@ -241,8 +241,8 @@ class Automorphism:
         by_index = {}
         for name, word in images.items():
             g = ctx.parse(name)
-            if len(g) != 1 or g[0] < 0:
-                raise InputError(f"image keys must be single generators, got {name!r}")
+            if len(g) != 1 or g[0] < 0 or g[0] in by_index:
+                raise InputError(f"image keys must be distinct single generators, got {name!r}")
             by_index[g[0]] = ctx.parse(word)
         return cls(ctx, by_index)
 

@@ -60,15 +60,17 @@ class SftSpec:
     def from_json(cls, ctx: FreeGroupCtx, data: dict) -> "SftSpec":
         try:
             forbidden = tuple(
-                Pattern.from_dict({ctx.parse(k): v for k, v in pat.items()})
+                Pattern([ctx.parse(k) for k in pat.keys()], list(pat.values()))
                 for pat in data["forbidden"]
             )
             if not isinstance(data["alphabet"], list):
                 raise InputError(f"an sft's alphabet must be a json list, got {data['alphabet']!r}")
             alphabet = tuple(data["alphabet"])
-            nearest_neighbor = bool(data.get("nearest_neighbor", False))
+            nearest_neighbor = data.get("nearest_neighbor", False)
         except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed sft json: {exc}") from exc
+        if type(nearest_neighbor) is not bool:
+            raise InputError(f"malformed sft json: nearest_neighbor must be true or false, got {nearest_neighbor!r}")
         for sym in alphabet + tuple(v for pat in forbidden for v in pat.values):
             # symbols are compared and hashed, so a list or object cannot be one
             if isinstance(sym, (list, dict)):

@@ -96,11 +96,6 @@ class Pattern:
     def __setattr__(self, name, value):
         raise AttributeError("Pattern is immutable")
 
-    @classmethod
-    def from_dict(cls, mapping: Mapping[Word, object]) -> "Pattern":
-        items = list(mapping.items())
-        return cls([w for w, _ in items], [v for _, v in items])
-
     def __contains__(self, w: Word) -> bool:
         return w in self._index
 

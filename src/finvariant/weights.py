@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product as iter_product
+from itertools import count, product as iter_product
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -77,14 +77,12 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _rho_divisor(n: int) -> int:
-    """A proper divisor of the odd composite n by Pollard's rho in Brent's
-    form (BIT 20, 1980), trying x -> x^2 + c for c = 1, 2, ... within one
-    budget of _RHO_BUDGET steps."""
+    """A proper divisor of the odd composite n by Pollard's rho with Brent's
+    cycle detection (BIT 20, 1980), one gcd per step, walking x -> x^2 + c
+    for c = 1, 2, ... until a gcd is neither 1 nor n, within _RHO_BUDGET steps."""
     steps = 0
-    c = 0
-    while True:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
+    for c in count(1):
+        y, r, g = 2, 1, 1
         while g == 1:
             if steps > _RHO_BUDGET:
                 raise ResourceCapError(
@@ -95,20 +93,11 @@ def _rho_divisor(n: int) -> int:
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                k += 1
             steps += 2 * r
             r *= 2
-        if g == n:
-            # the batched product hit 0 mod n: redo the last batch one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
 
@@ -145,10 +134,6 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def _combo_value(combo: Mapping[int, Fraction]) -> float:
-    return sum(float(c) * math.log(p) for p, c in sorted(combo.items()))
-
-
 class EntropyValue:
     """An extended real in [-inf, inf), optionally with an exact symbolic form.
 
@@ -165,7 +150,7 @@ class EntropyValue:
     @classmethod
     def exact(cls, combo: Mapping[int, Fraction]) -> "EntropyValue":
         combo = {p: Fraction(c) for p, c in combo.items() if c}
-        return cls(_combo_value(combo), combo)
+        return cls(sum(float(c) * math.log(p) for p, c in sorted(combo.items())), combo)
 
     @property
     def is_exact(self) -> bool:

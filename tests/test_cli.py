@@ -1248,3 +1248,51 @@ class TestMalformedJsonShapes:
         assert capsys.readouterr().err == (
             f"input error: the action has {len(perms)} generators for rank {rank}\n"
         )
+
+
+class TestKeysSpelledTwice:
+    """A key spelled twice was once read last-wins, and a non-boolean
+    ``nearest_neighbor`` through ``bool()``; these inputs exited 0, or 2 with
+    a message about something else.  Each exits 2 and names its fault."""
+
+    SYMBOL = {"a": "a", "A": "A", "b": "b", "B": "B"}
+    ESTIMATE = {"window": 0, "epsilon": 1, "n_list": [3], "mode": "exact", "weight": "w.json"}
+    CASES = {
+        # "" and "bB" both spell e; the pattern once collapsed to {e: "0", a: "1"}
+        "sft_pattern_word_spelled_twice": (
+            ["f-estimate", "--config", "c.json"],
+            {**ESTIMATE, "sft": {"alphabet": ["0", "1"], "forbidden": [{"": "1", "a": "1", "bB": "0"}]}},
+            "pattern domain has repeated words",
+        ),
+        "sft_nearest_neighbor_a_string": (
+            ["f-estimate", "--config", "c.json"],
+            {**ESTIMATE, "sft": {"alphabet": ["0", "1"], "forbidden": [{"": "1", "ab": "1"}],
+                                 "nearest_neighbor": "false"}},
+            "nearest_neighbor must be true or false, got 'false'",
+        ),
+        # "aAa" spells a; the images once read as the identity automorphism
+        "automorphism_generator_spelled_twice": (
+            ["rearrange", "--config", "c.json"],
+            {"rank": 2, "rho": 1, "sigma": {"n": 4, "seed": 3}, "seed": 3,
+             "x": {"automorphism": {"images": {"a": "ab", "aAa": "a", "b": "b"}}}},
+            "image keys must be distinct single generators, got 'aAa'",
+        ),
+        # the symbol once read with a -> a
+        "symbol_letter_spelled_twice": (
+            ["rearrange", "--config", "c.json"],
+            {"rank": 2, "rho": 1, "sigma": {"n": 2, "seed": 1}, "seed": 3,
+             "x": [{"a": "b", "aAa": "a", "A": "A", "b": "b", "B": "B"}, SYMBOL]},
+            "symbol keys must be distinct single letters, got 'aAa'",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exits_2(self, tmp_path, monkeypatch, capsys, name):
+        argv, cfg, message = self.CASES[name]
+        monkeypatch.chdir(tmp_path)
+        weight = bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2).to_json()
+        (tmp_path / "w.json").write_text(json.dumps(weight))
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err

@@ -128,6 +128,28 @@ class TestBall:
     def test_nested(self, ctx):
         assert set(ctx.ball(1)) <= set(ctx.ball(2)) <= set(ctx.ball(3))
 
+    def test_equal_contexts_share_the_tables(self):
+        assert FreeGroupCtx(2).ball(3) is FreeGroupCtx(2).ball(3)
+        assert FreeGroupCtx(2).ball_index(3) is FreeGroupCtx(2).ball_index(3)
+        assert FreeGroupCtx(2).ball_tree(3) is FreeGroupCtx(2).ball_tree(3)
+
+    @pytest.mark.parametrize("rank,radius", [(1, 0), (1, 3), (2, 0), (2, 3), (3, 2)])
+    def test_ball_index_and_tree_agree(self, rank, radius):
+        ctx = FreeGroupCtx(rank)
+        ball, index, tree = ctx.ball(radius), ctx.ball_index(radius), ctx.ball_tree(radius)
+        assert [word for word, _, _ in tree] == list(ball)
+        assert index == {w: k for k, w in enumerate(ball)}
+        assert tree[0] == ((), -1, 0)
+        for word, parent, letter in tree[1:]:
+            assert word == ball[parent] + (letter,)
+
+    @pytest.mark.parametrize("table", ["ball", "ball_index", "ball_tree"])
+    def test_negative_radius_raises_on_every_call(self, ctx, table):
+        # the cache keeps no failure, so a repeat raises again
+        for _ in range(2):
+            with pytest.raises(InputError, match="radius"):
+                getattr(ctx, table)(-1)
+
 
 def brute_past(ctx, g1, g2, m):
     """Oracle: BFS geodesics in the left Cayley tree restricted to the ball."""

@@ -156,8 +156,9 @@ def modules_naming_rational_keys(package: pathlib.Path = PACKAGE) -> list:
 def stale_readme_names(text: str) -> list:
     """The backticked names in the "Library layout" table of a README text
     that name nothing: a ``finvariant`` or ``finvariant.x`` token must be the
-    package or one of its modules, and any other Python identifier an
-    attribute of one of them.  Tokens that are not identifiers pass."""
+    package or one of its modules, any other Python identifier an attribute
+    of one of them, and a dotted ``Name.member`` a member of such an
+    attribute.  Tokens that are not (dotted) identifiers pass."""
     table = text[text.index("## Library layout") :].split("\n## ")[0]
     names = {"finvariant": importlib.import_module("finvariant")}
     for path in sorted(PACKAGE.glob("*.py")):
@@ -169,9 +170,19 @@ def stale_readme_names(text: str) -> list:
             if token.split(".")[0] == "finvariant":
                 if token not in names:
                     stale.append(token)
-            elif token.isidentifier() and not any(hasattr(module, token) for module in names.values()):
+            elif all(part.isidentifier() for part in token.split(".")) and not any(
+                _resolves(module, token.split(".")) for module in names.values()
+            ):
                 stale.append(token)
     return stale
+
+
+def _resolves(obj, parts: list) -> bool:
+    for part in parts:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
 
 
 def _copy_package(tmp_path: pathlib.Path) -> None:
@@ -314,3 +325,11 @@ def test_the_readme_check_sees_a_stale_name():
     assert text.count(row) == 1
     planted = text.replace(row, "| `finvariant.clu` | the `finvariant` command and `constancy_check` |")
     assert stale_readme_names(planted) == ["finvariant.clu", "constancy_check"]
+
+
+def test_the_readme_check_sees_a_stale_member():
+    text = README.read_text(encoding="utf-8")
+    cell = "`LocalBijection` (a window table"
+    assert text.count(cell) == 1
+    planted = text.replace(cell, "`LocalBijection.inverse_table`, `LocalBijection.inverse` (a window table")
+    assert stale_readme_names(planted) == ["LocalBijection.inverse_table"]

@@ -826,6 +826,11 @@ class TestFactor:
         assert h.combo == expected
         assert elapsed < 1.0
 
+    def test_semiprime_of_primes_near_1e11_is_in_reach(self):
+        p1, p2 = 100000000019, 100001000081
+        _factor.cache_clear()
+        assert _factor(p1 * p2) == ((p1, 1), (p2, 1))
+
     def test_denominator_out_of_reach_raises(self):
         with pytest.raises(ResourceCapError, match=str(P20 * Q20)):
             _factor(P20 * Q20)

@@ -19,8 +19,10 @@ forbidden-pattern set is never materialized.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product as iter_product
+from operator import itemgetter
 
 from .actions import FiniteAction, derive_seed
 from .errors import InputError
@@ -177,24 +179,6 @@ def axioms_check(ctx: FreeGroupCtx, rho: int, pattern: Pattern) -> AxiomsReport:
     )
 
 
-def _zrho_edge_filter(ctx: FreeGroupCtx, rho: int):
-    # reduced words a, b multiply to e exactly when b = a^-1, so the inverses
-    # of the alphabet's words are looked up instead of multiplied; the symbol
-    # positions are read from symbol_entry once, since calling it per edge
-    # cost about 15% of the sampler's time
-    inverse = {w: inv(w) for w in ctx.ball(rho)}
-    slots = tuple(range(2 * ctx.rank))
-    where = {t: (symbol_entry(slots, t), symbol_entry(slots, -t)) for t in ctx.letters}
-
-    def ok(sym_v: tuple, sym_u: tuple, letter: int) -> bool:
-        # necessary pair condition from axiom 1 along the edge u = sigma(letter)^-1 v:
-        # z_v(s) z_u(s^-1) = e
-        i, j = where[letter]
-        return sym_u[j] == inverse[sym_v[i]]
-
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # checking configurations over finite actions
 # ---------------------------------------------------------------------------
@@ -260,6 +244,22 @@ def _bfs_vertex_order(action: FiniteAction) -> list[int]:
     return order
 
 
+def _candidate_index(candidates: list, slots: tuple, loops: tuple, inverse: dict) -> dict:
+    """The positions in ``candidates`` grouped by the entries at ``slots``
+    (one entry alone, several as a tuple, none as ()), in ascending order,
+    keeping only the symbols that pass each loop (a, b): sym[b] = sym[a]^-1."""
+    index = defaultdict(list)
+    key = itemgetter(*slots) if slots else lambda sym: ()
+    if loops:
+        for p, sym in enumerate(candidates):
+            if all(sym[b] == inverse[sym[a]] for a, b in loops):
+                index[key(sym)].append(p)
+    else:
+        for p, value in enumerate(map(key, candidates)):
+            index[value].append(p)
+    return index
+
+
 def sample_sft_config(
     ctx: FreeGroupCtx,
     rho: int,
@@ -271,47 +271,55 @@ def sample_sft_config(
     """Backtracking search for an admissible z_rho configuration.
 
     Symbols are tuples of words of ``ctx.ball(rho)``, one per signed
-    generator.  Vertices are assigned in BFS order from vertex 0, each trying
-    a seed-shuffled pass over the alphabet; a candidate is checked against
-    axiom 1 along every Schreier edge whose ends are both assigned, and
-    against both axioms at every vertex whose radius rho^2+1 pullback it
-    completes.  Each candidate costs one unit of the budget, and each restart
-    derives a fresh seed.  The search is budgeted rather than exhaustive, so
-    ``None`` means "not found", which is not an error.  Deterministic given
-    (seed, action).
+    generator.  Vertices are assigned in BFS order from vertex 0, each in a
+    seed-shuffled order of the alphabet.  Axiom 1 along a Schreier edge whose
+    other end is already assigned fixes one entry of the new symbol to the
+    inverse of an entry of the neighbour's, and a loop at a fixed point
+    relates two entries of one symbol; an index of the shuffled order by the
+    fixed entries picks the candidates that pass every such edge, and only
+    those are checked against both axioms at every vertex whose radius
+    rho^2+1 pullback they complete.  Every candidate in shuffled order still
+    costs one unit of the budget, passing its edges or not, so the index
+    changes no result.  Each restart derives a fresh seed.  The search is
+    budgeted rather than exhaustive, so ``None`` means "not found", which is
+    not an error.  Deterministic given (seed, action).
     """
+    if budget < 1:
+        raise InputError(f"sampler budget must be >= 1, got {budget}")
+    if restarts < 1:
+        raise InputError(f"sampler restarts must be >= 1, got {restarts}")
     n = action.n
     order = _bfs_vertex_order(action)
     pos = {v: k for k, v in enumerate(order)}
     symbols = list(iter_product(ctx.ball(rho), repeat=2 * ctx.rank))
-    edge_ok = _zrho_edge_filter(ctx, rho)
+    # reduced words a, b multiply to e exactly when b = a^-1
+    inverse = {w: inv(w) for w in ctx.ball(rho)}
+    slot = {t: symbol_entry(range(2 * ctx.rank), t) for t in ctx.letters}
     radius = rho * rho + 1
 
-    # constraints indexed by the BFS position at which they become decidable:
-    # Schreier edges (v, u, s) with u = sigma(s)^-1 v, and the pullback
-    # vertices of each vertex's radius rho^2+1 ball
-    edges_at: list[list] = [[] for _ in range(n)]
+    # constraints indexed by the BFS position at which they become decidable.
+    # A Schreier edge (v, u, s) with u = sigma(s)^-1 v needs
+    # z_v(s) z_u(s^-1) = e; it is listed once, along a positive generator,
+    # and with one end already assigned it fixes an entry of the other:
+    # fixed[k] holds (slot of the new symbol, assigned vertex, its slot).
+    # A vertex has one edge of each kind per generator, so no slot is fixed
+    # twice.  pullbacks_at[k] holds the vertices of each radius rho^2+1 ball.
+    fixed: list[list] = [[] for _ in range(n)]
+    loops: list[list] = [[] for _ in range(n)]
     pullbacks_at: list[list] = [[] for _ in range(n)]
     for v in range(n):
-        # (v, u, s) and (u, v, s^-1) express the same pair condition, so each
-        # edge is listed once, along a positive generator
         for i in range(1, ctx.rank + 1):
             u = action.letter_perm(-i)[v]
-            edges_at[max(pos[v], pos[u])].append((v, u, i))
+            if u == v:
+                loops[pos[v]].append((slot[i], slot[-i]))
+            elif pos[v] > pos[u]:
+                fixed[pos[v]].append((slot[i], u, slot[-i]))
+            else:
+                fixed[pos[u]].append((slot[-i], v, slot[i]))
     cols = window_columns(action, ctx.ball(radius))
     for v in range(n):
         verts = tuple(col[v] for col in cols)
         pullbacks_at[max(pos[u] for u in verts)].append(verts)
-
-    def admissible_so_far(assign: list, k: int) -> bool:
-        for v, u, letter in edges_at[k]:
-            if not edge_ok(assign[v], assign[u], letter):
-                return False
-        for verts in pullbacks_at[k]:
-            pattern = Pattern._on_ball(ctx, radius, [assign[u] for u in verts])
-            if not axioms_check(ctx, rho, pattern).ok:
-                return False
-        return True
 
     for restart in range(restarts):
         rng = random.Random(derive_seed(seed, restart))
@@ -321,6 +329,7 @@ def sample_sft_config(
             rng.shuffle(shuffled)
             per_vertex_symbols.append(shuffled)
         assign: list = [None] * n
+        indexes: list = [None] * n
         left = budget
 
         def backtrack(k: int) -> bool:
@@ -328,14 +337,30 @@ def sample_sft_config(
             if k == n:
                 return True
             v = order[k]
-            for sym in per_vertex_symbols[v]:
-                left -= 1
+            candidates = per_vertex_symbols[v]
+            if indexes[k] is None:
+                # left only falls within a restart, so no later visit can
+                # reach a position beyond the first left + 1
+                slots = tuple(s for s, _, _ in fixed[k])
+                indexes[k] = _candidate_index(candidates[: left + 1], slots, loops[k], inverse)
+            need = tuple(inverse[assign[u][j]] for _, u, j in fixed[k])
+            # an itemgetter of one slot gives the entry itself, not a 1-tuple
+            last = -1
+            for p in indexes[k].get(need[0] if len(need) == 1 else need, ()):
+                # the candidates between the last one tried and p fail an edge
+                left -= p - last
                 if left < 0:
                     raise _BudgetExhausted
-                assign[v] = sym
-                if admissible_so_far(assign, k) and backtrack(k + 1):
+                last = p
+                assign[v] = candidates[p]
+                if all(
+                    axioms_check(ctx, rho, Pattern._on_ball(ctx, radius, [assign[u] for u in verts])).ok
+                    for verts in pullbacks_at[k]
+                ) and backtrack(k + 1):
                     return True
-            assign[v] = None
+            left -= len(candidates) - 1 - last
+            if left < 0:
+                raise _BudgetExhausted
             return False
 
         try:

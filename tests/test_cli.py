@@ -655,6 +655,17 @@ class TestRearrange:
             assert main(["rearrange", "--config", str(tmp_path / "cfg.json")]) == 1
         assert seen == [{}, {"budget": 5, "restarts": 1}]
 
+    @pytest.mark.parametrize("limits, key", [
+        ({"budget": -5}, "budget"), ({"budget": 0}, "budget"), ({"restarts": -3}, "restarts"),
+    ])
+    def test_sampler_limit_below_one_exits_2(self, tmp_path, capsys, limits, key):
+        # a search that cannot try a candidate is an input error, not "found nothing"
+        cfg = {"rank": 2, "rho": 1, "sigma": {"n": 4, "seed": 0}, "x": {"sampler": {"seed": 0, **limits}}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["rearrange", "--config", str(tmp_path / "cfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and f"sampler {key} must be >= 1" in err
+
     def test_deterministic_reports(self, tmp_path):
         cfg = self._config(tmp_path, {"a": "b", "b": "a"}, 1)
         blobs = []

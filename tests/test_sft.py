@@ -19,10 +19,12 @@ from finvariant import (
     sft_check_all,
     verify_zrho,
 )
+from finvariant.actions import derive_seed
 from finvariant.freegroup import IDENTITY, inv, mul
 from finvariant.orbitmaps import Automorphism
 from finvariant import sft
-from finvariant.sft import _zrho_edge_filter, symbol_entry
+from finvariant.shift import window_columns
+from finvariant.sft import symbol_entry
 
 from paper_objects import (
     check_local,
@@ -235,6 +237,78 @@ class TestZrhoSpec:
         assert back.forbidden_pairs == spec.forbidden_pairs
 
 
+def oracle_edge_filter(ctx, rho):
+    """Axiom 1 along one Schreier edge u = sigma(s)^-1 v, checked for one
+    pair of symbols: z_v(s) z_u(s^-1) = e.  Reduced words multiply to e
+    exactly when one is the other's inverse, which the sampler's candidate
+    index relies on."""
+    inverse = {w: inv(w) for w in ctx.ball(rho)}
+
+    def ok(sym_v, sym_u, letter):
+        return symbol_entry(sym_u, -letter) == inverse[symbol_entry(sym_v, letter)]
+
+    return ok
+
+
+def oracle_sample(ctx, rho, action, seed, budget, restarts):
+    """The z_rho sampler trying one candidate at a time against every
+    decidable edge and pullback: (configuration, units spent in the restart
+    that found it), or (None, None)."""
+    n = action.n
+    order = sft._bfs_vertex_order(action)
+    pos = {v: k for k, v in enumerate(order)}
+    symbols = list(itertools.product(ctx.ball(rho), repeat=2 * ctx.rank))
+    edge_ok = oracle_edge_filter(ctx, rho)
+    radius = rho * rho + 1
+    edges_at = [[] for _ in range(n)]
+    pullbacks_at = [[] for _ in range(n)]
+    for v in range(n):
+        for i in range(1, ctx.rank + 1):
+            u = action.letter_perm(-i)[v]
+            edges_at[max(pos[v], pos[u])].append((v, u, i))
+    cols = window_columns(action, ctx.ball(radius))
+    for v in range(n):
+        verts = tuple(col[v] for col in cols)
+        pullbacks_at[max(pos[u] for u in verts)].append(verts)
+
+    def admissible(assign, k):
+        return all(edge_ok(assign[v], assign[u], i) for v, u, i in edges_at[k]) and all(
+            axioms_check(ctx, rho, Pattern(ctx.ball(radius), [assign[u] for u in verts])).ok
+            for verts in pullbacks_at[k]
+        )
+
+    for restart in range(restarts):
+        rng = random.Random(derive_seed(seed, restart))
+        per_vertex = []
+        for _ in range(n):
+            shuffled = symbols[:]
+            rng.shuffle(shuffled)
+            per_vertex.append(shuffled)
+        assign = [None] * n
+        left = budget
+
+        def backtrack(k):
+            nonlocal left
+            if k == n:
+                return True
+            for sym in per_vertex[order[k]]:
+                left -= 1
+                if left < 0:
+                    raise sft._BudgetExhausted
+                assign[order[k]] = sym
+                if admissible(assign, k) and backtrack(k + 1):
+                    return True
+            assign[order[k]] = None
+            return False
+
+        try:
+            if backtrack(0):
+                return tuple(assign), budget - left
+        except sft._BudgetExhausted:
+            continue
+    return None, None
+
+
 @st.composite
 def edge_filter_cases(draw):
     """(rho, sym_v, sym_u, letter) over the z_rho alphabet; half the draws
@@ -257,7 +331,7 @@ class TestEdgeFilter:
     def test_matches_the_product_form(self, case):
         rho, sym_v, sym_u, letter = case
         product = mul(symbol_entry(sym_v, letter), symbol_entry(sym_u, -letter))
-        assert _zrho_edge_filter(CTX2, rho)(sym_v, sym_u, letter) == (product == IDENTITY)
+        assert oracle_edge_filter(CTX2, rho)(sym_v, sym_u, letter) == (product == IDENTITY)
 
 
 def two_block_action():
@@ -310,26 +384,13 @@ class TestSampler:
         large = sample_sft_config(CTX2, 1, action, seed=0, budget=240000, restarts=2)
         assert small is not None and small == large
 
-    def test_budget_counts_one_unit_per_candidate(self, monkeypatch):
-        # on one fixed point every Schreier edge is a loop, so every
-        # candidate symbol reaches the edge filter as its first argument
+    def test_budget_counts_one_unit_per_candidate(self):
+        # on one fixed point every Schreier edge is a loop; the one-by-one
+        # oracle counts the candidates tried up to the first admissible one
         action = FiniteAction(1, ((0,), (0,)))
-        tried = set()
-        real_filter = sft._zrho_edge_filter
-
-        def recording_filter(ctx, rho):
-            ok = real_filter(ctx, rho)
-
-            def check(sym_v, sym_u, letter):
-                tried.add(sym_v)
-                return ok(sym_v, sym_u, letter)
-
-            return check
-
-        monkeypatch.setattr(sft, "_zrho_edge_filter", recording_filter)
         got = sample_sft_config(CTX2, 1, action, seed=5, restarts=1)
-        assert got is not None and got[0] in tried
-        spent = len(tried)
+        expected, spent = oracle_sample(CTX2, 1, action, seed=5, budget=20000, restarts=1)
+        assert got is not None and got == expected
         assert sample_sft_config(CTX2, 1, action, seed=5, budget=spent, restarts=1) == got
         assert sample_sft_config(CTX2, 1, action, seed=5, budget=spent - 1, restarts=1) is None
 
@@ -348,6 +409,52 @@ class TestSampler:
         assert got == expected
         assert calls and set(calls) == {1}
 
+    @pytest.mark.parametrize("limits", [{"budget": 0}, {"budget": -5}, {"restarts": 0}, {"restarts": -3}])
+    def test_limits_below_one_are_input_errors(self, limits):
+        # no candidate could be tried, so "not found" would be a false verdict
+        (key,) = limits
+        with pytest.raises(InputError, match=f"sampler {key} must be >= 1"):
+            sample_sft_config(CTX2, 1, two_block_action(), seed=0, **limits)
+
     def test_rho_below_one_is_an_input_error(self):
         with pytest.raises(InputError):
             sample_sft_config(CTX2, 0, sample_action(3, 2, seed=0), seed=0)
+
+
+def random_action_with_fixed_points(rng, rank):
+    """An action on 1-5 points where each generator is the identity or a
+    random permutation, so loops and several orbits both occur."""
+    n = rng.randint(1, 5)
+    perms = []
+    for _ in range(rank):
+        perm = list(range(n))
+        if rng.random() < 0.7:
+            rng.shuffle(perm)
+        perms.append(tuple(perm))
+    return FiniteAction(n, tuple(perms))
+
+
+class TestSamplerMatchesOracle:
+    @pytest.mark.parametrize("rank, rho", [(1, 1), (2, 1), (1, 2)])
+    def test_same_result_and_same_spend(self, rank, rho):
+        # the candidate index visits only candidates that pass their edges
+        # but charges every candidate in shuffled order, so the result, and
+        # the least budget that reaches it, are the one-by-one oracle's
+        ctx = FreeGroupCtx(rank)
+        rng = random.Random(10 * rank + rho)
+        outcomes = set()
+        for _ in range(40):
+            action = random_action_with_fixed_points(rng, rank)
+            seed, restarts = rng.randrange(10**6), rng.randint(1, 3)
+            budget = rng.choice((3, 40, 400, 3000))
+            got = sample_sft_config(ctx, rho, action, seed, budget=budget, restarts=restarts)
+            expected, spent = oracle_sample(ctx, rho, action, seed, budget, restarts)
+            assert got == expected
+            outcomes.add(got is None)
+            if got is None:
+                continue
+            assert sample_sft_config(ctx, rho, action, seed, budget=spent, restarts=restarts) == got
+            if spent > 1:
+                fewer, _ = oracle_sample(ctx, rho, action, seed, spent - 1, restarts)
+                assert sample_sft_config(ctx, rho, action, seed, budget=spent - 1, restarts=restarts) == fewer
+        assert outcomes == {True, False}

@@ -48,7 +48,7 @@ from .orbitmaps import (
     zrho_pullbacks,
 )
 from .sft import SftSpec, sample_sft_config
-from .shift import PatternDistribution, pullback_name, read_prob
+from .shift import PatternDistribution, pullback_classes, pullback_name, read_prob
 from .weights import (
     F_value,
     Weight,
@@ -60,6 +60,8 @@ from .weights import (
 
 MAX_CLI_RANK = 4
 MAX_CLI_RHO = 2
+# a rho = 2 rearrange of a sampled action this large takes a few seconds
+MAX_CLI_SAMPLED_N = 10**5
 
 
 def _fmt(x) -> str:
@@ -74,19 +76,35 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _load_json(path: str) -> dict:
-    """The JSON object in a file; every file the commands read holds one."""
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key that it repeats, which json
+    would read last-wins."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise InputError(f"a json object repeats the key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+def _load_json(path: str, unique_keys: bool = True) -> dict:
+    """The JSON object in a file; every file the commands read holds one.
+    A repeated key in any of its objects is an input error, unless
+    ``unique_keys`` is off: a marginals file, whose entries
+    ``PatternDistribution.from_json`` checks, can be large enough that the
+    check would add a fifth to reading it."""
     # open() would take an integer (or a bool) as a file descriptor and read
     # standard input for 0
     if not isinstance(path, str):
         raise InputError(f"a file path must be a string, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys if unique_keys else None)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid json: {exc}") from exc
+    except InputError as exc:  # a repeated key
+        raise InputError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"{path} must hold a json object, got {type(data).__name__}")
     return data
@@ -194,7 +212,7 @@ def cmd_f_estimate(args) -> int:
         ctx = _ctx_for_rank(weight.rank)
         window = as_int(config["window"], "window")
     else:
-        data = _load_json(config["marginals"])
+        data = _load_json(config["marginals"], unique_keys=False)
         ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
         target = PatternDistribution.from_json(ctx, data)
         alphabet = tuple(sorted(set().union(*target.masses), key=str))
@@ -257,6 +275,8 @@ def _resolve_action(ctx: FreeGroupCtx, config: dict) -> FiniteAction:
     n = as_int(spec.get("n", config.get("n", 0)), "the action's n")
     if n < 1:
         raise InputError("action needs n >= 1")
+    if n > MAX_CLI_SAMPLED_N:
+        raise ResourceCapError(f"cli caps a sampled action's n at {MAX_CLI_SAMPLED_N}")
     seed = spec.get("seed", config.get("seed"))
     if seed is None:
         raise InputError("a seed is mandatory for randomized commands")
@@ -357,15 +377,25 @@ def cmd_rearrange(args) -> int:
 
     # defining formula stays multiplicative on length-2 words; psi_v(g^-1) is
     # telescoped afresh from each distinct pattern, not read from the witness
-    # tables that tau was built from
+    # tables that tau was built from, and each pattern's vertices are stepped
+    # through it together
+    members = [[] for _ in pullbacks.patterns]
+    for v, k in enumerate(pullbacks.of_vertex):
+        members[k].append(v)
     multiplicative = True
     words = [w for w in ctx.ball(2) if w]
     for g in words:
-        steps = [inv(pattern_inverse_eval(ctx, rho, pat, inv(g))) for pat in pullbacks.patterns]
-        for v, k in enumerate(pullbacks.of_vertex):
-            if tau.apply(g, v) != action.apply(steps[k], v):
-                multiplicative = False
-                failures.append(f"multiplicativity fails at word {ctx.format(g)}, vertex {v}")
+        moved = tau.word_perm(g)
+        failing = []
+        for pat, verts in zip(pullbacks.patterns, members):
+            images = verts
+            for letter in reversed(inv(pattern_inverse_eval(ctx, rho, pat, inv(g)))):
+                perm = action.letter_perm(letter)
+                images = [perm[u] for u in images]
+            failing += [v for v, u in zip(verts, images) if moved[v] != u]
+        if failing:
+            multiplicative = False
+            failures += [f"multiplicativity fails at word {ctx.format(g)}, vertex {v}" for v in sorted(failing)]
     lines.append(f"homomorphism_property: {'PASS' if multiplicative else 'FAIL'}")
 
     y_alphabet = config.get("y_alphabet")
@@ -401,21 +431,35 @@ def cmd_rearrange(args) -> int:
 
     # the pullback identity is per vertex; the empirical transport compares
     # the multiset of tau's pullback names (paired with tau's y-names when
-    # labels y are given) with the multiset of transported keys
-    pullback_ok = True
-    names, transported = Counter(), Counter()
-    for v, k in enumerate(pullbacks.of_vertex):
-        key = expected_keys[k]
-        name = pullback_name(ctx, tau, labels, v, m).values
-        if key != name:
-            pullback_ok = False
-            failures.append(f"pullback identity fails at vertex {v}")
-        if y_alphabet:
-            yvalues = pullback_name(ctx, action, ylabels, v, rho * m).values
-            key = (key, tuple(yvalues[c] for c in columns[k]))
-            name = (name, pullback_name(ctx, tau, ylabels, v, m).values)
-        names[name] += 1
-        transported[key] += 1
+    # labels y are given) with the multiset of transported keys.  tau's names
+    # are built once per class of vertices whose names agree, and each
+    # distinct name or key gets one small int, so the per-vertex checks
+    # compare and count ints, not nested tuples
+    x_classes, x_firsts, _ = pullback_classes(ctx, tau, labels, m)
+    ids: dict = {}
+    x_ids = [ids.setdefault(pullback_name(ctx, tau, labels, v, m).values, len(ids)) for v in x_firsts]
+    key_ids = [ids.setdefault(key, len(ids)) for key in expected_keys]
+    names = [x_ids[c] for c in x_classes]
+    keys = [key_ids[k] for k in pullbacks.of_vertex]
+    failing = [v for v, (name, key) in enumerate(zip(names, keys)) if name != key]
+    failures += [f"pullback identity fails at vertex {v}" for v in failing]
+    pullback_ok = not failing
+    if y_alphabet:
+        y_classes, y_firsts, _ = pullback_classes(ctx, tau, ylabels, m)
+        y_names = [pullback_name(ctx, tau, ylabels, v, m).values for v in y_firsts]
+        # sigma(g)^-1 v for the words g of the radius rho*m ball that the keys
+        # read, and their prefixes: one map over the vertices per word
+        tree = ctx.ball_tree(rho * m)
+        wanted = set().union(*columns)
+        for c in range(len(tree) - 1, 0, -1):
+            if c in wanted:
+                wanted.add(tree[c][1])
+        at = {0: range(action.n)}
+        for c in sorted(wanted - {0}):
+            _, parent, letter = tree[c]
+            at[c] = list(map(action.letter_perm(-letter).__getitem__, at[parent]))
+        names = zip(names, [y_names[c] for c in y_classes])
+        keys = zip(keys, [tuple(ylabels[at[c][v]] for c in columns[k]) for v, k in enumerate(pullbacks.of_vertex)])
     lines.append(f"pullback_identity: {'PASS' if pullback_ok else 'FAIL'}")
 
     sigma_back = reconstruct_sigma(ctx, tau, labels)
@@ -424,7 +468,7 @@ def cmd_rearrange(args) -> int:
         failures.append("sigma reconstruction mismatch")
     lines.append(f"sigma_reconstruction: {'PASS' if recon_ok else 'FAIL'}")
 
-    transport_ok = names == transported
+    transport_ok = Counter(names) == Counter(keys)
     if not transport_ok:
         failures.append("empirical transport mismatch")
     lines.append(f"empirical_transport: {'PASS' if transport_ok else 'FAIL'}")
@@ -501,7 +545,7 @@ def cmd_weight_tools(args) -> int:
         sys.stdout.write(f"distance: {_fmt(dist)} (bound {_fmt(bound)})\n")
         return 0
     if action == "markovize":
-        data = _load_json(args.marginals)
+        data = _load_json(args.marginals, unique_keys=False)
         ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
         dist = PatternDistribution.from_json(ctx, data)
         weight = markovize(ctx, dist)

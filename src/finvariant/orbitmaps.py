@@ -21,7 +21,7 @@ from .errors import (
     WindowError,
 )
 from .freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul
-from .shift import Pattern, pullback_name
+from .shift import Pattern, pullback_classes, pullback_name
 from .sft import AxiomsReport, axioms_check, symbol_entry, telescope
 
 
@@ -128,21 +128,12 @@ class Pullbacks(NamedTuple):
 
 def zrho_pullbacks(ctx: FreeGroupCtx, rho: int, action: FiniteAction, labels) -> Pullbacks:
     """Check every vertex's pullback against the admissibility axioms,
-    running the check once per distinct pattern."""
+    naming and checking one vertex per class of equal pullbacks."""
     radius = rho * rho + 1
-    index: dict[tuple, int] = {}
-    patterns: list[Pattern] = []
-    reports: list[AxiomsReport] = []
-    of_vertex = []
-    for v in range(action.n):
-        pat = pullback_name(ctx, action, labels, v, radius)
-        k = index.get(pat.values)
-        if k is None:
-            k = index[pat.values] = len(patterns)
-            patterns.append(pat)
-            reports.append(axioms_check(ctx, rho, pat))
-        of_vertex.append(k)
-    return Pullbacks(tuple(patterns), tuple(reports), tuple(of_vertex))
+    of_vertex, firsts, _ = pullback_classes(ctx, action, labels, radius)
+    patterns = tuple(pullback_name(ctx, action, labels, v, radius) for v in firsts)
+    reports = tuple(axioms_check(ctx, rho, pat) for pat in patterns)
+    return Pullbacks(patterns, reports, tuple(of_vertex))
 
 
 def verify_zrho(ctx: FreeGroupCtx, rho: int, action: FiniteAction, labels) -> Pullbacks:

@@ -267,3 +267,37 @@ def pullback_name(ctx: FreeGroupCtx, action: FiniteAction, labels: Sequence, v: 
         verts[k] = u
         values[k] = labels[u]
     return Pattern._on_ball(ctx, m, values)
+
+
+def pullback_classes(
+    ctx: FreeGroupCtx, action: FiniteAction, labels: Sequence, m: int
+) -> tuple[list[int], list[int], int]:
+    """The partition of the vertices by their radius-m pullback names, found
+    by colour refinement without naming a vertex: per vertex its class, the
+    classes numbered in order of first appearance; per class its first
+    vertex; and the number of rounds that split a class.
+
+    Colour 0 of v is x(v); colour t+1 is colour t at v and at sigma(s)^-1 v
+    for each signed letter s.  As the name at v satisfies
+    P_{t+1}(v)(s h) = P_t(sigma(s)^-1 v)(h), two vertices share colour t
+    exactly when their radius-t names agree.  A round only splits classes,
+    so once a round leaves the class count alone the partition is stable:
+    the refinement stops at that round, or after m rounds.
+    """
+    ids: dict = {}
+    colour = [ids.setdefault(x, len(ids)) for x in labels]
+    inverses = [action.letter_perm(-letter) for letter in ctx.letters]
+    rounds = 0
+    while rounds < m:
+        count, ids = len(ids), {}
+        moved = [[colour[u] for u in perm] for perm in inverses]
+        refined = [ids.setdefault(key, len(ids)) for key in zip(colour, *moved)]
+        if len(ids) == count:
+            break
+        colour = refined
+        rounds += 1
+    firsts: list[int] = []
+    for v, k in enumerate(colour):
+        if k == len(firsts):
+            firsts.append(v)
+    return colour, firsts, rounds

@@ -10,9 +10,20 @@ from fractions import Fraction
 
 import pytest
 
-from finvariant import FiniteAction, FreeGroupCtx, Weight, cli, sample_action
+from finvariant import (
+    FiniteAction,
+    FreeGroupCtx,
+    Weight,
+    cli,
+    decode_E,
+    encode_F,
+    marginal_distribution,
+    pattern_inverse_eval,
+    pullback_name,
+    sample_action,
+)
 from finvariant.cli import main
-from finvariant.freegroup import mul
+from finvariant.freegroup import inv, mul
 
 from paper_objects import bernoulli_weight
 from test_weights import reversible_weight
@@ -578,6 +589,28 @@ class TestRearrange:
         with open(golden, "rb") as fh:
             assert out.read_bytes() == fh.read()
 
+    # vertex <- the vertex whose label it copies: each copy breaks axiom 1 at
+    # the vertex or a neighbour, so admissibility fails at several vertices
+    BROKEN_LABELS = {17: 60, 93: 4, 150: 153, 199: 0}
+
+    @pytest.mark.parametrize("command", ["rearrange", "sft-verify"])
+    def test_failing_configuration_golden_report(self, tmp_path, capsys, command):
+        # both goldens were generated while every vertex's pullback was named
+        # on its own; they pin the vertex rearrange names, and the vertices
+        # and the order of sft-verify's FAIL lines
+        data = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+        with open(os.path.join(data, "mixed_rho1.json"), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        for v, source in self.BROKEN_LABELS.items():
+            cfg["x"][v] = cfg["x"][source]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "report.txt"
+        assert main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 1
+        stream = "stdout" if command == "sft-verify" else "stderr"
+        text = out.read_text(encoding="utf-8") if stream == "stdout" else capsys.readouterr().err
+        with open(os.path.join(data, f"mixed_rho1_broken_{command.replace('-', '_')}.txt"), encoding="utf-8") as fh:
+            assert text == fh.read()
+
     def test_rho_must_be_a_json_integer(self, tmp_path, capsys):
         # true once read as rho 1
         cfg = self._config(tmp_path, {"a": "a", "b": "b"}, True)
@@ -613,6 +646,41 @@ class TestRearrange:
         failures = [line for line in lines if line.startswith("failure: ")]
         assert any(line.startswith("failure: multiplicativity fails at word ") for line in failures)
         assert any(line.startswith("failure: pullback identity fails at vertex ") for line in failures)
+
+    def test_perturbed_tau_failure_lines_match_the_per_vertex_oracle(self, tmp_path, monkeypatch):
+        # the per-vertex loops the class-wise checks replaced, as the oracle of
+        # every multiplicativity and pullback identity line and of their order
+        real = cli.tau_construct
+        taus = []
+
+        def perturbed(*args):
+            tau = real(*args)
+            first = list(tau.perms[0])
+            first[0], first[1] = first[1], first[0]
+            taus.append(FiniteAction(tau.n, (tuple(first),) + tau.perms[1:]))
+            return taus[-1]
+
+        monkeypatch.setattr(cli, "tau_construct", perturbed)
+        cfg = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "mixed_rho1.json")
+        failures = [line for line in self._failing_report(cfg, tmp_path) if line.startswith("failure: ")]
+        with open(cfg, encoding="utf-8") as fh:
+            config = json.load(fh)
+        action = FiniteAction.from_json(config["sigma"])
+        labels = tuple(cli._decode_symbol(CTX, sym) for sym in config["x"])
+        (tau,) = taus
+        pats = [pullback_name(CTX, action, labels, v, 2) for v in range(action.n)]
+        expected = []
+        for g in [w for w in CTX.ball(2) if w]:
+            for v in range(action.n):
+                step = inv(pattern_inverse_eval(CTX, 1, pats[v], inv(g)))
+                if tau.apply(g, v) != action.apply(step, v):
+                    expected.append(f"failure: multiplicativity fails at word {CTX.format(g)}, vertex {v}")
+        for v in range(action.n):
+            key = encode_F(CTX, decode_E(CTX, pats[v])).values[: len(CTX.ball(2))]
+            if key != pullback_name(CTX, tau, labels, v, 2).values:
+                expected.append(f"failure: pullback identity fails at vertex {v}")
+        assert len(expected) > 2
+        assert failures == expected + ["failure: sigma reconstruction mismatch", "failure: empirical transport mismatch"]
 
     def test_perturbed_inverse_evaluation_fails_multiplicativity_alone(self, tmp_path, monkeypatch):
         real = cli.pattern_inverse_eval
@@ -1307,3 +1375,83 @@ class TestKeysSpelledTwice:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and message in err
+
+
+class TestRepeatedJsonKeys:
+    """A JSON object that repeats a key was once read last-wins: the
+    automorphism below ran as the identity and printed ``overall: PASS``.
+    Every file but a marginals file now exits 2 naming the key."""
+
+    SYMBOL = '{"a": "a", "A": "A", "b": "b", "B": "B"}'
+    SAMPLED = '"rank": 2, "rho": 1, "sigma": {"n": 4, "seed": 3}, "seed": 3'
+    CASES = {
+        "automorphism_images": (
+            ["rearrange", "--config", "c.json"],
+            '{' + SAMPLED + ', "x": {"automorphism": {"images": {"a": "ab", "a": "a", "b": "b"}}}}',
+        ),
+        "inline_symbol": (
+            ["sft-verify", "--config", "c.json"],
+            '{' + SAMPLED + ', "x": [' + ", ".join(['{"a": "b", "a": "a", "A": "A", "b": "b", "B": "B"}']
+                                                 + [SYMBOL] * 3) + "]}",
+        ),
+        "weight_file": (["f-exact", "--weight", "w.json"], None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exits_2(self, tmp_path, monkeypatch, capsys, name):
+        argv, text = self.CASES[name]
+        monkeypatch.chdir(tmp_path)
+        weight = json.dumps(bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2).to_json())
+        if text is None:
+            # the same value twice: read last-wins, the weight is unchanged
+            weight, text = weight.replace('"rank": 2', '"rank": 2, "rank": 2', 1), "{}"
+            assert weight.count('"rank"') == 2
+        (tmp_path / "w.json").write_text(weight)
+        (tmp_path / "c.json").write_text(text)
+        assert main(argv) == 2
+        path = argv[-1]
+        key = "rank" if name == "weight_file" else "a"
+        assert capsys.readouterr().err == f"input error: {path}: a json object repeats the key {key!r}\n"
+
+    def test_the_automorphism_exits_0_once_spelled_once(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _, text = self.CASES["automorphism_images"]
+        (tmp_path / "c.json").write_text(text.replace('"a": "ab", ', ""))
+        assert main(["rearrange", "--config", "c.json"]) == 0
+
+    def test_a_marginals_file_is_read_without_the_check(self, tmp_path, monkeypatch, capsys):
+        # PatternDistribution.from_json checks a marginal's entries, and a
+        # marginals file can be megabytes, so it is read by plain json.load
+        monkeypatch.chdir(tmp_path)
+        w = bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2)
+        data = {"rank": 2, **marginal_distribution(w, CTX.ball(1)).to_json(CTX)}
+        text = json.dumps(data).replace('"rank": 2', '"rank": 2, "rank": 2', 1)
+        (tmp_path / "m.json").write_text(text)
+        assert main(["weight-tools", "markovize", "--marginals", "m.json", "--out", "w.json"]) == 0
+        assert capsys.readouterr().out.startswith("f_nats: ")
+        cfg = {"marginals": "m.json", "epsilon": 1, "n_list": [2], "mode": "exact"}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["f-estimate", "--config", "c.json"]) == 0
+
+
+class TestSampledActionCap:
+    """A sampled action's n once reached ``sample_action`` uncapped: 10^400
+    crashed with an OverflowError traceback (exit 1), and a large finite n
+    ran as long as its size asked.  Both exit 3 before sampling."""
+
+    @pytest.mark.parametrize("command", ["rearrange", "sft-verify"])
+    @pytest.mark.parametrize("n", [10**400, cli.MAX_CLI_SAMPLED_N + 1], ids=["10^400", "cap+1"])
+    def test_exits_3(self, tmp_path, capsys, command, n):
+        cfg = {"rank": 2, "rho": 1, "sigma": {"n": n, "seed": 1},
+               "x": {"automorphism": {"images": {"a": "b", "b": "a"}}}}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main([command, "--config", str(tmp_path / "c.json")]) == 3
+        assert capsys.readouterr().err == f"resource cap: cli caps a sampled action's n at {cli.MAX_CLI_SAMPLED_N}\n"
+
+    def test_the_cap_itself_is_sampled(self, monkeypatch):
+        # the check sits before the draw: at the cap the action is sampled
+        drawn = []
+        monkeypatch.setattr(cli, "sample_action", lambda n, rank, seed: drawn.append(n) or sample_action(2, rank, seed))
+        spec = {"sigma": {"n": cli.MAX_CLI_SAMPLED_N, "seed": 1}}
+        assert cli._resolve_action(CTX, spec).n == 2
+        assert drawn == [cli.MAX_CLI_SAMPLED_N]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finvariant import (
+    Automorphism,
     FiniteAction,
     FreeGroupCtx,
     InputError,
@@ -18,7 +19,7 @@ from finvariant import (
     sample_action,
 )
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
-from finvariant.shift import read_prob, write_prob
+from finvariant.shift import pullback_classes, read_prob, write_prob
 
 from paper_objects import (
     Alphabet,
@@ -138,6 +139,70 @@ class TestPullback:
             lhs = pullback_name(ctx, action, x, u, m - len(g))
             rhs = restrict(shift_pattern(g, pullback_name(ctx, action, x, v, m)), small)
             assert lhs == rhs
+
+
+def named_classes(ctx, action, labels, m):
+    """The partition by naming every vertex's radius-m pullback: per vertex
+    the index of its name, names indexed by first appearance, and each
+    name's first vertex (the per-vertex dedupe ``pullback_classes`` replaced)."""
+    index, of_vertex, firsts = {}, [], []
+    for v in range(action.n):
+        values = pullback_name(ctx, action, labels, v, m).values
+        if values not in index:
+            index[values] = len(firsts)
+            firsts.append(v)
+        of_vertex.append(index[values])
+    return of_vertex, firsts
+
+
+# one non-identity automorphism per rank, whose constant configuration the
+# oracle test labels with
+AUTOMORPHISMS = {1: {1: (-1,)}, 2: {1: (1, 2), 2: (2,)}, 3: {1: (1, 2), 2: (3,), 3: (2,)}}
+
+
+class TestPullbackClasses:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(0, 5), st.integers(1, 9), st.data())
+    def test_matches_naming_every_vertex(self, rank, m, n, data):
+        ctx = FreeGroupCtx(rank)
+        # each generator permutes the vertices outside a drawn fixed set
+        perms = []
+        for _ in range(rank):
+            fixed = data.draw(st.sets(st.integers(0, n - 1)))
+            moving = [v for v in range(n) if v not in fixed]
+            image = dict(zip(moving, data.draw(st.permutations(moving))))
+            perms.append(tuple(image.get(v, v) for v in range(n)))
+        action = FiniteAction(n, tuple(perms))
+        kind = data.draw(st.sampled_from(["constant", "two", "three", "automorphism"]))
+        if kind == "constant":
+            labels = ("c",) * n
+        elif kind == "automorphism":
+            labels = Automorphism(ctx, AUTOMORPHISMS[rank]).constant_config(n)
+        else:
+            size = 2 if kind == "two" else 3
+            labels = tuple(data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)))
+        of_vertex, firsts, rounds = pullback_classes(ctx, action, labels, m)
+        assert (of_vertex, firsts) == named_classes(ctx, action, labels, m)
+        assert 0 <= rounds <= m
+
+    def test_constant_labels_stop_after_round_0(self):
+        ctx = FreeGroupCtx(2)
+        action = sample_action(30, 2, seed=4)
+        assert pullback_classes(ctx, action, ("c",) * 30, 5) == ([0] * 30, [0], 0)
+
+    def test_random_labels_run_every_round(self):
+        # on a 64-cycle each round widens the window that tells vertices apart
+        ctx = FreeGroupCtx(1)
+        action = FiniteAction(64, (tuple((v + 1) % 64 for v in range(64)),))
+        rng = random.Random(1)
+        labels = tuple(rng.randint(0, 1) for _ in range(64))
+        counts = []
+        for m in range(4):
+            of_vertex, firsts, rounds = pullback_classes(ctx, action, labels, m)
+            assert rounds == m
+            assert (of_vertex, firsts) == named_classes(ctx, action, labels, m)
+            counts.append(len(firsts))
+        assert counts == sorted(set(counts))
 
 
 class TestEmpirical:

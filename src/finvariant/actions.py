@@ -5,13 +5,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import InputError, ResourceCapError, as_int
-from .freegroup import Word
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -36,7 +34,7 @@ class FiniteAction:
 
     def __post_init__(self):
         for p in self.perms:
-            if sorted(p) != list(range(self.n)):
+            if len(p) != self.n or sorted(p) != list(range(self.n)):
                 raise InputError("each generator image must be a permutation of [n]")
         invs = []
         for p in self.perms:
@@ -54,19 +52,6 @@ class FiniteAction:
         """Permutation of the signed letter: sigma(s_i) or its inverse."""
         return self.perms[letter - 1] if letter > 0 else self._inv[-letter - 1]
 
-    def word_perm(self, word: Word) -> tuple[int, ...]:
-        """Permutation of a word; composition applies the rightmost letter first."""
-        arr = list(range(self.n))
-        for letter in reversed(word):
-            p = self.letter_perm(letter)
-            arr = [p[v] for v in arr]
-        return tuple(arr)
-
-    def apply(self, word: Word, v: int) -> int:
-        for letter in reversed(word):
-            v = self.letter_perm(letter)[v]
-        return v
-
     @classmethod
     def from_json(cls, data: dict) -> "FiniteAction":
         try:
@@ -83,22 +68,26 @@ def sample_action(n: int, rank: int, seed: int) -> FiniteAction:
     perms = []
     for _ in range(rank):
         arr = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = rng.randint(0, i)
-            arr[i], arr[j] = arr[j], arr[i]
+        rng.shuffle(arr)
         perms.append(tuple(arr))
     return FiniteAction(n, tuple(perms))
 
 
-def hom_count(n: int, rank: int) -> int:
-    return math.factorial(n) ** rank
+def hom_count(n: int, rank: int, cap: int) -> int:
+    """n!^r, the size of Hom(G, Sym(n)), if at most ``cap``: a running
+    product stops once it passes the cap, so no larger number is built."""
+    total, m = 1, 1
+    while total <= cap and m < n:
+        m += 1
+        total *= m**rank
+    if total > cap:
+        raise ResourceCapError(f"n!^r homomorphisms at n={n}, r={rank} exceed cap {cap}")
+    return total
 
 
 def enumerate_actions(n: int, rank: int, cap: int = 10**6) -> Iterator[FiniteAction]:
     """All of Hom(G, Sym(n)) in a fixed lexicographic order."""
-    total = hom_count(n, rank)
-    if total > cap:
-        raise ResourceCapError(f"{total} = n!^r homomorphisms exceeds cap {cap}")
+    hom_count(n, rank, cap)
     perms = list(itertools.permutations(range(n)))
     for combo in itertools.product(perms, repeat=rank):
         yield FiniteAction(n, combo)

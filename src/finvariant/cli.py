@@ -48,7 +48,7 @@ from .orbitmaps import (
     zrho_pullbacks,
 )
 from .sft import SftSpec, sample_sft_config
-from .shift import PatternDistribution, pullback_classes, pullback_name, read_prob
+from .shift import PatternDistribution, pullback_classes, pullback_name, read_prob, window_columns
 from .weights import (
     F_value,
     Weight,
@@ -101,7 +101,7 @@ def _load_json(path: str, unique_keys: bool = True) -> dict:
             data = json.load(fh, object_pairs_hook=_unique_keys if unique_keys else None)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed or too deep json, or an int past int()'s digits
         raise InputError(f"{path} is not valid json: {exc}") from exc
     except InputError as exc:  # a repeated key
         raise InputError(f"{path}: {exc}") from None
@@ -384,8 +384,8 @@ def cmd_rearrange(args) -> int:
         members[k].append(v)
     multiplicative = True
     words = [w for w in ctx.ball(2) if w]
-    for g in words:
-        moved = tau.word_perm(g)
+    # tau(g) is the column of g^-1
+    for g, moved in zip(words, window_columns(tau, [inv(g) for g in words])):
         failing = []
         for pat, verts in zip(pullbacks.patterns, members):
             images = verts
@@ -410,14 +410,13 @@ def cmd_rearrange(args) -> int:
 
     # phi_v depends only on v's pullback pattern, so each distinct pattern is
     # decoded once.  Per pattern this keeps the companion encoding on the
-    # window and, with labels y, the position of phi^-1(f) in the radius rho*m
-    # ball for each window word f; phi itself, a table on the radius rho^2+2
-    # ball, is dropped, so memory does not grow with the number of patterns.
+    # window and, with labels y, the word phi^-1(f) for each window word f;
+    # phi itself, a table on the radius rho^2+2 ball, is dropped, so memory
+    # does not grow with the number of patterns.
     m = (rho * rho + 1) // rho
     window = ctx.ball(m)
-    y_ball = ctx.ball_index(rho * m)
     expected_keys = []
-    columns = []
+    pre_words = []
     for pat in pullbacks.patterns:
         phi = decode_E(ctx, pat)
         encoded = encode_F(ctx, phi)
@@ -427,7 +426,7 @@ def cmd_rearrange(args) -> int:
         expected_keys.append(encoded.values[: len(window)])
         if y_alphabet:
             # admissibility puts phi^-1 of the window inside the radius rho*m ball
-            columns.append(tuple(y_ball[phi.inverse[f]] for f in window))
+            pre_words.append(tuple(phi.inverse[f] for f in window))
 
     # the pullback identity is per vertex; the empirical transport compares
     # the multiset of tau's pullback names (paired with tau's y-names when
@@ -447,19 +446,12 @@ def cmd_rearrange(args) -> int:
     if y_alphabet:
         y_classes, y_firsts, _ = pullback_classes(ctx, tau, ylabels, m)
         y_names = [pullback_name(ctx, tau, ylabels, v, m).values for v in y_firsts]
-        # sigma(g)^-1 v for the words g of the radius rho*m ball that the keys
-        # read, and their prefixes: one map over the vertices per word
-        tree = ctx.ball_tree(rho * m)
-        wanted = set().union(*columns)
-        for c in range(len(tree) - 1, 0, -1):
-            if c in wanted:
-                wanted.add(tree[c][1])
-        at = {0: range(action.n)}
-        for c in sorted(wanted - {0}):
-            _, parent, letter = tree[c]
-            at[c] = list(map(action.letter_perm(-letter).__getitem__, at[parent]))
+        # sigma(g)^-1 v for only the words g that the keys read
+        read = list(set().union(*pre_words))
+        at = dict(zip(read, window_columns(action, read)))
+        columns = [[at[g] for g in pre] for pre in pre_words]
         names = zip(names, [y_names[c] for c in y_classes])
-        keys = zip(keys, [tuple(ylabels[at[c][v]] for c in columns[k]) for v, k in enumerate(pullbacks.of_vertex)])
+        keys = zip(keys, [tuple(ylabels[col[v]] for col in columns[k]) for v, k in enumerate(pullbacks.of_vertex)])
     lines.append(f"pullback_identity: {'PASS' if pullback_ok else 'FAIL'}")
 
     sigma_back = reconstruct_sigma(ctx, tau, labels)
@@ -570,12 +562,7 @@ def cmd_weight_tools(args) -> int:
 
 def cmd_ball(args) -> int:
     ctx = _ctx_for_rank(args.rank)
-    radius = args.radius
-    if radius < 0:
-        raise InputError("radius must be >= 0")
-    if ctx.ball_size(radius) > 10**6:
-        raise ResourceCapError(f"ball of radius {radius} exceeds a million words")
-    _emit("\n".join(ctx.format(w) for w in ctx.ball(radius)) + "\n", args.out)
+    _emit("\n".join(ctx.format(w) for w in ctx.ball(args.radius)) + "\n", args.out)
     return 0
 
 

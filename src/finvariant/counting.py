@@ -72,6 +72,13 @@ def _denominator_lcm(targets: Sequence[PatternDistribution]) -> int:
     return math.lcm(*(t.total * m.as_integer_ratio()[1] for t in targets for m in t.masses.values()))
 
 
+def _check_labelings(n: int, alphabet: Sequence, caps: Caps) -> None:
+    """Raise unless |A|^n <= the labelings cap, building no power past its bit length."""
+    q, cap = len(alphabet), caps.labelings
+    if (q >= 2 and n >= cap.bit_length()) or q**n > cap:
+        raise ResourceCapError(f"|A|^n labelings at |A|={q}, n={n} exceed cap {cap}")
+
+
 def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, caps: Caps):
     """The neighborhood in integers at (rank, n, alphabet), built once after
     the |A|^n cap, or None when no labeling can count (an empty alphabet, or
@@ -85,9 +92,7 @@ def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, ca
     the integer membership limit.  T is a dict of the codes the target lists:
     a wide window has too many codes to list them all.
     """
-    total = len(alphabet) ** n
-    if total > caps.labelings:
-        raise ResourceCapError(f"|A|^n = {total} labelings exceed cap {caps.labelings}")
+    _check_labelings(n, alphabet, caps)
     at = (ctx.rank, n, tuple(alphabet))
     if at in nbhd._setups:
         return nbhd._setups[at]
@@ -99,8 +104,9 @@ def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, ca
         if nbhd.target.is_exact and isinstance(eps, (int, Fraction)):
             limit = math.floor(eps * n * d)
         else:
-            # in integers: n d outgrows a float for a tiny float target
-            limit = math.floor(Fraction(float(eps) + PROB_TOL) * n * d)
+            # in integers: n d outgrows a float for a tiny float target.  An l1
+            # distance is at most 2 per statistic; epsilon is clamped at 3 per statistic
+            limit = math.floor(Fraction(float(min(eps, 3 * len(targets))) + PROB_TOL) * n * d)
         q = len(alphabet)
         index = {a: k for k, a in enumerate(alphabet)}
         groups, target, unseen, offset = [], {}, 0, 0
@@ -293,9 +299,7 @@ def expected_count(
     reports the standard error of the mean.
     """
     if mode == "exact":
-        samples = hom_count(n, ctx.rank)
-        if samples > caps.exact_actions:
-            raise ResourceCapError(f"n!^r = {samples} exceeds cap {caps.exact_actions}")
+        samples = hom_count(n, ctx.rank, caps.exact_actions)
         acc = _count_by_type(ctx, n, alphabet, nbhd, caps)
         if acc is None:
             acc = sum(
@@ -314,6 +318,7 @@ def expected_count(
     elif samples < 1:
         raise InputError("monte carlo needs at least one sample")
     else:
+        _check_labelings(n, alphabet, caps)  # before any action is drawn
         counts = [
             count_omega(ctx, sample_action(n, ctx.rank, derive_seed(seed, idx)), alphabet, nbhd, caps)
             for idx in range(samples)

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 
 Word = tuple  # reduced word as a tuple of signed letter indices
 
 IDENTITY: Word = ()
+
+MAX_BALL_WORDS = 10**6  # the most words a ball may hold: a few hundred MB of tables
 
 
 def reduce_word(letters: Iterable[int]) -> Word:
@@ -65,6 +67,9 @@ def _ball_tables(rank: int, radius: int) -> tuple[tuple, tuple[Word, ...], dict[
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
+    # past the cap's bit length a rank >= 2 ball is too large: no power is built
+    if (rank > 1 and radius >= MAX_BALL_WORDS.bit_length()) or FreeGroupCtx(rank).ball_size(radius) > MAX_BALL_WORDS:
+        raise ResourceCapError(f"ball of radius {radius} exceeds a million words")
     letters = [sign * i for i in range(1, rank + 1) for sign in (1, -1)]
     entries: list[tuple[Word, int, int]] = [(IDENTITY, -1, 0)]
     frontier = [(IDENTITY, 0)]

@@ -21,7 +21,7 @@ from .errors import (
     WindowError,
 )
 from .freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul
-from .shift import Pattern, pullback_classes, pullback_name
+from .shift import Pattern, pullback_classes, pullback_name, window_columns
 from .sft import AxiomsReport, axioms_check, symbol_entry, telescope
 
 
@@ -149,12 +149,14 @@ def verify_zrho(ctx: FreeGroupCtx, rho: int, action: FiniteAction, labels) -> Pu
 
 
 def _stepped_action(base: FiniteAction, steps, failure: str) -> FiniteAction:
-    """The action whose generator i sends v to base(w) v, w = steps[i - 1][v];
-    raises ``failure`` formatted with i when one of these images is not a
-    bijection."""
+    """The action whose generator i sends v to base(w)^-1 v, w = steps[i - 1][v],
+    read from one column per distinct step word; raises ``failure``
+    formatted with i when one of these images is not a bijection."""
+    words = list(set().union(*steps))
+    column = dict(zip(words, window_columns(base, words)))
     perms = []
-    for i, words in enumerate(steps, 1):
-        images = tuple(base.apply(w, v) for v, w in enumerate(words))
+    for i, step in enumerate(steps, 1):
+        images = tuple(column[w][v] for v, w in enumerate(step))
         if sorted(images) != list(range(base.n)):
             raise VerificationError(failure.format(i))
         perms.append(images)
@@ -171,17 +173,14 @@ def tau_construct(ctx: FreeGroupCtx, action: FiniteAction, pullbacks: Pullbacks)
     admissible patterns, the returned generator images are bijections and the
     defining formula is multiplicative in g.
     """
-    steps = []
-    for i in range(1, ctx.rank + 1):
-        step = [inv(report.witnesses[(-i,)]) for report in pullbacks.reports]
-        steps.append([step[k] for k in pullbacks.of_vertex])
+    steps = [[pullbacks.reports[k].witnesses[(-i,)] for k in pullbacks.of_vertex] for i in range(1, ctx.rank + 1)]
     return _stepped_action(action, steps, "rearranged generator {} is not a bijection; admissibility was vacuous")
 
 
 def reconstruct_sigma(ctx: FreeGroupCtx, tau: FiniteAction, labels) -> FiniteAction:
     """Invert the rearrangement from (tau, x): sigma(h) v = tau(x(v)(h^-1)^-1) v
     for each signed generator h."""
-    steps = [[inv(symbol_entry(sym, -i)) for sym in labels] for i in range(1, ctx.rank + 1)]
+    steps = [[symbol_entry(sym, -i) for sym in labels] for i in range(1, ctx.rank + 1)]
     return _stepped_action(tau, steps, "reconstructed generator {} is not a bijection")
 
 

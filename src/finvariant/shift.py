@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 from .actions import FiniteAction
 from .errors import InputError, as_int
-from .freegroup import FreeGroupCtx, Word, inv, sort_words, word_sort_key
+from .freegroup import FreeGroupCtx, Word, sort_words, word_sort_key
 
 # slack on a float probability: a distribution's total and its entries'
 # range, and a weight's balance; rational ones are compared exactly
@@ -245,8 +245,21 @@ class PatternDistribution:
 
 
 def window_columns(action: FiniteAction, window: Sequence[Word]) -> list[tuple[int, ...]]:
-    """Per-window-word vertex lookup tables: entry g gives sigma(g)^-1 v."""
-    return [action.word_perm(inv(g)) for g in window]
+    """Per-window-word vertex lookup tables: entry g gives sigma(g)^-1 v; the
+    one routine that composes sigma along words.  As sigma(g s)^-1 =
+    sigma(s)^-1 sigma(g)^-1, a word's column maps its prefix's through
+    sigma(s)^-1, and each prefix, in the window or not, is built once."""
+    cols = {(s,): action.letter_perm(-s) for i in range(1, action.rank + 1) for s in (i, -i)}
+    out = []
+    for g in window:
+        k = len(g)
+        while k > 1 and g[:k] not in cols:
+            k -= 1
+        col = cols[g[:k]] if g else tuple(range(action.n))
+        for j in range(k, len(g)):
+            col = cols[g[: j + 1]] = tuple(map(action.letter_perm(-g[j]).__getitem__, col))
+        out.append(col)
+    return out
 
 
 def pullback_name(ctx: FreeGroupCtx, action: FiniteAction, labels: Sequence, v: int, m: int) -> Pattern:

@@ -1,7 +1,8 @@
 """Paper objects and oracles that only the tests use.
 
 The package holds what its commands run.  The definitions here come from the
-paper but have no caller outside the test suite: the left shift and the
+paper but have no caller outside the test suite: the action of a word on
+one vertex (the oracle of ``window_columns``), the left shift and the
 theta/upsilon actions with the edge-label encoding E (criterion 08), block
 codes and the join observable (criterion 09), empirical distributions and
 the l1 and pair-marginal distances that the brute-force counting oracle
@@ -37,6 +38,14 @@ from finvariant.weights import EntropyValue, Weight, _tree_edges, marginal_distr
 # ---------------------------------------------------------------------------
 # free group
 # ---------------------------------------------------------------------------
+
+
+def act(action: FiniteAction, word: Word, v: int) -> int:
+    """sigma(word) v, stepped one letter at a time, the rightmost first: the
+    one-vertex oracle of ``window_columns``."""
+    for letter in reversed(word):
+        v = action.letter_perm(letter)[v]
+    return v
 
 
 def action_to_json(action: FiniteAction) -> dict:
@@ -387,7 +396,7 @@ def check_local(spec: SftSpec, action: FiniteAction, labels, v: int) -> bool:
     """No forbidden pattern at vertex v itself, read one word at a time:
     the oracle of both paths of ``sft_check_all``."""
     for w in spec.forbidden:
-        if all(labels[action.apply(inv(f), v)] == w[f] for f in w.domain):
+        if all(labels[act(action, inv(f), v)] == w[f] for f in w.domain):
             return False
     return True
 

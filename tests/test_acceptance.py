@@ -44,6 +44,7 @@ from conftest import canonical_automorphisms
 from paper_objects import (
     Alphabet,
     F_coefficients,
+    act,
     apply_block_code,
     bernoulli_weight,
     bijection,
@@ -278,7 +279,7 @@ def test_criterion_07_rearrangement_suite(accepted_instances):
             h = reduce_word(rng.choices(CTX.letters, k=rng.randint(0, 2)))
             gh = mul(g, h)
             for v in range(n):
-                ok &= tau.apply(gh, v) == tau.apply(g, tau.apply(h, v))
+                ok &= act(tau, gh, v) == act(tau, g, act(tau, h, v))
 
         # the defining formula itself is multiplicative: evaluating it on
         # length-2 words through the inverse-witness search matches tau
@@ -290,7 +291,7 @@ def test_criterion_07_rearrangement_suite(accepted_instances):
                 continue
             for v in range(n):
                 w = pattern_inverse_eval(CTX, rho, patterns[v], inv(g))
-                ok &= tau.apply(g, v) == action.apply(inv(w), v)
+                ok &= act(tau, g, v) == act(action, inv(w), v)
 
         # pullback identity and labeled transport
         m = 2

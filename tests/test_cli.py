@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,13 @@ import pytest
 from finvariant import (
     FiniteAction,
     FreeGroupCtx,
+    ResourceCapError,
     Weight,
     cli,
+    counting,
     decode_E,
     encode_F,
+    hom_count,
     marginal_distribution,
     pattern_inverse_eval,
     pullback_name,
@@ -25,7 +29,7 @@ from finvariant import (
 from finvariant.cli import main
 from finvariant.freegroup import inv, mul
 
-from paper_objects import bernoulli_weight
+from paper_objects import act, bernoulli_weight
 from test_weights import reversible_weight
 
 CTX = FreeGroupCtx(2)
@@ -673,7 +677,7 @@ class TestRearrange:
         for g in [w for w in CTX.ball(2) if w]:
             for v in range(action.n):
                 step = inv(pattern_inverse_eval(CTX, 1, pats[v], inv(g)))
-                if tau.apply(g, v) != action.apply(step, v):
+                if act(tau, g, v) != act(action, step, v):
                     expected.append(f"failure: multiplicativity fails at word {CTX.format(g)}, vertex {v}")
         for v in range(action.n):
             key = encode_F(CTX, decode_E(CTX, pats[v])).values[: len(CTX.ball(2))]
@@ -1314,6 +1318,13 @@ class TestMalformedJsonShapes:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("input error: ")
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        # json.load raises RecursionError, which is not a JSONDecodeError
+        path = tmp_path / "w.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["weight-tools", "validate", "--weight", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {path} is not valid json: maximum recursion depth")
+
     @pytest.mark.parametrize(
         "rank, perms",
         [(2, [[1, 0]]), (1, [[1, 0], [0, 1]])],
@@ -1455,3 +1466,99 @@ class TestSampledActionCap:
         spec = {"sigma": {"n": cli.MAX_CLI_SAMPLED_N, "seed": 1}}
         assert cli._resolve_action(CTX, spec).n == 2
         assert drawn == [cli.MAX_CLI_SAMPLED_N]
+
+
+class TestCapsDecidedBeforeBuilding:
+    """A cap once built, or printed, the number it bounds: exact mode at
+    n = 1000 printed n!^r past Python's int-to-str limit (exit 1), n = 10^400
+    overflowed ``math.factorial`` (exit 1), Monte Carlo at n = 10^6 drew a
+    million-vertex action before the |A|^n message crashed (exit 1), and
+    ``ball --radius 10^7`` computed 3^(10^7) before exiting 3.  Each exits 3
+    within a second, naming n, r, |A| or the radius."""
+
+    def _run(self, tmp_path, weight_file, n, mode):
+        cfg = {"weight": weight_file, "window": 0, "epsilon": {"num": 1, "den": 2}, "n_list": [n], "mode": mode,
+               "samples": 1, "seed": 0}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        t0 = time.perf_counter()
+        code = main(["f-estimate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o.csv")])
+        assert time.perf_counter() - t0 < 1.0
+        return code
+
+    @pytest.mark.parametrize("n", [800, 1000, 10**400], ids=["800", "1000", "10^400"])
+    def test_exact_mode(self, half_weight_file, tmp_path, capsys, n):
+        assert self._run(tmp_path, half_weight_file, n, "exact") == 3
+        assert capsys.readouterr().err == f"resource cap: n!^r homomorphisms at n={n}, r=2 exceed cap 1000000\n"
+
+    @pytest.mark.parametrize("n", [10**5, 10**6, 10**400], ids=["10^5", "10^6", "10^400"])
+    def test_monte_carlo_draws_no_action(self, half_weight_file, tmp_path, monkeypatch, capsys, n):
+        monkeypatch.setattr(counting, "sample_action", lambda *args: pytest.fail("an action was drawn"))
+        assert self._run(tmp_path, half_weight_file, n, "monte_carlo") == 3
+        assert capsys.readouterr().err == f"resource cap: |A|^n labelings at |A|=2, n={n} exceed cap 10000000\n"
+
+    def test_the_caps_admit_what_they_bound(self):
+        # the running product and the bit-length test stop at the cap, not before
+        assert hom_count(3, 2, 36) == 36
+        with pytest.raises(ResourceCapError):
+            hom_count(3, 2, 35)
+        caps = counting.Caps(labelings=2**23)
+        counting._check_labelings(23, "01", caps)
+        for n in (24, 10**400):
+            with pytest.raises(ResourceCapError):
+                counting._check_labelings(n, "01", caps)
+
+    def test_ball(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["ball", "--rank", "2", "--radius", "10000000"]) == 3
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == "resource cap: ball of radius 10000000 exceeds a million words\n"
+
+
+class TestFuzzFound:
+    """Inputs that ``test_fuzz_cli`` found crashing with a traceback."""
+
+    @pytest.mark.parametrize("command", ["markovize", "f-estimate"])
+    def test_a_huge_window_radius_exits_3(self, half_weight_file, tmp_path, capsys, command):
+        # the radius-10^400 ball was built word by word until memory ran out
+        if command == "markovize":
+            data = {"rank": 2, "window_radius": 10**400, "entries": []}
+            (tmp_path / "m.json").write_text(json.dumps(data))
+            argv = ["weight-tools", "markovize", "--marginals", str(tmp_path / "m.json")]
+        else:
+            cfg = {"weight": half_weight_file, "window": 10**400, "epsilon": 1, "n_list": [2], "mode": "exact"}
+            (tmp_path / "c.json").write_text(json.dumps(cfg))
+            argv = ["f-estimate", "--config", str(tmp_path / "c.json")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"resource cap: ball of radius {10**400} exceeds a million words\n"
+
+    def test_an_action_n_beyond_its_perms_exits_2(self, tmp_path, capsys):
+        # list(range(10^400)) overflowed before the perms were compared with n
+        cfg = {"rank": 2, "rho": 1, "action": {"n": 10**400, "perms": [[1, 0], [0, 1]]}, "x": []}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["sft-verify", "--config", str(tmp_path / "c.json")]) == 2
+        assert capsys.readouterr().err == "input error: each generator image must be a permutation of [n]\n"
+
+    def test_an_integer_past_the_int_to_str_limit_exits_2(self, tmp_path, capsys):
+        # json.load raised int()'s ValueError, which is not a JSONDecodeError
+        path = tmp_path / "w.json"
+        path.write_text('{"rank": ' + "9" * 5000 + "}")
+        assert main(["weight-tools", "validate", "--weight", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {path} is not valid json: Exceeds the limit")
+
+    def test_an_epsilon_past_float_range_counts_every_labeling(self, tmp_path, capsys):
+        # a float target turned epsilon into a float, which overflowed
+        w = bernoulli_weight({"0": 0.25, "1": 0.75}, 2)
+        (tmp_path / "w.json").write_text(json.dumps(w.to_json()))
+        rows = []
+        for epsilon in (10**400, 3):
+            cfg = {"weight": str(tmp_path / "w.json"), "window": 0, "epsilon": epsilon, "n_list": [2, 3],
+                   "samples": 2, "seed": 1}
+            (tmp_path / "c.json").write_text(json.dumps(cfg))
+            assert main(["f-estimate", "--config", str(tmp_path / "c.json")]) == 0
+            rows.append(capsys.readouterr().out.splitlines()[1:])
+        assert rows[0] == rows[1] == ["n,samples,mean_count,log_mean_over_n,stderr",
+                                      f"2,2,4,{_fmt_log(4, 2)},0", f"3,2,8,{_fmt_log(8, 3)},0"]
+
+
+def _fmt_log(count, n):
+    return f"{math.log(count) / n:.15g}"

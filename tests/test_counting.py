@@ -58,6 +58,22 @@ class TestActionSpaces:
         with pytest.raises(ResourceCapError):
             list(enumerate_actions(6, 2, cap=1000))
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 1000])
+    def test_sampler_makes_the_draws_of_the_hand_written_shuffle(self, n, rank):
+        # the Fisher-Yates loop sample_action once ran is the oracle of its
+        # rng.shuffle: the same randbelow draws give the same permutations
+        for seed in range(20):
+            rng = random.Random(seed)
+            perms = []
+            for _ in range(rank):
+                arr = list(range(n))
+                for i in range(n - 1, 0, -1):
+                    j = rng.randint(0, i)
+                    arr[i], arr[j] = arr[j], arr[i]
+                perms.append(tuple(arr))
+            assert sample_action(n, rank, seed).perms == tuple(perms)
+
     def test_sampler_deterministic_and_uniformish(self):
         a = sample_action(5, 2, seed=42)
         b = sample_action(5, 2, seed=42)

@@ -40,6 +40,7 @@ from finvariant.orbitmaps import Pullbacks
 from finvariant.sft import AxiomsReport, symbol_entry, telescope
 
 from paper_objects import (
+    act,
     agree_on_common_window,
     bijection,
     check_automorphism_by_scan,
@@ -433,7 +434,7 @@ class TestTau:
         # phi_v = nielsen^-1, so tau(g) = sigma(nielsen(g))
         for i, name in ((1, "a"), (2, "b")):
             word = auto.apply(CTX.parse(name))
-            assert tau.perms[i - 1] == action.word_perm(word)
+            assert tau.perms[i - 1] == tuple(act(action, word, v) for v in range(action.n))
 
     def test_precondition_error_names_vertex(self):
         action = sample_action(5, 2, seed=14)
@@ -696,7 +697,7 @@ class TestBlockCode:
                 for v in range(action.n):
                     pat = pullback_name(CTX, action, labels, v, rho * rho + 1)
                     w = pattern_inverse_eval(CTX, rho, pat, (-i,))
-                    expected.append(action.apply(inv(w), v))
+                    expected.append(act(action, inv(w), v))
                 assert list(tau.perms[i - 1]) == expected
 
     def test_first_failing_vertex_is_named_when_its_pattern_repeats(self):

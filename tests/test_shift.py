@@ -19,11 +19,12 @@ from finvariant import (
     sample_action,
 )
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
-from finvariant.shift import pullback_classes, read_prob, write_prob
+from finvariant.shift import pullback_classes, read_prob, window_columns, write_prob
 
 from paper_objects import (
     Alphabet,
     BlockCode,
+    act,
     apply_block_code,
     as_dict,
     bernoulli_weight,
@@ -118,7 +119,7 @@ class TestPullback:
         labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         v = data.draw(st.integers(0, n - 1))
         ball = list(reversed(ctx.ball(m)))
-        oracle = Pattern(ball, [labels[action.apply(inv(g), v)] for g in ball])
+        oracle = Pattern(ball, [labels[act(action, inv(g), v)] for g in ball])
         got = pullback_name(ctx, action, labels, v, m)
         assert got == oracle
         assert all(got[g] == oracle[g] for g in ball)
@@ -134,11 +135,65 @@ class TestPullback:
             v = rng.randrange(n)
             m = 3
             g = random_word(rng, ctx, 1)
-            u = action.apply(g, v)
+            u = act(action, g, v)
             small = ctx.ball(m - len(g))
             lhs = pullback_name(ctx, action, x, u, m - len(g))
             rhs = restrict(shift_pattern(g, pullback_name(ctx, action, x, v, m)), small)
             assert lhs == rhs
+
+
+def action_with_fixed_points(rng, rank):
+    """An action on 1-6 points where each generator is the identity, a
+    random permutation, or one with fixed points."""
+    n = rng.randint(1, 6)
+    perms = []
+    for _ in range(rank):
+        perm = list(range(n))
+        kind = rng.randrange(3)
+        if kind == 1:
+            rng.shuffle(perm)
+        elif kind == 2:
+            moved = rng.sample(perm, rng.randint(0, n))
+            for u, w in zip(moved, moved[1:] + moved[:1]):
+                perm[u] = w
+        perms.append(tuple(perm))
+    return FiniteAction(n, tuple(perms))
+
+
+def columns_by_act(action, window):
+    """Per word g, sigma(g)^-1 v at every vertex, one vertex and one letter at a time."""
+    return [tuple(act(action, inv(g), v) for v in range(action.n)) for g in window]
+
+
+class TestWindowColumns:
+    """``window_columns`` is the one routine that composes sigma along
+    words; ``act`` is its one-vertex oracle."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 10**6))
+    def test_ball_windows(self, rank, radius, seed):
+        ctx = FreeGroupCtx(rank)
+        action = action_with_fixed_points(random.Random(seed), rank)
+        window = ctx.ball(radius)
+        assert window_columns(action, window) == columns_by_act(action, window)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(0, 10**6), st.data())
+    def test_any_window_in_any_order(self, rank, seed, data):
+        # words missing their prefixes, out of shortlex order and repeated
+        ctx = FreeGroupCtx(rank)
+        action = action_with_fixed_points(random.Random(seed), rank)
+        window = data.draw(st.lists(st.sampled_from(ctx.ball(4)), max_size=8))
+        assert window_columns(action, window) == columns_by_act(action, window)
+
+    @pytest.mark.parametrize("spelled", [["", "ab"], ["ab"], ["aB", "Ba"], ["", "bA", "aab"], ["abab", "a"]])
+    def test_windows_that_are_not_prefix_closed(self, spelled):
+        # forbidden-pattern domains such as {e, ab} name words whose prefixes
+        # they leave out; those prefixes are built on the way
+        ctx = FreeGroupCtx(2)
+        action = sample_action(7, 2, seed=3)
+        window = [ctx.parse(w) for w in spelled]
+        assert window_columns(action, window) == columns_by_act(action, window)
 
 
 def named_classes(ctx, action, labels, m):
@@ -346,7 +401,7 @@ class TestBlockCode:
             psi = tuple(sym[e_idx] for sym in eta)
             for v in range(4):
                 for k, f in enumerate(window):
-                    assert eta[v][k] == psi[action.apply(inv(f), v)]
+                    assert eta[v][k] == psi[act(action, inv(f), v)]
 
     def test_telescoping_recovery_detects_corruption(self, ctx):
         # breaking one non-identity cell of a consistent recoding makes the
@@ -363,7 +418,7 @@ class TestBlockCode:
         eta[2] = tuple(sym)
         psi = tuple(s[e_idx] for s in eta)
         recovered_consistent = all(
-            eta[v][k] == psi[action.apply(inv(f), v)]
+            eta[v][k] == psi[act(action, inv(f), v)]
             for v in range(5)
             for k, f in enumerate(window)
         )

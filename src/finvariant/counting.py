@@ -7,6 +7,11 @@ The exact average sums over labeling types and pair tables when the statistic
 reads nothing else (edge_star, window radius 0, nearest-neighbor systems), and
 walks all n!^r actions otherwise.  Monte Carlo averaging derives one seed per
 sample index, so results do not depend on evaluation order.
+
+The enumerated actions, or the Monte Carlo samples, of one n are independent
+counts.  With ``threads`` above 1 they are dealt round-robin to the caller
+and to helper processes forked from it (POSIX only), which send their
+integer counts back through pipes; each row is the same as a serial run's.
 """
 
 from __future__ import annotations
@@ -233,6 +238,14 @@ def _pair_law(k: tuple, fact: list[int], cells, d: int, banned: set, budget: int
     return law
 
 
+def _factorials(n: int) -> list[int]:
+    """[0!, 1!, ..., n!] as a running product: one multiplication per entry."""
+    fact = [1] * (n + 1)
+    for m in range(2, n + 1):
+        fact[m] = fact[m - 1] * m
+    return fact
+
+
 def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, caps: Caps) -> int | None:
     """The sum of ``count_omega`` over all n!^r actions, by labeling type k
     (k_a vertices on a); None for a radius >= 1 window or a non-NN system,
@@ -256,7 +269,7 @@ def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighbor
     # T summed per vertex symbol: the radius-0 statistic (key 0), each table's row sums
     rows = {i: list(map(sum, t)) for i, t in cells.items()} if cells else {0: [target.get(a, 0) for a in range(q)]}
     bans = [{(index.get(a), index.get(b)) for a, b, j in pairs if j == i} for i in range(ctx.rank + 1)]
-    fact = [math.factorial(m) for m in range(n + 1)]
+    fact = _factorials(n)
     acc = 0
     for k, low in _splits(n, [n] * q, lambda a, m: sum(abs(m * d - t[a]) for t in rows.values()), limit):
         slack, law = limit - low, {0: fact[n] // math.prod(fact[x] for x in k)}
@@ -271,6 +284,72 @@ def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighbor
             law = out
         acc += sum(law.values())
     return acc
+
+
+def _dealt(share, tasks: int, threads: int) -> list[list[int]]:
+    """The shares of ``tasks`` independent counts, counted in up to
+    ``threads`` processes: [share(0, w), ..., share(w - 1, w)], where
+    share(k, w) counts the tasks k, k + w, k + 2w, ... and returns a list of
+    integers.
+
+    w is min(threads, tasks, cores).  Below 2, without ``os.fork``, or with
+    other threads running, the caller counts the one share itself: a fork
+    copies only the calling thread, so a lock another thread holds would stay
+    held in the helper.  Otherwise the caller forks w - 1 helpers,
+    keeps share 0, and reads share k back from helper k's pipe.  A helper
+    leaves with ``os._exit``, so it flushes no inherited buffer and runs no
+    exit handler.  A helper that fails, or could not be forked, has its share
+    counted by the caller, so a failing count raises as it would serially.
+    If the caller raises, it kills its helpers first; every helper is reaped
+    before this returns.
+    """
+    import os
+    import signal
+    import threading
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    w = min(threads, tasks, cores)
+    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [share(0, 1)]
+    helpers = {}  # k -> (pid, read end of its pipe), until reaped
+    try:
+        for k in range(1, w):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no room for another process: the caller counts the rest
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    data = memoryview(" ".join(map(str, share(k, w))).encode())
+                    while data:
+                        data = data[os.write(write, data):]
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            helpers[k] = pid, read
+        shares = [share(0, w)]
+        for k in range(1, w):
+            counted = None
+            if k in helpers:
+                pid, read = helpers[k]
+                data = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
+                status = os.waitpid(pid, 0)[1]
+                del helpers[k]
+                os.close(read)
+                if status == 0:
+                    counted = [int(x) for x in data.split()]
+            shares.append(share(k, w) if counted is None else counted)
+        return shares
+    finally:
+        for pid, read in helpers.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
 
 
 @dataclass(frozen=True)
@@ -291,21 +370,29 @@ def expected_count(
     samples: int = 0,
     seed: int = 0,
     caps: Caps = Caps(),
+    threads: int = 1,
 ) -> EstimateRow:
     """Mean neighborhood count over finite actions, as ``f_estimate``'s row at n.
 
     ``exact`` averages over all n!^r homomorphisms (stderr 0); ``monte_carlo``
     averages over ``samples`` uniform draws with per-index derived seeds and
-    reports the standard error of the mean.
+    reports the standard error of the mean.  The enumerated actions, or the
+    samples, are counted in up to ``threads`` processes; the row is the same
+    for every ``threads``.
     """
     if mode == "exact":
         samples = hom_count(n, ctx.rank, caps.exact_actions)
         acc = _count_by_type(ctx, n, alphabet, nbhd, caps)
         if acc is None:
-            acc = sum(
-                count_omega(ctx, action, alphabet, nbhd, caps)
-                for action in enumerate_actions(n, ctx.rank, cap=caps.exact_actions)
+            parts = _dealt(
+                lambda k, w: [sum(
+                    count_omega(ctx, action, alphabet, nbhd, caps)
+                    for action in enumerate_actions(n, ctx.rank, caps.exact_actions, start=k, step=w)
+                )],
+                samples,
+                threads,
             )
+            acc = sum(part[0] for part in parts)
         try:
             mean = acc / samples
         except OverflowError:
@@ -318,11 +405,18 @@ def expected_count(
     elif samples < 1:
         raise InputError("monte carlo needs at least one sample")
     else:
-        _check_labelings(n, alphabet, caps)  # before any action is drawn
-        counts = [
-            count_omega(ctx, sample_action(n, ctx.rank, derive_seed(seed, idx)), alphabet, nbhd, caps)
-            for idx in range(samples)
-        ]
+        _setup(ctx, n, alphabet, nbhd, caps)  # before any action is drawn or helper forked
+        parts = _dealt(
+            lambda k, w: [
+                count_omega(ctx, sample_action(n, ctx.rank, derive_seed(seed, idx)), alphabet, nbhd, caps)
+                for idx in range(k, samples, w)
+            ],
+            samples,
+            threads,
+        )
+        counts = [0] * samples
+        for k, part in enumerate(parts):
+            counts[k :: len(parts)] = part
         mean = sum(counts) / samples
         var = sum((c - mean) ** 2 for c in counts) / (samples - 1) if samples > 1 else 0.0
         stderr = math.sqrt(var / samples)
@@ -347,10 +441,11 @@ def f_estimate(
     sft: SftSpec | None = None,
     distance_mode: str = "window",
     caps: Caps = Caps(),
+    threads: int = 1,
 ) -> EstimateResult:
     """Per-n growth-rate table (1/n) log E[count] of the labelings over
-    ``alphabet`` near ``target``.  A zero mean is reported as -inf, not an
-    error.
+    ``alphabet`` near ``target``, counted in up to ``threads`` processes.  A
+    zero mean is reported as -inf, not an error.
     """
     if any(n < 1 for n in n_list):
         raise InputError(f"every n must be >= 1, got {list(n_list)}")
@@ -369,7 +464,8 @@ def f_estimate(
                 )
     rows = [
         expected_count(
-            ctx, n, alphabet, nbhd, mode=mode, samples=samples, seed=derive_seed(seed, n), caps=caps
+            ctx, n, alphabet, nbhd, mode=mode, samples=samples, seed=derive_seed(seed, n), caps=caps,
+            threads=threads,
         )
         for n in n_list
     ]

@@ -23,6 +23,10 @@ Word = tuple  # reduced word as a tuple of signed letter indices
 IDENTITY: Word = ()
 
 MAX_BALL_WORDS = 10**6  # the most words a ball may hold: a few hundred MB of tables
+# the most letters its words may hold together: above every rank >= 2 ball
+# the word cap admits (4.5 million at rank 3, radius 8), so at rank 1, where
+# a million words would hold 2.5e11 letters, it is the bound that binds
+MAX_BALL_LETTERS = 5 * 10**6
 
 
 def reduce_word(letters: Iterable[int]) -> Word:
@@ -67,9 +71,13 @@ def _ball_tables(rank: int, radius: int) -> tuple[tuple, tuple[Word, ...], dict[
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
-    # past the cap's bit length a rank >= 2 ball is too large: no power is built
-    if (rank > 1 and radius >= MAX_BALL_WORDS.bit_length()) or FreeGroupCtx(rank).ball_size(radius) > MAX_BALL_WORDS:
+    # decided in closed form before anything is built; past the word cap's
+    # bit length a rank >= 2 ball is too large, so no power is built
+    ctx = FreeGroupCtx(rank)
+    if (rank > 1 and radius >= MAX_BALL_WORDS.bit_length()) or ctx.ball_size(radius) > MAX_BALL_WORDS:
         raise ResourceCapError(f"ball of radius {radius} exceeds a million words")
+    if ctx.ball_letters(radius) > MAX_BALL_LETTERS:
+        raise ResourceCapError(f"ball of radius {radius} exceeds five million letters")
     letters = [sign * i for i in range(1, rank + 1) for sign in (1, -1)]
     entries: list[tuple[Word, int, int]] = [(IDENTITY, -1, 0)]
     frontier = [(IDENTITY, 0)]
@@ -141,6 +149,14 @@ class FreeGroupCtx:
             return 2 * radius + 1
         q = 2 * self.rank - 1
         return 1 + 2 * self.rank * (q**radius - 1) // (q - 1)
+
+    def ball_letters(self, radius: int) -> int:
+        """Closed-form total length of the ball's words: 2r q^(k-1) words of
+        each length k = 1..radius, q = 2r - 1."""
+        if self.rank == 1:
+            return radius * (radius + 1)
+        q = 2 * self.rank - 1
+        return 2 * self.rank * (radius * q ** (radius + 1) - (radius + 1) * q**radius + 1) // (q - 1) ** 2
 
 
 def sort_words(words: Sequence[Word]) -> tuple[Word, ...]:

@@ -264,14 +264,64 @@ class TestFEstimate:
         )
         assert main(["f-estimate", "--config", str(cfg_path)]) == 2
 
-    def test_thread_count_does_not_change_bytes(self, half_weight_file, tmp_path):
-        cfg = self._config(tmp_path, half_weight_file)
-        outs = []
-        for threads in ([], ["--threads", "1"], ["--threads", "2"], ["--threads", "4"]):
+    @pytest.mark.parametrize("overrides", [
+        # counts that differ from action to action
+        {"samples": 2, "window": 1, "epsilon": "37/20"},  # fewer samples than workers at --threads 3
+        {"samples": 5, "window": 1, "epsilon": "37/20"},  # not a multiple of 2 or 3 workers
+        {"window": 1, "epsilon": "37/20", "n_list": [3], "mode": "exact"},  # n!^r enumeration
+        {"mode": "exact"},  # the type route
+    ], ids=["mc_2_samples", "mc_5_samples", "exact_enumeration", "exact_by_type"])
+    def test_thread_count_does_not_change_bytes(self, half_weight_file, tmp_path, monkeypatch, capsys, overrides):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        cfg = self._config(tmp_path, half_weight_file, **overrides)
+        printed, written = set(), set()
+        for threads in ([], ["--threads", "1"], ["--threads", "2"], ["--threads", "3"]):
+            assert main(["f-estimate", "--config", cfg, *threads]) == 0
+            printed.add(capsys.readouterr().out)
             out = tmp_path / "out.csv"
             assert main(["f-estimate", "--config", cfg, *threads, "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert len(set(outs)) == 1
+            written.add(out.read_bytes())
+        # one csv, printed once: no helper flushed a copy of the output
+        assert len(printed) == 1 and len(written) == 1
+        (text,) = printed
+        assert text.encode() in written and text.count("# config_hash") == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_command_with_helpers_prints_its_csv_once(self, half_weight_file, tmp_path):
+        # a real process, whose stdout is a block-buffered pipe: a helper
+        # that flushed or ran on would print a second copy
+        cfg = self._config(tmp_path, half_weight_file, samples=5, window=1, epsilon="37/20")
+        env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")}
+        outs = [
+            subprocess.run([sys.executable, "-m", "finvariant.cli", "f-estimate", "--config", cfg, "--threads", t],
+                           env=env, capture_output=True, text=True, check=True, timeout=60).stdout
+            for t in ("1", "3")
+        ]
+        assert outs[0] == outs[1] and outs[0].count("# config_hash") == 1
+
+    def test_threads_100000_forks_at_most_one_helper_per_core(self, half_weight_file, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        cores = len(os.sched_getaffinity(0))
+        cfg = self._config(tmp_path, half_weight_file, samples=3, n_list=[3])
+        assert main(["f-estimate", "--config", cfg, "--threads", "100000", "--out", str(tmp_path / "o.csv")]) == 0
+        assert len(forks) == min(3, cores) - 1
+
+    def test_the_config_threads_key_is_read_when_the_flag_is_absent(self, half_weight_file, tmp_path, capsys):
+        assert main(["f-estimate", "--config", self._config(tmp_path, half_weight_file)]) == 0
+        plain = capsys.readouterr().out
+        # the key changes no byte, the config hash included
+        assert main(["f-estimate", "--config", self._config(tmp_path, half_weight_file, threads=2)]) == 0
+        assert capsys.readouterr().out == plain
+        for bad in ("2", 2.0, True, None, [2]):
+            cfg = self._config(tmp_path, half_weight_file, threads=bad)
+            assert main(["f-estimate", "--config", cfg]) == 2
+            assert capsys.readouterr().err == f"input error: threads must be an integer, got {bad!r}\n"
+            # as --seed does for seed, the flag replaces the key
+            assert main(["f-estimate", "--config", cfg, "--threads", "2"]) == 0
+            assert capsys.readouterr().out == plain
 
     def test_seed_flag_overrides_the_config_seed(self, half_weight_file, tmp_path, capsys):
         # --seed 7 on a seed-9 config prints what the seed-7 config prints, hash line included
@@ -1512,6 +1562,37 @@ class TestCapsDecidedBeforeBuilding:
         assert main(["ball", "--rank", "2", "--radius", "10000000"]) == 3
         assert time.perf_counter() - t0 < 1.0
         assert capsys.readouterr().err == "resource cap: ball of radius 10000000 exceeds a million words\n"
+
+    # at rank 1 radius 499999 is 999 999 words under the word cap, but
+    # 2.5e11 letters: it once ran until the out-of-memory killer stopped it
+    LETTERS = "resource cap: ball of radius 499999 exceeds five million letters\n"
+
+    def test_a_rank_1_ball_is_capped_by_its_letters(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["ball", "--rank", "1", "--radius", "499999"]) == 3
+        assert time.perf_counter() - t0 < 0.1
+        assert capsys.readouterr().err == self.LETTERS
+
+    def test_a_rank_1_window_is_capped_by_its_letters(self, chain_weight_file, tmp_path, capsys):
+        cfg = {"weight": chain_weight_file, "window": 499999, "epsilon": 1, "n_list": [2], "seed": 0}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        t0 = time.perf_counter()
+        assert main(["f-estimate", "--config", str(tmp_path / "c.json")]) == 3
+        assert time.perf_counter() - t0 < 0.1
+        assert capsys.readouterr().err == self.LETTERS
+
+    @pytest.mark.parametrize("command", ["f-estimate", "markovize"])
+    def test_a_rank_1_marginals_window_is_capped_by_its_letters(self, tmp_path, capsys, command):
+        marg = {"rank": 1, "window_radius": 499999, "entries": []}
+        (tmp_path / "m.json").write_text(json.dumps(marg))
+        (tmp_path / "c.json").write_text(json.dumps({"marginals": str(tmp_path / "m.json"), "epsilon": 1,
+                                                     "n_list": [2], "mode": "exact"}))
+        argv = {"f-estimate": ["f-estimate", "--config", str(tmp_path / "c.json")],
+                "markovize": ["weight-tools", "markovize", "--marginals", str(tmp_path / "m.json")]}[command]
+        t0 = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - t0 < 0.1
+        assert capsys.readouterr().err == self.LETTERS
 
 
 class TestFuzzFound:

@@ -3,7 +3,9 @@ growth-rate table."""
 
 import functools
 import math
+import os
 import random
+import threading
 import time
 from fractions import Fraction
 from itertools import product
@@ -435,6 +437,114 @@ class TestExpectedCount:
             expected_count(
                 CTX2, 5, ("0", "1"), nbhd, mode="exact", caps=Caps(exact_actions=100)
             )
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCountingProcesses:
+    """``threads`` > 1 counts in forked helpers; the rows, and the errors,
+    are those of a serial run, and no helper outlives the call."""
+
+    # counts that differ from action to action
+    NBHD = Neighborhood(target=TARGET_B1, epsilon=Fraction(37, 20))
+
+    @pytest.fixture(autouse=True)
+    def three_cores(self, monkeypatch):
+        # three workers fit on any host; the tests fork at most two helpers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    @pytest.mark.parametrize("samples", [1, 2, 5, 6])
+    def test_monte_carlo_rows_do_not_depend_on_threads(self, samples):
+        rows = [
+            expected_count(CTX2, 4, BINARY, self.NBHD, mode="monte_carlo", samples=samples, seed=3, threads=t)
+            for t in (1, 2, 3, 100000)
+        ]
+        assert len(set(rows)) == 1
+        _no_child_left()
+
+    def test_enumeration_sums_do_not_depend_on_threads(self):
+        rows = [expected_count(CTX2, 3, BINARY, self.NBHD, mode="exact", threads=t) for t in (1, 2, 3)]
+        walked = sum(count_omega(CTX2, a, BINARY, self.NBHD) for a in enumerate_actions(3, 2))
+        assert len(set(rows)) == 1 and rows[0].mean_count == walked / 36
+        _no_child_left()
+
+    def test_enumerated_shares_partition_the_actions(self):
+        every = list(enumerate_actions(3, 2))
+        shares = [list(enumerate_actions(3, 2, start=k, step=3)) for k in range(3)]
+        assert sorted(map(every.index, sum(shares, []))) == list(range(36))
+        assert shares[1][:2] == every[1:5:3]
+
+    def test_fork_calls_are_at_most_workers_minus_one(self, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        for samples, workers in ((1, 1), (2, 2), (7, 3)):
+            forks.clear()
+            expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=samples, threads=100000)
+            assert len(forks) == workers - 1
+        _no_child_left()
+
+    def test_with_other_threads_running_the_caller_counts_alone(self, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        serial = expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            row = expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3)
+        finally:
+            release.set()
+            waiter.join(60)
+        assert not waiter.is_alive()
+        assert row == serial and forks == []
+
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
+    def test_a_count_failing_in_a_helper_is_recounted_by_the_caller(self, monkeypatch, mode):
+        serial = expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=5, threads=1)
+        caller = os.getpid()
+
+        def caller_only(*args):
+            if os.getpid() != caller:
+                raise MemoryError("only in a helper")
+            return count_omega(*args)
+
+        monkeypatch.setattr(counting, "count_omega", caller_only)
+        assert expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=5, threads=3) == serial
+        _no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_a_caller_that_raises_kills_and_reaps_its_helpers(self, monkeypatch, error):
+        caller = os.getpid()
+
+        def helpers_only(*args):
+            if os.getpid() == caller:
+                raise error("in the caller")
+            return count_omega(*args)
+
+        monkeypatch.setattr(counting, "count_omega", helpers_only)
+        with pytest.raises(error, match="in the caller"):
+            expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3)
+        _no_child_left()
+
+    def test_without_fork_the_caller_counts_alone(self, monkeypatch):
+        serial = expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5)
+        monkeypatch.delattr(os, "fork")
+        assert expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3) == serial
+
+
+def test_the_factorial_table_is_the_factorials():
+    assert counting._factorials(300) == [math.factorial(m) for m in range(301)]
+    assert counting._factorials(0) == [1]
 
 
 class TestFEstimate:

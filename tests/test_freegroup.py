@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from finvariant import FreeGroupCtx, InputError, inv, mul, reduce_word
-from finvariant.freegroup import IDENTITY, sort_words, word_sort_key
+from finvariant import FreeGroupCtx, InputError, ResourceCapError, inv, mul, reduce_word
+from finvariant.freegroup import IDENTITY, MAX_BALL_LETTERS, MAX_BALL_WORDS, sort_words, word_sort_key
 
 from paper_objects import past_window
 
@@ -118,6 +118,24 @@ class TestBall:
         ball = ctx.ball(radius)
         assert set(ball) == brute_ball(rank, radius)
         assert len(ball) == ctx.ball_size(radius)
+        assert sum(map(len, ball)) == ctx.ball_letters(radius)
+
+    @pytest.mark.parametrize("rank", range(2, 27))
+    def test_the_letter_cap_admits_every_ball_the_word_cap_does(self, rank):
+        # decided in closed form: the largest ball under the word cap, and
+        # the next radius, which the word cap refuses
+        ctx = FreeGroupCtx(rank)
+        radius = 0
+        while ctx.ball_size(radius + 1) <= MAX_BALL_WORDS:
+            radius += 1
+        assert ctx.ball_letters(radius) <= MAX_BALL_LETTERS
+
+    def test_at_rank_1_the_letter_cap_binds(self):
+        ctx = FreeGroupCtx(1)
+        assert ctx.ball_letters(2235) <= MAX_BALL_LETTERS < ctx.ball_letters(2236)
+        assert len(ctx.ball(2235)) == 4471
+        with pytest.raises(ResourceCapError, match="five million letters"):
+            ctx.ball(2236)
 
     def test_shortlex_order(self, ctx):
         ball = ctx.ball(3)

@@ -7,7 +7,8 @@ a crash would read as a verification failure.  The test below mutates the
 valid example inputs of ``f-exact``, ``f-estimate``, ``rearrange``,
 ``sft-verify`` and ``weight-tools``: it deletes a key, swaps a value's JSON
 type, writes huge or negative integers, NaN or infinity, repeats a key in the
-raw text, or empties an alphabet or leaves one symbol in it.  Every call must
+raw text, or empties an alphabet or leaves one symbol in it.  ``f-estimate``
+runs with ``--threads`` 1, 2 or 3.  Every call must
 return 0-3 or exit 2 through argparse, raise nothing else and finish within
 ``CALL_SECONDS``.  It runs derandomised, so the examples are the same on
 every run.
@@ -197,6 +198,9 @@ def mutated_inputs(draw):
             parent[key] = draw(st.sampled_from(NONFINITE))
         else:
             parent[key] = draw(VALUES.filter(lambda v, old=parent[key]: type(v) is not type(old)))
+    if name.startswith("f_estimate"):
+        # one to three counting processes, so mutated inputs reach the forked helpers
+        argv = argv + ["--threads", str(draw(st.sampled_from([1, 2, 3])))]
     # a repeated key whose object a later mutation removed is written once
     return name, argv, {**{k: json.dumps(v) for k, v in files.items()}, target: _dump(data, repeat)}
 

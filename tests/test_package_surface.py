@@ -17,7 +17,10 @@ No package code assigns an underscore attribute of an object other than
 ``self``, and no parameter's name starts with an underscore: a private value
 is set by the object that owns it, not passed in or written from outside.
 The JSON keys ``"num"`` and ``"den"`` of an exact probability appear in one
-module only, the one that holds its reader and writer.  The functions
+module only, the one that holds its reader and writer.  Importing the CLI in
+a fresh interpreter loads none of the process-pool, pickling or socket
+modules: counting forks its helpers itself, and every import adds to each
+command's start-up.  The functions
 ``perfbench/spans.py`` wraps by name must stay where it looks for them, and
 README's library table may name only modules and attributes that exist.
 """
@@ -25,8 +28,11 @@ README's library table may name only modules and attributes that exist.
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -151,6 +157,22 @@ def modules_naming_rational_keys(package: pathlib.Path = PACKAGE) -> list:
         for name, tree in _modules(package).items()
         if any(isinstance(node, ast.Constant) and node.value in ("num", "den") for node in ast.walk(tree))
     ]
+
+
+HEAVY_MODULES = ("multiprocessing", "concurrent", "subprocess", "pickle", "socket")
+
+
+def heavy_imports(src: pathlib.Path = PACKAGE.parent) -> list:
+    """The ``HEAVY_MODULES`` (and their submodules) that ``import
+    finvariant.cli`` loads in a fresh interpreter with ``src`` on its path."""
+    code = (
+        "import sys\n"
+        "import finvariant.cli\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {HEAVY_MODULES!r}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return ast.literal_eval(proc.stdout)
 
 
 def stale_readme_names(text: str) -> list:
@@ -333,3 +355,14 @@ def test_the_readme_check_sees_a_stale_member():
     assert text.count(cell) == 1
     planted = text.replace(cell, "`LocalBijection.inverse_table`, `LocalBijection.inverse` (a window table")
     assert stale_readme_names(planted) == ["LocalBijection.inverse_table"]
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    assert heavy_imports() == []
+
+
+def test_the_import_check_sees_a_heavy_import(tmp_path):
+    (tmp_path / "finvariant").mkdir()
+    _copy_package(tmp_path / "finvariant")
+    _plant(tmp_path / "finvariant" / "counting.py", "import math\n", "import concurrent.futures\n")
+    assert "concurrent.futures" in heavy_imports(tmp_path)

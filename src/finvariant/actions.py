@@ -85,10 +85,9 @@ def hom_count(n: int, rank: int, cap: int) -> int:
     return total
 
 
-def enumerate_actions(n: int, rank: int, cap: int = 10**6, start: int = 0, step: int = 1) -> Iterator[FiniteAction]:
-    """All of Hom(G, Sym(n)) in a fixed lexicographic order, or the actions
-    start, start + step, start + 2 step, ... of that order."""
+def enumerate_actions(n: int, rank: int, cap: int = 10**6) -> Iterator[FiniteAction]:
+    """All of Hom(G, Sym(n)) in a fixed lexicographic order."""
     hom_count(n, rank, cap)
     perms = list(itertools.permutations(range(n)))
-    for combo in itertools.islice(itertools.product(perms, repeat=rank), start, None, step):
+    for combo in itertools.product(perms, repeat=rank):
         yield FiniteAction(n, combo)

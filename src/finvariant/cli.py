@@ -69,8 +69,8 @@ def _fmt(x) -> str:
 
 
 def _config_hash(config: dict) -> str:
-    # threads changes how many processes count, never a result, so it
-    # stays out of the provenance hash
+    # threads changes how many processes count, never a result; the config
+    # key is accepted and ignored, so it stays out of the provenance hash
     scrubbed = {k: v for k, v in config.items() if k != "threads"}
     blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -192,8 +192,6 @@ def cmd_f_estimate(args) -> int:
     config = _load_json(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    if args.threads is not None:
-        config["threads"] = args.threads
     # the window of a marginals file is its own window_radius
     for key in ("epsilon", "n_list") + (("window",) if "weight" in config else ()):
         if key not in config:
@@ -230,7 +228,6 @@ def cmd_f_estimate(args) -> int:
     n_list = [as_int(n, "an n_list entry") for n in config["n_list"]]
     samples = as_int(config["samples"], "samples")
     seed = as_int(config["seed"], "seed")
-    threads = as_int(config.get("threads", 1), "threads")
     # a weight's marginal is walked only once the rest of the config parsed
     if "weight" in config:
         target = marginal_distribution(weight, ctx.ball(window))
@@ -247,7 +244,7 @@ def cmd_f_estimate(args) -> int:
         sft=sft,
         distance_mode=config["distance_mode"],
         caps=caps,
-        threads=threads,
+        threads=args.threads or 1,
     )
     for warning in result.warnings:
         sys.stderr.write(f"warning: {warning}\n")

@@ -238,14 +238,6 @@ def _pair_law(k: tuple, fact: list[int], cells, d: int, banned: set, budget: int
     return law
 
 
-def _factorials(n: int) -> list[int]:
-    """[0!, 1!, ..., n!] as a running product: one multiplication per entry."""
-    fact = [1] * (n + 1)
-    for m in range(2, n + 1):
-        fact[m] = fact[m - 1] * m
-    return fact
-
-
 def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, caps: Caps) -> int | None:
     """The sum of ``count_omega`` over all n!^r actions, by labeling type k
     (k_a vertices on a); None for a radius >= 1 window or a non-NN system,
@@ -255,6 +247,9 @@ def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighbor
     times a convolution of ``_pair_law``s.  Table i is at least its row
     mismatch sum_a |k_a d - sum_b T_ab| away: these floors prune the types,
     and the laws run over the excess above them."""
+    import itertools
+    import operator
+
     pairs = frozenset() if nbhd.sft is None else nbhd.sft.forbidden_pairs
     if pairs is None or (nbhd.mode == "window" and nbhd.target.window != ((),)):
         return None
@@ -269,7 +264,7 @@ def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighbor
     # T summed per vertex symbol: the radius-0 statistic (key 0), each table's row sums
     rows = {i: list(map(sum, t)) for i, t in cells.items()} if cells else {0: [target.get(a, 0) for a in range(q)]}
     bans = [{(index.get(a), index.get(b)) for a, b, j in pairs if j == i} for i in range(ctx.rank + 1)]
-    fact = _factorials(n)
+    fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))  # 0!, ..., n!
     acc = 0
     for k, low in _splits(n, [n] * q, lambda a, m: sum(abs(m * d - t[a]) for t in rows.values()), limit):
         slack, law = limit - low, {0: fact[n] // math.prod(fact[x] for x in k)}
@@ -347,9 +342,16 @@ def _dealt(share, tasks: int, threads: int) -> list[list[int]]:
         return shares
     finally:
         for pid, read in helpers.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
             os.close(read)
+            # an interrupt may fall between a helper's reaping and its removal
+            # here: an unreaped pid is still this process's child, so only it
+            # is killed, and a reaped one, perhaps reused, is left alone
+            try:
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
 
 
 @dataclass(frozen=True)
@@ -384,10 +386,12 @@ def expected_count(
         samples = hom_count(n, ctx.rank, caps.exact_actions)
         acc = _count_by_type(ctx, n, alphabet, nbhd, caps)
         if acc is None:
+            import itertools
+
             parts = _dealt(
                 lambda k, w: [sum(
                     count_omega(ctx, action, alphabet, nbhd, caps)
-                    for action in enumerate_actions(n, ctx.rank, caps.exact_actions, start=k, step=w)
+                    for action in itertools.islice(enumerate_actions(n, ctx.rank, caps.exact_actions), k, None, w)
                 )],
                 samples,
                 threads,

@@ -23,9 +23,10 @@ Word = tuple  # reduced word as a tuple of signed letter indices
 IDENTITY: Word = ()
 
 MAX_BALL_WORDS = 10**6  # the most words a ball may hold: a few hundred MB of tables
-# the most letters its words may hold together: above every rank >= 2 ball
-# the word cap admits (4.5 million at rank 3, radius 8), so at rank 1, where
-# a million words would hold 2.5e11 letters, it is the bound that binds
+# the most letters its words may hold together, bounded by words times
+# radius: above every rank >= 2 ball the word cap admits (4.7 million at rank
+# 3, radius 8), so at rank 1, where a million words would bound 5e11 letters,
+# it is the cap that binds
 MAX_BALL_LETTERS = 5 * 10**6
 
 
@@ -76,8 +77,8 @@ def _ball_tables(rank: int, radius: int) -> tuple[tuple, tuple[Word, ...], dict[
     ctx = FreeGroupCtx(rank)
     if (rank > 1 and radius >= MAX_BALL_WORDS.bit_length()) or ctx.ball_size(radius) > MAX_BALL_WORDS:
         raise ResourceCapError(f"ball of radius {radius} exceeds a million words")
-    if ctx.ball_letters(radius) > MAX_BALL_LETTERS:
-        raise ResourceCapError(f"ball of radius {radius} exceeds five million letters")
+    if ctx.ball_size(radius) * radius > MAX_BALL_LETTERS:
+        raise ResourceCapError(f"ball of radius {radius} may exceed five million letters")
     letters = [sign * i for i in range(1, rank + 1) for sign in (1, -1)]
     entries: list[tuple[Word, int, int]] = [(IDENTITY, -1, 0)]
     frontier = [(IDENTITY, 0)]
@@ -149,14 +150,6 @@ class FreeGroupCtx:
             return 2 * radius + 1
         q = 2 * self.rank - 1
         return 1 + 2 * self.rank * (q**radius - 1) // (q - 1)
-
-    def ball_letters(self, radius: int) -> int:
-        """Closed-form total length of the ball's words: 2r q^(k-1) words of
-        each length k = 1..radius, q = 2r - 1."""
-        if self.rank == 1:
-            return radius * (radius + 1)
-        q = 2 * self.rank - 1
-        return 2 * self.rank * (radius * q ** (radius + 1) - (radius + 1) * q**radius + 1) // (q - 1) ** 2
 
 
 def sort_words(words: Sequence[Word]) -> tuple[Word, ...]:

@@ -309,20 +309,6 @@ class TestFEstimate:
         assert main(["f-estimate", "--config", cfg, "--threads", "100000", "--out", str(tmp_path / "o.csv")]) == 0
         assert len(forks) == min(3, cores) - 1
 
-    def test_the_config_threads_key_is_read_when_the_flag_is_absent(self, half_weight_file, tmp_path, capsys):
-        assert main(["f-estimate", "--config", self._config(tmp_path, half_weight_file)]) == 0
-        plain = capsys.readouterr().out
-        # the key changes no byte, the config hash included
-        assert main(["f-estimate", "--config", self._config(tmp_path, half_weight_file, threads=2)]) == 0
-        assert capsys.readouterr().out == plain
-        for bad in ("2", 2.0, True, None, [2]):
-            cfg = self._config(tmp_path, half_weight_file, threads=bad)
-            assert main(["f-estimate", "--config", cfg]) == 2
-            assert capsys.readouterr().err == f"input error: threads must be an integer, got {bad!r}\n"
-            # as --seed does for seed, the flag replaces the key
-            assert main(["f-estimate", "--config", cfg, "--threads", "2"]) == 0
-            assert capsys.readouterr().out == plain
-
     def test_seed_flag_overrides_the_config_seed(self, half_weight_file, tmp_path, capsys):
         # --seed 7 on a seed-9 config prints what the seed-7 config prints, hash line included
         assert main(["f-estimate", "--config", self._config(tmp_path, half_weight_file), "--seed", "7"]) == 0
@@ -1565,7 +1551,7 @@ class TestCapsDecidedBeforeBuilding:
 
     # at rank 1 radius 499999 is 999 999 words under the word cap, but
     # 2.5e11 letters: it once ran until the out-of-memory killer stopped it
-    LETTERS = "resource cap: ball of radius 499999 exceeds five million letters\n"
+    LETTERS = "resource cap: ball of radius 499999 may exceed five million letters\n"
 
     def test_a_rank_1_ball_is_capped_by_its_letters(self, capsys):
         t0 = time.perf_counter()

@@ -471,12 +471,6 @@ class TestCountingProcesses:
         assert len(set(rows)) == 1 and rows[0].mean_count == walked / 36
         _no_child_left()
 
-    def test_enumerated_shares_partition_the_actions(self):
-        every = list(enumerate_actions(3, 2))
-        shares = [list(enumerate_actions(3, 2, start=k, step=3)) for k in range(3)]
-        assert sorted(map(every.index, sum(shares, []))) == list(range(36))
-        assert shares[1][:2] == every[1:5:3]
-
     def test_fork_calls_are_at_most_workers_minus_one(self, monkeypatch):
         forks = []
         fork = os.fork
@@ -536,15 +530,37 @@ class TestCountingProcesses:
             expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3)
         _no_child_left()
 
+    def test_an_interrupt_just_after_a_reap_leaves_that_helper_alone(self, monkeypatch):
+        wait, kill = os.waitpid, os.kill
+        reaped, killed = [], []
+
+        def interrupted_once(pid, options):
+            got = wait(pid, options)
+            if options == 0 and not reaped:
+                reaped.append(pid)
+                raise KeyboardInterrupt("just reaped")
+            return got
+
+        monkeypatch.setattr(os, "waitpid", interrupted_once)
+        monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid) or kill(pid, sig))
+        with pytest.raises(KeyboardInterrupt, match="just reaped"):
+            expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3)
+        assert reaped and reaped[0] not in killed
+        _no_child_left()
+
     def test_without_fork_the_caller_counts_alone(self, monkeypatch):
         serial = expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5)
         monkeypatch.delattr(os, "fork")
         assert expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3) == serial
 
 
-def test_the_factorial_table_is_the_factorials():
-    assert counting._factorials(300) == [math.factorial(m) for m in range(301)]
-    assert counting._factorials(0) == [1]
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_the_type_route_factorials_count_every_labeling(n):
+    # with every labeling in reach each type k adds multinomial(n; k) n!^r:
+    # the table's entries up to n! together make |A|^n n!^r
+    nbhd = Neighborhood(target=TARGET_B0, epsilon=Fraction(2))
+    total = counting._count_by_type(CTX2, n, BINARY, nbhd, Caps(labelings=2**n))
+    assert total == 2**n * math.factorial(n) ** 2
 
 
 class TestFEstimate:

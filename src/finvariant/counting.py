@@ -2,7 +2,9 @@
 those counts over random finite actions or over all of them, and the finite-n
 growth-rate table for the invariant.
 
-Counts are exhaustive over the labeling space A^n under a configurable cap.
+Counts are exact, by a depth-first search of the labeling space A^n under
+a configurable cap on |A|^n that cuts every prefix the distance bound or a
+forbidden nearest-neighbor pair rules out.
 The exact average sums over labeling types and pair tables when the statistic
 reads nothing else (edge_star, window radius 0, nearest-neighbor systems), and
 walks all n!^r actions otherwise.  Monte Carlo averaging derives one seed per
@@ -16,7 +18,9 @@ integer counts back through pipes; each row is the same as a serial run's.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +30,7 @@ from .actions import FiniteAction, derive_seed, enumerate_actions, hom_count, sa
 from .errors import InputError, ResourceCapError
 from .freegroup import FreeGroupCtx
 from .shift import PROB_TOL, PatternDistribution, window_columns
-from .sft import SftSpec, sft_check_all
+from .sft import SftSpec, bfs_vertex_order, sft_check_all
 
 
 @dataclass(frozen=True)
@@ -137,72 +141,153 @@ def count_omega(
     nbhd: Neighborhood,
     caps: Caps = Caps(),
 ) -> int:
-    """Exhaustive count of labelings in A^n whose empirical distribution lies
-    in the neighborhood (and passes the attached constraint system, if any).
+    """Exact count of labelings in A^n whose empirical distribution lies in
+    the neighborhood (and passes the attached constraint system, if any).
 
     Both modes are sums of window statistics: ``window`` is the one window of
     the target, ``edge_star`` the r windows {e, s_i} against the target's
     projections.  Vertex v's key in a window is the integer whose base-|A|
-    digit j is the symbol index of vertex col_j(v).  The walk visits A^n in
-    reflected |A|-ary Gray order, so each step moves one vertex u by one
-    symbol and changes only the keys of the vertices v with col_j(v) = u;
-    each such digit change moves one key between codes and updates the
-    running distance D = sum |c d - T| (the l1 distance times n d, an exact
-    integer) in O(1).
+    digit j is the symbol index of vertex col_j(v).  A depth-first search
+    with an explicit stack, not recursion, assigns the vertices in BFS order
+    of the Schreier graph.  A key closes once the last of its columns is
+    assigned, and moves the running distance D = sum |c d - T| (the l1
+    distance times n d, an exact integer, over the closed keys) in O(1).
+    One more key of statistic g changes D by at least
+    delta_g = d - 2 min(d, max T over g's codes), so a prefix whose
+    D + sum_g open_g delta_g passes the limit is cut with its whole subtree.
+    A symbol that forms a forbidden nearest-neighbor pair with an assigned
+    vertex, or with its own vertex at a fixed point, is never tried.  The
+    constraint system still judges every labeling within the limit.
     """
     n = action.n
     setup = _setup(ctx, n, alphabet, nbhd, caps)
     if setup is None:
         return 0
     groups, target, unseen, d, limit = setup
-    # c d - T per code, for the first labeling: all n keys on each statistic's code 0
-    gap = defaultdict(int, {c: -t for c, t in target.items()})
-    for _, offset in groups:
-        gap[offset] += n * d
-    dist = unseen + sum(map(abs, gap.values()))
-    q = len(alphabet)
-    code = []  # per (group, vertex): the code of the vertex's key
-    # per vertex u: (key index, digit weight) for each column holding u
-    moves = [[] for _ in range(n)]
-    for g, (window, offset) in enumerate(groups):
-        code.extend([offset] * n)
-        for j, col in enumerate(window_columns(action, window)):
-            for v, u in enumerate(col):
-                moves[u].append((g * n + v, q**j))
-
-    # Knuth's loopless reflected Gray walk (TAOCP 7.2.1.1, algorithm H)
-    digit = [0] * n
-    sign = [1] * n
-    focus = list(range(n + 1)) if q > 1 else [n] * (n + 1)
-    top = q - 1
-    labels = [alphabet[0]] * n
     spec = nbhd.sft
-    count = 0
+    q = len(alphabet)
+    order = bfs_vertex_order(action)
+    pos = [0] * n
+    for p, v in enumerate(order):
+        pos[v] = p
+    # every key's code within its statistic is a bit field of one integer,
+    # wide enough that no digit carries out of it; the symbol index a at
+    # position p adds a * step[p] to that integer.  A lone symbol has index
+    # 0 everywhere, so it builds no steps: together they hold about n^2 bits
+    step = [0] * n
+    # per position: the keys that close there, as (shift, field mask, gap table, code offset)
+    closing = [[] for _ in range(n)]
+    # per position: the least change to D of the keys that close there
+    drop = [0] * n
+    shift = low = 0  # the next field's shift, the least change to D still to come
+    for window, offset in groups:
+        size = q ** len(window)
+        # c d - T per code of the statistic, over its closed keys
+        gap = defaultdict(int, {c - offset: -t for c, t in target.items() if offset <= c < offset + size})
+        # the least change one more key makes: d - 2 min(d, max T)
+        delta = d + 2 * max(-d, min(gap.values(), default=0))
+        low += n * delta
+        mask = (1 << (size - 1).bit_length()) - 1
+        for cols in zip(*window_columns(action, window)):
+            if q > 1:
+                for j, u in enumerate(cols):
+                    step[pos[u]] += q**j << shift
+            p = max(pos[u] for u in cols)
+            closing[p].append((shift, mask, gap, offset))
+            drop[p] += delta
+            shift += mask.bit_length()
+    # per position: the most D may be once it is assigned, with every key
+    # still open at its least change
+    room = [limit - low + x for x in itertools.accumulate(drop)]
+    # per position with a forbidden pair: the symbols its fixed points ban,
+    # and (earlier position, table) per neighbor, where table[a][b] bans
+    # symbol a here beside symbol b there
+    bans = [None] * n
+    pairs = None if spec is None else spec.forbidden_pairs
+    if pairs:
+        index = {a: k for k, a in enumerate(alphabet)}
+        tables = {}
+        for a, b, i in pairs:
+            if a in index and b in index:
+                for v, w in enumerate(action.letter_perm(-i)):
+                    # x(v) = a beside x(sigma(s_i)^-1 v) = b, banned at the later position
+                    here, there, x, y = pos[v], pos[w], index[a], index[b]
+                    if here < there:
+                        here, there, x, y = there, here, y, x
+                    if bans[here] is None:
+                        bans[here] = [False] * q, []
+                    if here == there:
+                        bans[here][0][x] |= x == y
+                        continue
+                    if (here, there) not in tables:
+                        tables[here, there] = [[False] * q for _ in range(q)]
+                        bans[here][1].append((there, tables[here, there]))
+                    tables[here, there][x][y] = True
+    dist = unseen + sum(target.values())
+    if dist + low > limit:
+        return 0
+    if not n:
+        return int(spec is None or sft_check_all(spec, action, []))
+    sym = [0] * n  # the symbol index at each position, counted in the integer
+    tried = [0] * n  # the next symbol index to try at each position
+    saved = [0] * n  # D before each position's keys closed
+    count, p, last, top, keys = 0, 0, n - 1, q - 1, 0
     while True:
-        if dist <= limit and (spec is None or sft_check_all(spec, action, labels)):
-            count += 1
-        u = focus[0]
-        focus[0] = 0
-        if u == n:
-            return count
-        s = sign[u]
-        a = digit[u] = digit[u] + s
-        if a == 0 or a == top:
-            sign[u] = -s
-            focus[u] = focus[u + 1]
-            focus[u + 1] = u + 1
-        labels[u] = alphabet[a]
-        # one digit change at a time: u may fill several columns of one key
-        for k, step in moves[u]:
-            old = code[k]
-            new = code[k] = old + s * step
-            # |x - d| - |x| and |x + d| - |x|, for x = c d - T
-            x = gap[old]
-            gap[old] = x - d
-            dist += -d if x >= d else (d if x <= 0 else d - x - x)
-            x = gap[new]
-            gap[new] = x + d
-            dist += d if x >= 0 else (-d if x <= -d else d + x + x)
+        a = tried[p]
+        if bans[p] is not None:
+            own, beside = bans[p]
+            while a < q:
+                if not own[a]:
+                    for there, table in beside:
+                        if table[a][sym[there]]:
+                            break
+                    else:
+                        break
+                a += 1
+        if a < q:
+            keys += (a - sym[p]) * step[p]
+            sym[p] = a
+            tried[p] = a + 1
+            if p < last:
+                saved[p] = dist
+                for shift, mask, gap, _ in closing[p]:
+                    c = keys >> shift & mask
+                    x = gap[c]
+                    gap[c] = x + d
+                    # |x + d| - |x|, for x = c d - T
+                    dist += d if x >= 0 else (-d if x <= -d else d + x + x)
+                if dist <= room[p]:
+                    p += 1
+                    tried[p] = 0
+                    continue
+                for shift, mask, gap, _ in closing[p]:
+                    gap[keys >> shift & mask] -= d
+                dist = saved[p]
+            else:
+                # a leaf: its keys are read, not placed; a code two of them
+                # share counts the earlier ones
+                total, seen = dist, []
+                for shift, mask, gap, offset in closing[p]:
+                    c = keys >> shift & mask
+                    x = gap[c] + d * seen.count(offset + c)
+                    seen.append(offset + c)
+                    total += d if x >= 0 else (-d if x <= -d else d + x + x)
+                if total <= limit and (spec is None or sft_check_all(spec, action, [alphabet[sym[t]] for t in pos])):
+                    count += 1
+            if a < top:
+                continue
+        # every symbol at p is tried: back up past the positions with none left
+        while True:
+            keys -= sym[p] * step[p]
+            sym[p] = 0
+            if p == 0:
+                return count
+            p -= 1
+            for shift, mask, gap, _ in closing[p]:
+                gap[keys >> shift & mask] -= d
+            dist = saved[p]
+            if tried[p] < q:
+                break
 
 
 def _splits(total: int, room: Sequence[int], cost, budget: int, j: int = 0):
@@ -386,8 +471,6 @@ def expected_count(
         samples = hom_count(n, ctx.rank, caps.exact_actions)
         acc = _count_by_type(ctx, n, alphabet, nbhd, caps)
         if acc is None:
-            import itertools
-
             parts = _dealt(
                 lambda k, w: [sum(
                     count_omega(ctx, action, alphabet, nbhd, caps)

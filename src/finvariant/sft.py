@@ -235,7 +235,9 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _bfs_vertex_order(action: FiniteAction) -> list[int]:
+def bfs_vertex_order(action: FiniteAction) -> list[int]:
+    """Every vertex once, in BFS order of the Schreier graph, one orbit after
+    another from its lowest vertex."""
     seen: set = set()
     order: list[int] = []
     for start in range(action.n):
@@ -289,7 +291,7 @@ def sample_sft_config(
     if restarts < 1:
         raise InputError(f"sampler restarts must be >= 1, got {restarts}")
     n = action.n
-    order = _bfs_vertex_order(action)
+    order = bfs_vertex_order(action)
     pos = {v: k for k, v in enumerate(order)}
     symbols = list(iter_product(ctx.ball(rho), repeat=2 * ctx.rank))
     # reduced words a, b multiply to e exactly when b = a^-1

@@ -323,6 +323,15 @@ class TestFEstimate:
         rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[2:]]
         assert [(row[1], row[4]) for row in rows] == [("1", "0"), ("1", "0")]
 
+    def test_a_one_symbol_alphabet_counts_at_a_large_n(self, tmp_path, capsys):
+        # the search descends one vertex per level, n levels deep: far past
+        # the interpreter's recursion limit
+        weight = tmp_path / "one.json"
+        weight.write_text(json.dumps(bernoulli_weight({"0": Fraction(1)}, 2).to_json()))
+        cfg = self._config(tmp_path, str(weight), window=1, epsilon=0, n_list=[5000], samples=1)
+        assert main(["f-estimate", "--config", cfg]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == ["5000,1,1,0,0"]
+
     def test_trivial_sft_restriction_identical_csv(self, half_weight_file, tmp_path):
         plain = self._config(tmp_path, half_weight_file)
         out1 = tmp_path / "plain.csv"

@@ -162,6 +162,14 @@ class TestCountOmega:
         with pytest.raises(ResourceCapError):
             count_omega(CTX2, action, ("0", "1"), nbhd, caps=Caps(labelings=100))
 
+    @pytest.mark.parametrize("radius,mode", [(0, "window"), (1, "window"), (1, "edge_star")])
+    def test_a_search_deeper_than_the_recursion_limit(self, radius, mode):
+        # the search holds one stack level per vertex, far past the
+        # interpreter's recursion limit at n = 5000
+        target = marginal_distribution(bernoulli_weight({"0": Fraction(1)}, 2), CTX2.ball(radius))
+        nbhd = Neighborhood(target=target, epsilon=Fraction(0), mode=mode)
+        assert count_omega(CTX2, sample_action(5000, 2, seed=0), ("0",), nbhd) == 1
+
 
 def _exact_marginal(dist, window):
     """The marginal of ``dist`` on ``window`` as a dict of Fractions, each
@@ -277,6 +285,18 @@ ORACLE_ACTIONS = [
     FiniteAction(4, ((0, 2, 1, 3), (3, 1, 2, 0))),
 ]
 
+ORACLE_SYSTEMS = {
+    # the benchmark's golden-mean shift: no "1" beside "1" along either generator
+    "golden_mean": lambda alphabet: nn_spec(alphabet, [("1", "1", 1), ("1", "1", 2)]),
+    # a pair (a, a, i) bans a at every fixed point of s_i: vertices 0 and 3
+    # of the last oracle action for s_1, 1 and 2 for s_2, all four for the identity
+    "fixed_points": lambda alphabet: nn_spec(alphabet, [("0", "0", 1), ("1", "1", 2)]),
+    # not nearest-neighbor: one pattern on the three words e, s_1, s_2
+    "three_words": lambda alphabet: SftSpec(
+        alphabet=tuple(alphabet), forbidden=(Pattern([(), (1,), (2,)], ["1", "0", "1"]),)
+    ),
+}
+
 
 class TestBruteForceOracle:
     @pytest.mark.parametrize("mode,target,alphabet", [
@@ -314,6 +334,52 @@ class TestBruteForceOracle:
             assert count_omega(CTX2, action, alphabet, nbhd) == brute_count(
                 CTX2, action, alphabet, nbhd
             ), action
+
+    @pytest.mark.parametrize("system", sorted(ORACLE_SYSTEMS))
+    @pytest.mark.parametrize("mode,target,alphabet", [
+        pytest.param(mode, target, alphabet, id=f"{mode}-{target}")
+        for mode, target, alphabet in (
+            ("window", "half_r1", BINARY), ("edge_star", "skewed_r1", BINARY),
+            ("edge_star", "float_r1", BINARY), ("window", "three_r0", TERNARY),
+        )
+    ])
+    @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(5, 4), 1.0, Fraction(7, 4)], ids=repr)
+    def test_constraint_systems_equal_brute_force(self, system, mode, target, alphabet, eps):
+        nbhd = Neighborhood(target=ORACLE_TARGETS[target], epsilon=eps, mode=mode,
+                            sft=ORACLE_SYSTEMS[system](alphabet))
+        for action in ORACLE_ACTIONS:
+            assert count_omega(CTX2, action, alphabet, nbhd) == brute_count(CTX2, action, alphabet, nbhd), action
+
+    def test_the_feasibility_edge_of_the_uniform_r1_target(self):
+        # n keys on 32 codes of target mass n/32 are at least 2(1 - n/32)
+        # away, reached exactly when the keys are distinct: the search's
+        # bound is tight there, and a hair below it nothing counts
+        reached = 0
+        for action in ORACLE_ACTIONS:
+            edge = 2 * (1 - Fraction(action.n, 32))
+            at = Neighborhood(target=TARGET_B1, epsilon=edge)
+            below = Neighborhood(target=TARGET_B1, epsilon=edge - Fraction(1, 10**9))
+            count = count_omega(CTX2, action, BINARY, at)
+            assert count == brute_count(CTX2, action, BINARY, at), action
+            assert count_omega(CTX2, action, BINARY, below) == 0 == brute_count(CTX2, action, BINARY, below), action
+            reached += count
+        assert reached > 0
+
+    @pytest.mark.parametrize("mode,target", [
+        *(("window", t) for t in ORACLE_TARGETS),
+        *(("edge_star", t) for t in ORACLE_TARGETS if len(ORACLE_TARGETS[t].window) > 1),
+    ])
+    def test_counts_do_not_decrease_in_epsilon(self, mode, target):
+        # a float epsilon carries the float slack, so it sorts after the
+        # rational of the same value
+        target = ORACLE_TARGETS[target]
+        epsilons = sorted((e for e in ORACLE_EPSILONS if target.is_exact or e), key=lambda e: (e, isinstance(e, float)))
+        nbhds = [Neighborhood(target=target, epsilon=eps, mode=mode) for eps in epsilons]
+        for action in ORACLE_ACTIONS:
+            counts = [count_omega(CTX2, action, BINARY, nbhd) for nbhd in nbhds]
+            assert counts == sorted(counts), action
+        means = [expected_count(CTX2, 3, BINARY, nbhd).mean_count for nbhd in nbhds]
+        assert means == sorted(means)
 
 
 class TestExactStatistics:

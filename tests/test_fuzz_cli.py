@@ -7,8 +7,11 @@ a crash would read as a verification failure.  The test below mutates the
 valid example inputs of ``f-exact``, ``f-estimate``, ``rearrange``,
 ``sft-verify`` and ``weight-tools``: it deletes a key, swaps a value's JSON
 type, writes huge or negative integers, NaN or infinity, repeats a key in the
-raw text, or empties an alphabet or leaves one symbol in it.  ``f-estimate``
-runs with ``--threads`` 1, 2 or 3.  Every call must
+raw text, or empties an alphabet or leaves one symbol in it.  Most
+``f-estimate`` examples instead keep their config valid and draw ``n_list``,
+``samples`` and ``seed`` from small ranges, so they reach the counting
+kernel; ``f-estimate`` runs with ``--threads`` 1, 2 or 3, so some of them
+count in forked helpers.  Every call must
 return 0-3 or exit 2 through argparse, raise nothing else and finish within
 ``CALL_SECONDS``.  It runs derandomised, so the examples are the same on
 every run.
@@ -166,9 +169,18 @@ def _down(repeat, key):
 
 @st.composite
 def mutated_inputs(draw):
-    """(example name, argv, file texts) with one to three mutations of one file."""
+    """(example name, argv, file texts) with one to three mutations of one
+    file, or, for three in four f-estimate examples, a valid config."""
     name = draw(st.sampled_from(sorted(EXAMPLES)))
     argv, files = EXAMPLES[name]
+    if name.startswith("f_estimate"):
+        # one to three counting processes, so the counts reach the forked helpers
+        argv = argv + ["--threads", str(draw(st.sampled_from([1, 2, 3])))]
+        if draw(st.integers(0, 3)):
+            # a valid config: n_list, samples and seed redrawn from ranges small enough for exact mode
+            config = {**files["c.json"], "n_list": draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)),
+                      "samples": draw(st.integers(1, 4)), "seed": draw(st.integers(0, 10**6))}
+            return name, argv, {k: json.dumps(config if k == "c.json" else v) for k, v in files.items()}
     target = draw(st.sampled_from(sorted(files)))
     data = json.loads(json.dumps(files[target]))  # a copy
     repeat = None
@@ -198,9 +210,6 @@ def mutated_inputs(draw):
             parent[key] = draw(st.sampled_from(NONFINITE))
         else:
             parent[key] = draw(VALUES.filter(lambda v, old=parent[key]: type(v) is not type(old)))
-    if name.startswith("f_estimate"):
-        # one to three counting processes, so mutated inputs reach the forked helpers
-        argv = argv + ["--threads", str(draw(st.sampled_from([1, 2, 3])))]
     # a repeated key whose object a later mutation removed is written once
     return name, argv, {**{k: json.dumps(v) for k, v in files.items()}, target: _dump(data, repeat)}
 

@@ -255,7 +255,7 @@ def oracle_sample(ctx, rho, action, seed, budget, restarts):
     decidable edge and pullback: (configuration, units spent in the restart
     that found it), or (None, None)."""
     n = action.n
-    order = sft._bfs_vertex_order(action)
+    order = sft.bfs_vertex_order(action)
     pos = {v: k for k, v in enumerate(order)}
     symbols = list(itertools.product(ctx.ball(rho), repeat=2 * ctx.rank))
     edge_ok = oracle_edge_filter(ctx, rho)

@@ -95,11 +95,11 @@ def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, ca
 
     Every statistic's target is scaled by d, the lcm of its denominators (a
     float is read as the exact dyadic rational it is), so T = n d t is an
-    integer.  Returns each statistic's window and offset into one flat code
-    space, T per code of a key inside the alphabet, the T summed over the keys
-    outside it (no labeling shows them, so they always count in full), d and
-    the integer membership limit.  T is a dict of the codes the target lists:
-    a wide window has too many codes to list them all.
+    integer.  Returns each statistic's window with its T per code of a key
+    inside the alphabet, the T summed over the keys outside it (no labeling
+    shows them, so they always count in full), d and the integer membership
+    limit.  T is a dict of the codes the target lists: a wide window has too
+    many codes to list them all.
     """
     _check_labelings(n, alphabet, caps)
     at = (ctx.rank, n, tuple(alphabet))
@@ -118,18 +118,18 @@ def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, ca
             limit = math.floor(Fraction(float(min(eps, 3 * len(targets))) + PROB_TOL) * n * d)
         q = len(alphabet)
         index = {a: k for k, a in enumerate(alphabet)}
-        groups, target, unseen, offset = [], {}, 0, 0
+        groups, unseen = [], 0
         for t in targets:
+            target = {}
             for key, m in t.masses.items():
                 num, den = m.as_integer_ratio()
                 scaled = num * (n * d // (den * t.total))
                 if all(a in index for a in key):
-                    target[offset + sum(index[a] * q**j for j, a in enumerate(key))] = scaled
+                    target[sum(index[a] * q**j for j, a in enumerate(key))] = scaled
                 else:
                     unseen += scaled
-            groups.append((t.window, offset))
-            offset += q ** len(t.window)
-        setup = groups, target, unseen, d, limit
+            groups.append((t.window, target))
+        setup = groups, unseen, d, limit
     nbhd._setups[at] = setup
     return setup
 
@@ -163,7 +163,7 @@ def count_omega(
     setup = _setup(ctx, n, alphabet, nbhd, caps)
     if setup is None:
         return 0
-    groups, target, unseen, d, limit = setup
+    groups, unseen, d, limit = setup
     spec = nbhd.sft
     q = len(alphabet)
     order = bfs_vertex_order(action)
@@ -175,27 +175,37 @@ def count_omega(
     # position p adds a * step[p] to that integer.  A lone symbol has index
     # 0 everywhere, so it builds no steps: together they hold about n^2 bits
     step = [0] * n
-    # per position: the keys that close there, as (shift, field mask, gap table, code offset)
+    # per position: the keys that close there, as (field shift, field mask,
+    # gap table, the statistic's offset in one code space of all statistics)
     closing = [[] for _ in range(n)]
     # per position: the least change to D of the keys that close there
     drop = [0] * n
-    shift = low = 0  # the next field's shift, the least change to D still to come
-    for window, offset in groups:
+    dist = unseen  # D with no key closed
+    shift = offset = 0  # where the next statistic's fields and codes start
+    low = 0  # the least change to D still to come
+    for window, target in groups:
         size = q ** len(window)
+        width = (size - 1).bit_length() or 1
+        dist += sum(target.values())
         # c d - T per code of the statistic, over its closed keys
-        gap = defaultdict(int, {c - offset: -t for c, t in target.items() if offset <= c < offset + size})
-        # the least change one more key makes: d - 2 min(d, max T)
-        delta = d + 2 * max(-d, min(gap.values(), default=0))
+        gap = defaultdict(int, {c: -t for c, t in target.items()})
+        # the least change one more key makes
+        delta = d - 2 * min(d, max(target.values(), default=0))
         low += n * delta
-        mask = (1 << (size - 1).bit_length()) - 1
-        for cols in zip(*window_columns(action, window)):
-            if q > 1:
-                for j, u in enumerate(cols):
-                    step[pos[u]] += q**j << shift
-            p = max(pos[u] for u in cols)
-            closing[p].append((shift, mask, gap, offset))
+        # per column, per vertex v: the position of col_j(v); and v's field
+        cols = [list(map(pos.__getitem__, col)) for col in window_columns(action, window)]
+        fields = range(shift, shift + n * width, width)
+        if q > 1:
+            for j, col in enumerate(cols):
+                digit = q**j
+                for p, field in zip(col, fields):
+                    step[p] += digit << field
+        mask = (1 << width) - 1
+        for field, p in zip(fields, map(max, zip(*cols))):
+            closing[p].append((field, mask, gap, offset))
             drop[p] += delta
-            shift += mask.bit_length()
+        shift += n * width
+        offset += size
     # per position: the most D may be once it is assigned, with every key
     # still open at its least change
     room = [limit - low + x for x in itertools.accumulate(drop)]
@@ -223,7 +233,6 @@ def count_omega(
                         tables[here, there] = [[False] * q for _ in range(q)]
                         bans[here][1].append((there, tables[here, there]))
                     tables[here, there][x][y] = True
-    dist = unseen + sum(target.values())
     if dist + low > limit:
         return 0
     if not n:
@@ -341,13 +350,12 @@ def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighbor
     setup = _setup(ctx, n, alphabet, nbhd, caps)
     if setup is None:
         return 0
-    groups, target, unseen, d, limit = setup
+    groups, unseen, d, limit = setup
     limit -= unseen  # the keys outside the alphabet always count in full
     q, index = len(alphabet), {a: j for j, a in enumerate(alphabet)}
-    cells = {w[1][0]: [[target.get(o + a + q * b, 0) for b in range(q)] for a in range(q)]
-             for w, o in groups if len(w) == 2}
-    # T summed per vertex symbol: the radius-0 statistic (key 0), each table's row sums
-    rows = {i: list(map(sum, t)) for i, t in cells.items()} if cells else {0: [target.get(a, 0) for a in range(q)]}
+    cells = {w[1][0]: [[t.get(a + q * b, 0) for b in range(q)] for a in range(q)] for w, t in groups if len(w) == 2}
+    # T summed per vertex symbol: the radius-0 statistic, each table's row sums
+    rows = {i: list(map(sum, t)) for i, t in cells.items()} if cells else {0: [groups[0][1].get(a, 0) for a in range(q)]}
     bans = [{(index.get(a), index.get(b)) for a, b, j in pairs if j == i} for i in range(ctx.rank + 1)]
     fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))  # 0!, ..., n!
     acc = 0

@@ -27,7 +27,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .actions import FiniteAction, sample_action
-from .counting import Caps, f_estimate
+from .counting import FORK_AFTER, Caps, f_estimate
 from .errors import (
     FinvariantError,
     InputError,
@@ -591,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("f-exact", "exact invariant of a weight", cmd_f_exact, "config")
     p.add_argument("--weight", help="weight json file")
     p = command("f-estimate", "finite-n growth-rate table", cmd_f_estimate, "config", "seed")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=f"count in up to THREADS processes, forked once one n's "
+                   f"counts have run {FORK_AFTER * 1000:g} ms; the output is the same for every THREADS")
     # only an absent flag means the default: 0 is a cap of 0
     p.add_argument("--cap-exact", type=int, default=Caps.exact_actions, dest="cap_exact")
     p.add_argument("--cap-labels", type=int, default=Caps.labelings, dest="cap_labels")

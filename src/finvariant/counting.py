@@ -4,16 +4,18 @@ growth-rate table for the invariant.
 
 Counts are exact, by a depth-first search of the labeling space A^n under
 a configurable cap on |A|^n that cuts every prefix the distance bound or a
-forbidden nearest-neighbor pair rules out.
+forbidden nearest-neighbor pair rules out, and that starts from one symbol
+per orbit of the symbol swaps keeping the target and the constraints.
 The exact average sums over labeling types and pair tables when the statistic
 reads nothing else (edge_star, window radius 0, nearest-neighbor systems), and
 walks all n!^r actions otherwise.  Monte Carlo averaging derives one seed per
 sample index, so results do not depend on evaluation order.
 
 The enumerated actions, or the Monte Carlo samples, of one n are independent
-counts.  With ``threads`` above 1 they are dealt round-robin to the caller
-and to helper processes forked from it (POSIX only), which send their
-integer counts back through pipes; each row is the same as a serial run's.
+counts.  With ``threads`` above 1, those left once the caller has counted
+serially for FORK_AFTER seconds are dealt round-robin to it and to helper
+processes forked from it (POSIX only), which send their integer counts back
+through pipes; each row is the same as a serial run's.
 """
 
 from __future__ import annotations
@@ -88,6 +90,41 @@ def _check_labelings(n: int, alphabet: Sequence, caps: Caps) -> None:
         raise ResourceCapError(f"|A|^n labelings at |A|={q}, n={n} exceed cap {cap}")
 
 
+def _orbit_weights(q: int, groups, banned: set) -> list[int]:
+    """Per symbol index: its orbit's size if it is the orbit's least symbol,
+    else 0.  Orbits are joined by the transpositions (a b) that keep every
+    statistic's T, read digit by digit on each code, and the ``banned``
+    (domain, symbol indices) patterns.  Products of them keep both too, so b
+    joins an orbit if its swap with the orbit's least symbol keeps both."""
+    # per statistic and column, per symbol: T summed over the codes with the
+    # symbol there; a valid transposition swaps two equal signatures
+    sums = []
+    for window, target in groups:
+        for j in range(len(window)):
+            sums.append([0] * q)
+            for c, t in target.items():
+                sums[-1][c // q**j % q] += t
+    sig = list(zip(*sums))
+
+    def kept(perm):
+        return all(
+            target.get(sum(perm[c // q**j % q] * q**j for j in range(len(w))), 0) == t
+            for w, target in groups for c, t in target.items()
+        ) and {(dom, tuple(perm[x] for x in v)) for dom, v in banned} == banned
+
+    orbits = []
+    for b in range(q):
+        for orbit in orbits:
+            a = orbit[0]
+            if sig[a] == sig[b] and kept([b if x == a else a if x == b else x for x in range(q)]):
+                orbit.append(b)
+                break
+        else:
+            orbits.append([b])
+    sizes = {orbit[0]: len(orbit) for orbit in orbits}
+    return [sizes.get(a, 0) for a in range(q)]
+
+
 def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, caps: Caps):
     """The neighborhood in integers at (rank, n, alphabet), built once after
     the |A|^n cap, or None when no labeling can count (an empty alphabet, or
@@ -99,7 +136,8 @@ def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, ca
     inside the alphabet, the T summed over the keys outside it (no labeling
     shows them, so they always count in full), d and the integer membership
     limit.  T is a dict of the codes the target lists: a wide window has too
-    many codes to list them all.
+    many codes to list them all.  Last come ``_orbit_weights`` under the
+    forbidden patterns whose symbols all lie in the alphabet.
     """
     _check_labelings(n, alphabet, caps)
     at = (ctx.rank, n, tuple(alphabet))
@@ -129,7 +167,9 @@ def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, ca
                 else:
                     unseen += scaled
             groups.append((t.window, target))
-        setup = groups, unseen, d, limit
+        forbidden = () if nbhd.sft is None else nbhd.sft.forbidden
+        banned = {(w.domain, tuple(index[x] for x in w.values)) for w in forbidden if all(x in index for x in w.values)}
+        setup = groups, unseen, d, limit, _orbit_weights(q, groups, banned)
     nbhd._setups[at] = setup
     return setup
 
@@ -157,13 +197,16 @@ def count_omega(
     D + sum_g open_g delta_g passes the limit is cut with its whole subtree.
     A symbol that forms a forbidden nearest-neighbor pair with an assigned
     vertex, or with its own vertex at a fixed point, is never tried.  The
-    constraint system still judges every labeling within the limit.
+    constraint system still judges every labeling within the limit.  A swap
+    of symbols in one orbit of ``_orbit_weights`` is a bijection of the
+    counted labelings, so the first vertex takes only each orbit's least
+    symbol, and each labeling found counts as the orbit's size.
     """
     n = action.n
     setup = _setup(ctx, n, alphabet, nbhd, caps)
     if setup is None:
         return 0
-    groups, unseen, d, limit = setup
+    groups, unseen, d, limit, weight = setup
     spec = nbhd.sft
     q = len(alphabet)
     order = bfs_vertex_order(action)
@@ -237,6 +280,9 @@ def count_omega(
         return 0
     if not n:
         return int(spec is None or sft_check_all(spec, action, []))
+    if not all(weight):  # the first position tries one symbol per orbit
+        own = bans[0][0] if bans[0] else [False] * q
+        bans[0] = [x or not w for x, w in zip(own, weight)], []
     sym = [0] * n  # the symbol index at each position, counted in the integer
     tried = [0] * n  # the next symbol index to try at each position
     saved = [0] * n  # D before each position's keys closed
@@ -282,7 +328,7 @@ def count_omega(
                     seen.append(offset + c)
                     total += d if x >= 0 else (-d if x <= -d else d + x + x)
                 if total <= limit and (spec is None or sft_check_all(spec, action, [alphabet[sym[t]] for t in pos])):
-                    count += 1
+                    count += weight[sym[0]]
             if a < top:
                 continue
         # every symbol at p is tried: back up past the positions with none left
@@ -341,16 +387,13 @@ def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighbor
     times a convolution of ``_pair_law``s.  Table i is at least its row
     mismatch sum_a |k_a d - sum_b T_ab| away: these floors prune the types,
     and the laws run over the excess above them."""
-    import itertools
-    import operator
-
     pairs = frozenset() if nbhd.sft is None else nbhd.sft.forbidden_pairs
     if pairs is None or (nbhd.mode == "window" and nbhd.target.window != ((),)):
         return None
     setup = _setup(ctx, n, alphabet, nbhd, caps)
     if setup is None:
         return 0
-    groups, unseen, d, limit = setup
+    groups, unseen, d, limit, _ = setup
     limit -= unseen  # the keys outside the alphabet always count in full
     q, index = len(alphabet), {a: j for j, a in enumerate(alphabet)}
     cells = {w[1][0]: [[t.get(a + q * b, 0) for b in range(q)] for a in range(q)] for w, t in groups if len(w) == 2}
@@ -374,31 +417,46 @@ def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighbor
     return acc
 
 
-def _dealt(share, tasks: int, threads: int) -> list[list[int]]:
-    """The shares of ``tasks`` independent counts, counted in up to
-    ``threads`` processes: [share(0, w), ..., share(w - 1, w)], where
-    share(k, w) counts the tasks k, k + w, k + 2w, ... and returns a list of
-    integers.
+# seconds of serial counting before ``_dealt`` forks: a shorter run of one n
+# loses more to the fork and a helper's slow start than the helpers save
+FORK_AFTER = 0.02
 
-    w is min(threads, tasks, cores).  Below 2, without ``os.fork``, or with
-    other threads running, the caller counts the one share itself: a fork
-    copies only the calling thread, so a lock another thread holds would stay
-    held in the helper.  Otherwise the caller forks w - 1 helpers,
-    keeps share 0, and reads share k back from helper k's pipe.  A helper
-    leaves with ``os._exit``, so it flushes no inherited buffer and runs no
-    exit handler.  A helper that fails, or could not be forked, has its share
-    counted by the caller, so a failing count raises as it would serially.
-    If the caller raises, it kills its helpers first; every helper is reaped
-    before this returns.
+
+def _dealt(count, items, tasks: int, threads: int) -> list[int]:
+    """[count(x) for x in items()] over ``tasks`` independent items, counted
+    in up to ``threads`` processes.
+
+    The caller counts the items in order until FORK_AFTER seconds have passed
+    with at least 2 items left.  Then w is min(threads, items left, cores).
+    Below 2, without ``os.fork``, or with other threads running, the caller
+    counts the rest itself: a fork copies only the calling thread, so a lock
+    another thread holds would stay held in the helper.  Otherwise the items
+    left are dealt round-robin into w shares.  Helper k, forked from the
+    caller, counts share k - 1 from the caller's iterator where it left off
+    and sends its counts through a pipe; the caller counts share w - 1, the
+    smallest.  A helper leaves with ``os._exit``, so it flushes no inherited
+    buffer and runs no exit handler.  A helper that fails, or could not be
+    forked, has its share counted by the caller, so a failing count raises as
+    it would serially.  If the caller raises, it kills its helpers first;
+    every helper is reaped before this returns.
     """
     import os
     import signal
     import threading
+    import time
 
+    live, counts, start = items(), [], time.perf_counter()
+    while tasks - len(counts) > 1 and time.perf_counter() - start < FORK_AFTER:
+        counts.append(count(next(live)))
+    left = tasks - len(counts)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    w = min(threads, tasks, cores)
+    w = min(threads, left, cores)
     if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [share(0, 1)]
+        return counts + [count(x) for x in live]
+
+    def share(j, it):
+        return [count(x) for x in itertools.islice(it, j, None, w)]
+
     helpers = {}  # k -> (pid, read end of its pipe), until reaped
     try:
         for k in range(1, w):
@@ -412,7 +470,7 @@ def _dealt(share, tasks: int, threads: int) -> list[list[int]]:
             if pid == 0:
                 status = 1
                 try:
-                    data = memoryview(" ".join(map(str, share(k, w))).encode())
+                    data = memoryview(" ".join(map(str, share(k - 1, live))).encode())
                     while data:
                         data = data[os.write(write, data):]
                     status = 0
@@ -420,7 +478,8 @@ def _dealt(share, tasks: int, threads: int) -> list[list[int]]:
                     os._exit(status)
             os.close(write)
             helpers[k] = pid, read
-        shares = [share(0, w)]
+        rest = [0] * left
+        rest[w - 1 :: w] = share(w - 1, live)
         for k in range(1, w):
             counted = None
             if k in helpers:
@@ -431,8 +490,8 @@ def _dealt(share, tasks: int, threads: int) -> list[list[int]]:
                 os.close(read)
                 if status == 0:
                     counted = [int(x) for x in data.split()]
-            shares.append(share(k, w) if counted is None else counted)
-        return shares
+            rest[k - 1 :: w] = share(k - 1, itertools.islice(items(), len(counts), None)) if counted is None else counted
+        return counts + rest
     finally:
         for pid, read in helpers.values():
             os.close(read)
@@ -479,15 +538,8 @@ def expected_count(
         samples = hom_count(n, ctx.rank, caps.exact_actions)
         acc = _count_by_type(ctx, n, alphabet, nbhd, caps)
         if acc is None:
-            parts = _dealt(
-                lambda k, w: [sum(
-                    count_omega(ctx, action, alphabet, nbhd, caps)
-                    for action in itertools.islice(enumerate_actions(n, ctx.rank, caps.exact_actions), k, None, w)
-                )],
-                samples,
-                threads,
-            )
-            acc = sum(part[0] for part in parts)
+            acc = sum(_dealt(lambda action: count_omega(ctx, action, alphabet, nbhd, caps),
+                             lambda: enumerate_actions(n, ctx.rank, caps.exact_actions), samples, threads))
         try:
             mean = acc / samples
         except OverflowError:
@@ -501,17 +553,10 @@ def expected_count(
         raise InputError("monte carlo needs at least one sample")
     else:
         _setup(ctx, n, alphabet, nbhd, caps)  # before any action is drawn or helper forked
-        parts = _dealt(
-            lambda k, w: [
-                count_omega(ctx, sample_action(n, ctx.rank, derive_seed(seed, idx)), alphabet, nbhd, caps)
-                for idx in range(k, samples, w)
-            ],
-            samples,
-            threads,
+        counts = _dealt(
+            lambda idx: count_omega(ctx, sample_action(n, ctx.rank, derive_seed(seed, idx)), alphabet, nbhd, caps),
+            lambda: iter(range(samples)), samples, threads,
         )
-        counts = [0] * samples
-        for k, part in enumerate(parts):
-            counts[k :: len(parts)] = part
         mean = sum(counts) / samples
         var = sum((c - mean) ** 2 for c in counts) / (samples - 1) if samples > 1 else 0.0
         stderr = math.sqrt(var / samples)

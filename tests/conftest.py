@@ -3,6 +3,7 @@ accepted (action, configuration) instances used by the rearrangement suites."""
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 
@@ -15,6 +16,15 @@ from finvariant import (
     sample_action,
     sample_sft_config,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No test leaves a child process behind: a helper that ``f-estimate
+    --threads`` forked, and that its caller did not reap, fails the test."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -273,6 +273,7 @@ class TestFEstimate:
     ], ids=["mc_2_samples", "mc_5_samples", "exact_enumeration", "exact_by_type"])
     def test_thread_count_does_not_change_bytes(self, half_weight_file, tmp_path, monkeypatch, capsys, overrides):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(counting, "FORK_AFTER", 0)  # these short counts would not fork otherwise
         cfg = self._config(tmp_path, half_weight_file, **overrides)
         printed, written = set(), set()
         for threads in ([], ["--threads", "1"], ["--threads", "2"], ["--threads", "3"]):
@@ -290,17 +291,21 @@ class TestFEstimate:
 
     def test_a_command_with_helpers_prints_its_csv_once(self, half_weight_file, tmp_path):
         # a real process, whose stdout is a block-buffered pipe: a helper
-        # that flushed or ran on would print a second copy
+        # that flushed or ran on would print a second copy.  It forks before
+        # counting, as these short counts would not fork otherwise
         cfg = self._config(tmp_path, half_weight_file, samples=5, window=1, epsilon="37/20")
         env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")}
+        code = ("import sys; from finvariant import cli, counting; "
+                "counting.FORK_AFTER = 0; sys.exit(cli.main(sys.argv[1:]))")
         outs = [
-            subprocess.run([sys.executable, "-m", "finvariant.cli", "f-estimate", "--config", cfg, "--threads", t],
+            subprocess.run([sys.executable, "-c", code, "f-estimate", "--config", cfg, "--threads", t],
                            env=env, capture_output=True, text=True, check=True, timeout=60).stdout
             for t in ("1", "3")
         ]
         assert outs[0] == outs[1] and outs[0].count("# config_hash") == 1
 
     def test_threads_100000_forks_at_most_one_helper_per_core(self, half_weight_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(counting, "FORK_AFTER", 0)
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())

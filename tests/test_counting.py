@@ -29,11 +29,13 @@ from finvariant import (
     count_omega,
     enumerate_actions,
     expected_count,
+    f_estimate,
     marginal_distribution,
     sample_action,
     sft_check_all,
 )
 
+from finvariant.sft import bfs_vertex_order
 from paper_objects import bernoulli_weight, empirical_distribution, nn_spec, weight_estimate
 from test_weights import reversible_weight
 
@@ -382,6 +384,67 @@ class TestBruteForceOracle:
         assert means == sorted(means)
 
 
+UNIFORM_THREE = marginal_distribution(
+    bernoulli_weight({a: Fraction(1, 3) for a in TERNARY}, 2), CTX2.ball(1)
+)
+
+
+class TestSymbolSymmetry:
+    """A target and constraint system that a swap of symbols keeps are counted
+    from one symbol per orbit at the first vertex; every count is brute
+    force's, and the orbits are the swaps that really keep both."""
+
+    @staticmethod
+    def _orbits(nbhd, alphabet):
+        return counting._setup(CTX2, 4, alphabet, nbhd, Caps())[-1]
+
+    @pytest.mark.parametrize("mode,target,alphabet,spec,orbits", [
+        pytest.param("window", TARGET_B1, BINARY, None, [2, 0], id="uniform_r1_binary"),
+        pytest.param("window", UNIFORM_THREE, TERNARY, None, [3, 0, 0], id="uniform_r1_ternary"),
+        # 00 and 11 at 3/8 along s_1: the swap keeps every pair mass
+        pytest.param("edge_star", SKEWED, BINARY, None, [2, 0], id="edge_star_skewed"),
+        pytest.param("window", TARGET_B1, BINARY, nn_spec(BINARY, [("0", "1", 1), ("1", "0", 1)]), [2, 0],
+                     id="symmetric_nn"),
+        pytest.param("window", UNIFORM_THREE, TERNARY, SftSpec(alphabet=TERNARY, forbidden=(
+            Pattern([(), (1,), (2,)], ["1", "0", "1"]), Pattern([(), (1,), (2,)], ["0", "1", "0"]),
+        )), [2, 0, 1], id="symmetric_non_nn"),
+        # "2" sits on keys no labeling shows: counted over 0 and 1 the swap still holds
+        pytest.param("window", UNIFORM_THREE, BINARY, None, [2, 0], id="restricted_alphabet"),
+        # the target has the swap, the golden-mean system does not
+        pytest.param("window", TARGET_B1, BINARY, ORACLE_SYSTEMS["golden_mean"](BINARY), [1, 1],
+                     id="asymmetric_system"),
+        pytest.param("window", UNIFORM_THREE, TERNARY, nn_spec(TERNARY, [("2", "2", 1)]), [2, 0, 1],
+                     id="system_fixes_one_symbol"),
+        pytest.param("window", TARGET_THREE, TERNARY, None, [1, 1, 1], id="asymmetric_target"),
+    ])
+    @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(5, 4), 1.0, Fraction(7, 4)], ids=repr)
+    def test_counts_equal_brute_force(self, mode, target, alphabet, spec, orbits, eps):
+        nbhd = Neighborhood(target=target, epsilon=eps, mode=mode, sft=spec)
+        assert self._orbits(nbhd, alphabet) == orbits
+        for action in ORACLE_ACTIONS:
+            assert count_omega(CTX2, action, alphabet, nbhd) == brute_count(CTX2, action, alphabet, nbhd), action
+
+    def test_the_first_vertex_takes_only_each_orbits_least_symbol(self, monkeypatch):
+        spec = nn_spec(BINARY, [("0", "1", 1), ("1", "0", 1)])
+        nbhd = Neighborhood(target=TARGET_B1, epsilon=Fraction(7, 4), sft=spec)
+        firsts = []  # the first BFS vertex's symbol in each labeling the system judges
+        for action in ORACLE_ACTIONS:
+            first = bfs_vertex_order(action)[0]
+            monkeypatch.setattr(counting, "sft_check_all",
+                                lambda s, a, x: firsts.append(x[first]) or sft_check_all(s, a, x))
+            count_omega(CTX2, action, BINARY, nbhd)
+        assert firsts and set(firsts) == {"0"}
+
+    def test_the_uniform_ternary_set_up_has_one_orbit_of_size_three(self):
+        assert self._orbits(Neighborhood(target=UNIFORM_THREE, epsilon=Fraction(1)), TERNARY) == [3, 0, 0]
+
+    def test_exact_enumeration_counts_every_orbit(self):
+        # a radius-1 window is averaged over all n!^r actions by count_omega
+        nbhd = Neighborhood(target=UNIFORM_THREE, epsilon=Fraction(3, 2))
+        walked = sum(brute_count(CTX2, a, TERNARY, nbhd) for a in enumerate_actions(2, 2))
+        assert expected_count(CTX2, 2, TERNARY, nbhd, mode="exact").mean_count == walked / 4
+
+
 class TestExactStatistics:
     def _diag_weight(self):
         return (
@@ -505,22 +568,25 @@ class TestExpectedCount:
             )
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.fixture
+def three_cores(monkeypatch):
+    # three workers fit on any host; the tests fork at most two helpers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
 
+@pytest.mark.usefixtures("three_cores")
 class TestCountingProcesses:
     """``threads`` > 1 counts in forked helpers; the rows, and the errors,
-    are those of a serial run, and no helper outlives the call."""
+    are those of a serial run, and no helper outlives the call (the
+    ``no_child_left`` check)."""
 
     # counts that differ from action to action
     NBHD = Neighborhood(target=TARGET_B1, epsilon=Fraction(37, 20))
 
     @pytest.fixture(autouse=True)
-    def three_cores(self, monkeypatch):
-        # three workers fit on any host; the tests fork at most two helpers
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    def fork_at_once(self, monkeypatch):
+        # the helpers fork before the caller counts anything
+        monkeypatch.setattr(counting, "FORK_AFTER", 0)
 
     @pytest.mark.parametrize("samples", [1, 2, 5, 6])
     def test_monte_carlo_rows_do_not_depend_on_threads(self, samples):
@@ -529,13 +595,11 @@ class TestCountingProcesses:
             for t in (1, 2, 3, 100000)
         ]
         assert len(set(rows)) == 1
-        _no_child_left()
 
     def test_enumeration_sums_do_not_depend_on_threads(self):
         rows = [expected_count(CTX2, 3, BINARY, self.NBHD, mode="exact", threads=t) for t in (1, 2, 3)]
         walked = sum(count_omega(CTX2, a, BINARY, self.NBHD) for a in enumerate_actions(3, 2))
         assert len(set(rows)) == 1 and rows[0].mean_count == walked / 36
-        _no_child_left()
 
     def test_fork_calls_are_at_most_workers_minus_one(self, monkeypatch):
         forks = []
@@ -550,7 +614,6 @@ class TestCountingProcesses:
             forks.clear()
             expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=samples, threads=100000)
             assert len(forks) == workers - 1
-        _no_child_left()
 
     def test_with_other_threads_running_the_caller_counts_alone(self, monkeypatch):
         forks = []
@@ -580,7 +643,6 @@ class TestCountingProcesses:
 
         monkeypatch.setattr(counting, "count_omega", caller_only)
         assert expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=5, threads=3) == serial
-        _no_child_left()
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_a_caller_that_raises_kills_and_reaps_its_helpers(self, monkeypatch, error):
@@ -594,7 +656,6 @@ class TestCountingProcesses:
         monkeypatch.setattr(counting, "count_omega", helpers_only)
         with pytest.raises(error, match="in the caller"):
             expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3)
-        _no_child_left()
 
     def test_an_interrupt_just_after_a_reap_leaves_that_helper_alone(self, monkeypatch):
         wait, kill = os.waitpid, os.kill
@@ -612,12 +673,63 @@ class TestCountingProcesses:
         with pytest.raises(KeyboardInterrupt, match="just reaped"):
             expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3)
         assert reaped and reaped[0] not in killed
-        _no_child_left()
 
     def test_without_fork_the_caller_counts_alone(self, monkeypatch):
         serial = expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5)
         monkeypatch.delattr(os, "fork")
         assert expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3) == serial
+
+
+@pytest.mark.usefixtures("three_cores")
+class TestForkThreshold:
+    """The caller counts serially until FORK_AFTER seconds have passed with
+    two items left, and deals the rest: short counts fork nothing, and the
+    rows never depend on where the deal starts."""
+
+    NBHD = TestCountingProcesses.NBHD
+
+    def test_a_short_estimate_forks_nothing(self, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        run = functools.partial(f_estimate, CTX2, TARGET_B1, BINARY, Fraction(37, 20), [3, 4], samples=6, seed=2,
+                                threads=2)
+        rows = run()
+        assert forks == []
+        monkeypatch.setattr(counting, "FORK_AFTER", 0)
+        assert run() == rows and len(forks) == 2  # one helper per n
+
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
+    def test_rows_do_not_depend_on_threads_or_threshold(self, monkeypatch, mode):
+        rows = set()
+        for after in (0, math.inf):
+            monkeypatch.setattr(counting, "FORK_AFTER", after)
+            rows |= {expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=7, seed=5, threads=t)
+                     for t in (1, 2, 3)}
+        assert len(rows) == 1
+
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
+    def test_a_deal_after_serial_counts_matches_a_serial_run(self, monkeypatch, mode):
+        serial = expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=11, seed=5)
+        counted, forks = [], []  # the caller's counts, and how many preceded each fork
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(len(counted)) or fork())
+        # a clock that each count moves on by 1 ms: the 4 counts before 3.5 ms are serial
+        clock = [0.0]
+        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+
+        def timed(*args):
+            clock[0] += 0.001
+            counted.append(1)
+            return count_omega(*args)
+
+        monkeypatch.setattr(counting, "count_omega", timed)
+        monkeypatch.setattr(counting, "FORK_AFTER", 0.0035)
+        assert expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=11, seed=5, threads=3) == serial
+        # the helpers go on from the caller's iterator; of the 7 samples or 32
+        # actions left, the caller counts the smallest share, 2 or 10
+        assert forks == [4, 4]
+        assert len(counted) == 4 + (2 if mode == "monte_carlo" else 10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 300])

@@ -27,7 +27,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .actions import FiniteAction, sample_action
-from .counting import FORK_AFTER, Caps, f_estimate
+from .counting import Caps, f_estimate
 from .errors import (
     FinvariantError,
     InputError,
@@ -69,8 +69,8 @@ def _fmt(x) -> str:
 
 
 def _config_hash(config: dict) -> str:
-    # threads changes how many processes count, never a result; the config
-    # key is accepted and ignored, so it stays out of the provenance hash
+    # threads is accepted and ignored, as a flag or a config key, so it
+    # stays out of the provenance hash
     scrubbed = {k: v for k, v in config.items() if k != "threads"}
     blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -244,7 +244,6 @@ def cmd_f_estimate(args) -> int:
         sft=sft,
         distance_mode=config["distance_mode"],
         caps=caps,
-        threads=args.threads or 1,
     )
     for warning in result.warnings:
         sys.stderr.write(f"warning: {warning}\n")
@@ -591,8 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("f-exact", "exact invariant of a weight", cmd_f_exact, "config")
     p.add_argument("--weight", help="weight json file")
     p = command("f-estimate", "finite-n growth-rate table", cmd_f_estimate, "config", "seed")
-    p.add_argument("--threads", type=int, default=None, help=f"count in up to THREADS processes, forked once one n's "
-                   f"counts have run {FORK_AFTER * 1000:g} ms; the output is the same for every THREADS")
+    p.add_argument("--threads", type=int, default=None, help="accepted and ignored: counting is serial")
     # only an absent flag means the default: 0 is a cap of 0
     p.add_argument("--cap-exact", type=int, default=Caps.exact_actions, dest="cap_exact")
     p.add_argument("--cap-labels", type=int, default=Caps.labelings, dest="cap_labels")

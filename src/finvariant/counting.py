@@ -10,12 +10,6 @@ The exact average sums over labeling types and pair tables when the statistic
 reads nothing else (edge_star, window radius 0, nearest-neighbor systems), and
 walks all n!^r actions otherwise.  Monte Carlo averaging derives one seed per
 sample index, so results do not depend on evaluation order.
-
-The enumerated actions, or the Monte Carlo samples, of one n are independent
-counts.  With ``threads`` above 1, those left once the caller has counted
-serially for FORK_AFTER seconds are dealt round-robin to it and to helper
-processes forked from it (POSIX only), which send their integer counts back
-through pipes; each row is the same as a serial run's.
 """
 
 from __future__ import annotations
@@ -417,93 +411,12 @@ def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighbor
     return acc
 
 
-# seconds of serial counting before ``_dealt`` forks: a shorter run of one n
-# loses more to the fork and a helper's slow start than the helpers save
-FORK_AFTER = 0.02
-
-
-def _dealt(count, items, tasks: int, threads: int) -> list[int]:
-    """[count(x) for x in items()] over ``tasks`` independent items, counted
-    in up to ``threads`` processes.
-
-    The caller counts the items in order until FORK_AFTER seconds have passed
-    with at least 2 items left.  Then w is min(threads, items left, cores).
-    Below 2, without ``os.fork``, or with other threads running, the caller
-    counts the rest itself: a fork copies only the calling thread, so a lock
-    another thread holds would stay held in the helper.  Otherwise the items
-    left are dealt round-robin into w shares.  Helper k, forked from the
-    caller, counts share k - 1 from the caller's iterator where it left off
-    and sends its counts through a pipe; the caller counts share w - 1, the
-    smallest.  A helper leaves with ``os._exit``, so it flushes no inherited
-    buffer and runs no exit handler.  A helper that fails, or could not be
-    forked, has its share counted by the caller, so a failing count raises as
-    it would serially.  If the caller raises, it kills its helpers first;
-    every helper is reaped before this returns.
-    """
-    import os
-    import signal
-    import threading
-    import time
-
-    live, counts, start = items(), [], time.perf_counter()
-    while tasks - len(counts) > 1 and time.perf_counter() - start < FORK_AFTER:
-        counts.append(count(next(live)))
-    left = tasks - len(counts)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    w = min(threads, left, cores)
-    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return counts + [count(x) for x in live]
-
-    def share(j, it):
-        return [count(x) for x in itertools.islice(it, j, None, w)]
-
-    helpers = {}  # k -> (pid, read end of its pipe), until reaped
-    try:
-        for k in range(1, w):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no room for another process: the caller counts the rest
-                os.close(read)
-                os.close(write)
-                break
-            if pid == 0:
-                status = 1
-                try:
-                    data = memoryview(" ".join(map(str, share(k - 1, live))).encode())
-                    while data:
-                        data = data[os.write(write, data):]
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
-            helpers[k] = pid, read
-        rest = [0] * left
-        rest[w - 1 :: w] = share(w - 1, live)
-        for k in range(1, w):
-            counted = None
-            if k in helpers:
-                pid, read = helpers[k]
-                data = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
-                status = os.waitpid(pid, 0)[1]
-                del helpers[k]
-                os.close(read)
-                if status == 0:
-                    counted = [int(x) for x in data.split()]
-            rest[k - 1 :: w] = share(k - 1, itertools.islice(items(), len(counts), None)) if counted is None else counted
-        return counts + rest
-    finally:
-        for pid, read in helpers.values():
-            os.close(read)
-            # an interrupt may fall between a helper's reaping and its removal
-            # here: an unreaped pid is still this process's child, so only it
-            # is killed, and a reaped one, perhaps reused, is left alone
-            try:
-                if os.waitpid(pid, os.WNOHANG)[0] == 0:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass
+def _check_mode(mode: str, samples: int) -> None:
+    """Raise unless ``mode`` is exact, or monte_carlo with at least one sample."""
+    if mode not in ("exact", "monte_carlo"):
+        raise InputError(f"unknown mode {mode!r}")
+    if mode == "monte_carlo" and samples < 1:
+        raise InputError("monte carlo needs at least one sample")
 
 
 @dataclass(frozen=True)
@@ -524,22 +437,20 @@ def expected_count(
     samples: int = 0,
     seed: int = 0,
     caps: Caps = Caps(),
-    threads: int = 1,
 ) -> EstimateRow:
     """Mean neighborhood count over finite actions, as ``f_estimate``'s row at n.
 
     ``exact`` averages over all n!^r homomorphisms (stderr 0); ``monte_carlo``
     averages over ``samples`` uniform draws with per-index derived seeds and
-    reports the standard error of the mean.  The enumerated actions, or the
-    samples, are counted in up to ``threads`` processes; the row is the same
-    for every ``threads``.
+    reports the standard error of the mean.
     """
+    _check_mode(mode, samples)
     if mode == "exact":
         samples = hom_count(n, ctx.rank, caps.exact_actions)
         acc = _count_by_type(ctx, n, alphabet, nbhd, caps)
         if acc is None:
-            acc = sum(_dealt(lambda action: count_omega(ctx, action, alphabet, nbhd, caps),
-                             lambda: enumerate_actions(n, ctx.rank, caps.exact_actions), samples, threads))
+            acc = sum(count_omega(ctx, action, alphabet, nbhd, caps)
+                      for action in enumerate_actions(n, ctx.rank, caps.exact_actions))
         try:
             mean = acc / samples
         except OverflowError:
@@ -547,16 +458,12 @@ def expected_count(
         if acc and not mean:
             raise ResourceCapError(f"the exact mean count at n={n} is positive but below float range")
         stderr = 0.0
-    elif mode != "monte_carlo":
-        raise InputError(f"unknown mode {mode!r}")
-    elif samples < 1:
-        raise InputError("monte carlo needs at least one sample")
     else:
-        _setup(ctx, n, alphabet, nbhd, caps)  # before any action is drawn or helper forked
-        counts = _dealt(
-            lambda idx: count_omega(ctx, sample_action(n, ctx.rank, derive_seed(seed, idx)), alphabet, nbhd, caps),
-            lambda: iter(range(samples)), samples, threads,
-        )
+        _setup(ctx, n, alphabet, nbhd, caps)  # checks the |A|^n cap before any action is drawn
+        counts = [
+            count_omega(ctx, sample_action(n, ctx.rank, derive_seed(seed, idx)), alphabet, nbhd, caps)
+            for idx in range(samples)
+        ]
         mean = sum(counts) / samples
         var = sum((c - mean) ** 2 for c in counts) / (samples - 1) if samples > 1 else 0.0
         stderr = math.sqrt(var / samples)
@@ -581,12 +488,13 @@ def f_estimate(
     sft: SftSpec | None = None,
     distance_mode: str = "window",
     caps: Caps = Caps(),
-    threads: int = 1,
 ) -> EstimateResult:
     """Per-n growth-rate table (1/n) log E[count] of the labelings over
-    ``alphabet`` near ``target``, counted in up to ``threads`` processes.  A
-    zero mean is reported as -inf, not an error.
+    ``alphabet`` near ``target``.  A zero mean is reported as -inf, not an
+    error.  The mode and sample count are checked before any row, so an
+    empty ``n_list`` rejects them too.
     """
+    _check_mode(mode, samples)
     if any(n < 1 for n in n_list):
         raise InputError(f"every n must be >= 1, got {list(n_list)}")
     if sft is not None and sft.alphabet is not None and not set(alphabet) <= set(sft.alphabet):
@@ -603,10 +511,7 @@ def f_estimate(
                     "exact statistics are unattainable and counts will be 0"
                 )
     rows = [
-        expected_count(
-            ctx, n, alphabet, nbhd, mode=mode, samples=samples, seed=derive_seed(seed, n), caps=caps,
-            threads=threads,
-        )
+        expected_count(ctx, n, alphabet, nbhd, mode=mode, samples=samples, seed=derive_seed(seed, n), caps=caps)
         for n in n_list
     ]
     return EstimateResult(tuple(rows), tuple(warnings))

@@ -20,8 +20,8 @@ from finvariant import (
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """No test leaves a child process behind: a helper that ``f-estimate
-    --threads`` forked, and that its caller did not reap, fails the test."""
+    """No test leaves a child process behind: a child that the test started
+    and did not reap fails it."""
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -266,23 +266,21 @@ class TestFEstimate:
 
     @pytest.mark.parametrize("overrides", [
         # counts that differ from action to action
-        {"samples": 2, "window": 1, "epsilon": "37/20"},  # fewer samples than workers at --threads 3
-        {"samples": 5, "window": 1, "epsilon": "37/20"},  # not a multiple of 2 or 3 workers
+        {"samples": 2, "window": 1, "epsilon": "37/20"},
+        {"samples": 5, "window": 1, "epsilon": "37/20"},
         {"window": 1, "epsilon": "37/20", "n_list": [3], "mode": "exact"},  # n!^r enumeration
         {"mode": "exact"},  # the type route
     ], ids=["mc_2_samples", "mc_5_samples", "exact_enumeration", "exact_by_type"])
-    def test_thread_count_does_not_change_bytes(self, half_weight_file, tmp_path, monkeypatch, capsys, overrides):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(counting, "FORK_AFTER", 0)  # these short counts would not fork otherwise
+    def test_thread_count_does_not_change_bytes(self, half_weight_file, tmp_path, capsys, overrides):
         cfg = self._config(tmp_path, half_weight_file, **overrides)
         printed, written = set(), set()
-        for threads in ([], ["--threads", "1"], ["--threads", "2"], ["--threads", "3"]):
+        for threads in ([], ["--threads", "1"], ["--threads", "2"], ["--threads", "3"], ["--threads", "100000"]):
             assert main(["f-estimate", "--config", cfg, *threads]) == 0
             printed.add(capsys.readouterr().out)
             out = tmp_path / "out.csv"
             assert main(["f-estimate", "--config", cfg, *threads, "--out", str(out)]) == 0
             written.add(out.read_bytes())
-        # one csv, printed once: no helper flushed a copy of the output
+        # one csv, printed once
         assert len(printed) == 1 and len(written) == 1
         (text,) = printed
         assert text.encode() in written and text.count("# config_hash") == 1
@@ -290,13 +288,11 @@ class TestFEstimate:
             os.waitpid(-1, os.WNOHANG)
 
     def test_a_command_with_helpers_prints_its_csv_once(self, half_weight_file, tmp_path):
-        # a real process, whose stdout is a block-buffered pipe: a helper
-        # that flushed or ran on would print a second copy.  It forks before
-        # counting, as these short counts would not fork otherwise
+        # a real process, whose stdout is a block-buffered pipe, prints one
+        # copy of its csv whatever --threads says
         cfg = self._config(tmp_path, half_weight_file, samples=5, window=1, epsilon="37/20")
         env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")}
-        code = ("import sys; from finvariant import cli, counting; "
-                "counting.FORK_AFTER = 0; sys.exit(cli.main(sys.argv[1:]))")
+        code = "import sys; from finvariant import cli; sys.exit(cli.main(sys.argv[1:]))"
         outs = [
             subprocess.run([sys.executable, "-c", code, "f-estimate", "--config", cfg, "--threads", t],
                            env=env, capture_output=True, text=True, check=True, timeout=60).stdout
@@ -304,15 +300,17 @@ class TestFEstimate:
         ]
         assert outs[0] == outs[1] and outs[0].count("# config_hash") == 1
 
-    def test_threads_100000_forks_at_most_one_helper_per_core(self, half_weight_file, tmp_path, monkeypatch):
-        monkeypatch.setattr(counting, "FORK_AFTER", 0)
+    def test_threads_3_forks_nothing_on_a_long_row(self, half_weight_file, tmp_path, monkeypatch, capsys):
+        # a uniform radius-1 target at n = 14 with 8 samples: a row of about
+        # 0.13 s, yet even a count this long is serial
+        cfg = self._config(tmp_path, half_weight_file, window=1, epsilon="5/4", n_list=[14], samples=8)
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        cores = len(os.sched_getaffinity(0))
-        cfg = self._config(tmp_path, half_weight_file, samples=3, n_list=[3])
-        assert main(["f-estimate", "--config", cfg, "--threads", "100000", "--out", str(tmp_path / "o.csv")]) == 0
-        assert len(forks) == min(3, cores) - 1
+        assert main(["f-estimate", "--config", cfg]) == 0
+        serial = capsys.readouterr().out
+        assert main(["f-estimate", "--config", cfg, "--threads", "3"]) == 0
+        assert capsys.readouterr().out == serial and forks == []
 
     def test_seed_flag_overrides_the_config_seed(self, half_weight_file, tmp_path, capsys):
         # --seed 7 on a seed-9 config prints what the seed-7 config prints, hash line included
@@ -418,8 +416,12 @@ class TestFEstimate:
             {"sft": {"builtin": "z_rho"}},
             # every labeling is near the target, so each meets the constraint
             {"sft": {"builtin": "z_rho", "rho": 1}, "epsilon": 2},
+            # checked before any row, so an empty n_list still rejects them
+            {"mode": "bogus", "n_list": []},
+            {"mode": "monte_carlo", "samples": -4, "n_list": []},
         ],
-        ids=["window_abc", "n_list_int", "n_zero", "n_negative", "z_rho_no_rho", "z_rho_binary"],
+        ids=["window_abc", "n_list_int", "n_zero", "n_negative", "z_rho_no_rho", "z_rho_binary",
+             "mode_bogus_no_rows", "samples_negative_no_rows"],
     )
     def test_malformed_config_exits_2(self, half_weight_file, tmp_path, capsys, overrides):
         cfg = self._config(tmp_path, half_weight_file, **overrides)

@@ -3,9 +3,7 @@ growth-rate table."""
 
 import functools
 import math
-import os
 import random
-import threading
 import time
 from fractions import Fraction
 from itertools import product
@@ -29,7 +27,6 @@ from finvariant import (
     count_omega,
     enumerate_actions,
     expected_count,
-    f_estimate,
     marginal_distribution,
     sample_action,
     sft_check_all,
@@ -566,170 +563,6 @@ class TestExpectedCount:
             expected_count(
                 CTX2, 5, ("0", "1"), nbhd, mode="exact", caps=Caps(exact_actions=100)
             )
-
-
-@pytest.fixture
-def three_cores(monkeypatch):
-    # three workers fit on any host; the tests fork at most two helpers
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-
-
-@pytest.mark.usefixtures("three_cores")
-class TestCountingProcesses:
-    """``threads`` > 1 counts in forked helpers; the rows, and the errors,
-    are those of a serial run, and no helper outlives the call (the
-    ``no_child_left`` check)."""
-
-    # counts that differ from action to action
-    NBHD = Neighborhood(target=TARGET_B1, epsilon=Fraction(37, 20))
-
-    @pytest.fixture(autouse=True)
-    def fork_at_once(self, monkeypatch):
-        # the helpers fork before the caller counts anything
-        monkeypatch.setattr(counting, "FORK_AFTER", 0)
-
-    @pytest.mark.parametrize("samples", [1, 2, 5, 6])
-    def test_monte_carlo_rows_do_not_depend_on_threads(self, samples):
-        rows = [
-            expected_count(CTX2, 4, BINARY, self.NBHD, mode="monte_carlo", samples=samples, seed=3, threads=t)
-            for t in (1, 2, 3, 100000)
-        ]
-        assert len(set(rows)) == 1
-
-    def test_enumeration_sums_do_not_depend_on_threads(self):
-        rows = [expected_count(CTX2, 3, BINARY, self.NBHD, mode="exact", threads=t) for t in (1, 2, 3)]
-        walked = sum(count_omega(CTX2, a, BINARY, self.NBHD) for a in enumerate_actions(3, 2))
-        assert len(set(rows)) == 1 and rows[0].mean_count == walked / 36
-
-    def test_fork_calls_are_at_most_workers_minus_one(self, monkeypatch):
-        forks = []
-        fork = os.fork
-
-        def counted():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
-        for samples, workers in ((1, 1), (2, 2), (7, 3)):
-            forks.clear()
-            expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=samples, threads=100000)
-            assert len(forks) == workers - 1
-
-    def test_with_other_threads_running_the_caller_counts_alone(self, monkeypatch):
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        serial = expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5)
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait, args=(60,))
-        waiter.start()
-        try:
-            row = expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3)
-        finally:
-            release.set()
-            waiter.join(60)
-        assert not waiter.is_alive()
-        assert row == serial and forks == []
-
-    @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
-    def test_a_count_failing_in_a_helper_is_recounted_by_the_caller(self, monkeypatch, mode):
-        serial = expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=5, threads=1)
-        caller = os.getpid()
-
-        def caller_only(*args):
-            if os.getpid() != caller:
-                raise MemoryError("only in a helper")
-            return count_omega(*args)
-
-        monkeypatch.setattr(counting, "count_omega", caller_only)
-        assert expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=5, threads=3) == serial
-
-    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-    def test_a_caller_that_raises_kills_and_reaps_its_helpers(self, monkeypatch, error):
-        caller = os.getpid()
-
-        def helpers_only(*args):
-            if os.getpid() == caller:
-                raise error("in the caller")
-            return count_omega(*args)
-
-        monkeypatch.setattr(counting, "count_omega", helpers_only)
-        with pytest.raises(error, match="in the caller"):
-            expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3)
-
-    def test_an_interrupt_just_after_a_reap_leaves_that_helper_alone(self, monkeypatch):
-        wait, kill = os.waitpid, os.kill
-        reaped, killed = [], []
-
-        def interrupted_once(pid, options):
-            got = wait(pid, options)
-            if options == 0 and not reaped:
-                reaped.append(pid)
-                raise KeyboardInterrupt("just reaped")
-            return got
-
-        monkeypatch.setattr(os, "waitpid", interrupted_once)
-        monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid) or kill(pid, sig))
-        with pytest.raises(KeyboardInterrupt, match="just reaped"):
-            expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3)
-        assert reaped and reaped[0] not in killed
-
-    def test_without_fork_the_caller_counts_alone(self, monkeypatch):
-        serial = expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5)
-        monkeypatch.delattr(os, "fork")
-        assert expected_count(CTX2, 3, BINARY, self.NBHD, mode="monte_carlo", samples=5, threads=3) == serial
-
-
-@pytest.mark.usefixtures("three_cores")
-class TestForkThreshold:
-    """The caller counts serially until FORK_AFTER seconds have passed with
-    two items left, and deals the rest: short counts fork nothing, and the
-    rows never depend on where the deal starts."""
-
-    NBHD = TestCountingProcesses.NBHD
-
-    def test_a_short_estimate_forks_nothing(self, monkeypatch):
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        run = functools.partial(f_estimate, CTX2, TARGET_B1, BINARY, Fraction(37, 20), [3, 4], samples=6, seed=2,
-                                threads=2)
-        rows = run()
-        assert forks == []
-        monkeypatch.setattr(counting, "FORK_AFTER", 0)
-        assert run() == rows and len(forks) == 2  # one helper per n
-
-    @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
-    def test_rows_do_not_depend_on_threads_or_threshold(self, monkeypatch, mode):
-        rows = set()
-        for after in (0, math.inf):
-            monkeypatch.setattr(counting, "FORK_AFTER", after)
-            rows |= {expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=7, seed=5, threads=t)
-                     for t in (1, 2, 3)}
-        assert len(rows) == 1
-
-    @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
-    def test_a_deal_after_serial_counts_matches_a_serial_run(self, monkeypatch, mode):
-        serial = expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=11, seed=5)
-        counted, forks = [], []  # the caller's counts, and how many preceded each fork
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(len(counted)) or fork())
-        # a clock that each count moves on by 1 ms: the 4 counts before 3.5 ms are serial
-        clock = [0.0]
-        monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
-
-        def timed(*args):
-            clock[0] += 0.001
-            counted.append(1)
-            return count_omega(*args)
-
-        monkeypatch.setattr(counting, "count_omega", timed)
-        monkeypatch.setattr(counting, "FORK_AFTER", 0.0035)
-        assert expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=11, seed=5, threads=3) == serial
-        # the helpers go on from the caller's iterator; of the 7 samples or 32
-        # actions left, the caller counts the smallest share, 2 or 10
-        assert forks == [4, 4]
-        assert len(counted) == 4 + (2 if mode == "monte_carlo" else 10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 300])

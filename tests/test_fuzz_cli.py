@@ -10,11 +10,10 @@ type, writes huge or negative integers, NaN or infinity, repeats a key in the
 raw text, or empties an alphabet or leaves one symbol in it.  Most
 ``f-estimate`` examples instead keep their config valid and draw ``n_list``,
 ``samples`` and ``seed`` from small ranges, so they reach the counting
-kernel; ``f-estimate`` runs with ``--threads`` 1, 2 or 3, so some of them
-count in forked helpers.  Every call must
-return 0-3 or exit 2 through argparse, raise nothing else and finish within
-``CALL_SECONDS``.  It runs derandomised, so the examples are the same on
-every run.
+kernel; ``f-estimate`` runs with ``--threads`` 1, 2 or 3, which it accepts
+and ignores.  Every call must return 0-3 or exit 2 through argparse, raise
+nothing else and finish within ``CALL_SECONDS``.  It runs derandomised, so
+the examples are the same on every run.
 
 A sampler's ``budget`` and ``restarts``, a sampled configuration's ``rho``
 and a Monte Carlo ``samples`` count are the user's own work: a huge one asks
@@ -174,7 +173,7 @@ def mutated_inputs(draw):
     name = draw(st.sampled_from(sorted(EXAMPLES)))
     argv, files = EXAMPLES[name]
     if name.startswith("f_estimate"):
-        # one to three counting processes, so the counts reach the forked helpers
+        # the flag is accepted and ignored; drawing it keeps it accepted
         argv = argv + ["--threads", str(draw(st.sampled_from([1, 2, 3])))]
         if draw(st.integers(0, 3)):
             # a valid config: n_list, samples and seed redrawn from ranges small enough for exact mode

@@ -19,8 +19,7 @@ is set by the object that owns it, not passed in or written from outside.
 The JSON keys ``"num"`` and ``"den"`` of an exact probability appear in one
 module only, the one that holds its reader and writer.  Importing the CLI in
 a fresh interpreter loads none of the process-pool, pickling or socket
-modules: counting forks its helpers itself, and every import adds to each
-command's start-up.  The functions
+modules: every import adds to each command's start-up.  The functions
 ``perfbench/spans.py`` wraps by name must stay where it looks for them, and
 README's library table may name only modules and attributes that exist.
 """

@@ -3,7 +3,10 @@ growth-rate table."""
 
 import functools
 import math
+import os
 import random
+import statistics
+import threading
 import time
 from fractions import Fraction
 from itertools import product
@@ -27,11 +30,13 @@ from finvariant import (
     count_omega,
     enumerate_actions,
     expected_count,
+    f_estimate,
     marginal_distribution,
     sample_action,
     sft_check_all,
 )
 
+from finvariant.actions import derive_seed
 from finvariant.sft import bfs_vertex_order
 from paper_objects import bernoulli_weight, empirical_distribution, nn_spec, weight_estimate
 from test_weights import reversible_weight
@@ -563,6 +568,122 @@ class TestExpectedCount:
             expected_count(
                 CTX2, 5, ("0", "1"), nbhd, mode="exact", caps=Caps(exact_actions=100)
             )
+
+
+class TestSerialCounting:
+    """Averaging counts one action at a time in the calling process: the
+    Monte Carlo row is the mean over the per-index seeds, exact enumeration
+    counts every action once, and an error in a count reaches the caller
+    as it was raised."""
+
+    # counts that differ from action to action
+    NBHD = Neighborhood(target=TARGET_B1, epsilon=Fraction(37, 20))
+
+    @staticmethod
+    def _spy(monkeypatch):
+        seen = []
+        count = counting.count_omega
+
+        def spied(ctx, action, *args):
+            seen.append(action)
+            return count(ctx, action, *args)
+
+        monkeypatch.setattr(counting, "count_omega", spied)
+        return seen
+
+    @pytest.mark.parametrize("samples", [1, 2, 5, 6])
+    def test_monte_carlo_rows_are_the_per_index_means(self, samples):
+        row = expected_count(CTX2, 4, BINARY, self.NBHD, mode="monte_carlo", samples=samples, seed=3)
+        # drawn last index first: a draw depends on its own index alone
+        counts = [
+            count_omega(CTX2, sample_action(4, 2, derive_seed(3, idx)), BINARY, self.NBHD)
+            for idx in reversed(range(samples))
+        ][::-1]
+        assert row.samples == samples and row.mean_count == sum(counts) / samples
+        assert row.log_mean_over_n == math.log(row.mean_count) / 4
+        spread = statistics.stdev(counts) / math.sqrt(samples) if samples > 1 else 0.0
+        assert row.stderr == pytest.approx(spread, rel=1e-12, abs=0.0)
+
+    def test_monte_carlo_draws_come_in_index_order(self, monkeypatch):
+        seen = self._spy(monkeypatch)
+        expected_count(CTX2, 4, BINARY, self.NBHD, mode="monte_carlo", samples=6, seed=3)
+        assert seen == [sample_action(4, 2, derive_seed(3, idx)) for idx in range(6)]
+        assert len({count_omega(CTX2, a, BINARY, self.NBHD) for a in seen}) > 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_enumeration_counts_every_action_once(self, monkeypatch, n):
+        seen = self._spy(monkeypatch)
+        row = expected_count(CTX2, n, BINARY, self.NBHD, mode="exact")
+        assert seen == list(enumerate_actions(n, 2))
+        walked = sum(counting.count_omega(CTX2, a, BINARY, self.NBHD) for a in list(seen))
+        assert row.samples == math.factorial(n) ** 2 and row.mean_count == walked / row.samples
+
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt, MemoryError])
+    def test_an_error_in_a_count_reaches_the_caller(self, monkeypatch, mode, error):
+        nbhd = Neighborhood(target=TARGET_B1, epsilon=Fraction(37, 20))
+        before = expected_count(CTX2, 3, BINARY, nbhd, mode=mode, samples=5, seed=5)
+        calls = []
+        count = counting.count_omega
+
+        def third_fails(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise error("in the third count")
+            return count(*args)
+
+        monkeypatch.setattr(counting, "count_omega", third_fails)
+        with pytest.raises(error, match="in the third count"):
+            expected_count(CTX2, 3, BINARY, nbhd, mode=mode, samples=5, seed=5)
+        assert len(calls) == 3
+        # the neighborhood's cached set-up is left whole
+        monkeypatch.setattr(counting, "count_omega", count)
+        assert expected_count(CTX2, 3, BINARY, nbhd, mode=mode, samples=5, seed=5) == before
+
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact"])
+    def test_counting_starts_no_process(self, monkeypatch, mode):
+        serial = expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=7, seed=5)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("counting started a process")
+
+        for name in ("fork", "posix_spawn", "posix_spawnp"):
+            if hasattr(os, name):
+                monkeypatch.setattr(os, name, refused)
+        assert expected_count(CTX2, 3, BINARY, self.NBHD, mode=mode, samples=7, seed=5) == serial
+
+    def test_rows_counted_in_two_threads_match_a_serial_run(self):
+        # both threads build and read one neighborhood's set-up cache
+        nbhd = Neighborhood(target=TARGET_B1, epsilon=Fraction(37, 20))
+        serial = expected_count(CTX2, 4, BINARY, self.NBHD, mode="monte_carlo", samples=6, seed=3)
+        rows, start = [], threading.Barrier(2, timeout=60)
+
+        def run():
+            start.wait()
+            rows.append(expected_count(CTX2, 4, BINARY, nbhd, mode="monte_carlo", samples=6, seed=3))
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert rows == [serial, serial]
+
+    def test_the_label_cap_is_checked_before_any_draw(self, monkeypatch):
+        drawn = []
+        sample = counting.sample_action
+        monkeypatch.setattr(counting, "sample_action", lambda *args: drawn.append(args) or sample(*args))
+        with pytest.raises(ResourceCapError):
+            expected_count(CTX2, 4, BINARY, self.NBHD, mode="monte_carlo", samples=6, caps=Caps(labelings=15))
+        assert drawn == []
+
+    def test_f_estimate_rows_take_one_derived_seed_per_n(self):
+        result = f_estimate(CTX2, TARGET_B1, BINARY, Fraction(37, 20), [3, 4], samples=6, seed=2)
+        assert result.rows == tuple(
+            expected_count(CTX2, n, BINARY, self.NBHD, mode="monte_carlo", samples=6, seed=derive_seed(2, n))
+            for n in (3, 4)
+        )
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 300])

@@ -28,14 +28,7 @@ from fractions import Fraction
 
 from .actions import FiniteAction, sample_action
 from .counting import Caps, f_estimate
-from .errors import (
-    FinvariantError,
-    InputError,
-    ResourceCapError,
-    VerificationError,
-    WindowError,
-    as_int,
-)
+from .errors import InputError, ResourceCapError, VerificationError, WindowError, as_int
 from .freegroup import FreeGroupCtx, inv
 from .orbitmaps import (
     Automorphism,
@@ -89,9 +82,8 @@ def _unique_keys(pairs: list) -> dict:
 def _load_json(path: str, unique_keys: bool = True) -> dict:
     """The JSON object in a file; every file the commands read holds one.
     A repeated key in any of its objects is an input error, unless
-    ``unique_keys`` is off: a marginals file, whose entries
-    ``PatternDistribution.from_json`` checks, can be large enough that the
-    check would add a fifth to reading it."""
+    ``unique_keys`` is off: a marginals file can be large enough that any
+    ``object_pairs_hook`` would add a third or more to reading it."""
     # open() would take an integer (or a bool) as a file descriptor and read
     # standard input for 0
     if not isinstance(path, str):
@@ -221,8 +213,8 @@ def cmd_f_estimate(args) -> int:
             raise InputError(f"window {config['window']!r} differs from the marginals' window_radius {window}")
     caps = Caps(exact_actions=args.cap_exact, labelings=args.cap_labels)
     sft = None
-    if config.get("sft"):
-        raw = config["sft"]
+    # only an absent key or null means no constraint system: false or {} is malformed
+    if (raw := config.get("sft")) is not None:
         sft = SftSpec.from_json(ctx, _load_json(raw) if isinstance(raw, str) else raw)
     epsilon = _parse_epsilon(config["epsilon"])
     n_list = [as_int(n, "an n_list entry") for n in config["n_list"]]
@@ -232,6 +224,10 @@ def cmd_f_estimate(args) -> int:
     if "weight" in config:
         target = marginal_distribution(weight, ctx.ball(window))
         alphabet = weight.alphabet
+    if mode == "monte_carlo" and len(alphabet) < 2:
+        # one symbol has one labeling, so the |A|^n cap bounds no draw
+        for n in n_list:
+            _check_sampled_n(n)
     result = f_estimate(
         ctx,
         target,
@@ -263,6 +259,12 @@ def cmd_f_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_sampled_n(n: int) -> None:
+    """Raise unless an action of n vertices is small enough to sample."""
+    if n > MAX_CLI_SAMPLED_N:
+        raise ResourceCapError(f"cli caps a sampled action's n at {MAX_CLI_SAMPLED_N}")
+
+
 def _resolve_action(ctx: FreeGroupCtx, config: dict) -> FiniteAction:
     spec = config.get("sigma") or config.get("action")
     if not isinstance(spec, dict):
@@ -275,8 +277,7 @@ def _resolve_action(ctx: FreeGroupCtx, config: dict) -> FiniteAction:
     n = as_int(spec.get("n", config.get("n", 0)), "the action's n")
     if n < 1:
         raise InputError("action needs n >= 1")
-    if n > MAX_CLI_SAMPLED_N:
-        raise ResourceCapError(f"cli caps a sampled action's n at {MAX_CLI_SAMPLED_N}")
+    _check_sampled_n(n)
     seed = spec.get("seed", config.get("seed"))
     if seed is None:
         raise InputError("a seed is mandatory for randomized commands")
@@ -399,8 +400,9 @@ def cmd_rearrange(args) -> int:
     lines.append(f"homomorphism_property: {'PASS' if multiplicative else 'FAIL'}")
 
     y_alphabet = config.get("y_alphabet")
-    if y_alphabet:
-        if not isinstance(y_alphabet, list) or any(isinstance(a, (list, dict)) for a in y_alphabet):
+    if y_alphabet is not None:
+        # an empty list has no symbol to draw
+        if not isinstance(y_alphabet, list) or not y_alphabet or any(isinstance(a, (list, dict)) for a in y_alphabet):
             raise InputError(f"y_alphabet must be a list of symbols, got {y_alphabet!r}")
         seed = config.get("y_seed", config.get("seed"))
         if seed is None:
@@ -536,23 +538,22 @@ def cmd_weight_tools(args) -> int:
         _emit(json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n", args.out)
         sys.stdout.write(f"distance: {_fmt(dist)} (bound {_fmt(bound)})\n")
         return 0
-    if action == "markovize":
-        data = _load_json(args.marginals, unique_keys=False)
-        ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
-        dist = PatternDistribution.from_json(ctx, data)
-        weight = markovize(ctx, dist)
-        value = F_value(weight)
-        _emit(json.dumps(weight.to_json(), indent=2, sort_keys=True) + "\n", args.out)
-        sys.stdout.write(f"f_nats: {_fmt(float(value))}\n")
-        if args.weight:
-            reference = _load_weight(args.weight)
-            _ctx_for_rank(reference.rank)  # the cli's rank cap
-            ref_value = F_value(reference)
-            delta = abs(float(value) - float(ref_value))
-            sys.stdout.write(f"reference_f_nats: {_fmt(float(ref_value))}\n")
-            sys.stdout.write(f"f_delta: {_fmt(delta)}\n")
-        return 0
-    raise InputError(f"unknown weight-tools action {action!r}")
+    # markovize: argparse admits only the four actions
+    data = _load_json(args.marginals, unique_keys=False)
+    ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
+    dist = PatternDistribution.from_json(ctx, data)
+    weight = markovize(ctx, dist)
+    value = F_value(weight)
+    _emit(json.dumps(weight.to_json(), indent=2, sort_keys=True) + "\n", args.out)
+    sys.stdout.write(f"f_nats: {_fmt(float(value))}\n")
+    if args.weight:
+        reference = _load_weight(args.weight)
+        _ctx_for_rank(reference.rank)  # the cli's rank cap
+        ref_value = F_value(reference)
+        delta = abs(float(value) - float(ref_value))
+        sys.stdout.write(f"reference_f_nats: {_fmt(float(ref_value))}\n")
+        sys.stdout.write(f"f_delta: {_fmt(delta)}\n")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +618,11 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3
-    except (VerificationError,) as exc:
+    except VerificationError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 1
-    except (InputError,) as exc:
+    except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    except FinvariantError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

@@ -128,10 +128,11 @@ def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, ca
     float is read as the exact dyadic rational it is), so T = n d t is an
     integer.  Returns each statistic's window with its T per code of a key
     inside the alphabet, the T summed over the keys outside it (no labeling
-    shows them, so they always count in full), d and the integer membership
-    limit.  T is a dict of the codes the target lists: a wide window has too
-    many codes to list them all.  Last come ``_orbit_weights`` under the
-    forbidden patterns whose symbols all lie in the alphabet.
+    shows them, so they always count in full), d, the integer membership
+    limit and the forbidden patterns whose symbols all lie in the alphabet, as
+    ``banned`` (domain, symbol indices) pairs.  T is a dict of the codes the
+    target lists: a wide window has too many codes to list them all.  Last
+    come ``_orbit_weights`` under ``banned``.
     """
     _check_labelings(n, alphabet, caps)
     at = (ctx.rank, n, tuple(alphabet))
@@ -163,7 +164,7 @@ def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, ca
             groups.append((t.window, target))
         forbidden = () if nbhd.sft is None else nbhd.sft.forbidden
         banned = {(w.domain, tuple(index[x] for x in w.values)) for w in forbidden if all(x in index for x in w.values)}
-        setup = groups, unseen, d, limit, _orbit_weights(q, groups, banned)
+        setup = groups, unseen, d, limit, banned, _orbit_weights(q, groups, banned)
     nbhd._setups[at] = setup
     return setup
 
@@ -200,7 +201,7 @@ def count_omega(
     setup = _setup(ctx, n, alphabet, nbhd, caps)
     if setup is None:
         return 0
-    groups, unseen, d, limit, weight = setup
+    groups, unseen, d, limit, banned, weight = setup
     spec = nbhd.sft
     q = len(alphabet)
     order = bfs_vertex_order(action)
@@ -250,28 +251,23 @@ def count_omega(
     # and (earlier position, table) per neighbor, where table[a][b] bans
     # symbol a here beside symbol b there
     bans = [None] * n
-    pairs = None if spec is None else spec.forbidden_pairs
-    if pairs:
-        index = {a: k for k, a in enumerate(alphabet)}
-        tables = {}
-        for a, b, i in pairs:
-            if a in index and b in index:
-                for v, w in enumerate(action.letter_perm(-i)):
-                    # x(v) = a beside x(sigma(s_i)^-1 v) = b, banned at the later position
-                    here, there, x, y = pos[v], pos[w], index[a], index[b]
-                    if here < there:
-                        here, there, x, y = there, here, y, x
-                    if bans[here] is None:
-                        bans[here] = [False] * q, []
-                    if here == there:
-                        bans[here][0][x] |= x == y
-                        continue
-                    if (here, there) not in tables:
-                        tables[here, there] = [[False] * q for _ in range(q)]
-                        bans[here][1].append((there, tables[here, there]))
-                    tables[here, there][x][y] = True
-    if dist + low > limit:
-        return 0
+    tables = {}
+    for i in range(1, ctx.rank + 1):
+        for a, b in [v for dom, v in banned if dom == ((), (i,))]:
+            for v, w in enumerate(action.letter_perm(-i)):
+                # x(v) = a beside x(sigma(s_i)^-1 v) = b, banned at the later position
+                here, there, x, y = pos[v], pos[w], a, b
+                if here < there:
+                    here, there, x, y = there, here, y, x
+                if bans[here] is None:
+                    bans[here] = [False] * q, []
+                if here == there:
+                    bans[here][0][x] |= x == y
+                    continue
+                if (here, there) not in tables:
+                    tables[here, there] = [[False] * q for _ in range(q)]
+                    bans[here][1].append((there, tables[here, there]))
+                tables[here, there][x][y] = True
     if not n:
         return int(spec is None or sft_check_all(spec, action, []))
     if not all(weight):  # the first position tries one symbol per orbit
@@ -381,19 +377,19 @@ def _count_by_type(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighbor
     times a convolution of ``_pair_law``s.  Table i is at least its row
     mismatch sum_a |k_a d - sum_b T_ab| away: these floors prune the types,
     and the laws run over the excess above them."""
-    pairs = frozenset() if nbhd.sft is None else nbhd.sft.forbidden_pairs
-    if pairs is None or (nbhd.mode == "window" and nbhd.target.window != ((),)):
+    spec = nbhd.sft
+    if (spec is not None and spec.forbidden_pairs is None) or (nbhd.mode == "window" and nbhd.target.window != ((),)):
         return None
     setup = _setup(ctx, n, alphabet, nbhd, caps)
     if setup is None:
         return 0
-    groups, unseen, d, limit, _ = setup
+    groups, unseen, d, limit, banned, _ = setup
     limit -= unseen  # the keys outside the alphabet always count in full
-    q, index = len(alphabet), {a: j for j, a in enumerate(alphabet)}
+    q = len(alphabet)
     cells = {w[1][0]: [[t.get(a + q * b, 0) for b in range(q)] for a in range(q)] for w, t in groups if len(w) == 2}
     # T summed per vertex symbol: the radius-0 statistic, each table's row sums
     rows = {i: list(map(sum, t)) for i, t in cells.items()} if cells else {0: [groups[0][1].get(a, 0) for a in range(q)]}
-    bans = [{(index.get(a), index.get(b)) for a, b, j in pairs if j == i} for i in range(ctx.rank + 1)]
+    bans = [{v for dom, v in banned if dom == ((), (i,))} for i in range(ctx.rank + 1)]
     fact = list(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))  # 0!, ..., n!
     acc = 0
     for k, low in _splits(n, [n] * q, lambda a, m: sum(abs(m * d - t[a]) for t in rows.values()), limit):

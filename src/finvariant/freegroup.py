@@ -22,11 +22,9 @@ Word = tuple  # reduced word as a tuple of signed letter indices
 
 IDENTITY: Word = ()
 
-MAX_BALL_WORDS = 10**6  # the most words a ball may hold: a few hundred MB of tables
-# the most letters its words may hold together, bounded by words times
-# radius: above every rank >= 2 ball the word cap admits (4.7 million at rank
-# 3, radius 8), so at rank 1, where a million words would bound 5e11 letters,
-# it is the cap that binds
+# the most letters a ball's words may hold together, bounded by words times
+# radius; it also refuses every ball of more than a million words, so its
+# tables stay within a few hundred MB
 MAX_BALL_LETTERS = 5 * 10**6
 
 
@@ -72,12 +70,10 @@ def _ball_tables(rank: int, radius: int) -> tuple[tuple, tuple[Word, ...], dict[
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
-    # decided in closed form before anything is built; past the word cap's
-    # bit length a rank >= 2 ball is too large, so no power is built
+    # decided in closed form before anything is built; past the cap's bit
+    # length a rank >= 2 ball is too large, so no power is built
     ctx = FreeGroupCtx(rank)
-    if (rank > 1 and radius >= MAX_BALL_WORDS.bit_length()) or ctx.ball_size(radius) > MAX_BALL_WORDS:
-        raise ResourceCapError(f"ball of radius {radius} exceeds a million words")
-    if ctx.ball_size(radius) * radius > MAX_BALL_LETTERS:
+    if (rank > 1 and radius >= MAX_BALL_LETTERS.bit_length()) or ctx.ball_size(radius) * radius > MAX_BALL_LETTERS:
         raise ResourceCapError(f"ball of radius {radius} may exceed five million letters")
     letters = [sign * i for i in range(1, rank + 1) for sign in (1, -1)]
     entries: list[tuple[Word, int, int]] = [(IDENTITY, -1, 0)]

@@ -419,9 +419,15 @@ class TestFEstimate:
             # checked before any row, so an empty n_list still rejects them
             {"mode": "bogus", "n_list": []},
             {"mode": "monte_carlo", "samples": -4, "n_list": []},
+            {"distance_mode": "bogus"},
+            {"epsilon": "-1"},
+            # a window-0 marginal has no {e, s_i} pair to project on
+            {"distance_mode": "edge_star"},
+            {"distance_mode": "edge_star", "mode": "exact"},
         ],
         ids=["window_abc", "n_list_int", "n_zero", "n_negative", "z_rho_no_rho", "z_rho_binary",
-             "mode_bogus_no_rows", "samples_negative_no_rows"],
+             "mode_bogus_no_rows", "samples_negative_no_rows", "distance_mode_bogus", "epsilon_negative",
+             "edge_star_window_0_monte_carlo", "edge_star_window_0_exact"],
     )
     def test_malformed_config_exits_2(self, half_weight_file, tmp_path, capsys, overrides):
         cfg = self._config(tmp_path, half_weight_file, **overrides)
@@ -610,6 +616,9 @@ class TestRearrange:
         "rho_not_an_integer": ("rearrange", {"rho": "x"}),
         "action_n_not_an_integer": ("rearrange", {"sigma": {"n": "x", "seed": 1}}),
         "sampler_not_an_object": ("rearrange", {"x": {"sampler": 5}}),
+        "unrecognized_source": ("rearrange", {"x": {"foo": 1}}),
+        # the config has no seed for the y labels to draw with
+        "y_alphabet_without_a_seed": ("rearrange", {"y_alphabet": ["p"]}),
         "fewer_labels_than_vertices": ("sft-verify", {"x": [GOOD_SYMBOL]}),
         "more_labels_than_vertices": ("sft-verify", {"x": [GOOD_SYMBOL] * 3}),
     }
@@ -1307,10 +1316,16 @@ class TestFlags:
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["f-estimate", "rearrange", "sft-verify"])
+    def test_a_command_without_its_config_exits_2(self, capsys, command):
+        assert main([command]) == 2
+        assert capsys.readouterr().err == f"input error: {command} needs --config\n"
+
 
 class TestMalformedJsonShapes:
     """Each input below once escaped as a traceback with exit 1, the code of a
-    verification failure; a malformed input exits 2."""
+    verification failure, unless its comment says otherwise; a malformed
+    input exits 2."""
 
     SYMBOL = {"a": "a", "A": "A", "b": "b", "B": "B"}
     REARRANGE = {"rank": 2, "rho": 1, "sigma": {"n": 2, "seed": 1}, "x": [SYMBOL] * 2, "seed": 3}
@@ -1318,6 +1333,10 @@ class TestMalformedJsonShapes:
     ESTIMATE = {"window": 0, "epsilon": 0.1, "n_list": [3], "mode": "exact"}
     VALIDATE = ["weight-tools", "validate", "--weight", "w.json"]
     MARKOVIZE = ["weight-tools", "markovize", "--marginals", "m.json"]
+    RATIONALIZE = ["weight-tools", "rationalize", "--weight", "w.json"]
+    ESTIMATE_ARGV = ["f-estimate", "--config", "c.json"]
+    ONE_SYMBOL = {"rank": 2, "alphabet": ["0"], "vertex": {"0": 1},
+                  "edge": [{"from": "0", "to": "0", "gen": i, "p": 1} for i in (1, 2)]}
     CASES = {
         "weight_vertex_list": (VALIDATE, {"w.json": {"vertex": []}}),
         "weight_alphabet_holds_a_list": (VALIDATE, {"w.json": {"alphabet": [["0"], "1"]}}),
@@ -1355,6 +1374,32 @@ class TestMalformedJsonShapes:
         ),
         "rearrange_config_array": (["rearrange", "--config", "c.json"], {"c.json": [REARRANGE]}),
         "sft_verify_config_array": (["sft-verify", "--config", "c.json"], {"c.json": [REARRANGE]}),
+        # a falsy value was once read as an absent key and exited 0: counted
+        # with no constraint system, or rearranged with no y labels
+        "sft_false": (ESTIMATE_ARGV, {"c.json": {**ESTIMATE, "weight": "w.json", "sft": False}}),
+        "sft_zero": (ESTIMATE_ARGV, {"c.json": {**ESTIMATE, "weight": "w.json", "sft": 0}}),
+        "sft_empty_string": (ESTIMATE_ARGV, {"c.json": {**ESTIMATE, "weight": "w.json", "sft": ""}}),
+        "sft_empty_list": (ESTIMATE_ARGV, {"c.json": {**ESTIMATE, "weight": "w.json", "sft": []}}),
+        "sft_empty_object": (ESTIMATE_ARGV, {"c.json": {**ESTIMATE, "weight": "w.json", "sft": {}}}),
+        "y_alphabet_zero": (["rearrange", "--config", "c.json"], {"c.json": {**REARRANGE, "y_alphabet": 0}}),
+        "y_alphabet_empty_string": (["rearrange", "--config", "c.json"], {"c.json": {**REARRANGE, "y_alphabet": ""}}),
+        "y_alphabet_false": (["rearrange", "--config", "c.json"], {"c.json": {**REARRANGE, "y_alphabet": False}}),
+        "y_alphabet_empty_object": (["rearrange", "--config", "c.json"], {"c.json": {**REARRANGE, "y_alphabet": {}}}),
+        # an empty list has no symbol to draw from
+        "y_alphabet_empty_list": (["rearrange", "--config", "c.json"], {"c.json": {**REARRANGE, "y_alphabet": []}}),
+        # each exited 2 already, but no test ran it
+        "weight_rank_zero": (VALIDATE, {"w.json": {"rank": 0}}),
+        "marginals_radius_zero": (MARKOVIZE, {"m.json": {**MARGINALS, "window_radius": 0}}),
+        "rationalize_q_zero": (RATIONALIZE + ["--q", "0"], {}),
+        # the half weight is positive on the forbidden edge 0 -> 1
+        "rationalize_off_its_sft": (
+            RATIONALIZE + ["--sft", "s.json"],
+            {"s.json": {"alphabet": ["0", "1"], "forbidden": [{"": "0", "a": "1"}]}},
+        ),
+        "distance_across_alphabets": (
+            ["weight-tools", "distance", "--weight", "w.json", "--weight2", "v.json"],
+            {"v.json": ONE_SYMBOL},
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -1519,6 +1564,20 @@ class TestSampledActionCap:
         assert cli._resolve_action(CTX, spec).n == 2
         assert drawn == [cli.MAX_CLI_SAMPLED_N]
 
+    @pytest.mark.parametrize("n", [cli.MAX_CLI_SAMPLED_N + 1, 10**12], ids=["cap+1", "10^12"])
+    def test_a_one_symbol_monte_carlo_n_exits_3(self, tmp_path, monkeypatch, capsys, n):
+        # one symbol has one labeling, so the |A|^n cap never stopped these:
+        # n = 10^6 counted for 15 s, and 10^12 ran out of memory drawing its action
+        monkeypatch.setattr(counting, "sample_action", lambda *args: pytest.fail("an action was drawn"))
+        weight = tmp_path / "one.json"
+        weight.write_text(json.dumps(bernoulli_weight({"0": Fraction(1)}, 2).to_json()))
+        cfg = {"weight": str(weight), "window": 1, "epsilon": 0, "n_list": [n], "samples": 1, "seed": 0}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        t0 = time.perf_counter()
+        assert main(["f-estimate", "--config", str(tmp_path / "c.json")]) == 3
+        assert time.perf_counter() - t0 < 0.1
+        assert capsys.readouterr().err == f"resource cap: cli caps a sampled action's n at {cli.MAX_CLI_SAMPLED_N}\n"
+
 
 class TestCapsDecidedBeforeBuilding:
     """A cap once built, or printed, the number it bounds: exact mode at
@@ -1559,14 +1618,21 @@ class TestCapsDecidedBeforeBuilding:
             with pytest.raises(ResourceCapError):
                 counting._check_labelings(n, "01", caps)
 
+    def test_a_window_past_the_pattern_cap_exits_3(self, half_weight_file, tmp_path, capsys):
+        # the radius-5 ball holds 485 words, so its marginal would list 2^485 patterns
+        cfg = {"weight": half_weight_file, "window": 5, "epsilon": 1, "n_list": [2], "mode": "exact"}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["f-estimate", "--config", str(tmp_path / "c.json")]) == 3
+        assert capsys.readouterr().err == "resource cap: 2^485 window patterns exceed cap 4194304\n"
+
     def test_ball(self, capsys):
         t0 = time.perf_counter()
         assert main(["ball", "--rank", "2", "--radius", "10000000"]) == 3
         assert time.perf_counter() - t0 < 1.0
-        assert capsys.readouterr().err == "resource cap: ball of radius 10000000 exceeds a million words\n"
+        assert capsys.readouterr().err == "resource cap: ball of radius 10000000 may exceed five million letters\n"
 
-    # at rank 1 radius 499999 is 999 999 words under the word cap, but
-    # 2.5e11 letters: it once ran until the out-of-memory killer stopped it
+    # at rank 1 radius 499999 is 999 999 words, but 2.5e11 letters: under a
+    # cap on words alone it once ran until the out-of-memory killer stopped it
     LETTERS = "resource cap: ball of radius 499999 may exceed five million letters\n"
 
     def test_a_rank_1_ball_is_capped_by_its_letters(self, capsys):
@@ -1612,7 +1678,7 @@ class TestFuzzFound:
             (tmp_path / "c.json").write_text(json.dumps(cfg))
             argv = ["f-estimate", "--config", str(tmp_path / "c.json")]
         assert main(argv) == 3
-        assert capsys.readouterr().err == f"resource cap: ball of radius {10**400} exceeds a million words\n"
+        assert capsys.readouterr().err == f"resource cap: ball of radius {10**400} may exceed five million letters\n"
 
     def test_an_action_n_beyond_its_perms_exits_2(self, tmp_path, capsys):
         # list(range(10^400)) overflowed before the perms were compared with n

@@ -299,6 +299,12 @@ ORACLE_SYSTEMS = {
     "three_words": lambda alphabet: SftSpec(
         alphabet=tuple(alphabet), forbidden=(Pattern([(), (1,), (2,)], ["1", "0", "1"]),)
     ),
+    # a forbidden pair beside a wider pattern: the pair prunes the search in
+    # a system that is not nearest-neighbor, and the leaves check the rest
+    "pair_and_three_words": lambda alphabet: SftSpec(
+        alphabet=tuple(alphabet),
+        forbidden=(Pattern([(), (2,)], ["0", "1"]), Pattern([(), (1,), (2,)], ["1", "0", "1"])),
+    ),
 }
 
 

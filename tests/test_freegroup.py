@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finvariant import FreeGroupCtx, InputError, ResourceCapError, inv, mul, reduce_word
-from finvariant.freegroup import IDENTITY, MAX_BALL_LETTERS, MAX_BALL_WORDS, sort_words, word_sort_key
+from finvariant.freegroup import IDENTITY, MAX_BALL_LETTERS, sort_words, word_sort_key
 
 from paper_objects import past_window
 
@@ -119,15 +119,15 @@ class TestBall:
         assert set(ball) == brute_ball(rank, radius)
         assert len(ball) == ctx.ball_size(radius)
 
-    @pytest.mark.parametrize("rank", range(2, 27))
-    def test_the_letter_cap_admits_every_ball_the_word_cap_does(self, rank):
-        # decided in closed form: the largest ball under the word cap, and
-        # the next radius, which the word cap refuses
+    @pytest.mark.parametrize("rank", range(1, 27))
+    def test_the_letter_cap_refuses_every_ball_of_more_than_a_million_words(self, rank):
+        # decided in closed form: the least radius past a million words, from
+        # which every ball is larger still, and its words times radius
         ctx = FreeGroupCtx(rank)
         radius = 0
-        while ctx.ball_size(radius + 1) <= MAX_BALL_WORDS:
+        while ctx.ball_size(radius) <= 10**6:
             radius += 1
-        assert ctx.ball_size(radius) * radius <= MAX_BALL_LETTERS
+        assert ctx.ball_size(radius) * radius > MAX_BALL_LETTERS
 
     def test_at_rank_1_the_letter_cap_binds(self):
         # 3161 words of at most 1580 letters fit under five million; 3163 of 1581 do not

@@ -22,6 +22,9 @@ a fresh interpreter loads none of the process-pool, pickling or socket
 modules: every import adds to each command's start-up.  The functions
 ``perfbench/spans.py`` wraps by name must stay where it looks for them, and
 README's library table may name only modules and attributes that exist.
+Every ``FinvariantError`` subclass derives from ``InputError``,
+``VerificationError`` or ``ResourceCapError``, the three that ``cli.main``
+maps to exits 2, 1 and 3; it catches no other.
 """
 
 import ast
@@ -156,6 +159,35 @@ def modules_naming_rational_keys(package: pathlib.Path = PACKAGE) -> list:
         for name, tree in _modules(package).items()
         if any(isinstance(node, ast.Constant) and node.value in ("num", "den") for node in ast.walk(tree))
     ]
+
+
+EXIT_ERRORS = {"InputError", "VerificationError", "ResourceCapError"}
+
+
+def errors_without_an_exit(package: pathlib.Path = PACKAGE) -> list:
+    """The classes defined in ``package`` that derive from
+    ``FinvariantError`` but from none of the ``EXIT_ERRORS``, matched by the
+    names of their bases."""
+    bases = {
+        node.name: [base.id if isinstance(base, ast.Name) else getattr(base, "attr", None) for base in node.bases]
+        for tree in _modules(package).values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def ancestors(name):
+        seen, todo = set(), [name]
+        while todo:
+            for base in bases.get(todo.pop(), ()):
+                if base not in seen:
+                    seen.add(base)
+                    todo.append(base)
+        return seen
+
+    return sorted(
+        name for name in bases
+        if "FinvariantError" in ancestors(name) and name not in EXIT_ERRORS and not ancestors(name) & EXIT_ERRORS
+    )
 
 
 HEAVY_MODULES = ("multiprocessing", "concurrent", "subprocess", "pickle", "socket")
@@ -295,6 +327,23 @@ def test_the_check_sees_a_second_rational_reader(tmp_path):
     with open(tmp_path / "weights.py", "a", encoding="utf-8") as fh:
         fh.write('\n\ndef orphan(p):\n    return p["num"]\n')
     assert modules_naming_rational_keys(tmp_path) == ["shift.py", "weights.py"]
+
+
+def test_every_error_has_an_exit_code():
+    assert errors_without_an_exit() == []
+
+
+def test_the_check_sees_an_error_without_an_exit_code(tmp_path):
+    # one class derives from the base directly and one through it; a class
+    # under an exit error, however deep, passes
+    _copy_package(tmp_path)
+    _plant(
+        tmp_path / "errors.py",
+        '    """A configured size cap would be exceeded."""\n',
+        "\n\nclass OrphanError(FinvariantError):\n    pass\n\n\nclass DeepError(OrphanError):\n    pass\n"
+        "\n\nclass FineError(WindowError, ValueError):\n    pass\n",
+    )
+    assert errors_without_an_exit(tmp_path) == ["DeepError", "OrphanError"]
 
 
 def test_the_benchmark_hooks_find_what_they_wrap():

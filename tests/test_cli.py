@@ -1567,7 +1567,7 @@ class TestSampledActionCap:
     @pytest.mark.parametrize("n", [cli.MAX_CLI_SAMPLED_N + 1, 10**12], ids=["cap+1", "10^12"])
     def test_a_one_symbol_monte_carlo_n_exits_3(self, tmp_path, monkeypatch, capsys, n):
         # one symbol has one labeling, so the |A|^n cap never stopped these:
-        # n = 10^6 counted for 15 s, and 10^12 ran out of memory drawing its action
+        # n = 10^6 counted for about 10 s, and 10^12 ran out of memory drawing its action
         monkeypatch.setattr(counting, "sample_action", lambda *args: pytest.fail("an action was drawn"))
         weight = tmp_path / "one.json"
         weight.write_text(json.dumps(bernoulli_weight({"0": Fraction(1)}, 2).to_json()))

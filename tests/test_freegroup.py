@@ -121,8 +121,8 @@ class TestBall:
 
     @pytest.mark.parametrize("rank", range(1, 27))
     def test_the_letter_cap_refuses_every_ball_of_more_than_a_million_words(self, rank):
-        # decided in closed form: the least radius past a million words, from
-        # which every ball is larger still, and its words times radius
+        # in closed form: at the least radius past a million words, words
+        # times radius already pass the letter cap, and both grow with radius
         ctx = FreeGroupCtx(rank)
         radius = 0
         while ctx.ball_size(radius) <= 10**6:

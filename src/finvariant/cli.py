@@ -41,7 +41,7 @@ from .orbitmaps import (
     zrho_pullbacks,
 )
 from .sft import SftSpec, sample_sft_config
-from .shift import PatternDistribution, pullback_classes, pullback_name, read_prob, window_columns
+from .shift import PatternDistribution, pullback_classes, pullback_name, read_ratio, window_columns
 from .weights import (
     F_value,
     Weight,
@@ -120,6 +120,27 @@ def _load_weight(path: str) -> Weight:
     return Weight.from_json(_load_json(path))
 
 
+def _paused(call):
+    """``call()`` with the cyclic collector paused, then set back as it was:
+    a marginals file's JSON tree and distribution hold no cycle to find."""
+    import gc  # here, not at module level: only marginals files need it
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return call()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_marginals(path: str) -> tuple[FreeGroupCtx, PatternDistribution]:
+    """A marginals file's group and distribution; its JSON tree goes on return."""
+    data = _load_json(path, unique_keys=False)
+    ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
+    return ctx, PatternDistribution.from_json(ctx, data)
+
+
 # ---------------------------------------------------------------------------
 # f-exact
 # ---------------------------------------------------------------------------
@@ -165,10 +186,10 @@ def cmd_f_exact(args) -> int:
 
 def _parse_epsilon(raw) -> Fraction:
     """Epsilon as an exact rational: a JSON number is the decimal it spells,
-    a string is "p/q" or a decimal, an object is read by ``read_prob``."""
+    a string is "p/q" or a decimal, an object is read by ``read_ratio``."""
     try:
         if isinstance(raw, dict):
-            return read_prob(raw)
+            return Fraction(*read_ratio(raw))
         if isinstance(raw, str):
             return Fraction(raw)
         if isinstance(raw, (int, float)) and not isinstance(raw, bool):
@@ -204,9 +225,7 @@ def cmd_f_estimate(args) -> int:
         ctx = _ctx_for_rank(weight.rank)
         window = as_int(config["window"], "window")
     else:
-        data = _load_json(config["marginals"], unique_keys=False)
-        ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
-        target = PatternDistribution.from_json(ctx, data)
+        ctx, target = _paused(lambda: _load_marginals(config["marginals"]))
         alphabet = tuple(sorted(set().union(*target.masses), key=str))
         window = len(target.window[-1])
         if "window" in config and as_int(config["window"], "window") != window:
@@ -539,10 +558,8 @@ def cmd_weight_tools(args) -> int:
         sys.stdout.write(f"distance: {_fmt(dist)} (bound {_fmt(bound)})\n")
         return 0
     # markovize: argparse admits only the four actions
-    data = _load_json(args.marginals, unique_keys=False)
-    ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
-    dist = PatternDistribution.from_json(ctx, data)
-    weight = markovize(ctx, dist)
+    # the marginal's JSON tree and distribution are freed before the collector is back
+    weight = _paused(lambda: markovize(*_load_marginals(args.marginals)))
     value = F_value(weight)
     _emit(json.dumps(weight.to_json(), indent=2, sort_keys=True) + "\n", args.out)
     sys.stdout.write(f"f_nats: {_fmt(float(value))}\n")

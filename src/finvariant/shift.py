@@ -36,14 +36,8 @@ def read_ratio(raw) -> tuple[int, int] | float:
     raise InputError(f"a probability is a JSON number in float range or integers {{num, den != 0}}, got {raw!r}")
 
 
-def read_prob(raw) -> Fraction | float:
-    """``read_ratio``'s probability, a rational as a Fraction."""
-    p = read_ratio(raw)
-    return p if type(p) is float else Fraction(*p)
-
-
 def write_prob(mass, total: int = 1) -> dict | float:
-    """The JSON form ``read_prob`` reads back of mass / total: a rational as
+    """The JSON form ``read_ratio`` reads back of mass / total: a rational as
     {num, den} in lowest terms, with no Fraction built."""
     if not isinstance(mass, (int, Fraction)):
         return float(mass)
@@ -57,12 +51,12 @@ def items_at(keys: Sequence) -> Callable:
     return itemgetter(*keys) if len(keys) > 1 else lambda seq: tuple(seq[k] for k in keys)
 
 
-def over_lcm(ratios: Mapping[tuple, tuple[int, int]]) -> tuple[dict, int]:
-    """(num, den) pairs as integer masses over the lcm of the dens, and that lcm."""
-    dens = {den for _, den in ratios.values()}
+def over_lcm(*tables: Mapping) -> tuple:
+    """Each table of (num, den) pairs as integer masses over one lcm of the dens, then that lcm."""
+    dens = {den for table in tables for _, den in table.values()}
     total = math.lcm(*dens)
     scale = {den: total // den for den in dens}
-    return {k: num * scale[den] for k, (num, den) in ratios.items()}, total
+    return *({k: num * scale[den] for k, (num, den) in table.items()} for table in tables), total
 
 
 class Pattern:
@@ -127,6 +121,10 @@ class PatternDistribution:
     denominator of the probabilities, when every mass is rational
     (``is_exact``); else within ``PROB_TOL``, as given over a total of 1,
     with no entry below 0 or above 1 by more than that slack.
+
+    ``PatternDistribution(...)`` is the one public constructor, and checks
+    everything; ``_exact`` builds an exact distribution whose window and keys
+    are known good (read from JSON, projected, or a weight's marginal).
     """
 
     __slots__ = ("window", "masses", "total", "is_exact", "_probs")
@@ -139,11 +137,23 @@ class PatternDistribution:
             if len(key) != len(win):
                 raise InputError("distribution key does not match window size")
         self.is_exact = all(isinstance(m, (int, Fraction)) for m in masses.values())
+        # integers over one denominator
+        if self.is_exact and any(type(m) is not int for m in masses.values()):
+            masses, scale = over_lcm({k: m.as_integer_ratio() for k, m in masses.items()})
+            total *= scale
+        self._settle(win, dict(masses), total)
+
+    @classmethod
+    def _exact(cls, window: tuple, masses: dict, total: int) -> "PatternDistribution":
+        """The exact distribution of integer ``masses`` over ``total`` on a sorted window its keys fit."""
+        self = object.__new__(cls)
+        self.is_exact = True
+        self._settle(window, masses, total)
+        return self
+
+    def _settle(self, window: tuple, masses: dict, total) -> None:
+        """Checks the masses and keeps them, exact ones over their least common denominator."""
         if self.is_exact:
-            # integers over one denominator, reduced until it is the least
-            if any(type(m) is not int for m in masses.values()):
-                masses, scale = over_lcm({k: m.as_integer_ratio() for k, m in masses.items()})
-                total *= scale
             common = math.gcd(total, *masses.values())
             if common > 1:
                 masses = {k: m // common for k, m in masses.items()}
@@ -158,10 +168,7 @@ class PatternDistribution:
         # exact masses summing to the total with none negative lie within it
         if not self.is_exact and any(m > 1 + slack for m in masses.values()):
             raise InputError("a probability above 1")
-        self.window = win
-        self.masses = dict(masses)
-        self.total = total
-        self._probs = None
+        self.window, self.masses, self.total, self._probs = window, masses, total, None
 
     @property
     def probs(self) -> dict:
@@ -179,11 +186,17 @@ class PatternDistribution:
             cols = [index[w] for w in sub]
         except KeyError as exc:
             raise InputError(f"projection window not contained: {exc}") from None
-        small_of = items_at(cols)
-        out: dict[tuple, object] = {}
-        for key, m in self.masses.items():
-            small = small_of(key)
-            out[small] = out.get(small, 0) + m
+        # each key's projection is looked up once, and its sum kept by position
+        at: dict[tuple, int] = {}
+        sums: list = []
+        for small, m in zip(map(items_at(cols), self.masses), self.masses.values()):
+            k = at.setdefault(small, len(sums))
+            if k == len(sums):
+                sums.append(0)
+            sums[k] += m
+        out = dict(zip(at, sums))
+        if self.is_exact:
+            return PatternDistribution._exact(sub, out, self.total)
         return PatternDistribution(sub, out, self.total)
 
     def to_json(self, ctx: FreeGroupCtx) -> dict:
@@ -210,38 +223,59 @@ class PatternDistribution:
         layouts: dict[tuple, Callable] = {}
         key_of = None
         probs: dict[tuple, object] = {}
-        for count, entry in enumerate(entries, 1):
-            try:
-                pattern, prob = entry["pattern"], read_ratio(entry["p"])
-            except (KeyError, TypeError, InputError) as exc:
-                raise InputError(f"malformed distribution entry {entry!r}: {exc!r}") from None
-            # a pattern of the window's size that holds every spelling of the
-            # last layout holds exactly those, so that layout reads its key
-            try:
-                if len(pattern) != len(window):
-                    raise KeyError
-                key = key_of(pattern)
-            except (KeyError, TypeError):
+        exact = True
+        try:
+            for count, entry in enumerate(entries):
                 try:
-                    spellings = tuple(pattern.keys())
-                except AttributeError as exc:
+                    pattern, raw = entry["pattern"], entry["p"]
+                    # read_ratio's exact rational, read inline
+                    if (type(raw) is dict and type(num := raw.get("num")) is int
+                            and type(den := raw.get("den")) is int and den):
+                        prob = num, den
+                    else:
+                        prob = read_ratio(raw)
+                        exact = exact and type(prob) is tuple
+                except (KeyError, TypeError, InputError) as exc:
                     raise InputError(f"malformed distribution entry {entry!r}: {exc!r}") from None
-                key_of = layouts.get(spellings)
-                if key_of is None:
-                    at = {ctx.parse(k): k for k in spellings}
-                    if len(at) != len(spellings) or set(at) != set(window):
-                        raise InputError("distribution entry does not cover the window")
-                    key_of = layouts[spellings] = items_at([at[w] for w in window])
-                key = key_of(pattern)
-            try:
-                probs[key] = prob
-            except TypeError:
-                raise InputError(f"malformed distribution entry {entry!r}: a symbol must be a json scalar") from None
-            if len(probs) < count:
-                raise InputError(f"pattern {pattern!r} appears twice in the distribution")
-        if all(type(p) is tuple for p in probs.values()):
-            return cls(window, *over_lcm(probs))
+                # a pattern of the window's size that holds every spelling of the
+                # last layout holds exactly those, so that layout reads its key
+                try:
+                    if len(pattern) != len(window):
+                        raise KeyError
+                    key = key_of(pattern)
+                except (KeyError, TypeError):
+                    try:
+                        spellings = tuple(pattern.keys())
+                    except AttributeError as exc:
+                        raise InputError(f"malformed distribution entry {entry!r}: {exc!r}") from None
+                    key_of = layouts.get(spellings)
+                    if key_of is None:
+                        at = {ctx.parse(k): k for k in spellings}
+                        if len(at) != len(spellings) or set(at) != set(window):
+                            raise InputError("distribution entry does not cover the window")
+                        key_of = layouts[spellings] = items_at([at[w] for w in window])
+                    key = key_of(pattern)
+                try:
+                    probs[key] = prob
+                except TypeError:
+                    raise InputError(f"malformed distribution entry {entry!r}: a symbol must be a json scalar") from None
+        except InputError:
+            _name_a_repeat(ctx, window, entries[:count], len(probs))
+            raise
+        _name_a_repeat(ctx, window, entries, len(probs))
+        if exact:
+            return cls._exact(window, *over_lcm(probs))
         return cls(window, {k: p if type(p) is float else Fraction(*p) for k, p in probs.items()})
+
+
+def _name_a_repeat(ctx: FreeGroupCtx, window: tuple, entries: list, distinct: int) -> None:
+    """If only ``distinct`` of ``entries`` differ, raises at the first whose pattern an earlier one showed."""
+    seen: set = set()
+    for entry in entries if distinct < len(entries) else ():
+        at = {ctx.parse(k): k for k in entry["pattern"]}
+        if (key := tuple(entry["pattern"][at[w]] for w in window)) in seen:
+            raise InputError(f"pattern {entry['pattern']!r} appears twice in the distribution")
+        seen.add(key)
 
 
 def window_columns(action: FiniteAction, window: Sequence[Word]) -> list[tuple[int, ...]]:

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 from .errors import ConstructionError, InputError, ResourceCapError, WeightError, as_int
 from .freegroup import IDENTITY, FreeGroupCtx, Word, mul, sort_words
 from .sft import SftSpec
-from .shift import PROB_TOL, PatternDistribution, items_at, over_lcm, read_prob, write_prob
+from .shift import PROB_TOL, PatternDistribution, items_at, over_lcm, read_ratio, write_prob
 
 # patterns marginal_distribution may enumerate
 PATTERN_CAP = 1 << 22
@@ -243,10 +243,17 @@ class Weight:
         vertex = self.laws[0]
         for i, pair in enumerate(self.laws[1:], 1):
             exact = vertex.is_exact and pair.is_exact
-            for margin in (pair.project(((),)), pair.project(((i,),))):
+            # both one-site margins in one pass, summed in entry order as a projection sums
+            rows, cols = {}, {}
+            for (a, b), m in pair.masses.items():
+                rows[a] = rows.get(a, 0) + m
+                cols[b] = cols.get(b, 0) + m
+            for margin in (rows, cols):
+                if not pair.is_exact:  # the checks a float projection made
+                    PatternDistribution(((),), {(a,): m for a, m in margin.items()}, pair.total)
                 for a in self.alphabet:
-                    m, v = margin.masses.get((a,), 0), vertex.masses.get((a,), 0)
-                    gap = m * vertex.total - v * margin.total if exact else m / margin.total - v / vertex.total
+                    m, v = margin.get(a, 0), vertex.masses.get((a,), 0)
+                    gap = m * vertex.total - v * pair.total if exact else m / pair.total - v / vertex.total
                     if not abs(gap) <= (0 if exact else PROB_TOL):  # written so that a NaN fails
                         raise WeightError(f"balance fails at symbol {a!r}, generator {i}")
             for (a, b), m in pair.masses.items():
@@ -314,11 +321,14 @@ class Weight:
             alphabet = tuple(data["alphabet"])
             # vertex keys are json strings: each names the symbol it is the str of
             symbol = {str(a): a for a in alphabet}
-            vertex = {symbol.get(a, a): read_prob(p) for a, p in data["vertex"].items()}
+            vertex = {symbol.get(a, a): read_ratio(p) for a, p in data["vertex"].items()}
             edge = {
-                (e["from"], e["to"], as_int(e["gen"], "an edge's gen")): read_prob(e["p"])
+                (e["from"], e["to"], as_int(e["gen"], "an edge's gen")): read_ratio(e["p"])
                 for e in data["edge"]
             }
+            if all(type(p) is tuple for table in (vertex, edge) for p in table.values()):
+                return cls.from_tables(rank, alphabet, *over_lcm(vertex, edge))
+            vertex, edge = ({k: p if type(p) is float else Fraction(*p) for k, p in t.items()} for t in (vertex, edge))
             return cls.from_tables(rank, alphabet, vertex, edge)
         except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed weight json: {exc}") from exc
@@ -409,7 +419,7 @@ def marginal_distribution(w: Weight, window: Sequence[Word]) -> PatternDistribut
             values[0] = sym
             extend(1, v, totals[0])
     if exact:
-        return PatternDistribution(window, *over_lcm(probs))
+        return PatternDistribution._exact(window, *over_lcm(probs))
     return PatternDistribution(window, {key: p for key, (p, _) in probs.items()})
 
 

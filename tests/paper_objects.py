@@ -6,7 +6,9 @@ one vertex (the oracle of ``window_columns``), the left shift and the
 theta/upsilon actions with the edge-label encoding E (criterion 08), block
 codes and the join observable (criterion 09), empirical distributions and
 the l1 and pair-marginal distances that the brute-force counting oracle
-uses, Bernoulli product weights, tree-factorized pattern probabilities
+uses, the Fraction reader of a JSON probability and the entry-by-entry
+reader of a marginals file, the weight's balance check through
+projections, Bernoulli product weights, tree-factorized pattern probabilities
 over a breadth-first spanning tree, the tree chain rule's integer
 coefficients of a window entropy and of the functional, the functional of
 a Markov field twisted by an automorphism, nearest-neighbor constraint systems
@@ -31,7 +33,7 @@ from finvariant.errors import ConstructionError, InputError, WeightError, Window
 from finvariant.freegroup import IDENTITY, FreeGroupCtx, Word, inv, mul, sort_words
 from finvariant.orbitmaps import Automorphism, LocalBijection, zrho_pullbacks
 from finvariant.sft import SftSpec, _bfs, symbol_entry
-from finvariant.shift import PROB_TOL, Pattern, PatternDistribution, window_columns
+from finvariant.shift import PROB_TOL, Pattern, PatternDistribution, read_ratio, window_columns
 from finvariant.weights import EntropyValue, Weight, _tree_edges, marginal_distribution, shannon_entropy
 
 
@@ -105,6 +107,33 @@ def shift_pattern(g: Word, p: Pattern) -> Pattern:
     g_inv = inv(g)
     new_domain = [mul(g, w) for w in p.domain]
     return Pattern(new_domain, [p[mul(g_inv, w)] for w in new_domain])
+
+
+def read_prob(raw) -> Fraction | float:
+    """``read_ratio``'s probability, a rational as a Fraction: the reader the
+    codec round-trips through, and the one the slow oracles build from."""
+    p = read_ratio(raw)
+    return p if type(p) is float else Fraction(*p)
+
+
+def distribution_by_entries(ctx: FreeGroupCtx, data: dict) -> PatternDistribution:
+    """``PatternDistribution.from_json`` as a check after every entry: each
+    entry's spellings are parsed and must cover the window, its probability
+    is a Fraction or a float, a pattern shown twice is refused at its second
+    entry, and the validating constructor checks the rest.  The oracle of
+    the one-pass reader on files whose entries are well formed."""
+    window = ctx.ball(data["window_radius"])
+    probs: dict = {}
+    for entry in data["entries"]:
+        pattern = entry["pattern"]
+        at = {ctx.parse(k): k for k in pattern}
+        if len(at) != len(pattern) or set(at) != set(window):
+            raise InputError("distribution entry does not cover the window")
+        key = tuple(pattern[at[w]] for w in window)
+        if key in probs:
+            raise InputError(f"pattern {pattern!r} appears twice in the distribution")
+        probs[key] = read_prob(entry["p"])
+    return PatternDistribution(window, probs)
 
 
 def l1_distance(d1: PatternDistribution, d2: PatternDistribution):
@@ -207,6 +236,27 @@ def one_site_law(probs: Iterable) -> PatternDistribution:
     """The law on the one-word window ((),) giving the k-th probability to
     the k-th symbol, as ``shannon_entropy`` takes it."""
     return PatternDistribution(((),), {(k,): p for k, p in enumerate(probs)})
+
+
+def balance_by_projection(alphabet: Sequence, laws: Sequence[PatternDistribution]) -> None:
+    """What ``Weight`` checks after its laws' windows and symbols, through
+    ``project``: each pair law's two one-site projections against the vertex
+    law (cross-multiplied when both are exact, as floats within PROB_TOL
+    otherwise), then no positive pair at a symbol of zero weight.  Raises the
+    weight's error, or the projection's own when a float margin fails its
+    checks; the oracle of the one-pass row and column sums."""
+    vertex = laws[0]
+    for i, pair in enumerate(laws[1:], 1):
+        exact = vertex.is_exact and pair.is_exact
+        for margin in (pair.project(((),)), pair.project(((i,),))):
+            for a in alphabet:
+                m, v = margin.masses.get((a,), 0), vertex.masses.get((a,), 0)
+                gap = m * vertex.total - v * margin.total if exact else m / margin.total - v / vertex.total
+                if not abs(gap) <= (0 if exact else PROB_TOL):
+                    raise WeightError(f"balance fails at symbol {a!r}, generator {i}")
+        for (a, b), m in pair.masses.items():
+            if m and not (vertex.masses.get((a,)) and vertex.masses.get((b,))):
+                raise WeightError(f"positive pair ({a!r}, {b!r}) of generator {i} at a zero-weight symbol")
 
 
 def bernoulli_weight(base: Mapping, rank: int) -> Weight:

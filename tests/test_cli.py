@@ -1,5 +1,6 @@
 """End-to-end command tests: outputs, exit codes, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from finvariant import (
     FiniteAction,
     FreeGroupCtx,
     ResourceCapError,
+    PatternDistribution,
     Weight,
     cli,
     counting,
@@ -1540,6 +1542,42 @@ class TestRepeatedJsonKeys:
         cfg = {"marginals": "m.json", "epsilon": 1, "n_list": [2], "mode": "exact"}
         (tmp_path / "c.json").write_text(json.dumps(cfg))
         assert main(["f-estimate", "--config", "c.json"]) == 0
+
+
+class TestCollectorPause:
+    """A marginals file is read with the cyclic collector paused, and each
+    command that reads one leaves the collector as it found it: after a
+    success, and after an exit 2 from the middle of the parse."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("fault", ["none", "entry", "json"])
+    @pytest.mark.parametrize("command", ["markovize", "f-estimate"])
+    def test_the_collector_is_left_as_found(self, tmp_path, monkeypatch, capsys, collector, command, fault):
+        monkeypatch.chdir(tmp_path)
+        w = bernoulli_weight({"0": Fraction(1, 2), "1": Fraction(1, 2)}, 2)
+        data = {"rank": 2, **marginal_distribution(w, CTX.ball(1)).to_json(CTX)}
+        if fault == "entry":  # half-way through, an entry that does not cover the window
+            data["entries"].insert(len(data["entries"]) // 2, {"pattern": {"": "0"}, "p": 0.5})
+        text = json.dumps(data)
+        (tmp_path / "m.json").write_text(text[: len(text) // 2] if fault == "json" else text)
+        (tmp_path / "c.json").write_text(json.dumps({"marginals": "m.json", "epsilon": 1, "n_list": [2],
+                                                     "mode": "exact"}))
+        argv = {"markovize": ["weight-tools", "markovize", "--marginals", "m.json", "--out", "w.json"],
+                "f-estimate": ["f-estimate", "--config", "c.json"]}[command]
+        during = []
+        read = PatternDistribution.from_json
+        monkeypatch.setattr(PatternDistribution, "from_json",
+                            classmethod(lambda cls, ctx, d: during.append(gc.isenabled()) or read(ctx, d)))
+        assert main(argv) == (0 if fault == "none" else 2)
+        assert gc.isenabled() is collector
+        assert during == ([] if fault == "json" else [False])
+        assert capsys.readouterr().err.startswith("" if fault == "none" else "input error: ")
 
 
 class TestSampledActionCap:

@@ -446,6 +446,43 @@ class TestSymbolSymmetry:
     def test_the_uniform_ternary_set_up_has_one_orbit_of_size_three(self):
         assert self._orbits(Neighborhood(target=UNIFORM_THREE, epsilon=Fraction(1)), TERNARY) == [3, 0, 0]
 
+    @staticmethod
+    def _cyclic_pair_law(step):
+        """A rank-1 ball(1) target whose pair law puts 1/6 on each a -> a and
+        a -> a + step (mod 3): the rotation x -> x + 1 keeps it for step 1,
+        and no transposition of symbols does."""
+        pairs = {(a, TERNARY[(k + s) % 3], 1): Fraction(1, 6) for k, a in enumerate(TERNARY) for s in (0, step)}
+        if step == 0:  # an asymmetric law: 1/3 on 0 -> 0, 1/3 on 1 -> 2, 1/3 on 2 -> 1
+            pairs = {("0", "0", 1): Fraction(1, 3), ("1", "2", 1): Fraction(1, 3), ("2", "1", 1): Fraction(1, 3)}
+        w = Weight.from_tables(1, TERNARY, dict.fromkeys(TERNARY, Fraction(1, 3)), pairs)
+        return marginal_distribution(w, CTX1.ball(1))
+
+    def test_a_rotation_joins_what_no_transposition_does(self):
+        nbhd = Neighborhood(target=self._cyclic_pair_law(1), epsilon=Fraction(1, 2), mode="edge_star")
+        assert counting._setup(CTX1, 6, TERNARY, nbhd, Caps())[-1] == [3, 0, 0]
+
+    @pytest.mark.parametrize("step,orbits", [(1, [3, 0, 0]), (0, [1, 2, 0])], ids=["cyclic", "asymmetric"])
+    @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(2, 3), Fraction(4, 3)], ids=repr)
+    def test_rotation_orbits_count_as_brute_force(self, step, orbits, eps):
+        nbhd = Neighborhood(target=self._cyclic_pair_law(step), epsilon=eps, mode="edge_star")
+        assert counting._setup(CTX1, 6, TERNARY, nbhd, Caps())[-1] == orbits
+        for seed in range(4):
+            action = sample_action(6, 1, seed=seed)
+            assert count_omega(CTX1, action, TERNARY, nbhd) == brute_count(CTX1, action, TERNARY, nbhd), seed
+
+    def test_two_symbols_try_no_rotation(self):
+        # the one permutation tried is the swap: kept reads each target once
+        reads = []
+
+        class Target(dict):
+            def get(self, *args):
+                reads.append(args)
+                return super().get(*args)
+
+        target = Target({0: 1, 1: 1, 2: 1, 3: 1})
+        assert counting._orbit_weights(2, [(((), (1,)), target)], set()) == [2, 0]
+        assert len(reads) == len(target)
+
     def test_exact_enumeration_counts_every_orbit(self):
         # a radius-1 window is averaged over all n!^r actions by count_omega
         nbhd = Neighborhood(target=UNIFORM_THREE, epsilon=Fraction(3, 2))

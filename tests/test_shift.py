@@ -15,11 +15,12 @@ from finvariant import (
     InputError,
     Pattern,
     PatternDistribution,
+    marginal_distribution,
     pullback_name,
     sample_action,
 )
 from finvariant.freegroup import IDENTITY, inv, mul, reduce_word
-from finvariant.shift import pullback_classes, read_prob, window_columns, write_prob
+from finvariant.shift import pullback_classes, window_columns, write_prob
 
 from paper_objects import (
     Alphabet,
@@ -29,37 +30,25 @@ from paper_objects import (
     as_dict,
     bernoulli_weight,
     d_star,
+    distribution_by_entries,
     empirical_distribution,
     identity_code,
     join_code,
     l1_distance,
+    read_prob,
     restrict,
     shift_pattern,
 )
-
-
-def parse_and_cover(ctx, data) -> PatternDistribution:
-    """``PatternDistribution.from_json`` parsing every entry's spellings:
-    they must cover the window, and its key is read through them.  The
-    oracle for reading an entry with the last layout's spellings."""
-    window = ctx.ball(data["window_radius"])
-    probs = {}
-    for entry in data["entries"]:
-        pattern = entry["pattern"]
-        at = {ctx.parse(k): k for k in pattern}
-        if len(at) != len(pattern) or set(at) != set(window):
-            raise InputError("distribution entry does not cover the window")
-        probs[tuple(pattern[at[w]] for w in window)] = read_prob(entry["p"])
-    return PatternDistribution(window, probs)
+from test_weights import mass_case
 
 
 def outcome(read) -> tuple:
-    """The masses and total ``read()`` gives, or the message it raises."""
+    """The masses, total and exactness ``read()`` gives, or the message it raises."""
     try:
         dist = read()
     except InputError as exc:
         return "error", str(exc)
-    return list(dist.masses.items()), dist.total
+    return list(dist.masses.items()), dist.total, dist.is_exact
 
 
 @pytest.fixture(scope="module")
@@ -544,7 +533,7 @@ class TestDistributionJson:
             elif k == half + 1:
                 extra = {"extra_word": items + [("ab", "0")], "swapped_word": items[:-1] + [("ab", "0")]}
                 entry["pattern"] = dict(extra[change])
-        expected = outcome(lambda: parse_and_cover(ctx, data))
+        expected = outcome(lambda: distribution_by_entries(ctx, data))
         assert outcome(lambda: PatternDistribution.from_json(ctx, data)) == expected
         assert (expected[0] == "error") == (change in ("extra_word", "swapped_word"))
 
@@ -558,3 +547,88 @@ class TestDistributionJson:
             data = {"window_radius": 1, "entries": [entry(""), other, repeat]}
             with pytest.raises(InputError, match="pattern .* appears twice in the distribution"):
                 PatternDistribution.from_json(ctx, data)
+
+
+MUTATIONS = ["none", "repeat", "zero", "negative", "negative_within_slack", "over", "over_within_slack", "under"]
+# (rank, radius, kind, seed, mutation); rank 2 at radius 2 is the sparse
+# golden-mean marginal of 10 657 patterns, so it takes one seed and three
+# mutations
+ONE_PASS_CASES = [
+    (rank, radius, kind, seed, mutation)
+    for rank in (1, 2)
+    for radius in (1, 2)
+    for kind in ("exact", "float", "mixed")
+    for seed in range(1 if (rank, radius) == (2, 2) else 3)
+    for mutation in (("none", "repeat", "negative") if (rank, radius) == (2, 2) else MUTATIONS)
+]
+
+
+class TestOnePassReader:
+    """``PatternDistribution.from_json`` reads every entry in one loop and
+    names a repeated pattern only after it; ``distribution_by_entries``
+    checks after every entry and builds through the validating constructor.
+    Both give the same masses, total and exactness, or the same message."""
+
+    @staticmethod
+    def _marginal(rank, radius, kind, seed, mutation):
+        ctx, w, window = mass_case(rank, 2 if (rank, radius) == (2, 2) else 3, radius, seed)
+        dist = marginal_distribution(w, window)
+        data = dist.to_json(ctx)
+        entries = data["entries"]
+        rng = random.Random(f"{rank}:{radius}:{kind}:{seed}:{mutation}")
+        probs = [read_prob(e["p"]) for e in entries]
+        # an exact file is off by one part in its total; a float one by
+        # twice the slack, or by half of it
+        part = Fraction(1, dist.total) if kind == "exact" else {True: 5e-13, False: 2e-12}[mutation.endswith("slack")]
+        j, k = rng.sample(range(len(entries)), 2) if len(entries) > 1 else (0, 0)
+        if mutation in ("over", "over_within_slack"):
+            probs[j] += part
+        elif mutation == "under":
+            probs[j] -= part
+        elif mutation.startswith("negative") and j != k:
+            probs[j], probs[k] = probs[j] + probs[k] + part, -part
+        elif mutation == "zero":
+            # a pattern no entry shows: an unused symbol at e
+            at = rng.randint(0, len(entries))
+            entries.insert(at, {"pattern": dict(entries[j]["pattern"], **{"": "unused"}), "p": None})
+            probs.insert(at, 0 * probs[j])
+        for n, entry in enumerate(entries):
+            if kind == "float" or (kind == "mixed" and n % 2):
+                probs[n] = float(probs[n])
+            entry["p"] = write_prob(probs[n])
+            # the words in another order, or the identity spelled "aA"
+            items = list(entry["pattern"].items())
+            spelled = {0: items, 1: items[n % len(items):] + items[: n % len(items)],
+                       2: [("aA" if word == "" else word, x) for word, x in items]}[rng.randrange(3)]
+            entry["pattern"] = dict(spelled)
+        if mutation == "repeat":
+            twin = dict(entries[j], pattern=dict(reversed(list(entries[j]["pattern"].items()))))
+            entries.insert(rng.randint(j + 1, len(entries)), twin)
+        return ctx, data
+
+    @pytest.mark.parametrize("rank,radius,kind,seed,mutation", ONE_PASS_CASES)
+    def test_agrees_with_the_entry_by_entry_oracle(self, rank, radius, kind, seed, mutation):
+        ctx, data = self._marginal(rank, radius, kind, seed, mutation)
+        expected = outcome(lambda: distribution_by_entries(ctx, data))
+        assert outcome(lambda: PatternDistribution.from_json(ctx, data)) == expected
+        # an exact file has no slack
+        fails = mutation in ("repeat", "over", "under", "negative") or kind == "exact" and mutation.endswith("slack")
+        assert (expected[0] == "error") == fails
+        if mutation == "repeat":
+            assert expected[1].startswith("pattern {") and expected[1].endswith("appears twice in the distribution")
+
+    def test_a_repeat_before_a_later_fault_is_named_first(self, ctx):
+        data = self._ball_dist_json(ctx)
+        data["entries"].append(dict(data["entries"][0]))
+        data["entries"].append({"pattern": {"": "0"}, "p": 0.5})
+        with pytest.raises(InputError, match="appears twice"):
+            PatternDistribution.from_json(ctx, data)
+        # the fault first: it is what a check after every entry meets first
+        data["entries"][-2:] = data["entries"][-2:][::-1]
+        with pytest.raises(InputError, match="does not cover"):
+            PatternDistribution.from_json(ctx, data)
+
+    @staticmethod
+    def _ball_dist_json(ctx):
+        w = bernoulli_weight({"0": Fraction(1, 3), "1": Fraction(2, 3)}, 2)
+        return marginal_distribution(w, ctx.ball(1)).to_json(ctx)

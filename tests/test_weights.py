@@ -45,11 +45,13 @@ from finvariant.weights import _factor, _integer_transport, _round_vertex, patte
 
 from paper_objects import (
     F_coefficients,
+    balance_by_projection,
     bernoulli_weight,
     empirical_distribution,
     linear_combination,
     one_site_law,
     pattern_probability,
+    read_prob,
     twisted_F,
     window_coefficients,
 )
@@ -570,6 +572,108 @@ class TestTableCheck:
         for i, law in enumerate(w.laws):
             walked = marginal_distribution(w, ((), (i,)) if i else ((),))
             assert (walked.masses, walked.total) == ({key: m for key, m in law.masses.items() if m}, law.total)
+
+
+def laws_of(rank, vertex: dict, edge: dict) -> tuple:
+    """The vertex law and the pair laws of two tables, each checked only as a
+    distribution, for a weight to check as a whole."""
+    pairs = [{(a, b): p for (a, b, j), p in edge.items() if j == i} for i in range(1, rank + 1)]
+    return (PatternDistribution(((),), {(a,): p for a, p in vertex.items()}),) + tuple(
+        PatternDistribution(((), (i,)), pair) for i, pair in enumerate(pairs, 1)
+    )
+
+
+def weight_verdict(check) -> tuple:
+    try:
+        check()
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+    return ("ok",)
+
+
+class TestOnePassBalance:
+    """``Weight`` checks balance from each pair law's row and column sums in
+    one pass; ``balance_by_projection`` checks it through two projections.
+    Both accept the same weights and refuse the others with one message."""
+
+    @staticmethod
+    def _agree(rank, alphabet, vertex, edge):
+        laws = laws_of(rank, vertex, edge)
+        verdict = weight_verdict(lambda: Weight(rank, alphabet, laws))
+        assert verdict == weight_verdict(lambda: balance_by_projection(alphabet, laws))
+        return verdict
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_exact_weights(self, seed):
+        rng = random.Random(seed)
+        rank, symbols = rng.choice([1, 2]), ("x", "y", "z", "w")[: rng.randint(2, 4)]
+        w = circulation_weight(rank, symbols, rng)
+        vertex = {a: w.vertex_prob(a) for a in symbols}
+        edge = {(a, b, i): p for i in range(1, rank + 1) for (a, b), p in w.laws[i].probs.items()}
+        move = seed % 4  # none, a pair's mass to another column, to another row, a vertex's mass
+        (a, b, i), c = rng.choice(sorted(edge)), rng.choice([x for x in symbols])
+        part = Fraction(1, 2 * w.laws[i].total)
+        if move == 1 and c != b:
+            edge[a, b, i] -= part
+            edge[a, c, i] = edge.get((a, c, i), 0) + part
+        elif move == 2 and c != a:
+            edge[a, b, i] -= part
+            edge[c, b, i] = edge.get((c, b, i), 0) + part
+        elif move == 3 and c != a:
+            vertex[a] -= Fraction(1, 2 * w.laws[0].total)
+            vertex[c] += Fraction(1, 2 * w.laws[0].total)
+        verdict = self._agree(rank, symbols, vertex, edge)
+        assert (verdict == ("ok",)) == (move == 0 or c in (b if move == 1 else a,))
+
+    @pytest.mark.parametrize("gap,ok", [(5e-13, True), (9e-13, True), (1.1e-12, False), (2e-12, False)], ids=repr)
+    @pytest.mark.parametrize("where", ["column", "row", "vertex"])
+    def test_float_weights_at_the_slack(self, gap, ok, where):
+        w = reversible_weight(2, ("x", "y", "z"), random.Random(7))
+        vertex = {a: w.vertex_prob(a) for a in w.alphabet}
+        edge = {(a, b, i): p for i in (1, 2) for (a, b), p in w.laws[i].probs.items()}
+        if where == "vertex":
+            vertex["x"] += gap
+            vertex["y"] -= gap
+        else:
+            edge["x", "x", 2] -= gap
+            edge[("x", "y", 2) if where == "column" else ("y", "x", 2)] += gap
+        assert (self._agree(2, w.alphabet, vertex, edge) == ("ok",)) == ok
+
+    def test_a_float_margin_below_the_slack_fails_as_its_projection_did(self):
+        # every entry is within the slack, but row z sums to -1.2e-12
+        vertex = {"x": 0.5 + 2.5e-13, "y": 0.5 + 2.5e-13, "z": -5e-13}
+        edge = {("x", "x", 1): 0.5 + 6e-13, ("y", "y", 1): 0.5 + 6e-13,
+                ("z", "x", 1): -6e-13, ("z", "y", 1): -6e-13}
+        assert self._agree(1, ("x", "y", "z"), vertex, edge) == ("InputError", "negative probability")
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_a_positive_pair_at_a_zero_weight_symbol(self, exact):
+        tiny = Fraction(1, 10**15) if exact else 5e-13
+        half = Fraction(1, 2) if exact else 0.5
+        vertex = {"x": half, "y": half, "z": 0 * half}
+        edge = {("x", "x", 1): half, ("y", "y", 1): half - tiny, ("z", "z", 1): tiny}
+        # an exact law cannot balance there; a float one does within the slack
+        expected = "positive pair ('z', 'z')" if not exact else "balance fails at symbol 'y'"
+        assert self._agree(1, ("x", "y", "z"), vertex, edge)[1].startswith(expected)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_from_json_without_fractions_matches_the_fraction_route(self, seed):
+        rng = random.Random(seed)
+        rank = rng.choice([1, 2])
+        w = golden_weight(rng) if seed % 3 == 0 else circulation_weight(rank, ("x", "y", "z")[: rng.randint(2, 3)], rng)
+        data = w.to_json()
+        if seed % 4 == 1:  # mixed: one edge as a float
+            data["edge"][0]["p"] = float(read_prob(data["edge"][0]["p"]))
+        symbol = {str(a): a for a in data["alphabet"]}
+        by_fractions = Weight.from_tables(
+            data["rank"], tuple(data["alphabet"]),
+            {symbol[a]: read_prob(p) for a, p in data["vertex"].items()},
+            {(e["from"], e["to"], e["gen"]): read_prob(e["p"]) for e in data["edge"]},
+        )
+        back = Weight.from_json(data)
+        assert json.dumps(back.to_json(), sort_keys=True) == json.dumps(by_fractions.to_json(), sort_keys=True)
+        assert back.entropies == by_fractions.entropies and back.is_exact == by_fractions.is_exact
+        assert [(law.masses, law.total) for law in back.laws] == [(law.masses, law.total) for law in by_fractions.laws]
 
 
 class TestWeightDistance:

@@ -120,25 +120,23 @@ def _load_weight(path: str) -> Weight:
     return Weight.from_json(_load_json(path))
 
 
-def _paused(call):
-    """``call()`` with the cyclic collector paused, then set back as it was:
-    a marginals file's JSON tree and distribution hold no cycle to find."""
+def _load_marginals(path: str, use=lambda ctx, dist: (ctx, dist)):
+    """``use`` of a marginals file's group and distribution, run with the
+    cyclic collector paused, then set back as it was: the file's JSON tree,
+    freed before ``use`` runs, and the distribution hold no cycle to find."""
     import gc  # here, not at module level: only marginals files need it
 
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return call()
+        data = _load_json(path, unique_keys=False)
+        ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
+        dist = PatternDistribution.from_json(ctx, data)
+        del data
+        return use(ctx, dist)
     finally:
         if enabled:
             gc.enable()
-
-
-def _load_marginals(path: str) -> tuple[FreeGroupCtx, PatternDistribution]:
-    """A marginals file's group and distribution; its JSON tree goes on return."""
-    data = _load_json(path, unique_keys=False)
-    ctx = _ctx_for_rank(as_int(data.get("rank", 2), "rank"))
-    return ctx, PatternDistribution.from_json(ctx, data)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +223,7 @@ def cmd_f_estimate(args) -> int:
         ctx = _ctx_for_rank(weight.rank)
         window = as_int(config["window"], "window")
     else:
-        ctx, target = _paused(lambda: _load_marginals(config["marginals"]))
+        ctx, target = _load_marginals(config["marginals"])
         alphabet = tuple(sorted(set().union(*target.masses), key=str))
         window = len(target.window[-1])
         if "window" in config and as_int(config["window"], "window") != window:
@@ -558,8 +556,7 @@ def cmd_weight_tools(args) -> int:
         sys.stdout.write(f"distance: {_fmt(dist)} (bound {_fmt(bound)})\n")
         return 0
     # markovize: argparse admits only the four actions
-    # the marginal's JSON tree and distribution are freed before the collector is back
-    weight = _paused(lambda: markovize(*_load_marginals(args.marginals)))
+    weight = _load_marginals(args.marginals, markovize)
     value = F_value(weight)
     _emit(json.dumps(weight.to_json(), indent=2, sort_keys=True) + "\n", args.out)
     sys.stdout.write(f"f_nats: {_fmt(float(value))}\n")

@@ -86,13 +86,12 @@ def _check_labelings(n: int, alphabet: Sequence, caps: Caps) -> None:
 
 def _orbit_weights(q: int, groups, banned: set) -> list[int]:
     """Per symbol index: its orbit's size if it is the orbit's least symbol,
-    else 0.  Orbits are joined by the symbol permutations that keep every
+    else 0.  Orbits are joined by the transpositions (a b) that keep every
     statistic's T, read digit by digit on each code, and the ``banned``
-    (domain, symbol indices) patterns: the transpositions (a b) and the
-    rotations x -> x + k (mod q).  Products of them keep both too, so b
+    (domain, symbol indices) patterns.  Products of them keep both too, so b
     joins an orbit if its swap with the orbit's least symbol keeps both."""
     # per statistic and column, per symbol: T summed over the codes with the
-    # symbol there; a kept permutation maps each signature to an equal one
+    # symbol there; a valid transposition swaps two equal signatures
     sums = []
     for window, target in groups:
         for j in range(len(window)):
@@ -102,25 +101,22 @@ def _orbit_weights(q: int, groups, banned: set) -> list[int]:
     sig = list(zip(*sums))
 
     def kept(perm):
-        return all(sig[x] == sig[perm[x]] for x in range(q)) and all(
+        return all(
             target.get(sum(perm[c // q**j % q] * q**j for j in range(len(w))), 0) == t
             for w, target in groups for c, t in target.items()
         ) and {(dom, tuple(perm[x] for x in v)) for dom, v in banned} == banned
 
-    # union-find, each symbol's entry kept at its orbit's least symbol
-    least = list(range(q))
+    orbits = []
     for b in range(q):
-        for a in range(b):
-            if least[a] == a and kept([b if x == a else a if x == b else x for x in range(q)]):
-                least[b] = a
+        for orbit in orbits:
+            a = orbit[0]
+            if sig[a] == sig[b] and kept([b if x == a else a if x == b else x for x in range(q)]):
+                orbit.append(b)
                 break
-    # with two symbols the one rotation is the swap tried above
-    for k in range(1, q) if q > 2 else ():
-        if kept([(x + k) % q for x in range(q)]):
-            for x in range(q):
-                a, b = sorted((least[x], least[(x + k) % q]))
-                least = [a if r == b else r for r in least]
-    return [least.count(x) if least[x] == x else 0 for x in range(q)]
+        else:
+            orbits.append([b])
+    sizes = {orbit[0]: len(orbit) for orbit in orbits}
+    return [sizes.get(a, 0) for a in range(q)]
 
 
 def _setup(ctx: FreeGroupCtx, n: int, alphabet: Sequence, nbhd: Neighborhood, caps: Caps):

@@ -51,12 +51,12 @@ def items_at(keys: Sequence) -> Callable:
     return itemgetter(*keys) if len(keys) > 1 else lambda seq: tuple(seq[k] for k in keys)
 
 
-def over_lcm(*tables: Mapping) -> tuple:
-    """Each table of (num, den) pairs as integer masses over one lcm of the dens, then that lcm."""
-    dens = {den for table in tables for _, den in table.values()}
+def over_lcm(ratios: Mapping[tuple, tuple[int, int]]) -> tuple[dict, int]:
+    """(num, den) pairs as integer masses over the lcm of the dens, and that lcm."""
+    dens = {den for _, den in ratios.values()}
     total = math.lcm(*dens)
     scale = {den: total // den for den in dens}
-    return *({k: num * scale[den] for k, (num, den) in table.items()} for table in tables), total
+    return {k: num * scale[den] for k, (num, den) in ratios.items()}, total
 
 
 class Pattern:
@@ -122,9 +122,8 @@ class PatternDistribution:
     (``is_exact``); else within ``PROB_TOL``, as given over a total of 1,
     with no entry below 0 or above 1 by more than that slack.
 
-    ``PatternDistribution(...)`` is the one public constructor, and checks
-    everything; ``_exact`` builds an exact distribution whose window and keys
-    are known good (read from JSON, projected, or a weight's marginal).
+    ``PatternDistribution(...)`` is the one public, validating constructor;
+    ``_exact`` builds one whose window and keys are known good (read, projected).
     """
 
     __slots__ = ("window", "masses", "total", "is_exact", "_probs")
@@ -186,15 +185,11 @@ class PatternDistribution:
             cols = [index[w] for w in sub]
         except KeyError as exc:
             raise InputError(f"projection window not contained: {exc}") from None
-        # each key's projection is looked up once, and its sum kept by position
-        at: dict[tuple, int] = {}
-        sums: list = []
-        for small, m in zip(map(items_at(cols), self.masses), self.masses.values()):
-            k = at.setdefault(small, len(sums))
-            if k == len(sums):
-                sums.append(0)
-            sums[k] += m
-        out = dict(zip(at, sums))
+        small_of = items_at(cols)
+        out: dict[tuple, object] = {}
+        for key, m in self.masses.items():
+            small = small_of(key)
+            out[small] = out.get(small, 0) + m
         if self.is_exact:
             return PatternDistribution._exact(sub, out, self.total)
         return PatternDistribution(sub, out, self.total)
@@ -223,59 +218,38 @@ class PatternDistribution:
         layouts: dict[tuple, Callable] = {}
         key_of = None
         probs: dict[tuple, object] = {}
-        exact = True
-        try:
-            for count, entry in enumerate(entries):
+        for count, entry in enumerate(entries, 1):
+            try:
+                pattern, prob = entry["pattern"], read_ratio(entry["p"])
+            except (KeyError, TypeError, InputError) as exc:
+                raise InputError(f"malformed distribution entry {entry!r}: {exc!r}") from None
+            # a pattern of the window's size that holds every spelling of the
+            # last layout holds exactly those, so that layout reads its key
+            try:
+                if len(pattern) != len(window):
+                    raise KeyError
+                key = key_of(pattern)
+            except (KeyError, TypeError):
                 try:
-                    pattern, raw = entry["pattern"], entry["p"]
-                    # read_ratio's exact rational, read inline
-                    if (type(raw) is dict and type(num := raw.get("num")) is int
-                            and type(den := raw.get("den")) is int and den):
-                        prob = num, den
-                    else:
-                        prob = read_ratio(raw)
-                        exact = exact and type(prob) is tuple
-                except (KeyError, TypeError, InputError) as exc:
+                    spellings = tuple(pattern.keys())
+                except AttributeError as exc:
                     raise InputError(f"malformed distribution entry {entry!r}: {exc!r}") from None
-                # a pattern of the window's size that holds every spelling of the
-                # last layout holds exactly those, so that layout reads its key
-                try:
-                    if len(pattern) != len(window):
-                        raise KeyError
-                    key = key_of(pattern)
-                except (KeyError, TypeError):
-                    try:
-                        spellings = tuple(pattern.keys())
-                    except AttributeError as exc:
-                        raise InputError(f"malformed distribution entry {entry!r}: {exc!r}") from None
-                    key_of = layouts.get(spellings)
-                    if key_of is None:
-                        at = {ctx.parse(k): k for k in spellings}
-                        if len(at) != len(spellings) or set(at) != set(window):
-                            raise InputError("distribution entry does not cover the window")
-                        key_of = layouts[spellings] = items_at([at[w] for w in window])
-                    key = key_of(pattern)
-                try:
-                    probs[key] = prob
-                except TypeError:
-                    raise InputError(f"malformed distribution entry {entry!r}: a symbol must be a json scalar") from None
-        except InputError:
-            _name_a_repeat(ctx, window, entries[:count], len(probs))
-            raise
-        _name_a_repeat(ctx, window, entries, len(probs))
-        if exact:
+                key_of = layouts.get(spellings)
+                if key_of is None:
+                    at = {ctx.parse(k): k for k in spellings}
+                    if len(at) != len(spellings) or set(at) != set(window):
+                        raise InputError("distribution entry does not cover the window")
+                    key_of = layouts[spellings] = items_at([at[w] for w in window])
+                key = key_of(pattern)
+            try:
+                probs[key] = prob
+            except TypeError:
+                raise InputError(f"malformed distribution entry {entry!r}: a symbol must be a json scalar") from None
+            if len(probs) < count:
+                raise InputError(f"pattern {pattern!r} appears twice in the distribution")
+        if all(type(p) is tuple for p in probs.values()):
             return cls._exact(window, *over_lcm(probs))
         return cls(window, {k: p if type(p) is float else Fraction(*p) for k, p in probs.items()})
-
-
-def _name_a_repeat(ctx: FreeGroupCtx, window: tuple, entries: list, distinct: int) -> None:
-    """If only ``distinct`` of ``entries`` differ, raises at the first whose pattern an earlier one showed."""
-    seen: set = set()
-    for entry in entries if distinct < len(entries) else ():
-        at = {ctx.parse(k): k for k in entry["pattern"]}
-        if (key := tuple(entry["pattern"][at[w]] for w in window)) in seen:
-            raise InputError(f"pattern {entry['pattern']!r} appears twice in the distribution")
-        seen.add(key)
 
 
 def window_columns(action: FiniteAction, window: Sequence[Word]) -> list[tuple[int, ...]]:

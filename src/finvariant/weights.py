@@ -326,8 +326,6 @@ class Weight:
                 (e["from"], e["to"], as_int(e["gen"], "an edge's gen")): read_ratio(e["p"])
                 for e in data["edge"]
             }
-            if all(type(p) is tuple for table in (vertex, edge) for p in table.values()):
-                return cls.from_tables(rank, alphabet, *over_lcm(vertex, edge))
             vertex, edge = ({k: p if type(p) is float else Fraction(*p) for k, p in t.items()} for t in (vertex, edge))
             return cls.from_tables(rank, alphabet, vertex, edge)
         except (KeyError, TypeError, AttributeError) as exc:

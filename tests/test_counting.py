@@ -457,31 +457,13 @@ class TestSymbolSymmetry:
         w = Weight.from_tables(1, TERNARY, dict.fromkeys(TERNARY, Fraction(1, 3)), pairs)
         return marginal_distribution(w, CTX1.ball(1))
 
-    def test_a_rotation_joins_what_no_transposition_does(self):
-        nbhd = Neighborhood(target=self._cyclic_pair_law(1), epsilon=Fraction(1, 2), mode="edge_star")
-        assert counting._setup(CTX1, 6, TERNARY, nbhd, Caps())[-1] == [3, 0, 0]
-
-    @pytest.mark.parametrize("step,orbits", [(1, [3, 0, 0]), (0, [1, 2, 0])], ids=["cyclic", "asymmetric"])
+    @pytest.mark.parametrize("step", [1, 0], ids=["cyclic", "asymmetric"])
     @pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(2, 3), Fraction(4, 3)], ids=repr)
-    def test_rotation_orbits_count_as_brute_force(self, step, orbits, eps):
+    def test_cyclic_and_asymmetric_targets_count_as_brute_force(self, step, eps):
         nbhd = Neighborhood(target=self._cyclic_pair_law(step), epsilon=eps, mode="edge_star")
-        assert counting._setup(CTX1, 6, TERNARY, nbhd, Caps())[-1] == orbits
         for seed in range(4):
             action = sample_action(6, 1, seed=seed)
             assert count_omega(CTX1, action, TERNARY, nbhd) == brute_count(CTX1, action, TERNARY, nbhd), seed
-
-    def test_two_symbols_try_no_rotation(self):
-        # the one permutation tried is the swap: kept reads each target once
-        reads = []
-
-        class Target(dict):
-            def get(self, *args):
-                reads.append(args)
-                return super().get(*args)
-
-        target = Target({0: 1, 1: 1, 2: 1, 3: 1})
-        assert counting._orbit_weights(2, [(((), (1,)), target)], set()) == [2, 0]
-        assert len(reads) == len(target)
 
     def test_exact_enumeration_counts_every_orbit(self):
         # a radius-1 window is averaged over all n!^r actions by count_omega

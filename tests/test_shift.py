@@ -565,8 +565,8 @@ ONE_PASS_CASES = [
 
 class TestOnePassReader:
     """``PatternDistribution.from_json`` reads every entry in one loop and
-    names a repeated pattern only after it; ``distribution_by_entries``
-    checks after every entry and builds through the validating constructor.
+    builds an exact marginal through the private constructor;
+    ``distribution_by_entries`` builds through the validating constructor.
     Both give the same masses, total and exactness, or the same message."""
 
     @staticmethod

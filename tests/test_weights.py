@@ -657,7 +657,7 @@ class TestOnePassBalance:
         assert self._agree(1, ("x", "y", "z"), vertex, edge)[1].startswith(expected)
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_from_json_without_fractions_matches_the_fraction_route(self, seed):
+    def test_from_json_matches_from_tables_fed_fractions(self, seed):
         rng = random.Random(seed)
         rank = rng.choice([1, 2])
         w = golden_weight(rng) if seed % 3 == 0 else circulation_weight(rank, ("x", "y", "z")[: rng.randint(2, 3)], rng)
